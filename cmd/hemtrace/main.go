@@ -10,7 +10,6 @@
 //	hemtrace filter   [-kind k] [-track prefix] [-o file] <in.jsonl>
 //	hemtrace convert  [-format jsonl|chrome] [-o file] <in.jsonl>
 //	hemtrace summarize <in.jsonl>
-//	hemtrace prof     [-o file] <in.jsonl>
 //	hemtrace validate  <in.jsonl>
 //	hemtrace list
 //
@@ -28,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/expt"
-	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -53,8 +51,6 @@ func run(args []string, stdout io.Writer) error {
 		return cmdConvert(rest, stdout)
 	case "summarize":
 		return cmdSummarize(rest, stdout)
-	case "prof":
-		return cmdProf(rest, stdout)
 	case "validate":
 		return cmdValidate(rest, stdout)
 	case "list":
@@ -65,7 +61,7 @@ func run(args []string, stdout io.Writer) error {
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: hemtrace record|filter|convert|summarize|prof|validate|list (see the command doc)")
+	return fmt.Errorf("usage: hemtrace record|filter|convert|summarize|validate|list (see the command doc)")
 }
 
 // cmdList prints the experiments with traced runners.
@@ -161,34 +157,6 @@ func cmdSummarize(args []string, stdout io.Writer) error {
 		return err
 	}
 	return trace.Summarize(events).Write(stdout)
-}
-
-// cmdProf rebuilds an approximate energy profile from recorded events and
-// writes it as gzipped pprof protobuf (prof.FromTrace documents what is —
-// and is not — recoverable from a trace).
-func cmdProf(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("hemtrace prof", flag.ContinueOnError)
-	out := fs.String("o", "", "output file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	events, err := readIn(fs.Args())
-	if err != nil {
-		return err
-	}
-	p := prof.FromTrace(events)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := prof.WritePprof(f, p); err != nil {
-			return err
-		}
-		return f.Close()
-	}
-	return prof.WritePprof(stdout, p)
 }
 
 // cmdValidate checks the trace file and reports its size; a bad event

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/expt"
-	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -91,49 +90,6 @@ func TestGoldenFleetSummary(t *testing.T) {
 		if !strings.Contains(out.String(), kind) {
 			t.Errorf("fleet summary missing %q:\n%s", kind, out.String())
 		}
-	}
-}
-
-// TestProfFromTrace: the prof subcommand turns a recorded trace into a
-// decodable pprof profile whose scopes come from the trace's tracks.
-func TestProfFromTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fig8.jsonl")
-	if err := run([]string{"record", "-o", path, "fig8"}, new(bytes.Buffer)); err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"prof", path}, &out); err != nil {
-		t.Fatalf("prof: %v", err)
-	}
-	d, err := prof.ReadPprof(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("prof output does not decode: %v", err)
-	}
-	if len(d.Samples) == 0 {
-		t.Fatal("prof output has no samples")
-	}
-	if d.SampleTypes[0].Type != "sim_seconds" || d.SampleTypes[1].Type != "energy_joules" {
-		t.Fatalf("sample types = %+v", d.SampleTypes)
-	}
-	seen := map[string]bool{}
-	for _, smp := range d.Samples {
-		seen[smp.Labels["experiment"]] = true
-	}
-	if !seen["fig8"] {
-		t.Errorf("profile experiments = %v, want fig8", seen)
-	}
-
-	// -o writes the same bytes to a file.
-	outPath := filepath.Join(t.TempDir(), "p.pb.gz")
-	if err := run([]string{"prof", "-o", outPath, path}, new(bytes.Buffer)); err != nil {
-		t.Fatalf("prof -o: %v", err)
-	}
-	blob, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, out.Bytes()) {
-		t.Error("prof -o bytes differ from stdout bytes")
 	}
 }
 

@@ -7,7 +7,7 @@ package circuit
 // streams through the cache in lane order instead of chasing per-node
 // pointers. Group wraps already-built simulators (for example a window of
 // a slab's lanes) so a scheduler can hand each worker a contiguous span of
-// nodes per epoch (internal/fleet).
+// nodes per epoch (internal/population).
 //
 // Determinism: a BatchStepper adds no physics of its own. Each lane is a
 // full Simulator advanced by exactly the scalar stepper's code, one lane
@@ -72,53 +72,17 @@ func (b *BatchStepper) Len() int { return len(b.lanes) }
 // Lane returns lane i's simulator, e.g. to read Progress or Outcome.
 func (b *BatchStepper) Lane(i int) *Simulator { return b.lanes[i] }
 
-// Done reports whether every lane has finished.
-func (b *BatchStepper) Done() bool {
-	for _, sim := range b.lanes {
-		if !sim.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// StepTo advances every lane through the steps that start before t, in
-// lane order, exactly as per-lane Simulator.StepTo calls would. It reports
-// whether all lanes have finished.
-func (b *BatchStepper) StepTo(t float64) (bool, error) {
-	return b.StepToContext(nil, t)
-}
-
-// StepToContext is StepTo with cooperative cancellation: ctx (when
-// non-nil) is checked before each lane, and its error returned as soon as
-// it fires. A cancelled call leaves every lane in a valid resumable state
-// — each lane has either fully advanced to t or not started this call, and
-// lane warm states are only ever touched by the lane's own stepper — so a
-// later StepTo/StepToContext resumes bit-identically to an uninterrupted
-// run. Lane failures are reported as *LaneError.
-func (b *BatchStepper) StepToContext(ctx context.Context, t float64) (bool, error) {
-	done := true
-	for i, sim := range b.lanes {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-		}
-		laneDone, err := sim.StepTo(t)
-		if err != nil {
-			return false, &LaneError{Lane: i, Err: err}
-		}
-		if !laneDone {
-			done = false
-		}
-	}
-	return done, nil
-}
-
-// StepToCountContext is StepToContext with the time bound pre-resolved
-// to an integer step target (see Simulator.StepToCount). Schedulers
-// stepping many lanes with a shared Step to shared epoch edges memoize
-// StepsFor once per edge and skip the per-lane float conversion.
+// StepToCountContext advances every lane through the steps with index
+// below n (see Simulator.StepToCount), in lane order, exactly as per-lane
+// StepToCount calls would, and reports whether all lanes have finished.
+// Schedulers stepping many lanes with a shared Step to shared epoch edges
+// memoize StepsFor once per edge; math.MaxInt runs every lane to its own
+// horizon. ctx (when non-nil) is checked before each lane, and its error
+// returned as soon as it fires. A cancelled call leaves every lane in a
+// valid resumable state — each lane has either fully advanced or not
+// started this call, and lane warm states are only ever touched by the
+// lane's own stepper — so a later call resumes bit-identically to an
+// uninterrupted run. Lane failures are reported as *LaneError.
 func (b *BatchStepper) StepToCountContext(ctx context.Context, n int) (bool, error) {
 	done := true
 	for i, sim := range b.lanes {
@@ -150,15 +114,15 @@ func (b *BatchStepper) Outcomes() []*Outcome {
 // RunBatch runs every configuration to completion on a freshly allocated
 // slab and returns the outcomes in config order. Lanes run one at a time,
 // each to its own horizon, keeping the working set a single lane wide;
-// callers that need the lanes to share a clock use NewBatch + StepTo with
-// increasing epoch edges instead (internal/fleet).
+// callers that need the lanes to share a clock use NewBatch +
+// StepToCountContext with increasing epoch targets instead
+// (internal/population).
 func RunBatch(cfgs []Config) ([]*Outcome, error) {
 	b, err := NewBatch(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	// Each lane's StepTo caps the target at its own MaxTime.
-	if _, err := b.StepTo(math.Inf(1)); err != nil {
+	if _, err := b.StepToCountContext(nil, math.MaxInt); err != nil {
 		return nil, err
 	}
 	return b.Outcomes(), nil

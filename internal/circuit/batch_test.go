@@ -13,6 +13,9 @@ import (
 	"repro/internal/reg"
 )
 
+// laneStep is the integration step of every laneConfig lane.
+const laneStep = 5e-6
+
 // laneConfig builds lane i of a deliberately diverse batch population:
 // initial charge, irradiance, supply point, job budget and tracing vary
 // per lane so the parity checks cover completions, brownouts, comparator
@@ -33,8 +36,8 @@ func laneConfig(t testing.TB, i, steps int) Config {
 		Controller:  &FixedPoint{Supply: 0.45 + 0.05*float64(i%3)},
 		Comparators: []Comparator{{Threshold: 0.9, Hysteresis: 0.05}},
 		ClockLevels: []float64{10e6, 20e6, 40e6, 80e6},
-		Step:        5e-6,
-		MaxTime:     float64(steps) * 5e-6,
+		Step:        laneStep,
+		MaxTime:     float64(steps) * laneStep,
 	}
 	if i%3 == 0 {
 		cfg.JobCycles = 5e3 * float64(1+i%11) // some lanes complete early
@@ -104,13 +107,16 @@ func TestBatchLockstepParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		span := (n + groups - 1) / groups
-		for edge := 1e-4; !b.Done(); edge += 1e-4 {
+		for edge, done := 1e-4, false; !done; edge += 1e-4 {
+			done = true
 			for lo := 0; lo < n; lo += span {
 				hi := min(lo+span, n)
 				g := Group(sliceLanes(b, lo, hi))
-				if _, err := g.StepTo(edge); err != nil {
+				groupDone, err := g.StepToCountContext(nil, StepsFor(edge, laneStep))
+				if err != nil {
 					t.Fatal(err)
 				}
+				done = done && groupDone
 			}
 		}
 		for i, out := range b.Outcomes() {
@@ -157,7 +163,7 @@ func (c *cancelAfterCtx) Err() error {
 	return nil
 }
 
-// TestBatchCancelResumeParity: a StepToContext aborted mid-batch leaves
+// TestBatchCancelResumeParity: a StepToCountContext aborted mid-batch leaves
 // every lane resumable — finishing the interrupted batch later produces
 // outcomes bit-identical to an uninterrupted run. This is the contract
 // that lets a fleet epoch die on a cancelled request without corrupting
@@ -184,16 +190,16 @@ func TestBatchCancelResumeParity(t *testing.T) {
 	cancels := 0
 	for _, budget := range []int{3, 5} {
 		ctx := &cancelAfterCtx{Context: context.Background(), remaining: budget}
-		done, err := b.StepToContext(ctx, math.Inf(1))
+		done, err := b.StepToCountContext(ctx, math.MaxInt)
 		if !errors.Is(err, context.Canceled) || done {
-			t.Fatalf("cancelled StepToContext returned done=%v err=%v", done, err)
+			t.Fatalf("cancelled StepToCountContext returned done=%v err=%v", done, err)
 		}
 		cancels++
 	}
 	if cancels != 2 {
 		t.Fatal("cancellation path not exercised")
 	}
-	if _, err := b.StepTo(math.Inf(1)); err != nil {
+	if _, err := b.StepToCountContext(nil, math.MaxInt); err != nil {
 		t.Fatal(err)
 	}
 	for i, out := range b.Outcomes() {
@@ -218,8 +224,8 @@ func batchAllocs(t *testing.T, lanes, steps int) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for edge := 2e-4; !b.Done(); edge += 2e-4 {
-			if _, err := b.StepTo(edge); err != nil {
+		for edge, done := 2e-4, false; !done; edge += 2e-4 {
+			if done, err = b.StepToCountContext(nil, StepsFor(edge, cfgs[0].Step)); err != nil {
 				t.Fatal(err)
 			}
 		}

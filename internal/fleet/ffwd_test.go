@@ -136,15 +136,12 @@ func darkSkips(t *testing.T, profiled, noFF bool) (skipped, total int) {
 	if profiled {
 		cfg.Profile = prof.New()
 	}
-	nodes, err := buildNodes(cfg)
+	_, lanes, err := schedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := schedule(cfg, nodes); err != nil {
-		t.Fatal(err)
-	}
-	for _, nd := range nodes {
-		p := nd.sim.Progress()
+	for _, sim := range lanes {
+		p := sim.Progress()
 		skipped += p.StepsSkipped
 		total += p.Steps
 	}
@@ -180,7 +177,7 @@ func TestFleetDarkTailIsExactlyZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := spec.Config().withDefaults()
-	ccfg, _, err := buildNodeConfig(cfg, 0)
+	ccfg, err := buildNodeConfig(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -112,12 +111,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Step <= 0 {
 		cfg.Step = DefaultStep
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = (cfg.Nodes + cfg.Workers - 1) / cfg.Workers
-	}
 	return cfg
 }
 
@@ -130,10 +123,6 @@ func (cfg Config) Spec() Spec {
 
 // Run executes the fleet and returns its report.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	nodes, err := buildNodes(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return schedule(cfg, nodes)
+	rep, _, err := schedule(cfg.withDefaults())
+	return rep, err
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -9,10 +8,8 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/fault"
-	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/reg"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/weather"
 )
@@ -35,27 +32,17 @@ const (
 	deadlineFrac    = 0.8  // job deadline as a fraction of the horizon
 )
 
-// node is one fleet member: a resumable circuit simulation plus the
-// identity needed for ordered aggregation.
-type node struct {
-	id   int
-	sim  *circuit.Simulator
-	ctrl *sched.DeadlineController
-	job  float64      // cycle budget, for reporting
-	led  *prof.Ledger // energy profile ledger, nil unless Config.Profile is set
-}
-
 // nodeStream is the fault.StreamSeed stream label for node id. Zero-padding
 // keeps labels unique and human-greppable in traces; the width caps the
 // fleet at 10M nodes before labels collide, far beyond the engine's reach.
 func nodeStream(id int) string { return fmt.Sprintf("node/%07d", id) }
 
-// buildNodeConfig constructs the circuit configuration and controller of
-// node id. All randomness is drawn from sources seeded via
+// buildNodeConfig constructs the circuit configuration of node id. All
+// randomness is drawn from sources seeded via
 // fault.StreamSeed(seed, "node/<id>", domain) — one domain per concern —
 // so every node's environment and trims are independent of every other
 // node's and of the build order.
-func buildNodeConfig(cfg Config, id int) (circuit.Config, *sched.DeadlineController, error) {
+func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
 	// Weather: the node's private sky. Dwell times and the OU relaxation
 	// scale with the horizon so short fleet runs still see cloud bursts.
 	gen := weather.NewSeededGenerator(
@@ -65,7 +52,7 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, *sched.DeadlineControl
 	)
 	sky, err := gen.Trace(cfg.Horizon, cfg.Horizon/256, nil)
 	if err != nil {
-		return circuit.Config{}, nil, fmt.Errorf("node %d weather: %w", id, err)
+		return circuit.Config{}, fmt.Errorf("weather: %w", err)
 	}
 
 	// Trims: initial charge, job size, peripheral draw and site exposure.
@@ -98,13 +85,7 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, *sched.DeadlineControl
 
 	storage, err := cap.New(nodeCapacitance, v0, nodeCapMax)
 	if err != nil {
-		return circuit.Config{}, nil, fmt.Errorf("node %d storage: %w", id, err)
-	}
-	ctrl := &sched.DeadlineController{
-		Cycles:      cycles,
-		Deadline:    deadlineFrac * cfg.Horizon,
-		Sprint:      nodeSprint,
-		AllowBypass: true,
+		return circuit.Config{}, fmt.Errorf("storage: %w", err)
 	}
 	return circuit.Config{
 		Cell: pv.NewCell(),
@@ -116,57 +97,15 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, *sched.DeadlineControl
 		// spans instead of stepping them.
 		IrradianceSource: sky,
 		NoFastForward:    cfg.NoFastForward,
-		Controller:       ctrl,
-		AuxLoad:          func(float64) float64 { return aux },
-		Step:             cfg.Step,
-		MaxTime:          cfg.Horizon,
-		JobCycles:        cycles,
-	}, ctrl, nil
-}
-
-// buildNodes constructs the whole fleet: the per-node configurations are
-// built on the worker pool (construction is deterministic per node — each
-// writes only its own index — so parallel builds yield the same fleet as
-// serial ones), then the population is laid out as the lanes of one
-// contiguous circuit.NewBatch slab in node-ID order. The scheduler's
-// per-epoch lane groups are therefore windows of sequential memory, not
-// scattered pointer targets.
-func buildNodes(cfg Config) ([]*node, error) {
-	cfgs := make([]circuit.Config, cfg.Nodes)
-	ctrls := make([]*sched.DeadlineController, cfg.Nodes)
-	errs := make([]error, cfg.Nodes)
-	runner.ForEach(cfg.Nodes, cfg.Workers, func(i int) {
-		cfgs[i], ctrls[i], errs[i] = buildNodeConfig(cfg, i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Profiling on: one contiguous ledger slab, one lane per node, so the
-	// per-step accumulation writes sequential memory just like the batch
-	// stepper's state does.
-	var leds []prof.Ledger
-	if cfg.Profile != nil {
-		leds = make([]prof.Ledger, cfg.Nodes)
-		for i := range cfgs {
-			cfgs[i].Ledger = &leds[i]
-		}
-	}
-	batch, err := circuit.NewBatch(cfgs)
-	if err != nil {
-		var le *circuit.LaneError
-		if errors.As(err, &le) {
-			return nil, fmt.Errorf("node %d circuit: %w", le.Lane, le.Err)
-		}
-		return nil, err
-	}
-	nodes := make([]*node, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = &node{id: i, sim: batch.Lane(i), ctrl: ctrls[i], job: ctrls[i].Cycles}
-		if leds != nil {
-			nodes[i].led = &leds[i]
-		}
-	}
-	return nodes, nil
+		Controller: &sched.DeadlineController{
+			Cycles:      cycles,
+			Deadline:    deadlineFrac * cfg.Horizon,
+			Sprint:      nodeSprint,
+			AllowBypass: true,
+		},
+		AuxLoad:   func(float64) float64 { return aux },
+		Step:      cfg.Step,
+		MaxTime:   cfg.Horizon,
+		JobCycles: cycles,
+	}, nil
 }

@@ -1,13 +1,9 @@
 package fleet
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/circuit"
 	"repro/internal/metrics"
-	"repro/internal/prof"
-	"repro/internal/runner"
+	"repro/internal/population"
 	"repro/internal/trace"
 )
 
@@ -21,37 +17,19 @@ var (
 		"Fleet epoch barriers crossed across all runs.")
 )
 
-// retiredAgg carries the frozen contribution of every node that has left
-// the active set. A finished Simulator takes no further steps, so its
-// Progress is immutable; folding it in once at retirement lets the epoch
-// barrier scan only the live population instead of all N nodes.
-type retiredAgg struct {
-	harvested  float64
-	aux        float64
-	vcap       float64
-	completed  int
-	brownedOut int
-}
-
-// schedule advances the fleet to the horizon in shared-clock epochs.
+// schedule builds the fleet on the population runner and advances it to
+// the horizon in shared-clock epochs, returning the report and the node
+// lanes in node-ID order.
 //
-// The loop alternates two strictly separated regimes:
-//
-//   - inside an epoch, the active nodes advance concurrently on the worker
-//     pool, grouped into contiguous lane windows of at most cfg.Batch nodes
-//     (runner.ForEachBatch over circuit.Group steppers); each worker touches
-//     only its own window's nodes, so the schedule cannot leak into the
-//     physics;
-//   - at the epoch barrier, the scheduler goroutine alone reads the active
-//     nodes' Progress in node-ID order, accumulating aggregates on top of
-//     the retired nodes' frozen totals and emitting fleet.* trace events.
-//
-// Floating-point accumulation order is therefore fixed — retirement order
-// (itself a deterministic function of the spec) then node-ID order, never
-// worker interleaving — the mechanism behind byte-identical reports across
-// -j. Finished nodes are dropped from the active set and folded into the
-// retired totals, so an epoch costs only its still-running population.
-func schedule(cfg Config, nodes []*node) (*Report, error) {
+// The runner owns the determinism of the schedule (internal/population);
+// the fleet adds the epoch barrier, where the active nodes' Progress is
+// accumulated in node-ID order on top of the frozen totals of the nodes
+// that have already finished. Floating-point accumulation order is
+// therefore fixed — retirement order (itself a deterministic function of
+// the spec) then node-ID order, never worker interleaving — which keeps
+// reports byte-identical across -j, while each barrier scans only the
+// still-running population.
+func schedule(cfg Config) (*Report, []*circuit.Simulator, error) {
 	rep := &Report{Spec: cfg.Spec(), Hist: newHistogram(cfg.Horizon)}
 	fleetRuns.Inc()
 
@@ -61,118 +39,39 @@ func schedule(cfg Config, nodes []*node) (*Report, error) {
 		})
 	}
 
-	active := make([]*node, len(nodes))
-	copy(active, nodes)
-	lanes := make([]*circuit.Simulator, len(nodes))
-	groupErrs := make([]error, len(nodes))
-	var retired retiredAgg
-
-	// The epoch count is bounded by the spec geometry, so the
-	// epoch→target-step mapping is memoized up front — every lane shares
-	// cfg.Step, so the per-lane float conversion StepTo would repeat
-	// N times per epoch collapses to one table lookup — and the snapshot
-	// series is pre-sized instead of grown epoch by epoch.
+	edge := func(epoch int) float64 { return min(float64(epoch)*cfg.Epoch, cfg.Horizon) }
+	// Every lane shares cfg.Step, so each epoch's step target is memoized
+	// once instead of converted per lane. When Horizon/Epoch lands just
+	// below an integer the snapped count is one short, and the runner's
+	// unlisted final epoch takes the stragglers to the horizon.
 	epochs := circuit.StepsFor(cfg.Horizon, cfg.Epoch)
 	targets := make([]int, epochs)
 	for e := 1; e <= epochs; e++ {
-		tEdge := float64(e) * cfg.Epoch
-		if tEdge > cfg.Horizon {
-			tEdge = cfg.Horizon
-		}
-		targets[e-1] = circuit.StepsFor(tEdge, cfg.Step)
+		targets[e-1] = circuit.StepsFor(edge(e), cfg.Step)
 	}
 	rep.Snapshots = make([]Snapshot, 0, epochs)
 
-	for epoch := 1; len(active) > 0; epoch++ {
-		// A cancelled caller (an abandoned HTTP request, a killed CLI run)
-		// stops at the next barrier instead of simulating to the horizon;
-		// StepToContext additionally checks before every lane inside an
-		// epoch, so a long epoch aborts mid-batch without corrupting the
-		// not-yet-advanced lanes.
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("fleet: run cancelled: %w", err)
-			}
-		}
-		tEdge := float64(epoch) * cfg.Epoch
-		if tEdge > cfg.Horizon {
-			tEdge = cfg.Horizon
-		}
-		target := 0
-		if epoch <= len(targets) {
-			target = targets[epoch-1]
-		} else {
-			// Horizon/Epoch landed just below an integer, so the snapped
-			// epoch count undershot by one; resolve the straggler edge here.
-			target = circuit.StepsFor(tEdge, cfg.Step)
-		}
-		n := len(active)
-		for i, nd := range active {
-			lanes[i] = nd.sim
-		}
-		eff := cfg.Batch
-		if eff > n {
-			eff = n // mirror ForEachBatch's clamp so group indexing matches
-		}
-		runner.ForEachBatch(n, eff, cfg.Workers, func(lo, hi int) {
-			grp := circuit.Group(lanes[lo:hi])
-			_, groupErrs[lo/eff] = grp.StepToCountContext(cfg.Ctx, target)
-		})
-		for g := 0; g < (n+eff-1)/eff; g++ {
-			if err := groupErrs[g]; err != nil {
-				var le *circuit.LaneError
-				if errors.As(err, &le) {
-					return nil, fmt.Errorf("fleet: node %d: %w", active[g*eff+le.Lane].id, le.Err)
-				}
-				return nil, fmt.Errorf("fleet: run cancelled: %w", err)
-			}
-		}
-
-		// Epoch barrier: retired totals first, then the active nodes in ID
-		// order. Nodes that finished this epoch are counted via their (now
-		// frozen) Progress, folded into the retired totals, and dropped.
-		snap := Snapshot{
-			Time:       tEdge,
-			Harvested:  retired.harvested,
-			Aux:        retired.aux,
-			MeanVcap:   retired.vcap,
-			Completed:  retired.completed,
-			BrownedOut: retired.brownedOut,
-		}
-		live := active[:0]
-		for _, nd := range active {
-			p := nd.sim.Progress()
-			snap.Harvested += p.EnergyHarvested
-			snap.Aux += p.EnergyAux
-			snap.MeanVcap += p.CapVoltage
-			if p.Completed {
-				snap.Completed++
-			}
-			if p.BrownedOut {
-				snap.BrownedOut++
-			}
+	// retired holds the frozen totals of the finished nodes: a finished
+	// Simulator takes no further steps, so it is folded in once.
+	var retired Snapshot
+	barrier := func(epoch int, active []*circuit.Simulator) {
+		snap := retired
+		snap.Time = edge(epoch)
+		for _, sim := range active {
+			p := sim.Progress()
+			accumulate(&snap, p)
 			if p.Done {
-				retired.harvested += p.EnergyHarvested
-				retired.aux += p.EnergyAux
-				retired.vcap += p.CapVoltage
-				if p.Completed {
-					retired.completed++
-				}
-				if p.BrownedOut {
-					retired.brownedOut++
-				}
+				accumulate(&retired, p)
 			} else {
 				snap.Active++
-				live = append(live, nd)
 			}
 		}
-		active = live
-		snap.MeanVcap /= float64(len(nodes))
+		snap.MeanVcap /= float64(cfg.Nodes)
 		rep.Snapshots = append(rep.Snapshots, snap)
 		fleetEpochs.Inc()
 
 		if trace.On(cfg.Tracer) {
-			trace.Counter(cfg.Tracer, "fleet.epoch", tEdge, "fleet", trace.Args{
+			trace.Counter(cfg.Tracer, "fleet.epoch", snap.Time, "fleet", trace.Args{
 				"active": snap.Active, "completed": snap.Completed,
 				"browned_out": snap.BrownedOut, "harvest_j": snap.Harvested,
 			})
@@ -182,9 +81,26 @@ func schedule(cfg Config, nodes []*node) (*Report, error) {
 		}
 	}
 
+	lanes, err := population.Run(population.Config{
+		Name:         "fleet",
+		Nodes:        cfg.Nodes,
+		Build:        func(id int) (circuit.Config, error) { return buildNodeConfig(cfg, id) },
+		Targets:      targets,
+		Barrier:      barrier,
+		Workers:      cfg.Workers,
+		Batch:        cfg.Batch,
+		Ctx:          cfg.Ctx,
+		Profile:      cfg.Profile,
+		ProfileScope: cfg.ProfileScope,
+		Label:        nodeStream,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
 	// Final reduction, again in node-ID order.
-	for _, nd := range nodes {
-		out := nd.sim.Outcome()
+	for _, sim := range lanes {
+		out := sim.Outcome()
 		rep.EnergyHarvested += out.EnergyHarvested
 		rep.EnergyDelivered += out.EnergyDelivered
 		rep.EnergyAux += out.EnergyAux
@@ -197,21 +113,8 @@ func schedule(cfg Config, nodes []*node) (*Report, error) {
 			rep.BrownedOut++
 		}
 	}
-	rep.MeanFinalVcap /= float64(len(nodes))
-	rep.Unfinished = len(nodes) - rep.Completed
-
-	// Profile fold, in node-ID order like every other reduction, so the
-	// exported bytes are identical across -j and batch sizes.
-	if cfg.Profile != nil {
-		for _, nd := range nodes {
-			if nd.led == nil || nd.led.Empty() {
-				continue
-			}
-			cfg.Profile.Ledger(prof.Scope{
-				Experiment: cfg.ProfileScope, Node: nodeStream(nd.id),
-			}).Merge(nd.led)
-		}
-	}
+	rep.MeanFinalVcap /= float64(cfg.Nodes)
+	rep.Unfinished = cfg.Nodes - rep.Completed
 
 	if trace.On(cfg.Tracer) {
 		trace.End(cfg.Tracer, "fleet.run", cfg.Horizon, "fleet", trace.Args{
@@ -219,5 +122,19 @@ func schedule(cfg Config, nodes []*node) (*Report, error) {
 			"harvest_j": rep.EnergyHarvested,
 		})
 	}
-	return rep, nil
+	return rep, lanes, nil
+}
+
+// accumulate adds one node's progress to a snapshot's running sums
+// (MeanVcap holds the voltage sum until the barrier divides it).
+func accumulate(s *Snapshot, p circuit.Progress) {
+	s.Harvested += p.EnergyHarvested
+	s.Aux += p.EnergyAux
+	s.MeanVcap += p.CapVoltage
+	if p.Completed {
+		s.Completed++
+	}
+	if p.BrownedOut {
+		s.BrownedOut++
+	}
 }

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/trace"
 )
 
 // randLedger fills a ledger from the source; values stay in a range where
@@ -335,44 +333,5 @@ func TestAddStepsMatchesRepeatedAddStep(t *testing.T) {
 	// shortcut, or they would not pin the contract.
 	if !productDiffers {
 		t.Error("no case distinguishes n sequential adds from one n*dt add")
-	}
-}
-
-// FromTrace reconstructs dwell between mode transitions and halt windows,
-// and picks up the span's final harvested energy.
-func TestFromTrace(t *testing.T) {
-	evs := []trace.Event{
-		{Clock: trace.ClockSim, Time: 0, Kind: "circuit.run", Phase: trace.PhaseBegin, Track: "fig8/constant"},
-		{Clock: trace.ClockSim, Time: 0.2, Kind: "sched.mode", Phase: trace.PhaseInstant, Track: "fig8/constant", Args: trace.Args{"mode": "sprint"}},
-		{Clock: trace.ClockSim, Time: 0.3, Kind: "circuit.halt", Phase: trace.PhaseInstant, Track: "fig8/constant"},
-		{Clock: trace.ClockSim, Time: 0.5, Kind: "circuit.resume", Phase: trace.PhaseInstant, Track: "fig8/constant"},
-		{Clock: trace.ClockSim, Time: 1.0, Kind: "circuit.run", Phase: trace.PhaseEnd, Track: "fig8/constant", Args: trace.Args{"harvested_j": 0.75}},
-		// Wall-clock noise must be ignored.
-		{Clock: trace.ClockWall, Time: 99, Kind: "runner.job", Phase: trace.PhaseInstant, Track: "fig8/constant"},
-		// A fleet track contributes its cumulative harvest only.
-		{Clock: trace.ClockSim, Time: 0.01, Kind: "fleet.epoch", Phase: trace.PhaseCounter, Track: "fleet", Args: trace.Args{"harvest_j": 0.25}},
-		{Clock: trace.ClockSim, Time: 0.02, Kind: "fleet.epoch", Phase: trace.PhaseCounter, Track: "fleet", Args: trace.Args{"harvest_j": 0.5}},
-	}
-	p := FromTrace(evs)
-	if p.Len() != 2 {
-		t.Fatalf("scopes = %d, want 2", p.Len())
-	}
-
-	led := p.Ledger(Scope{Experiment: "fig8", Node: "constant"})
-	const eps = 1e-12
-	check := func(name string, got, want float64) {
-		if math.Abs(got-want) > eps {
-			t.Fatalf("%s = %v, want %v", name, got, want)
-		}
-	}
-	check("active", led.Seconds[BinCPUActive], 0.2)
-	check("sprint", led.Seconds[BinCPUSprint], 0.1+0.5)
-	check("dead", led.Seconds[BinDead], 0.2)
-	check("harvest", led.Joules[BinPVHarvest], 0.75)
-
-	fl := p.Ledger(Scope{Experiment: "fleet"})
-	check("fleet harvest", fl.Joules[BinPVHarvest], 0.5)
-	if got := fl.TotalSeconds(); got != 0 {
-		t.Fatalf("fleet track seconds = %v, want 0", got)
 	}
 }

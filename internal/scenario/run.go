@@ -1,27 +1,26 @@
 package scenario
 
-// The scenario engine: render the source once, build one circuit lane per
-// node in a contiguous batch slab, advance all lanes to the horizon on the
-// worker pool, and aggregate in node-ID order. Unlike the fleet scheduler
-// there are no epoch barriers — scenario populations are small and share
-// one environment, so a single StepToContext pass per lane group is both
-// the fastest and the simplest deterministic schedule.
+// The scenario engine: render the source once, then run the nodes as a
+// one-epoch population (internal/population) and aggregate in node-ID
+// order. Unlike the fleet there are no epoch barriers — scenario
+// populations share one environment, so one pass per lane group to the
+// horizon is both the fastest and the simplest deterministic schedule.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/population"
 	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/radio"
 	"repro/internal/reg"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/weather"
@@ -64,24 +63,11 @@ type Config struct {
 // nodeLabel is the per-node stream/track/profile label.
 func nodeLabel(id int) string { return fmt.Sprintf("scn/%04d", id) }
 
-// nodeTrims holds the per-node population draws.
-type nodeTrims struct {
-	v0   float64
-	site float64
-}
-
-// trimsFor draws node id's trims from its private stream.
-func trimsFor(spec Spec, id int) nodeTrims {
-	rng := rand.New(rand.NewSource(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim")))
-	tr := nodeTrims{
-		v0:   nodeV0Lo + (nodeV0Hi-nodeV0Lo)*rng.Float64(),
-		site: 1.0,
-	}
-	if spec.Geometry.Nodes > 1 {
-		tr.site = nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()
-	}
-	return tr
-}
+// rngs recycles the per-node generators. A math/rand source holds ~5 KB
+// of state, and building a population on the worker pool would otherwise
+// churn through it fast enough to raise the peak heap; Seed resets a
+// generator to exactly the state rand.NewSource(seed) starts in.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Run executes the scenario and returns its report.
 func Run(cfg Config) (*Report, error) {
@@ -90,12 +76,6 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	n := spec.Geometry.Nodes
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = (n + cfg.Workers - 1) / cfg.Workers
-	}
 
 	src, err := spec.SourceTrace()
 	if err != nil {
@@ -109,47 +89,38 @@ func Run(cfg Config) (*Report, error) {
 	rep.Source.DurationS = src.Duration()
 	rep.Source.Min, rep.Source.Mean, rep.Source.Max = src.Stats()
 
-	// Build the population. Everything here is a deterministic function of
-	// (spec, node id): trims, arrivals and the shared source are all stream-
-	// seeded, so build order cannot matter.
+	// Node id's lane. Everything here is a deterministic function of (spec,
+	// id): trims, arrivals and the shared source are all stream-seeded, and
+	// the build writes only node id's slots, so build order cannot matter.
 	tx := radio.New()
-	cfgs := make([]circuit.Config, n)
-	ctrls := make([]*sched.DeadlineController, n)
-	var leds []prof.Ledger
-	if cfg.Profile != nil {
-		leds = make([]prof.Ledger, n)
-	}
 	var recs []*trace.Recorder
 	if cfg.Tracer != nil {
 		recs = make([]*trace.Recorder, n)
 	}
 	horizon, step := spec.Geometry.HorizonS, spec.Geometry.StepS
-	for i := 0; i < n; i++ {
-		trims := trimsFor(spec, i)
-		storage, err := cap.New(nodeCapacitance, trims.v0, nodeCapMax)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: node %d storage: %w", i, err)
+	build := func(id int) (circuit.Config, error) {
+		rng := rngs.Get().(*rand.Rand)
+		defer rngs.Put(rng)
+		rng.Seed(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim"))
+		v0, site := nodeV0Lo+(nodeV0Hi-nodeV0Lo)*rng.Float64(), 1.0
+		if n > 1 {
+			site = nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()
 		}
-		times := arrivalTimes(
-			rand.New(rand.NewSource(fault.StreamSeed(spec.Seed, nodeLabel(i), "arrivals"))),
-			spec.Workload.Arrivals, horizon)
+		storage, err := cap.New(nodeCapacitance, v0, nodeCapMax)
+		if err != nil {
+			return circuit.Config{}, fmt.Errorf("storage: %w", err)
+		}
+		rng.Seed(fault.StreamSeed(spec.Seed, nodeLabel(id), "arrivals"))
+		times := arrivalTimes(rng, spec.Workload.Arrivals, horizon)
 		packets := make([]radio.Packet, len(times))
 		for k, t := range times {
 			packets[k] = radio.Packet{Time: t, PayloadBytes: spec.Workload.Arrivals.PayloadBytes}
 		}
 		schedTx, err := tx.NewSchedule(packets)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: node %d radio: %w", i, err)
+			return circuit.Config{}, fmt.Errorf("radio: %w", err)
 		}
-		aux := auxLoad(spec.Workload.AuxW, schedTx)
-		ctrl := &sched.DeadlineController{
-			Cycles:      spec.Workload.JobCycles,
-			Deadline:    spec.Workload.DeadlineFrac * horizon,
-			Sprint:      spec.Workload.Sprint,
-			AllowBypass: true,
-		}
-		ctrls[i] = ctrl
-		cfgs[i] = circuit.Config{
+		c := circuit.Config{
 			Cell: pv.NewCell(),
 			Proc: cpu.NewProcessor(),
 			Reg:  reg.NewSC(),
@@ -158,65 +129,50 @@ func Run(cfg Config) (*Report, error) {
 			// derived from it), so nodes fast-forward through exactly-zero
 			// spans — kinetic dead time, indoor lights-out — instead of
 			// stepping them.
-			IrradianceSource: siteSource(src, trims.site),
-			Controller:       ctrl,
-			AuxLoad:          aux,
-			Step:             step,
-			MaxTime:          horizon,
-			JobCycles:        spec.Workload.JobCycles,
-		}
-		if leds != nil {
-			cfgs[i].Ledger = &leds[i]
+			IrradianceSource: siteSource(src, site),
+			Controller: &sched.DeadlineController{
+				Cycles:      spec.Workload.JobCycles,
+				Deadline:    spec.Workload.DeadlineFrac * horizon,
+				Sprint:      spec.Workload.Sprint,
+				AllowBypass: true,
+			},
+			AuxLoad:   auxLoad(spec.Workload.AuxW, schedTx),
+			Step:      step,
+			MaxTime:   horizon,
+			JobCycles: spec.Workload.JobCycles,
 		}
 		if recs != nil {
-			recs[i] = trace.NewRecorder()
-			cfgs[i].Tracer = recs[i]
-			cfgs[i].TraceTrack = nodeLabel(i)
+			recs[id] = trace.NewRecorder()
+			c.Tracer = recs[id]
+			c.TraceTrack = nodeLabel(id)
 		}
-		rep.Nodes[i] = NodeResult{
-			ID: i, V0: trims.v0, Site: trims.site,
+		rep.Nodes[id] = NodeResult{
+			ID: id, V0: v0, Site: site,
 			Events: len(times), RadioEnergyJ: schedTx.TotalEnergy(),
 		}
+		return c, nil
 	}
 
-	batch, err := circuit.NewBatch(cfgs)
-	if err != nil {
-		var le *circuit.LaneError
-		if errors.As(err, &le) {
-			return nil, fmt.Errorf("scenario: node %d circuit: %w", le.Lane, le.Err)
-		}
-		return nil, err
-	}
-	lanes := make([]*circuit.Simulator, n)
-	for i := range lanes {
-		lanes[i] = batch.Lane(i)
-	}
-
-	// Advance every lane to the horizon in contiguous windows on the worker
-	// pool. Workers touch only their own window's lanes; all reads below
-	// happen after the pool drains, in node-ID order.
-	eff := cfg.Batch
-	if eff > n {
-		eff = n // mirror ForEachBatch's clamp so group indexing matches
-	}
-	groupErrs := make([]error, n)
-	runner.ForEachBatch(n, eff, cfg.Workers, func(lo, hi int) {
-		grp := circuit.Group(lanes[lo:hi])
-		_, groupErrs[lo/eff] = grp.StepToContext(cfg.Ctx, horizon)
+	// A scenario is a one-epoch population: every lane runs to its own
+	// horizon.
+	lanes, err := population.Run(population.Config{
+		Name:         "scenario",
+		Nodes:        n,
+		Build:        build,
+		Workers:      cfg.Workers,
+		Batch:        cfg.Batch,
+		Ctx:          cfg.Ctx,
+		Profile:      cfg.Profile,
+		ProfileScope: cfg.ProfileScope,
+		Label:        nodeLabel,
 	})
-	for g := 0; g < (n+eff-1)/eff; g++ {
-		if err := groupErrs[g]; err != nil {
-			var le *circuit.LaneError
-			if errors.As(err, &le) {
-				return nil, fmt.Errorf("scenario: node %d: %w", g*eff+le.Lane, le.Err)
-			}
-			return nil, fmt.Errorf("scenario: run cancelled: %w", err)
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate in node-ID order.
-	for i := range lanes {
-		out := lanes[i].Outcome()
+	for i, sim := range lanes {
+		out := sim.Outcome()
 		nr := &rep.Nodes[i]
 		nr.Completed = out.Completed
 		nr.CompletionTimeS = out.CompletionTime
@@ -255,18 +211,6 @@ func Run(cfg Config) (*Report, error) {
 			"completed": rep.Completed, "browned_out": rep.BrownedOut,
 			"harvest_j": rep.EnergyHarvested,
 		})
-	}
-
-	// Profile fold, in node-ID order like every other reduction.
-	if cfg.Profile != nil {
-		for i := range leds {
-			if leds[i].Empty() {
-				continue
-			}
-			cfg.Profile.Ledger(prof.Scope{
-				Experiment: cfg.ProfileScope, Node: nodeLabel(i),
-			}).Merge(&leds[i])
-		}
 	}
 	return rep, nil
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -38,16 +39,50 @@ func render(t *testing.T, specText string, workers, batch int) []byte {
 	return buf.Bytes()
 }
 
+// renderProfiled runs the spec text with profiling on and returns the
+// report and pprof bytes.
+func renderProfiled(t *testing.T, specText string, workers, batch int) ([]byte, []byte) {
+	t.Helper()
+	spec, err := ParseScenario([]byte(specText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Spec: spec, Workers: workers, Batch: batch, Profile: prof.New(), ProfileScope: "scenario"}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Profile.Len() == 0 {
+		t.Fatal("profile is empty")
+	}
+	var rb, pb bytes.Buffer
+	if err := rep.Report(&rb); err != nil {
+		t.Fatal(err)
+	}
+	if err := prof.WritePprof(&pb, cfg.Profile); err != nil {
+		t.Fatal(err)
+	}
+	return rb.Bytes(), pb.Bytes()
+}
+
 // TestWorkerBatchParity is the scenario half of the repo's signature
-// invariant: report bytes must not depend on the worker count or the batch
-// size.
+// invariant: report and profile bytes must not depend on the worker count
+// or the batch size, and profiling must not perturb the report.
 func TestWorkerBatchParity(t *testing.T) {
 	ref := render(t, demoSpec, 1, 0)
+	_, refProf := renderProfiled(t, demoSpec, 1, 0)
 	for _, workers := range []int{1, 2, 8} {
 		for _, batch := range []int{0, 1, 3, 64} {
 			if got := render(t, demoSpec, workers, batch); !bytes.Equal(got, ref) {
 				t.Errorf("workers=%d batch=%d: report differs from the scalar reference:\n%s\n-- vs --\n%s",
 					workers, batch, got, ref)
+			}
+			rep, p := renderProfiled(t, demoSpec, workers, batch)
+			if !bytes.Equal(rep, ref) {
+				t.Errorf("workers=%d batch=%d: profiling changed the report bytes", workers, batch)
+			}
+			if !bytes.Equal(p, refProf) {
+				t.Errorf("workers=%d batch=%d: profile bytes differ from the scalar reference", workers, batch)
 			}
 		}
 	}
