@@ -3,13 +3,17 @@
 // a comma-separated list, or "all". Experiments run on a worker pool (-j)
 // with deterministic output: each renders into its own buffer and the
 // buffers are flushed in registry order, so the report bytes are identical
-// for every -j (only the trailing timing footer varies).
+// for every -j (only the trailing timing footer varies). Each experiment
+// runs once with every requested observer attached: its report, its -csv
+// series, its -trace events and its -profile ledgers all come from that
+// one run.
 //
-// With -faults the traced pass of chaos-capable experiments re-runs under
-// the fault plan in the given JSON file (internal/fault): brownout windows
-// cut the light, NVM faults tear checkpoints, and every injection lands in
-// the -trace output as a fault.* event. Same plan + same seed is
-// byte-identical for every -j.
+// With -faults each chaos-capable experiment runs a second time under the
+// fault plan in the given JSON file (internal/fault): brownout windows cut
+// the light, NVM faults tear checkpoints, and every injection lands in the
+// -trace output as a fault.* event. The chaos run's events replace the
+// benign run's; the report, series and profile stay the benign run's.
+// Same plan + same seed is byte-identical for every -j.
 //
 // With -fleet the command runs the shared-clock multi-node engine
 // (internal/fleet) instead of the figure experiments: N battery-less
@@ -35,9 +39,9 @@
 // source at it ({"kind":"trace","path":...}) reproduces the run byte for
 // byte.
 //
-// With -profile the profiled pass of profile-capable experiments re-runs
-// with an exact energy-and-time ledger attached to every integration step
-// and writes the merged result as a gzipped pprof profile: two sample
+// With -profile, profile-capable experiments run with an exact
+// energy-and-time ledger attached to every integration step, and the
+// merged ledgers are written as a gzipped pprof profile: two sample
 // types, sim_seconds and energy_joules, attributed along component/state
 // stacks (cpu/sprint, pv/harvest, ...). Render flamegraphs with
 // `go tool pprof -http=: <file>`. Profile bytes are byte-identical for
@@ -176,62 +180,46 @@ func run(args []string, stdout io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", id)
 		}
-		job := runner.Job{ID: id, Run: e.Run}
-		if *csvDir != "" {
-			// CSV export re-runs the driver, so keep it inside the job to
-			// parallelise it too; each job writes its own file.
-			dir := *csvDir
-			run := job.Run
-			job.Run = func(w io.Writer) error {
-				if err := run(w); err != nil {
+		// Each job fills only its own slots, so the merge order (and so the
+		// output bytes) depend only on registry order, never on worker
+		// scheduling; per-job profiles also keep the hot loops
+		// worker-private (scopes are disjoint across experiments).
+		chaos := plan != nil && e.Has(expt.SurfaceChaos)
+		traced := *traceFile != "" && e.Has(expt.SurfaceTrace) && !chaos
+		profiled := *profileFile != "" && e.Has(expt.SurfaceProfile)
+		csv := *csvDir != "" && e.Has(expt.SurfaceSeries)
+		work = append(work, runner.Job{ID: id, Run: func(w io.Writer) error {
+			var obs expt.Observe
+			rec := trace.NewRecorder()
+			if traced {
+				obs.Tracer = trace.Prefixed(rec, id)
+			}
+			if profiled {
+				profiles[i] = prof.New()
+				obs.Profile = profiles[i]
+			}
+			r, series, err := e.Run(obs)
+			if err != nil {
+				return err
+			}
+			if err := r.Report(w); err != nil {
+				return err
+			}
+			if csv {
+				if err := writeCSV(*csvDir, id, series); err != nil {
 					return err
 				}
-				return writeCSV(dir, id)
 			}
-		}
-		if *traceFile != "" && e.Trace != nil {
-			// The traced pass re-runs the driver too; each job fills its own
-			// batch slot so the merge order (and so the output bytes) depend
-			// only on registry order, never on worker scheduling.
-			traced := e.Trace
-			if plan != nil && e.Chaos != nil {
-				// Under -faults the chaos pass replaces the traced pass:
-				// same event stream plus the plan's injections.
-				chaos := e.Chaos
-				traced = func(tr trace.Tracer) error { return chaos(*plan, tr) }
+			if chaos {
+				// The plan perturbs the run, so the chaos events come from a
+				// second run; the report above stays the benign one.
+				if _, _, err := e.Run(expt.Observe{Tracer: trace.Prefixed(rec, id), Plan: plan}); err != nil {
+					return fmt.Errorf("chaos %s: %w", id, err)
+				}
 			}
-			run := job.Run
-			job.Run = func(w io.Writer) error {
-				if err := run(w); err != nil {
-					return err
-				}
-				rec := trace.NewRecorder()
-				if err := traced(trace.Prefixed(rec, id)); err != nil {
-					return fmt.Errorf("trace %s: %w", id, err)
-				}
-				batches[i] = rec.Events()
-				return nil
-			}
-		}
-		if *profileFile != "" && e.Profile != nil {
-			// The profiled pass re-runs the driver with ledgers attached;
-			// per-job profiles keep the hot loops worker-private and the
-			// merge deterministic (scopes are disjoint across experiments).
-			profiled := e.Profile
-			run := job.Run
-			job.Run = func(w io.Writer) error {
-				if err := run(w); err != nil {
-					return err
-				}
-				pp := prof.New()
-				if err := profiled(pp); err != nil {
-					return fmt.Errorf("profile %s: %w", id, err)
-				}
-				profiles[i] = pp
-				return nil
-			}
-		}
-		work = append(work, job)
+			batches[i] = rec.Events()
+			return nil
+		}})
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -337,16 +325,7 @@ func runScenario(specPath string, workers, batch int, traceFile, profileFile, cs
 		if name == "" {
 			name = "scenario"
 		}
-		path := filepath.Join(csvDir, name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", path, err)
-		}
-		defer f.Close()
-		if err := plot.WriteCSV(f, rep.Series()...); err != nil {
-			return fmt.Errorf("csv %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeCSV(csvDir, name, rep.Series()); err != nil {
 			return err
 		}
 	}
@@ -483,21 +462,16 @@ func writeTimingFooter(w io.Writer, timings []runner.Result, jobs int, wall time
 		len(timings), wall.Round(time.Millisecond), cpu.Round(time.Millisecond), speedup)
 }
 
-// writeCSV exports one experiment's series to <dir>/<id>.csv, skipping
-// experiments that only produce summary metrics.
-func writeCSV(dir, id string) error {
-	path := filepath.Join(dir, id+".csv")
+// writeCSV exports one run's series to <dir>/<name>.csv.
+func writeCSV(dir, name string, series []plot.Series) error {
+	path := filepath.Join(dir, name+".csv")
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := expt.WriteCSV(id, f); err != nil {
-		if errors.Is(err, expt.ErrNoSeries) {
-			os.Remove(path)
-			return nil
-		}
-		return fmt.Errorf("csv %s: %w", id, err)
+	if err := plot.WriteCSV(f, series...); err != nil {
+		return fmt.Errorf("csv %s: %w", path, err)
 	}
 	return f.Close()
 }

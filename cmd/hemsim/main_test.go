@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/expt"
 )
 
 func TestListFlag(t *testing.T) {
@@ -305,6 +308,59 @@ func TestFaultsParityAcrossWorkers(t *testing.T) {
 			t.Errorf("chaos trace missing %s events", kind)
 		}
 	}
+}
+
+// TestObserversLeaveOutputsUnchanged: each job takes its report, series,
+// events and profile from one run, so turning every observer on must not
+// move a stdout byte, and each CSV must equal the plain expt.RenderCSV. A
+// fault plan perturbs only the trace: stdout and the CSVs stay benign.
+func TestObserversLeaveOutputsUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient experiments")
+	}
+	const targets = "fig2,fig8,fig11b,ext-intermittent,headline"
+	stdout := func(args ...string) string {
+		var b strings.Builder
+		args = append([]string{"-j", "2", "-timing=false"}, append(args, targets)...)
+		if err := run(args, &b); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return b.String()
+	}
+	checkCSVs := func(dir string) {
+		t.Helper()
+		for _, id := range strings.Split(targets, ",") {
+			got, readErr := os.ReadFile(filepath.Join(dir, id+".csv"))
+			want, err := expt.RenderCSV(id)
+			if errors.Is(err, expt.ErrNoSeries) {
+				if !os.IsNotExist(readErr) {
+					t.Errorf("summary-only %s left a CSV behind (%v)", id, readErr)
+				}
+				continue
+			}
+			if err != nil || readErr != nil {
+				t.Fatalf("%s: render %v, read %v", id, err, readErr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s.csv differs from expt.RenderCSV", id)
+			}
+		}
+	}
+	plain := stdout()
+	dir := t.TempDir()
+	observed := stdout("-trace", filepath.Join(dir, "trace.jsonl"),
+		"-profile", filepath.Join(dir, "profile.pb.gz"), "-csv", filepath.Join(dir, "csv"))
+	if observed != plain {
+		t.Errorf("-trace -profile -csv changed stdout:\n--- plain ---\n%s\n--- observed ---\n%s", plain, observed)
+	}
+	checkCSVs(filepath.Join(dir, "csv"))
+
+	chaos := stdout("-trace", filepath.Join(dir, "chaos.jsonl"), "-faults", writeFaultPlan(t),
+		"-csv", filepath.Join(dir, "chaos-csv"))
+	if chaos != plain {
+		t.Errorf("-faults changed stdout:\n--- plain ---\n%s\n--- chaos ---\n%s", plain, chaos)
+	}
+	checkCSVs(filepath.Join(dir, "chaos-csv"))
 }
 
 // scenarioSpecFile writes a fast scenario spec and returns its path.

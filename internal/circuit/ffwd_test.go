@@ -298,7 +298,12 @@ func TestFastForwardPropertyParity(t *testing.T) {
 					Depth:     depth,
 				})
 			}
-			src = fault.New(plan, "ffwd-prop").Brownouts(horizon).WrapSource(src)
+			b, err := fault.New(plan, "ffwd-prop").Brownouts(horizon)
+			if err != nil {
+				t.Errorf("seed %d: brownouts: %v", seed, err)
+				return false
+			}
+			src = b.WrapSource(src)
 		}
 
 		aux := 0.0

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/trace"
@@ -26,18 +27,37 @@ func chaosTestPlan() fault.Plan {
 }
 
 func TestChaosIDs(t *testing.T) {
-	want := []string{"fig9b", "fig11b", "ext-intermittent"}
+	want := []string{"ext-intermittent", "fig11b", "fig9b"}
 	if got := ChaosIDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ChaosIDs = %v, want %v", got, want)
 	}
 }
 
-func TestRunChaosErrors(t *testing.T) {
-	if err := RunChaos("nope", fault.Plan{}, nil); !errors.Is(err, ErrUnknown) {
+func TestChaosEventsErrors(t *testing.T) {
+	if _, err := ChaosEvents("nope", fault.Plan{}); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown ID error = %v", err)
 	}
-	if err := RunChaos("fig2", fault.Plan{}, nil); !errors.Is(err, ErrNoChaos) {
+	if _, err := ChaosEvents("fig2", fault.Plan{}); !errors.Is(err, ErrNoChaos) {
 		t.Errorf("chaos-less ID error = %v", err)
+	}
+}
+
+// TestChaosUnboundedPlanFailsFast: a plan whose brownout repetitions never
+// advance passes ParsePlan (the bound needs the horizon) but must fail
+// every chaos driver with ErrBadPlan at resolution, not hang it.
+func TestChaosUnboundedPlanFailsFast(t *testing.T) {
+	plan, err := fault.ParsePlan([]byte(`{"brownouts":[{"at_s":0.01,"duration_s":1e-20,"every_s":1e-20}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ChaosIDs() {
+		start := time.Now()
+		if _, err := ChaosEvents(id, plan); !errors.Is(err, fault.ErrBadPlan) {
+			t.Errorf("%s: err = %v, want ErrBadPlan", id, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejection took %v", id, d)
+		}
 	}
 }
 
@@ -112,12 +132,12 @@ func TestGoldenChaosTrace(t *testing.T) {
 // actually reaches the physics: the fig11b chaos run under a total
 // mid-scenario blackout must not beat its benign twin.
 func TestChaosBrownoutsChangeOutcome(t *testing.T) {
-	benign, err := fig11bChaos(nil, nil, nil)
+	benign, err := fig11b(Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.Plan{Brownouts: []fault.Pulse{{AtS: 2e-3, DurationS: 40e-3}}}
-	dark, err := fig11bChaos(nil, &plan, nil)
+	dark, err := fig11b(Observe{Plan: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}

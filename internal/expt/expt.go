@@ -76,120 +76,115 @@ func NewStorageCap(v float64) (*cap.Capacitor, error) {
 	return cap.New(DefaultCapacitance, v, DefaultCapMaxVoltage)
 }
 
-// Runner executes one experiment and writes its report.
-type Runner func(w io.Writer) error
+// Observe names the observers one experiment run carries. A nil field is
+// off and costs the driver nothing, so the zero value is the plain run.
+// Tracer and Profile only watch: attaching them never changes the report
+// or the series. Plan is the one perturbing observer — it injects the
+// fault plan's brownouts and NVM faults into the run.
+type Observe struct {
+	Tracer  trace.Tracer
+	Plan    *fault.Plan
+	Profile *prof.Profile
+}
 
-// Experiment is one registry entry: the report runner plus an optional
-// series accessor. The registry is the single source of truth for "has
-// plottable series" — a nil Series marks a summary-only experiment (the
-// CSV layer maps it to ErrNoSeries), so the export path can never drift
-// from the driver table again.
+// Surface is a set of the outputs an experiment can produce beyond its
+// report.
+type Surface uint8
+
+// The surfaces a registry entry can declare.
+const (
+	SurfaceSeries  Surface = 1 << iota // plottable data series (CSV export)
+	SurfaceTrace                       // honours Observe.Tracer
+	SurfaceChaos                       // honours Observe.Plan
+	SurfaceProfile                     // honours Observe.Profile
+)
+
+// Reporter is anything that can write its report.
+type Reporter interface{ Report(w io.Writer) error }
+
+// Experiment is one registry entry: one run closure and the surfaces it
+// declares. The declared Surfaces are the single source of truth for
+// every per-surface ID list and lookup error, so the export paths can
+// never drift from the driver table.
 type Experiment struct {
-	ID  string
-	Run Runner
-	// Series re-runs the experiment and returns its plottable data
-	// series. nil for experiments that produce summary numbers only; see
-	// NoSeriesIDs for the documented list.
-	Series func() ([]plot.Series, error)
-	// Trace re-runs the experiment with the tracer threaded through its
-	// simulations, discarding the report. nil for experiments with no
-	// traced path (the trace layer maps it to ErrNoTrace); see TracedIDs.
-	Trace func(tr trace.Tracer) error
-	// Chaos re-runs the experiment under a fault plan (internal/fault)
-	// with the tracer attached. nil for experiments without a chaos
-	// surface (the fault layer maps it to ErrNoChaos); see ChaosIDs.
-	Chaos func(plan fault.Plan, tr trace.Tracer) error
-	// Profile re-runs the experiment accumulating its exact energy-and-
-	// time ledgers into p. nil for experiments with no transient
-	// simulation (the profile layer maps it to ErrNoProfile); see
-	// ProfiledIDs.
-	Profile func(p *prof.Profile) error
+	ID       string
+	Surfaces Surface
+	// Run executes the driver once with obs attached and returns its
+	// report and plottable series (nil unless SurfaceSeries is declared).
+	// Observers the entry does not declare are ignored.
+	Run func(obs Observe) (Reporter, []plot.Series, error)
 }
 
-// reporter is anything that can write its report.
-type reporter interface{ Report(w io.Writer) error }
+// Has reports whether the entry declares every surface in s.
+func (e Experiment) Has(s Surface) bool { return e.Surfaces&s == s }
 
-// entry builds a registry Experiment from a driver constructor and an
-// optional series projection.
-func entry[T reporter](id string, build func() (T, error), series func(T) []plot.Series) Experiment {
-	e := Experiment{
-		ID: id,
-		Run: func(w io.Writer) error {
-			r, err := build()
-			if err != nil {
-				return err
-			}
-			return r.Report(w)
-		},
-	}
+// entry builds a registry Experiment from a driver, the observer surfaces
+// it honours, and an optional series projection (which adds
+// SurfaceSeries).
+func entry[T Reporter](id string, surfaces Surface, drive func(Observe) (T, error), series func(T) []plot.Series) Experiment {
 	if series != nil {
-		e.Series = func() ([]plot.Series, error) {
-			r, err := build()
-			if err != nil {
-				return nil, err
-			}
-			return series(r), nil
-		}
+		surfaces |= SurfaceSeries
 	}
-	return e
+	return Experiment{ID: id, Surfaces: surfaces, Run: func(obs Observe) (Reporter, []plot.Series, error) {
+		r, err := drive(obs)
+		if err != nil {
+			return nil, nil, err
+		}
+		if series == nil {
+			return r, nil, nil
+		}
+		return r, series(r), nil
+	}}
 }
 
-// infallible adapts a driver that cannot fail to the (T, error) shape.
-func infallible[T reporter](build func() T) func() (T, error) {
-	return func() (T, error) { return build(), nil }
+// unobserved adapts a driver with nothing to observe to the Observe shape.
+func unobserved[T Reporter](build func() (T, error)) func(Observe) (T, error) {
+	return func(Observe) (T, error) { return build() }
+}
+
+// infallible is unobserved for a driver that cannot fail.
+func infallible[T Reporter](build func() T) func(Observe) (T, error) {
+	return func(Observe) (T, error) { return build(), nil }
 }
 
 // registryList returns every experiment in declaration order.
 func registryList() []Experiment {
+	// The transient simulations accept a tracer and a profile; the ones
+	// whose light a brownout can cut also accept a fault plan.
+	const (
+		watched = SurfaceTrace | SurfaceProfile
+		hostile = watched | SurfaceChaos
+	)
 	return []Experiment{
-		entry("fig2", infallible(Fig2), func(r *Fig2Result) []plot.Series { return r.Series }),
-		entry("fig3", infallible(Fig3), func(r *EfficiencyFigResult) []plot.Series { return r.Series }),
-		entry("fig4", infallible(Fig4), func(r *EfficiencyFigResult) []plot.Series { return r.Series }),
-		entry("fig5", infallible(Fig5), func(r *EfficiencyFigResult) []plot.Series { return r.Series }),
-		entry("fig6a", infallible(Fig6a), func(r *Fig6aResult) []plot.Series { return r.Series }),
-		entry("fig6b", Fig6b, func(r *Fig6bResult) []plot.Series { return r.Series }),
-		entry("fig7a", infallible(Fig7a), func(r *Fig7aResult) []plot.Series { return r.Series }),
-		entry("fig7b", Fig7b, func(r *Fig7bResult) []plot.Series { return r.Series }),
-		profiledEntry(tracedEntry(entry("fig8", Fig8, func(r *Fig8Result) []plot.Series { return r.Series }),
-			func(tr trace.Tracer) error { _, err := fig8(tr, nil); return err }),
-			func(p *prof.Profile) error { _, err := fig8(nil, p); return err }),
-		entry("fig9a", Fig9a, func(r *Fig9aResult) []plot.Series { return r.Series }),
-		profiledEntry(chaosEntry(tracedEntry(entry("fig9b", Fig9b, func(r *Fig9bResult) []plot.Series { return r.Series }),
-			func(tr trace.Tracer) error { _, err := fig9b(tr); return err }),
-			func(plan fault.Plan, tr trace.Tracer) error { _, err := fig9bChaos(tr, &plan, nil); return err }),
-			func(p *prof.Profile) error { _, err := fig9bChaos(nil, nil, p); return err }),
-		entry("fig11a", infallible(Fig11a), func(r *Fig11aResult) []plot.Series { return r.Series }),
-		profiledEntry(chaosEntry(tracedEntry(entry("fig11b", Fig11b, func(r *Fig11bResult) []plot.Series { return r.Series }),
-			func(tr trace.Tracer) error { _, err := fig11b(tr); return err }),
-			func(plan fault.Plan, tr trace.Tracer) error { _, err := fig11bChaos(tr, &plan, nil); return err }),
-			func(p *prof.Profile) error { _, err := fig11bChaos(nil, nil, p); return err }),
-		// Summary-only experiments (nil Series => ErrNoSeries on export).
-		entry[*HeadlineResult]("headline", infallible(Headline), nil),
+		entry("fig2", 0, infallible(Fig2), func(r *Fig2Result) []plot.Series { return r.Series }),
+		entry("fig3", 0, infallible(Fig3), func(r *EfficiencyFigResult) []plot.Series { return r.Series }),
+		entry("fig4", 0, infallible(Fig4), func(r *EfficiencyFigResult) []plot.Series { return r.Series }),
+		entry("fig5", 0, infallible(Fig5), func(r *EfficiencyFigResult) []plot.Series { return r.Series }),
+		entry("fig6a", 0, infallible(Fig6a), func(r *Fig6aResult) []plot.Series { return r.Series }),
+		entry("fig6b", 0, unobserved(Fig6b), func(r *Fig6bResult) []plot.Series { return r.Series }),
+		entry("fig7a", 0, infallible(Fig7a), func(r *Fig7aResult) []plot.Series { return r.Series }),
+		entry("fig7b", 0, unobserved(Fig7b), func(r *Fig7bResult) []plot.Series { return r.Series }),
+		entry("fig8", watched, fig8, func(r *Fig8Result) []plot.Series { return r.Series }),
+		entry("fig9a", 0, unobserved(Fig9a), func(r *Fig9aResult) []plot.Series { return r.Series }),
+		entry("fig9b", hostile, fig9b, func(r *Fig9bResult) []plot.Series { return r.Series }),
+		entry("fig11a", 0, infallible(Fig11a), func(r *Fig11aResult) []plot.Series { return r.Series }),
+		entry("fig11b", hostile, fig11b, func(r *Fig11bResult) []plot.Series { return r.Series }),
+		// Summary-only experiments (no series => ErrNoSeries on export).
+		entry[*HeadlineResult]("headline", 0, infallible(Headline), nil),
 
 		// Extensions beyond the paper's evaluation (DESIGN.md Sec. 5).
-		// All summary-only: their results are tables of scalars, not
-		// sampled curves.
-		entry[*ExtCornersResult]("ext-corners", ExtCorners, nil),
-		entry[*ExtDomainsResult]("ext-domains", ExtDomains, nil),
-		entry[*ExtWeatherResult]("ext-weather", ExtWeather, nil),
-		profiledEntry(chaosEntry(tracedEntry(entry[*ExtIntermittentResult]("ext-intermittent", ExtIntermittent, nil),
-			func(tr trace.Tracer) error { _, err := extIntermittent(tr); return err }),
-			func(plan fault.Plan, tr trace.Tracer) error {
-				_, err := extIntermittentChaos(tr, &plan, nil)
-				return err
-			}),
-			func(p *prof.Profile) error { _, err := extIntermittentChaos(nil, nil, p); return err }),
-		entry[*ExtFederationResult]("ext-federation", ExtFederation, nil),
-		entry[*ExtShadingResult]("ext-shading", ExtShading, nil),
-		entry[*ExtDutyCycleResult]("ext-dutycycle", ExtDutyCycle, nil),
-		entry[*ExtTemperatureResult]("ext-temperature", ExtTemperature, nil),
-		profiledEntry(tracedEntry(entry("ext-fleet", ExtFleet, nil),
-			func(tr trace.Tracer) error { _, err := extFleet(tr, nil); return err }),
-			func(p *prof.Profile) error { _, err := extFleet(nil, p); return err }),
-		profiledEntry(tracedEntry(entry("ext-scenario", ExtScenario,
-			func(r *scenario.Report) []plot.Series { return r.Series() }),
-			func(tr trace.Tracer) error { _, err := extScenario(tr, nil); return err }),
-			func(p *prof.Profile) error { _, err := extScenario(nil, p); return err }),
+		// All summary-only but ext-scenario: their results are tables of
+		// scalars, not sampled curves.
+		entry[*ExtCornersResult]("ext-corners", 0, unobserved(ExtCorners), nil),
+		entry[*ExtDomainsResult]("ext-domains", 0, unobserved(ExtDomains), nil),
+		entry[*ExtWeatherResult]("ext-weather", 0, unobserved(ExtWeather), nil),
+		entry[*ExtIntermittentResult]("ext-intermittent", hostile, extIntermittent, nil),
+		entry[*ExtFederationResult]("ext-federation", 0, unobserved(ExtFederation), nil),
+		entry[*ExtShadingResult]("ext-shading", 0, unobserved(ExtShading), nil),
+		entry[*ExtDutyCycleResult]("ext-dutycycle", 0, unobserved(ExtDutyCycle), nil),
+		entry[*ExtTemperatureResult]("ext-temperature", 0, unobserved(ExtTemperature), nil),
+		entry("ext-fleet", watched, extFleet, nil),
+		entry("ext-scenario", watched, extScenario, func(r *scenario.Report) []plot.Series { return r.Series() }),
 	}
 }
 
@@ -214,19 +209,32 @@ func Names() []string {
 	return names
 }
 
-// NoSeriesIDs returns, in stable order, the documented allowlist of
-// experiments that have no plottable series. It is derived from the
-// registry, never hand-maintained.
-func NoSeriesIDs() []string {
+// idsWith returns, in stable order, the IDs whose declared surfaces
+// include s (has) or lack it (!has). Every per-surface ID list is derived
+// here from the registry, never hand-maintained.
+func idsWith(s Surface, has bool) []string {
 	var ids []string
 	for _, e := range registryList() {
-		if e.Series == nil {
+		if e.Has(s) == has {
 			ids = append(ids, e.ID)
 		}
 	}
 	sort.Strings(ids)
 	return ids
 }
+
+// NoSeriesIDs returns the documented allowlist of experiments that have no
+// plottable series.
+func NoSeriesIDs() []string { return idsWith(SurfaceSeries, false) }
+
+// TracedIDs returns the experiments whose runs emit trace events.
+func TracedIDs() []string { return idsWith(SurfaceTrace, true) }
+
+// ChaosIDs returns the experiments that run under a fault plan.
+func ChaosIDs() []string { return idsWith(SurfaceChaos, true) }
+
+// ProfiledIDs returns the experiments whose runs fill energy ledgers.
+func ProfiledIDs() []string { return idsWith(SurfaceProfile, true) }
 
 // renderChart writes an ASCII chart, tolerating empty data.
 func renderChart(w io.Writer, c plot.Chart, series ...plot.Series) error {

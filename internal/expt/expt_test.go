@@ -327,13 +327,12 @@ func TestRegistryRunsEverything(t *testing.T) {
 	if len(names) != 24 {
 		t.Fatalf("registry has %d experiments, want 24", len(names))
 	}
-	registry := Registry()
 	for _, name := range names {
-		var b strings.Builder
-		if err := registry[name].Run(&b); err != nil {
+		report, err := Render(name)
+		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if !strings.Contains(b.String(), "==") {
+		if !strings.Contains(string(report), "==") {
 			t.Errorf("%s: report missing header", name)
 		}
 	}

@@ -16,6 +16,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/domains"
+	"repro/internal/fault"
+	"repro/internal/intermittent"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/sched"
@@ -52,7 +54,7 @@ func ExtCorners() (*ExtCornersResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtCornersResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: holistic MEP across process corners ==")
 	fmt.Fprintln(w, "  (the paper evaluates one test chip; here the SS/TT/FF spread)")
@@ -92,7 +94,7 @@ func ExtDomains() (*ExtDomainsResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtDomainsResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: multi-domain budget allocation ==")
 	for i, irr := range r.Levels {
@@ -196,7 +198,7 @@ func ExtWeather() (*ExtWeatherResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtWeatherResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: policies under stochastic partly-cloudy weather ==")
 	fmt.Fprintf(w, "  %.0f s trace, %.0f%% of samples under cloud\n", r.Duration, r.CloudFrac*100)
@@ -215,13 +217,84 @@ type ExtIntermittentResult struct {
 }
 
 // ExtIntermittent runs a 6 M-cycle task on 3 ms-light/3 ms-dark power with
-// three checkpoint disciplines. The body lives in traced.go
-// (extIntermittent) so the traced registry path can reuse it.
-func ExtIntermittent() (*ExtIntermittentResult, error) {
-	return extIntermittent(nil)
+// three checkpoint disciplines.
+func ExtIntermittent() (*ExtIntermittentResult, error) { return extIntermittent(Observe{}) }
+
+// extIntermittentMaxTime bounds each policy's run (s); chaos brownout
+// windows resolve over the same horizon.
+const extIntermittentMaxTime = 800e-3
+
+// extIntermittent is the ExtIntermittent driver. Each checkpoint policy
+// records onto its own track and ledger. Under obs.Plan, brownout windows
+// darken the blinking profile and the plan's NVM section injects torn
+// commit marks and restore bit-rot into the executor, every policy on its
+// own deterministic stream.
+func extIntermittent(obs Observe) (*ExtIntermittentResult, error) {
+	blink := func(t float64) float64 {
+		if math.Mod(t, 6e-3) < 3e-3 {
+			return 1.0
+		}
+		return 0
+	}
+	res := &ExtIntermittentResult{}
+	policies := []intermittent.Policy{
+		intermittent.NeverPolicy{},
+		intermittent.PeriodicPolicy{Interval: 0.4e6},
+		intermittent.VoltageTriggeredPolicy{Threshold: 0.70, MinUncommitted: 1e4},
+	}
+	for _, pol := range policies {
+		irr := blink
+		var faults intermittent.Faults
+		if obs.Plan != nil {
+			in := fault.New(*obs.Plan, "ext-intermittent/"+pol.Name())
+			b, err := in.Brownouts(extIntermittentMaxTime)
+			if err != nil {
+				return nil, err
+			}
+			b.Emit(obs.Tracer, pol.Name(), obs.Plan.Seed)
+			irr = b.Wrap(blink)
+			if n := in.NVM(); n != nil {
+				faults = n
+			}
+		}
+		e := &intermittent.Executor{
+			Task:   intermittent.Task{TotalCycles: 6e6, StateBytes: 1024},
+			Policy: pol,
+			Supply: 0.50,
+			Faults: faults,
+		}
+		storage, err := cap.New(47e-6, 1.0, 2.0)
+		if err != nil {
+			return nil, err
+		}
+		sim, err := circuit.New(circuit.Config{
+			Cell:       pv.NewCell(),
+			Proc:       cpu.NewProcessor(),
+			Reg:        reg.NewSC(),
+			Cap:        storage,
+			Irradiance: irr,
+			Controller: e,
+			Step:       2e-6,
+			MaxTime:    extIntermittentMaxTime,
+			Tracer:     obs.Tracer,
+			TraceTrack: pol.Name(),
+			Ledger:     profLedger(obs.Profile, "ext-intermittent", pol.Name()),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sim.Run(); err != nil {
+			return nil, fmt.Errorf("policy %s: %w", pol.Name(), err)
+		}
+		res.Policies = append(res.Policies, pol.Name())
+		res.Completed = append(res.Completed, e.Stats.Completed)
+		res.Overheads = append(res.Overheads, e.Stats.CheckpointCycles+e.Stats.RestoreCycles)
+		res.Failures = append(res.Failures, e.Stats.Failures)
+	}
+	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtIntermittentResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: intermittent execution across power failures ==")
 	for i, p := range r.Policies {
@@ -328,7 +401,7 @@ func ExtFederation() (*ExtFederationResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtFederationResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: federated storage cold start (empty store, 15% light) ==")
 	fmt.Fprintf(w, "  monolithic 300 uF: boots at %s, first result at %s\n",
@@ -394,7 +467,7 @@ func ExtShading() (*ExtShadingResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtShadingResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: partial shading and the local-maximum trap ==")
 	for i, pattern := range r.Patterns {
@@ -457,7 +530,7 @@ func ExtDutyCycle() (*ExtDutyCycleResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtDutyCycleResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: energy-neutral duty-cycled throughput vs light ==")
 	for i, irr := range r.Levels {
@@ -499,7 +572,7 @@ func ExtTemperature() (*ExtTemperatureResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *ExtTemperatureResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== EXT: minimum energy per cycle across die temperature ==")
 	for i, tc := range r.Celsius {

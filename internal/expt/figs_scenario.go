@@ -7,11 +7,7 @@ package expt
 // the golden pins the whole spec → source → arrivals → circuit → report
 // pipeline.
 
-import (
-	"repro/internal/prof"
-	"repro/internal/scenario"
-	"repro/internal/trace"
-)
+import "repro/internal/scenario"
 
 // scenarioDemoSpec is the registry scenario: a four-node kinetic-harvester
 // population with Poisson radio traffic, tuned so the outcomes mix
@@ -20,21 +16,21 @@ const scenarioDemoSpec = `{"name":"registry","seed":9,` +
 	`"source":{"kind":"kinetic","rate_hz":8,"impulse":0.5,"decay_s":0.2},` +
 	`"workload":{"job_cycles":5e6,"aux_w":5e-5},"geometry":{"nodes":4}}`
 
-// extScenario runs the demo scenario, optionally traced (scenario.run span
-// plus per-node circuit events) and optionally profiled (one ledger per
-// node under the ext-scenario scope).
-func extScenario(tr trace.Tracer, p *prof.Profile) (*scenario.Report, error) {
+// extScenario runs the demo scenario: obs.Tracer records the scenario.run
+// span plus per-node circuit events and obs.Profile gets one ledger per
+// node under the ext-scenario scope.
+func extScenario(obs Observe) (*scenario.Report, error) {
 	spec, err := scenario.ParseScenario([]byte(scenarioDemoSpec))
 	if err != nil {
 		return nil, err
 	}
 	return scenario.Run(scenario.Config{
 		Spec:         spec,
-		Tracer:       tr,
-		Profile:      p,
+		Tracer:       obs.Tracer,
+		Profile:      obs.Profile,
 		ProfileScope: "ext-scenario",
 	})
 }
 
 // ExtScenario runs the demo scenario for the registry.
-func ExtScenario() (*scenario.Report, error) { return extScenario(nil, nil) }
+func ExtScenario() (*scenario.Report, error) { return extScenario(Observe{}) }

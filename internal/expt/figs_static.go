@@ -45,7 +45,7 @@ func Fig2() *Fig2Result {
 	return res
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig2Result) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 2: solar cell I-V under variable light ==")
 	for _, s := range r.Series {
@@ -111,7 +111,7 @@ func Fig5() *EfficiencyFigResult {
 	}{{"full load", 10e-3}, {"half load", 5e-3}})
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *EfficiencyFigResult) Report(w io.Writer) error {
 	fmt.Fprintf(w, "== %s ==\n", r.Figure)
 	for i, s := range r.Series {
@@ -160,7 +160,7 @@ func Fig6a() *Fig6aResult {
 	return res
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig6aResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 6a: PV vs processor power curves (full sun) ==")
 	fmt.Fprintf(w, "  MPP: %.3f V / %.2f mW\n", r.MPPVoltage, r.MPPPower*1e3)
@@ -215,7 +215,7 @@ func Fig6b() (*Fig6bResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig6bResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 6b: regulated output power and gains (full sun) ==")
 	fmt.Fprintln(w, "  paper: SC regulator -> ~31% more power, ~18% speedup; LDO -> no benefit")
@@ -268,7 +268,7 @@ func Fig7a() *Fig7aResult {
 	return res
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig7aResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 7a: regulated output under variable light ==")
 	fmt.Fprintln(w, "  paper: regulator wins at 100%/50% light, loses (~20% deficit) at 25% -> bypass")
@@ -329,7 +329,7 @@ func Fig7b() (*Fig7bResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig7bResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 7b: holistic vs conventional minimum energy point ==")
 	fmt.Fprintln(w, "  paper: MEP shifts up by up to ~0.1 V; up to ~31% saving vs conventional MEP")
@@ -392,7 +392,7 @@ func Fig11a() *Fig11aResult {
 	return res
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig11aResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 11a: system characteristics (speed, energy contributors) ==")
 	fmt.Fprintf(w, "  conventional MEP %.3f V; MEP w/ regulator %.3f V (shift %+.3f V)\n",
@@ -440,7 +440,7 @@ func Headline() *HeadlineResult {
 	return res
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *HeadlineResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Headline: holistic saving vs conventional rule of thumb ==")
 	fmt.Fprintln(w, "  paper: up to ~30% energy saving with a holistic view")

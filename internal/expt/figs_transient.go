@@ -9,10 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/plot"
-	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Transient scenario parameters shared by Fig. 9b/11b: a recognition job
@@ -44,15 +42,14 @@ type Fig8Result struct {
 
 // Fig8 steps the light from full sun to overcast and lets the tracker
 // re-estimate the input power from the V1->V2 crossing time.
-func Fig8() (*Fig8Result, error) { return fig8(nil, nil) }
+func Fig8() (*Fig8Result, error) { return fig8(Observe{}) }
 
-// fig8 is Fig8 with an optional event tracer attached to the manager and
-// the tracked run, and an optional energy profile (nil disables either at
-// zero cost).
-func fig8(tracer trace.Tracer, p *prof.Profile) (*Fig8Result, error) {
+// fig8 is the Fig8 driver: obs.Tracer attaches to the manager and the
+// tracked run, obs.Profile to the run's ledger.
+func fig8(obs Observe) (*Fig8Result, error) {
 	c := DefaultComponents()
 	sys := core.NewSystem(c.Cell, c.Proc)
-	mgr := core.NewManager(sys, c.SC).WithTracer(tracer)
+	mgr := core.NewManager(sys, c.SC).WithTracer(obs.Tracer)
 
 	// The tracking demo starts at full sun so the dimming step forces a
 	// large, estimable discharge through both comparator thresholds.
@@ -73,7 +70,7 @@ func fig8(tracer trace.Tracer, p *prof.Profile) (*Fig8Result, error) {
 
 	tr, err := mgr.RunTracked(core.TrackedRunConfig{
 		Cap:        storage,
-		Ledger:     profLedger(p, "fig8", ""),
+		Ledger:     profLedger(obs.Profile, "fig8", ""),
 		Irradiance: circuit.StepIrradiance(fig8StartLevel, dimTo, 10e-3),
 		Levels:     []float64{1.0, 0.5, 0.25, 0.1, 0.05},
 		V1:         1.00,
@@ -101,7 +98,7 @@ func fig8(tracer trace.Tracer, p *prof.Profile) (*Fig8Result, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig8Result) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 8: time-based MPP tracking through a light step ==")
 	fmt.Fprintf(w, "  estimates: %d, retargets: %d\n", len(r.Result.Estimates), r.Result.Retargets)
@@ -156,7 +153,7 @@ func Fig9a() (*Fig9aResult, error) {
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig9aResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 9a: energy vs completion time ==")
 	fmt.Fprintf(w, "  fastest feasible completion: %.2f ms (intersection of Ein and Eout)\n", r.Fastest*1e3)
@@ -177,12 +174,17 @@ type VariantOutcome struct {
 	Trace           *circuit.Trace
 }
 
-// runVariant executes one policy under the shared dimming scenario. The
-// tracer (nil to disable) records the run's events on a track named after
-// the variant, so multi-variant figures keep their runs distinguishable.
-// irr overrides the scenario's light profile (nil selects the standard
-// dimming ramp) — the chaos layer uses it to superimpose brownout windows.
-func runVariant(name string, sprint float64, bypass bool, traceEvery int, tracer trace.Tracer, irr func(float64) float64, led *prof.Ledger) (VariantOutcome, error) {
+// variantTraceEvery samples the per-variant waveforms sparsely enough not
+// to slow the runs while keeping the CSV export plottable.
+const variantTraceEvery = 100
+
+// runVariant executes one policy of figure fig under the shared dimming
+// scenario. obs.Tracer records the run on a track named after the
+// variant, so multi-variant figures keep their runs distinguishable, and
+// obs.Profile gets a (fig, variant) ledger. Under obs.Plan the dimming
+// ramp is darkened by brownout windows resolved on the variant's own
+// stream and recorded as fault.* events on its track.
+func runVariant(obs Observe, fig, name string, sprint float64, bypass bool) (VariantOutcome, error) {
 	c := DefaultComponents()
 	sys := core.NewSystem(c.Cell, c.Proc)
 	mgr := core.NewManager(sys, c.Buck) // the test chip integrates the buck
@@ -194,8 +196,14 @@ func runVariant(name string, sprint float64, bypass bool, traceEvery int, tracer
 	}
 	e0 := storage.Energy()
 
-	if irr == nil {
-		irr = circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd)
+	irr := circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd)
+	if obs.Plan != nil {
+		b, err := fault.New(*obs.Plan, fig+"/"+name).Brownouts(2 * demoDeadline)
+		if err != nil {
+			return VariantOutcome{}, err
+		}
+		b.Emit(obs.Tracer, name, obs.Plan.Seed)
+		irr = b.Wrap(irr)
 	}
 	dr, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
 		Cap:            storage,
@@ -206,12 +214,12 @@ func runVariant(name string, sprint float64, bypass bool, traceEvery int, tracer
 		Bypass:         bypass,
 		Step:           demoStep,
 		MaxTime:        2 * demoDeadline,
-		TraceEvery:     traceEvery,
+		TraceEvery:     variantTraceEvery,
 		StopOnBrownout: true,
 		StopOnDropout:  !bypass,
-		Tracer:         tracer,
+		Tracer:         obs.Tracer,
 		TraceTrack:     name,
-		Ledger:         led,
+		Ledger:         profLedger(obs.Profile, fig, name),
 	})
 	if err != nil {
 		return VariantOutcome{}, fmt.Errorf("run %s: %w", name, err)
@@ -260,43 +268,25 @@ type Fig9bResult struct {
 	OpExtensionF float64        // as a fraction of the baseline operating time
 }
 
-// fig9bTraceEvery samples the per-variant waveforms sparsely enough not to
-// slow the four runs while keeping the CSV export plottable.
-const fig9bTraceEvery = 100
-
 // Fig9b runs the four policy variants under the dimming scenario.
-func Fig9b() (*Fig9bResult, error) { return fig9b(nil) }
+func Fig9b() (*Fig9bResult, error) { return fig9b(Observe{}) }
 
-// fig9b is Fig9b with an optional event tracer; each variant records onto
-// its own track.
-func fig9b(tracer trace.Tracer) (*Fig9bResult, error) { return fig9bChaos(tracer, nil, nil) }
-
-// fig9bChaos is fig9b under an optional fault plan (nil runs the benign
-// scenario): each variant's dimming ramp is darkened by the plan's brownout
-// windows, resolved on the variant's own deterministic stream and recorded
-// as fault.* events on the variant's track.
-func fig9bChaos(tracer trace.Tracer, plan *fault.Plan, p *prof.Profile) (*Fig9bResult, error) {
-	irr := func(variant string) func(float64) float64 {
-		if plan == nil {
-			return nil
-		}
-		b := fault.New(*plan, "fig9b/"+variant).Brownouts(2 * demoDeadline)
-		b.Emit(tracer, variant, plan.Seed)
-		return b.Wrap(circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd))
-	}
-	baseline, err := runVariant("constant", 0, false, fig9bTraceEvery, tracer, irr("constant"), profLedger(p, "fig9b", "constant"))
+// fig9b is the Fig9b driver; each variant observes onto its own track
+// (see runVariant).
+func fig9b(obs Observe) (*Fig9bResult, error) {
+	baseline, err := runVariant(obs, "fig9b", "constant", 0, false)
 	if err != nil {
 		return nil, err
 	}
-	sprintOnly, err := runVariant("sprint", demoSprint, false, fig9bTraceEvery, tracer, irr("sprint"), profLedger(p, "fig9b", "sprint"))
+	sprintOnly, err := runVariant(obs, "fig9b", "sprint", demoSprint, false)
 	if err != nil {
 		return nil, err
 	}
-	bypassOnly, err := runVariant("bypass", 0, true, fig9bTraceEvery, tracer, irr("bypass"), profLedger(p, "fig9b", "bypass"))
+	bypassOnly, err := runVariant(obs, "fig9b", "bypass", 0, true)
 	if err != nil {
 		return nil, err
 	}
-	proposed, err := runVariant("sprint+bypass", demoSprint, true, fig9bTraceEvery, tracer, irr("sprint+bypass"), profLedger(p, "fig9b", "sprint+bypass"))
+	proposed, err := runVariant(obs, "fig9b", "sprint+bypass", demoSprint, true)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +315,7 @@ func fig9bChaos(tracer trace.Tracer, plan *fault.Plan, p *prof.Profile) (*Fig9bR
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig9bResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 9b: sprinting and regulator bypass under a deadline ==")
 	fmt.Fprintln(w, "  paper: sprint -> ~+10% solar energy; +bypass -> extended range, up to +25% cap energy")
@@ -360,27 +350,16 @@ type Fig11bResult struct {
 }
 
 // Fig11b runs baseline and proposed policies with waveform tracing.
-func Fig11b() (*Fig11bResult, error) { return fig11b(nil) }
+func Fig11b() (*Fig11bResult, error) { return fig11b(Observe{}) }
 
-// fig11b is Fig11b with an optional event tracer; each policy records onto
-// its own track.
-func fig11b(tracer trace.Tracer) (*Fig11bResult, error) { return fig11bChaos(tracer, nil, nil) }
-
-// fig11bChaos is fig11b under an optional fault plan, as fig9bChaos.
-func fig11bChaos(tracer trace.Tracer, plan *fault.Plan, p *prof.Profile) (*Fig11bResult, error) {
-	irr := func(variant string) func(float64) float64 {
-		if plan == nil {
-			return nil
-		}
-		b := fault.New(*plan, "fig11b/"+variant).Brownouts(2 * demoDeadline)
-		b.Emit(tracer, variant, plan.Seed)
-		return b.Wrap(circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd))
-	}
-	baseline, err := runVariant("w/o sprinting", 0, false, 100, tracer, irr("w/o sprinting"), profLedger(p, "fig11b", "w/o sprinting"))
+// fig11b is the Fig11b driver; each policy observes onto its own track
+// (see runVariant).
+func fig11b(obs Observe) (*Fig11bResult, error) {
+	baseline, err := runVariant(obs, "fig11b", "w/o sprinting", 0, false)
 	if err != nil {
 		return nil, err
 	}
-	proposed, err := runVariant("w/ sprinting+bypass", demoSprint, true, 100, tracer, irr("w/ sprinting+bypass"), profLedger(p, "fig11b", "w/ sprinting+bypass"))
+	proposed, err := runVariant(obs, "fig11b", "w/ sprinting+bypass", demoSprint, true)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +380,7 @@ func fig11bChaos(tracer trace.Tracer, plan *fault.Plan, p *prof.Profile) (*Fig11
 	return res, nil
 }
 
-// Report implements reporter.
+// Report implements Reporter.
 func (r *Fig11bResult) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 11b: system demonstration (sprint + bypass waveform) ==")
 	fmt.Fprintln(w, "  paper: bypass extends operation by ~3 ms (~20%); sprinting absorbs ~10% more solar energy")

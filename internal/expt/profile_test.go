@@ -70,7 +70,7 @@ func TestProfileReconciliation(t *testing.T) {
 	// outcomes the report is built from — harvest bitwise (same per-step
 	// terms, same order), delivered within regrouping tolerance.
 	p := prof.New()
-	res, err := fig11bChaos(nil, nil, p)
+	res, err := fig11b(Observe{Profile: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,178 @@
 package expt
 
+// The export surfaces of the registry: reports, CSV series, trace events,
+// chaos events and energy profiles. Each is one observed run of the
+// experiment's driver, so every surface is a deterministic function of
+// the experiment ID (and, for chaos, the fault plan): equal inputs render
+// equal bytes, regardless of which worker — or how many — runs them.
+
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+
+	"repro/internal/fault"
+	"repro/internal/plot"
+	"repro/internal/prof"
+	"repro/internal/trace"
 )
 
-// ErrUnknown indicates an experiment ID absent from the registry.
-var ErrUnknown = errors.New("expt: unknown experiment")
+// Errors returned by the registry surfaces.
+var (
+	// ErrUnknown indicates an experiment ID absent from the registry.
+	ErrUnknown = errors.New("expt: unknown experiment")
+
+	// ErrNoSeries indicates an experiment that produces summary numbers
+	// only. See NoSeriesIDs.
+	ErrNoSeries = errors.New("expt: experiment has no plottable series")
+
+	// ErrNoTrace indicates an experiment that emits no trace events: it
+	// either has no transient simulation at all (the analytic figures) or
+	// nothing worth event-tracing. See TracedIDs.
+	ErrNoTrace = errors.New("expt: experiment emits no trace events")
+
+	// ErrNoChaos indicates an experiment without a chaos surface: it has
+	// no transient simulation for the fault layer to attack. See ChaosIDs.
+	ErrNoChaos = errors.New("expt: experiment has no chaos runner")
+
+	// ErrNoProfile indicates an experiment with no energy profile: the
+	// analytic figures have no step loop to account. See ProfiledIDs.
+	ErrNoProfile = errors.New("expt: experiment emits no energy profile")
+)
+
+// errMissing maps each surface to the error an entry without it returns.
+var errMissing = map[Surface]error{
+	SurfaceSeries:  ErrNoSeries,
+	SurfaceTrace:   ErrNoTrace,
+	SurfaceChaos:   ErrNoChaos,
+	SurfaceProfile: ErrNoProfile,
+}
+
+// observe runs experiment id once with obs attached. need is the surface
+// the caller reads (0 for just the report): unknown IDs wrap ErrUnknown,
+// and an entry that does not declare need returns that surface's error.
+func observe(id string, need Surface, obs Observe) (Reporter, []plot.Series, error) {
+	e, ok := Registry()[id]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknown, id)
+	}
+	if !e.Has(need) {
+		return nil, nil, errMissing[need]
+	}
+	return e.Run(obs)
+}
 
 // Render runs the experiment with the given ID and returns its report
 // bytes. It is the reusable core behind the hemsim CLI path, the golden
-// snapshot tests and hemserved's report cache: registry reports are
-// deterministic functions of the calibrated models, so equal IDs always
-// render equal bytes.
+// snapshot tests and hemserved's report cache.
 func Render(id string) ([]byte, error) {
-	e, ok := Registry()[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknown, id)
+	r, _, err := observe(id, 0, Observe{})
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := e.Run(&buf); err != nil {
+	if err := r.Report(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
+// SeriesFor runs the experiment with the given ID and returns its data
+// series for CSV export. Summary-only experiments return ErrNoSeries.
+func SeriesFor(id string) ([]plot.Series, error) {
+	_, series, err := observe(id, SurfaceSeries, Observe{})
+	return series, err
+}
+
+// WriteCSV runs the experiment and streams its series in long-format CSV.
+func WriteCSV(id string, w io.Writer) error {
+	series, err := SeriesFor(id)
+	if err != nil {
+		return err
+	}
+	return plot.WriteCSV(w, series...)
+}
+
 // RenderCSV runs the experiment and returns its series as long-format CSV
-// bytes. Summary-only experiments return ErrNoSeries, unknown IDs
-// ErrUnknown.
+// bytes.
 func RenderCSV(id string) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := WriteCSV(id, &buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// TraceEvents runs the experiment with a recorder attached and returns its
+// events. The events carry simulated time and sequence numbers only.
+// Untraced experiments return ErrNoTrace.
+func TraceEvents(id string) ([]trace.Event, error) {
+	rec := trace.NewRecorder()
+	if _, _, err := observe(id, SurfaceTrace, Observe{Tracer: rec}); err != nil {
+		return nil, err
+	}
+	return rec.Events(), nil
+}
+
+// RenderTrace runs the experiment and returns its events rendered in the
+// given trace export format (trace.FormatJSONL or trace.FormatChrome).
+func RenderTrace(id, format string) ([]byte, error) {
+	events, err := TraceEvents(id)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, format, events); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// ChaosEvents runs the experiment under the fault plan with a recorder
+// attached and returns its events: the benign event stream plus a fault.*
+// event for every injection. Experiments without a chaos surface return
+// ErrNoChaos; a plan whose brownouts resolve past the fault layer's bound
+// returns fault.ErrBadPlan.
+func ChaosEvents(id string, plan fault.Plan) ([]trace.Event, error) {
+	rec := trace.NewRecorder()
+	if _, _, err := observe(id, SurfaceChaos, Observe{Tracer: rec, Plan: &plan}); err != nil {
+		return nil, err
+	}
+	return rec.Events(), nil
+}
+
+// EnergyProfile runs the experiment with profiling on and returns the
+// populated profile. Profiles are exact, not sampled: every integration
+// step's time and energy lands in a ledger. Unprofiled experiments return
+// ErrNoProfile.
+func EnergyProfile(id string) (*prof.Profile, error) {
+	p := prof.New()
+	if _, _, err := observe(id, SurfaceProfile, Observe{Profile: p}); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// RenderProfile runs the experiment and returns its energy profile as
+// gzipped pprof protobuf bytes (go tool pprof accepts them directly).
+func RenderProfile(id string) ([]byte, error) {
+	p, err := EnergyProfile(id)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := prof.WritePprof(&buf, p); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// profLedger returns the ledger for (experiment, node) in p, or nil when
+// profiling is off — the nil that keeps the step loop allocation-free.
+func profLedger(p *prof.Profile, experiment, node string) *prof.Ledger {
+	if p == nil {
+		return nil
+	}
+	return p.Ledger(prof.Scope{Experiment: experiment, Node: node})
 }

@@ -108,7 +108,7 @@ func TestRenderTraceChrome(t *testing.T) {
 // MPPT estimate/retrack counts must equal the tracker's telemetry.
 func TestTraceMatchesReportTransitions(t *testing.T) {
 	rec := trace.NewRecorder()
-	res, err := fig11b(rec)
+	res, err := fig11b(Observe{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTraceMatchesReportTransitions(t *testing.T) {
 	}
 
 	rec = trace.NewRecorder()
-	f8, err := fig8(rec, nil)
+	f8, err := fig8(Observe{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"os"
 )
@@ -40,6 +41,15 @@ var (
 	// (the batch-render retry in internal/serve) treat it as transient.
 	ErrInjected = errors.New("fault: injected error")
 )
+
+// MaxWindows bounds the brownout windows one plan may resolve to on one
+// stream: explicit pulses with their repetitions, plus random pulses. It
+// sits orders of magnitude above any plan a run can use (the canonical
+// chaos plan resolves to three), so it only turns hostile plans — a
+// period below the float resolution of its start time, a two-billion
+// pulse count — into ErrBadPlan instead of an endless loop or a
+// multi-gigabyte allocation.
+const MaxWindows = 1 << 16
 
 // Injectedf returns an injected-failure error with detail; errors.Is
 // against ErrInjected identifies it.
@@ -91,6 +101,8 @@ func (r RandomPulses) validate() error {
 	switch {
 	case r.Count < 0:
 		return fmt.Errorf("%w: random_brownouts count %d < 0", ErrBadPlan, r.Count)
+	case r.Count > MaxWindows:
+		return fmt.Errorf("%w: random_brownouts count %d > %d", ErrBadPlan, r.Count, MaxWindows)
 	case r.Count > 0 && r.MeanDurationS <= 0:
 		return fmt.Errorf("%w: random_brownouts mean_duration_s %g <= 0", ErrBadPlan, r.MeanDurationS)
 	case r.Depth < 0 || r.Depth >= 1:
@@ -203,13 +215,17 @@ func (p Plan) Validate() error {
 }
 
 // ParsePlan decodes and validates a plan. Unknown fields are rejected so
-// schema typos fail loudly instead of silently injecting nothing.
+// schema typos fail loudly instead of silently injecting nothing, and so
+// is anything after the plan document.
 func ParsePlan(data []byte) (Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("%w: %v", ErrBadPlan, err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return Plan{}, fmt.Errorf("%w: trailing data after the plan document", ErrBadPlan)
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/intermittent"
@@ -47,11 +48,61 @@ func TestParsePlanRejects(t *testing.T) {
 		"serve prob":         `{"serve": {"error_prob": -0.1}}`,
 		"serve status":       `{"serve": {"error_status": 200}}`,
 		"serve hold":         `{"serve": {"gate_hold_ms": -1}}`,
+		"trailing garbage":   `{"seed":1} trailing garbage`,
+		"second document":    `{"seed":1}{"seed":2}`,
+		"closing brace":      `{"seed":1}}`,
+		"random count bound": `{"random_brownouts": {"count": 2000000000, "mean_duration_s": 0.01}}`,
 	}
 	for name, body := range cases {
 		if _, err := fault.ParsePlan([]byte(body)); !errors.Is(err, fault.ErrBadPlan) {
 			t.Errorf("%s: got %v, want ErrBadPlan", name, err)
 		}
+	}
+}
+
+// TestBrownoutsBounded: plans that would resolve to more windows than
+// MaxWindows over the horizon fail with ErrBadPlan, fast, instead of
+// looping or allocating without end. (A random count past the bound is
+// rejected at parse; see TestParsePlanRejects.)
+func TestBrownoutsBounded(t *testing.T) {
+	for name, body := range map[string]string{
+		// 0.01+1e-20 == 0.01: the repetition never advances.
+		"stuck period": `{"brownouts":[{"at_s":0.01,"duration_s":1e-20,"every_s":1e-20}]}`,
+		// Advances, but would resolve to 5e17 windows.
+		"tiny period": `{"brownouts":[{"at_s":0,"duration_s":1e-19,"every_s":1e-19}]}`,
+		// Each pulse fits, but not together.
+		"sum of pulses": `{"brownouts":[{"at_s":0,"duration_s":1e-6,"every_s":2e-5},` +
+			`{"at_s":0,"duration_s":1e-6,"every_s":2e-5}]}`,
+	} {
+		plan, err := fault.ParsePlan([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: plan rejected at parse (the bound needs the horizon): %v", name, err)
+		}
+		start := time.Now()
+		b, err := fault.New(plan, "x").Brownouts(1.0)
+		if !errors.Is(err, fault.ErrBadPlan) || b != nil {
+			t.Errorf("%s: Brownouts = %v, %v; want ErrBadPlan", name, b, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejection took %v", name, d)
+		}
+	}
+}
+
+// TestBrownoutsAtBound pins the bound itself: a 2^-16 s period (exact in
+// binary) resolves exactly MaxWindows starts in [0, 1), and one more
+// start past it is rejected.
+func TestBrownoutsAtBound(t *testing.T) {
+	plan := fault.Plan{Brownouts: []fault.Pulse{{DurationS: 1e-6, EveryS: 1.0 / fault.MaxWindows}}}
+	if got := len(brownouts(t, plan, "x").Windows()); got != fault.MaxWindows {
+		t.Errorf("resolved %d windows, want %d", got, fault.MaxWindows)
+	}
+	if _, err := fault.New(plan, "x").Brownouts(1.0 + 1e-9); !errors.Is(err, fault.ErrBadPlan) {
+		t.Errorf("MaxWindows+1 windows: err = %v, want ErrBadPlan", err)
+	}
+	plan.Random = &fault.RandomPulses{Count: 1, MeanDurationS: 1e-3}
+	if _, err := fault.New(plan, "x").Brownouts(1.0); !errors.Is(err, fault.ErrBadPlan) {
+		t.Errorf("MaxWindows explicit + 1 random: err = %v, want ErrBadPlan", err)
 	}
 }
 
@@ -77,18 +128,29 @@ func TestStreamSeedDomains(t *testing.T) {
 	}
 }
 
+// brownouts resolves plan's windows on stream over a 1 s horizon, failing
+// the test if the fault layer rejects the plan.
+func brownouts(t *testing.T, plan fault.Plan, stream string) *fault.Brownouts {
+	t.Helper()
+	b, err := fault.New(plan, stream).Brownouts(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestBrownoutsResolveDeterministic(t *testing.T) {
 	plan := fault.Plan{
 		Seed:      42,
 		Brownouts: []fault.Pulse{{AtS: 0.1, DurationS: 0.05, EveryS: 0.3}},
 		Random:    &fault.RandomPulses{Count: 4, MeanDurationS: 0.02, Depth: 0.1},
 	}
-	w1 := fault.New(plan, "fig8").Brownouts(1.0).Windows()
-	w2 := fault.New(plan, "fig8").Brownouts(1.0).Windows()
+	w1 := brownouts(t, plan, "fig8").Windows()
+	w2 := brownouts(t, plan, "fig8").Windows()
 	if !reflect.DeepEqual(w1, w2) {
 		t.Fatal("same (plan, stream) resolved different windows")
 	}
-	w3 := fault.New(plan, "fig9b").Brownouts(1.0).Windows()
+	w3 := brownouts(t, plan, "fig9b").Windows()
 	if reflect.DeepEqual(w1, w3) {
 		t.Fatal("different streams resolved identical random windows")
 	}
@@ -108,7 +170,7 @@ func TestBrownoutsMergeDepth(t *testing.T) {
 		{AtS: 0.15, DurationS: 0.1, Depth: 0.2}, // overlaps; darker wins
 		{AtS: 0.5, DurationS: 0.05},
 	}}
-	ws := fault.New(plan, "x").Brownouts(1.0).Windows()
+	ws := brownouts(t, plan, "x").Windows()
 	if len(ws) != 2 {
 		t.Fatalf("got %d windows, want 2: %+v", len(ws), ws)
 	}
@@ -119,7 +181,7 @@ func TestBrownoutsMergeDepth(t *testing.T) {
 
 func TestBrownoutsWrap(t *testing.T) {
 	plan := fault.Plan{Brownouts: []fault.Pulse{{AtS: 0.2, DurationS: 0.1, Depth: 0.25}}}
-	irr := fault.New(plan, "x").Brownouts(1.0).Wrap(func(float64) float64 { return 2.0 })
+	irr := brownouts(t, plan, "x").Wrap(func(float64) float64 { return 2.0 })
 	for _, tc := range []struct{ t, want float64 }{
 		{0.0, 2.0}, {0.19, 2.0}, {0.2, 0.5}, {0.29, 0.5}, {0.31, 2.0}, {0.9, 2.0},
 	} {
@@ -128,7 +190,7 @@ func TestBrownoutsWrap(t *testing.T) {
 		}
 	}
 	// No windows: the base function comes back untouched.
-	none := fault.New(fault.Plan{}, "x").Brownouts(1.0)
+	none := brownouts(t, fault.Plan{}, "x")
 	if got := none.Wrap(func(float64) float64 { return 3 })(0.5); got != 3 {
 		t.Errorf("empty wrap altered irradiance: %g", got)
 	}
@@ -137,7 +199,7 @@ func TestBrownoutsWrap(t *testing.T) {
 func TestBrownoutsEmit(t *testing.T) {
 	plan := fault.Plan{Seed: 9, Brownouts: []fault.Pulse{{AtS: 0.1, DurationS: 0.05}}}
 	rec := trace.NewRecorder()
-	fault.New(plan, "fig8").Brownouts(1.0).Emit(rec, "fig8", plan.Seed)
+	brownouts(t, plan, "fig8").Emit(rec, "fig8", plan.Seed)
 	events := rec.Events()
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want plan + begin/end: %+v", len(events), events)
@@ -149,7 +211,7 @@ func TestBrownoutsEmit(t *testing.T) {
 		t.Errorf("emitted trace invalid: %v", err)
 	}
 	// A nil tracer must be a no-op, not a panic.
-	fault.New(plan, "fig8").Brownouts(1.0).Emit(nil, "fig8", plan.Seed)
+	brownouts(t, plan, "fig8").Emit(nil, "fig8", plan.Seed)
 }
 
 func TestNVMInjectorDeterministic(t *testing.T) {

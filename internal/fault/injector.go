@@ -6,6 +6,7 @@ package fault
 // scheduling or on how many other streams the same plan feeds.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -45,9 +46,22 @@ type Window struct {
 // Brownouts resolves the plan's explicit and random pulses over [0,
 // horizon] into a sorted, non-overlapping window set. The random draws
 // come from the stream's "brownout" domain, so resolving twice (or on a
-// different worker) yields identical windows.
-func (in *Injector) Brownouts(horizon float64) *Brownouts {
-	var ws []Window
+// different worker) yields identical windows. A plan that would resolve
+// to more than MaxWindows windows over the horizon returns ErrBadPlan
+// before anything is allocated.
+func (in *Injector) Brownouts(horizon float64) (*Brownouts, error) {
+	n := 0
+	if r := in.plan.Random; r != nil && r.Count > 0 && horizon > 0 {
+		n = r.Count
+	}
+	for _, p := range in.plan.Brownouts {
+		n += p.starts(horizon, MaxWindows-n)
+	}
+	if n > MaxWindows {
+		return nil, fmt.Errorf("%w: brownouts resolve to more than %d windows over a %g s horizon",
+			ErrBadPlan, MaxWindows, horizon)
+	}
+	ws := make([]Window, 0, n)
 	for _, p := range in.plan.Brownouts {
 		for at := p.AtS; at < horizon; at += p.EveryS {
 			ws = append(ws, Window{Start: at, End: at + p.DurationS, Depth: p.Depth})
@@ -64,7 +78,21 @@ func (in *Injector) Brownouts(horizon float64) *Brownouts {
 			ws = append(ws, Window{Start: start, End: start + dur, Depth: r.Depth})
 		}
 	}
-	return &Brownouts{windows: mergeWindows(ws)}
+	return &Brownouts{windows: mergeWindows(ws)}, nil
+}
+
+// starts counts the pulse's window starts before horizon, accumulating
+// exactly as Brownouts does, and stops counting once it passes limit — a
+// period too small to advance the start would otherwise never end.
+func (p Pulse) starts(horizon float64, limit int) int {
+	n := 0
+	for at := p.AtS; at < horizon && n <= limit; at += p.EveryS {
+		n++
+		if p.EveryS <= 0 {
+			break
+		}
+	}
+	return n
 }
 
 // NVM returns the plan's checkpoint-store fault stream, or nil when the

@@ -48,7 +48,12 @@ func TestPropertyNeverResumesTornState(t *testing.T) {
 			}
 			return 0
 		}
-		irr := in.Brownouts(horizon).Wrap(blink)
+		b, err := in.Brownouts(horizon)
+		if err != nil {
+			t.Errorf("generated plan rejected: %v", err)
+			return false
+		}
+		irr := b.Wrap(blink)
 
 		rec := trace.NewRecorder()
 		e := &intermittent.Executor{

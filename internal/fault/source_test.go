@@ -26,7 +26,10 @@ func (s stepSource) NextChange(t float64) float64 {
 
 func testBrownouts(t *testing.T, pulses []Pulse, horizon float64) *Brownouts {
 	t.Helper()
-	b := New(Plan{Brownouts: pulses}, "source-test").Brownouts(horizon)
+	b, err := New(Plan{Brownouts: pulses}, "source-test").Brownouts(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return b
 }
 

@@ -139,6 +139,8 @@ func TestParseScenarioRejects(t *testing.T) {
 		`not json`,
 		`{"bogus":1}`,                  // unknown field
 		`{} {}`,                        // trailing document
+		`{"seed":1}}`,                  // stray closing brace after a valid spec
+		`{"seed":1}]`,                  // stray closing bracket after a valid spec
 		`{"version":99}`,               // future schema
 		`{"source":{"kind":"fusion"}}`, // unknown kind
 		`{"source":{"kind":"bench","level":-1}}`,

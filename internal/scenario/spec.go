@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -184,7 +185,7 @@ func ParseScenario(data []byte) (Spec, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return Spec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if dec.More() {
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		return Spec{}, fmt.Errorf("%w: trailing data after the spec document", ErrBadSpec)
 	}
 	spec.applyDefaults()

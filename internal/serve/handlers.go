@@ -40,7 +40,7 @@ func (s *Server) handleExperimentsList(w http.ResponseWriter, r *http.Request) {
 	registry := expt.Registry()
 	infos := make([]experimentInfo, 0, len(registry))
 	for _, id := range expt.Names() {
-		infos = append(infos, experimentInfo{ID: id, HasSeries: registry[id].Series != nil})
+		infos = append(infos, experimentInfo{ID: id, HasSeries: registry[id].Has(expt.SurfaceSeries)})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": infos})
 }
@@ -53,12 +53,52 @@ func renderKey(id, format string) string {
 	return "report:" + id
 }
 
+// cached returns the response body cached under key, running a cold
+// render inside a simulation-gate slot. Every cached endpoint renders a
+// deterministic function of its key, so a cached body is byte-identical
+// to a cold one; an injected gate hold stretches the slot occupancy.
+func (s *Server) cached(r *http.Request, key string, render func() ([]byte, error)) ([]byte, error) {
+	return s.reports.get(key, func() (body []byte, err error) {
+		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
+			body, err = render()
+			return nil
+		})
+		if gateErr != nil {
+			return nil, gateErr
+		}
+		return body, err
+	})
+}
+
+// respond writes a cached render's outcome with its content type. When
+// err means the gate was too saturated to render in time and a
+// last-known-good copy of key exists, it serves that copy with a Warning
+// header (RFC 7234's 110, "response is stale"); any other error maps onto
+// the API's status contract.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, key, contentType string, body []byte, err error) {
+	if err != nil {
+		// Only saturation (the request deadline passed) may degrade to the
+		// stale copy; a real failure is never masked.
+		ok := false
+		if r.Context().Err() != nil {
+			body, ok = s.reports.getStale(key)
+		}
+		if !ok {
+			writeExperimentError(w, r, err)
+			return
+		}
+		s.metrics.staleServed.Add(1)
+		w.Header().Set("Warning", `110 hemserved "stale response: server saturated"`)
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(body)
+}
+
 // renderExperiment produces the cached response body for one experiment in
-// the requested format, running the cold render under the simulation gate.
-// The cache key is just the ID (per format): registry outputs are
-// deterministic. Under a chaos plan, an injected render fault fails the
-// attempt before the cache is consulted (so retries exercise the full
-// path) and an injected gate hold stretches the slot occupancy.
+// the requested format. The cache key is just the ID (per format):
+// registry outputs are deterministic. Under a chaos plan, an injected
+// render fault fails the attempt before the cache is consulted, so
+// retries exercise the full path.
 func (s *Server) renderExperiment(r *http.Request, id, format string) ([]byte, error) {
 	render := expt.Render
 	if format == "csv" {
@@ -67,16 +107,7 @@ func (s *Server) renderExperiment(r *http.Request, id, format string) ([]byte, e
 	if err := renderFault(r.Context()); err != nil {
 		return nil, err
 	}
-	return s.reports.get(renderKey(id, format), func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			body, err = render(id)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
-		}
-		return body, err
-	})
+	return s.cached(r, renderKey(id, format), func() ([]byte, error) { return render(id) })
 }
 
 // renderExperimentRetry is renderExperiment with a bounded
@@ -97,23 +128,6 @@ func (s *Server) renderExperimentRetry(r *http.Request, id, format string) ([]by
 	}
 }
 
-// serveStale attempts the degraded path: if err means the gate was too
-// saturated to render in time and a last-known-good copy exists, it
-// reports that copy for serving with a Warning header (RFC 7234's 110,
-// "response is stale"). The caller still owns the Content-Type.
-func (s *Server) serveStale(w http.ResponseWriter, r *http.Request, key string, err error) ([]byte, bool) {
-	if r.Context().Err() == nil {
-		return nil, false // a real failure, not saturation: no masking
-	}
-	body, ok := s.reports.getStale(key)
-	if !ok {
-		return nil, false
-	}
-	s.metrics.staleServed.Add(1)
-	w.Header().Set("Warning", `110 hemserved "stale response: server saturated"`)
-	return body, true
-}
-
 // handleExperimentGet serves one experiment report (text) or its series
 // (?format=csv).
 func (s *Server) handleExperimentGet(w http.ResponseWriter, r *http.Request) {
@@ -126,94 +140,46 @@ func (s *Server) handleExperimentGet(w http.ResponseWriter, r *http.Request) {
 	if format == "text" {
 		format = ""
 	}
-	body, err := s.renderExperiment(r, id, format)
-	if err != nil {
-		stale, ok := s.serveStale(w, r, renderKey(id, format), err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
+	contentType := "text/plain; charset=utf-8"
 	if format == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		contentType = "text/csv"
 	}
-	w.Write(body)
+	body, err := s.renderExperiment(r, id, format)
+	s.respond(w, r, renderKey(id, format), contentType, body, err)
 }
 
 // handleExperimentTrace serves one experiment's simulation events, JSONL
-// by default or as a Chrome trace (?format=chrome). Traced re-runs are
-// deterministic, so responses cache like reports do; experiments without a
-// traced runner map to 422 (ErrNoTrace), mirroring the CSV contract.
+// by default or as a Chrome trace (?format=chrome). Traced runs are
+// deterministic, so responses cache like reports do; experiments that
+// declare no trace surface map to 422 (ErrNoTrace), mirroring the CSV
+// contract.
 func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
-	traceFormat := trace.FormatJSONL
+	traceFormat, contentType := trace.FormatJSONL, "application/x-ndjson"
 	switch format {
 	case "", "jsonl":
 	case "chrome":
-		traceFormat = trace.FormatChrome
+		traceFormat, contentType = trace.FormatChrome, "application/json"
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want jsonl or chrome)", format))
 		return
 	}
 	key := "trace:" + traceFormat + ":" + id
-	body, err := s.reports.get(key, func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			body, err = expt.RenderTrace(id, traceFormat)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
-		}
-		return body, err
-	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	if traceFormat == trace.FormatChrome {
-		w.Header().Set("Content-Type", "application/json")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Write(body)
+	body, err := s.cached(r, key, func() ([]byte, error) { return expt.RenderTrace(id, traceFormat) })
+	s.respond(w, r, key, contentType, body, err)
 }
 
 // handleExperimentProfile serves one experiment's energy-flow profile as
 // gzipped pprof protobuf bytes (`go tool pprof` reads the response body
-// directly). Profiled re-runs are deterministic, so responses cache like
-// reports and traces; experiments without a profiled runner map to 422
-// (ErrNoProfile), mirroring the trace contract.
+// directly). Profiled runs are deterministic, so responses cache like
+// reports and traces; experiments that declare no profile surface map to
+// 422 (ErrNoProfile), mirroring the trace contract.
 func (s *Server) handleExperimentProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	key := "profile:" + id
-	body, err := s.reports.get(key, func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			body, err = expt.RenderProfile(id)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
-		}
-		return body, err
-	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(body)
+	body, err := s.cached(r, key, func() ([]byte, error) { return expt.RenderProfile(id) })
+	s.respond(w, r, key, "application/octet-stream", body, err)
 }
 
 // Fleet request bounds: a spec is attacker-controlled sizing, so the
@@ -269,37 +235,20 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "fleet:" + spec.String()
-	body, err := s.reports.get(key, func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			cfg := spec.Config()
-			cfg.Workers = 1
-			// The request context cancels the run at the next epoch
-			// barrier, so an abandoned request frees its gate slot instead
-			// of simulating to the horizon.
-			cfg.Ctx = r.Context()
-			rep, runErr := fleet.Run(cfg)
-			if runErr != nil {
-				err = runErr
-				return nil
-			}
-			body, err = json.Marshal(rep)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
+	body, err := s.cached(r, key, func() ([]byte, error) {
+		cfg := spec.Config()
+		cfg.Workers = 1
+		// The request context cancels the run at the next epoch barrier,
+		// so an abandoned request frees its gate slot instead of
+		// simulating to the horizon.
+		cfg.Ctx = r.Context()
+		rep, err := fleet.Run(cfg)
+		if err != nil {
+			return nil, err
 		}
-		return body, err
+		return json.Marshal(rep)
 	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	s.respond(w, r, key, "application/json", body, err)
 }
 
 // batchRequest asks for several experiment reports in one round trip.

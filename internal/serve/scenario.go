@@ -76,34 +76,15 @@ func (s *Server) handleScenariosRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "scenario:" + spec.String()
-	respBody, err := s.reports.get(key, func() (out []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			// Single-worker inside the gate slot: one request, one
-			// simulation thread; the context frees the slot if the client
-			// abandons the request.
-			rep, runErr := scenario.Run(scenario.Config{
-				Spec: spec, Workers: 1, Ctx: r.Context(),
-			})
-			if runErr != nil {
-				err = runErr
-				return nil
-			}
-			out, err = json.Marshal(rep)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
+	respBody, err := s.cached(r, key, func() ([]byte, error) {
+		// Single-worker inside the gate slot: one request, one simulation
+		// thread; the context frees the slot if the client abandons the
+		// request.
+		rep, err := scenario.Run(scenario.Config{Spec: spec, Workers: 1, Ctx: r.Context()})
+		if err != nil {
+			return nil, err
 		}
-		return out, err
+		return json.Marshal(rep)
 	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		respBody = stale
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(respBody)
+	s.respond(w, r, key, "application/json", respBody, err)
 }
