@@ -213,8 +213,8 @@ func BenchmarkKernelFullRun(b *testing.B) {
 // one 10000-point fine I-V sweep (1 µV spacing around the knee, where
 // Newton iterations are most expensive) solved through pv.SolveBatch in
 // chunks of 1, 100 and 10000 points. Chunk width is the whole win: within
-// a chunk the walking solver state carries warm starts, replay
-// trajectories and the anchored exponential from lane to lane, while width
+// a chunk the walking solver state carries warm starts, the derived
+// parameters and the anchored exponential from lane to lane, while width
 // 1 degenerates to a cold scalar solve per point. The results are
 // bit-identical at every width (the batch parity suites); only solves/sec
 // moves. A lockstep sub-benchmark times circuit.RunBatch advancing a

@@ -267,6 +267,12 @@ type State struct {
 	// bit-identical to the stateless solve (see pv.CurrentWarm).
 	pvSolver pv.SolverState
 
+	// supplyMemo memoizes the CPU model at the last effective supply: a
+	// regulated output repeats its voltage step after step, so the alpha
+	// law and the leakage exponential run only when it moves. Results are
+	// bit-identical to the Processor's methods (see cpu.SupplyMemo).
+	supplyMemo cpu.SupplyMemo
+
 	stopRequested bool
 	stopReason    string
 
@@ -507,13 +513,13 @@ func (st *State) resolveOperatingPoint(vcap float64) {
 		if supply < proc.MinVoltage() {
 			st.halted = true
 			st.effFreq = 0
-			st.loadPow = proc.LeakagePower(supply)
+			st.loadPow = st.supplyMemo.LeakagePower(proc, supply)
 			st.inputPow = st.loadPow
 			return
 		}
 		st.halted = false
-		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, proc.MaxFrequency(supply)))
-		st.loadPow = proc.Power(supply, st.effFreq)
+		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, st.supplyMemo.MaxFrequency(proc, supply)))
+		st.loadPow = st.supplyMemo.Power(proc, supply, st.effFreq)
 		st.inputPow = st.loadPow
 		return
 	}
@@ -538,11 +544,11 @@ func (st *State) resolveOperatingPoint(vcap float64) {
 	if supply < proc.MinVoltage() {
 		st.halted = true
 		st.effFreq = 0
-		st.loadPow = proc.LeakagePower(supply)
+		st.loadPow = st.supplyMemo.LeakagePower(proc, supply)
 	} else {
 		st.halted = false
-		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, proc.MaxFrequency(supply)))
-		st.loadPow = proc.Power(supply, st.effFreq)
+		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, st.supplyMemo.MaxFrequency(proc, supply)))
+		st.loadPow = st.supplyMemo.Power(proc, supply, st.effFreq)
 	}
 	eta := cfg.Reg.Efficiency(vcap, supply, st.loadPow)
 	if eta <= 0 {

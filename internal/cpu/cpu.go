@@ -214,9 +214,18 @@ func (p *Processor) MaxFrequency(v float64) float64 {
 // frequency f. The frequency is clamped to MaxFrequency(v).
 func (p *Processor) DynamicPower(v, f float64) float64 {
 	if v <= 0 || f <= 0 {
+		return 0 // before the alpha law: a gated clock costs no math.Pow
+	}
+	return p.dynamicPower(v, f, p.MaxFrequency(v))
+}
+
+// dynamicPower is DynamicPower given fm = MaxFrequency(v), which a
+// SupplyMemo serves from its cache.
+func (p *Processor) dynamicPower(v, f, fm float64) float64 {
+	if v <= 0 || f <= 0 {
 		return 0
 	}
-	if fm := p.MaxFrequency(v); f > fm {
+	if f > fm {
 		f = fm
 	}
 	return p.switchedCap * v * v * f
@@ -331,26 +340,28 @@ func (p *Processor) VoltageForFrequency(f float64) (float64, error) {
 	return p.VoltageForFrequencyWarm(f, nil)
 }
 
-// FreqSolverState caches the probe trajectory of VoltageForFrequencyWarm
-// across calls. The zero value is a valid empty cache. The cache records
-// every bisection probe voltage together with the exact MaxFrequency value
-// computed there; a later solve re-uses a recorded value whenever its own
-// probe voltage is identical, which holds for the whole shared prefix of
-// the two bisection paths because the start bracket is fixed and each probe
-// is determined by the preceding decisions. A DVFS controller re-solving a
-// slowly drifting frequency target therefore pays a handful of fresh
-// alpha-law evaluations per step instead of ~24. Not safe for concurrent
-// use; results are exactly those of the stateless VoltageForFrequency.
+// FreqSolverState memoizes the last VoltageForFrequencyWarm solve as the
+// interval of frequencies that take the same bisection path. The bisection
+// starts from a fixed bracket and each probe voltage is fixed by the
+// decisions before it, so two frequencies that decide every probe the same
+// way take the same path and get the same voltage. For the solved f, let fA
+// be the largest MaxFrequency of a probe that moved lo (fmax < f) and fB
+// the smallest of a probe that moved hi (fmax >= f): every f' with
+// fA < f' <= fB decides each probe as f did, so the memo answers it without
+// a single alpha-law evaluation. A NaN fmax moves hi for every f, so it
+// bounds nothing. A DVFS controller's commanded rate drifts slowly, so
+// nearly every step lands in the previous step's interval. The zero value
+// is an empty memo. Not safe for concurrent use; results are exactly those
+// of the stateless VoltageForFrequency.
 type FreqSolverState struct {
-	proc *Processor // identity of the processor the trajectory belongs to
-	n    int        // recorded prefix length
-	mid  [maxSolverIterations]float64
-	fmax [maxSolverIterations]float64
+	proc   *Processor // the processor the interval belongs to
+	fA, fB float64    // frequencies in (fA, fB] take the memoized path
+	v      float64    // the voltage that path returns
 }
 
-// VoltageForFrequencyWarm is VoltageForFrequency with a per-caller probe
-// cache. It returns bit-identical results for every input; state (which may
-// be nil) only changes how many alpha-power-law evaluations the solve costs.
+// VoltageForFrequencyWarm is VoltageForFrequency with a per-caller memo. It
+// returns bit-identical results for every input; state (which may be nil)
+// only changes how many alpha-power-law evaluations the solve costs.
 func (p *Processor) VoltageForFrequencyWarm(f float64, state *FreqSolverState) (float64, error) {
 	if f <= 0 {
 		return p.minVoltage, nil
@@ -358,44 +369,77 @@ func (p *Processor) VoltageForFrequencyWarm(f float64, state *FreqSolverState) (
 	if f > p.fmaxAtVmax {
 		return 0, ErrUnreachableFrequency
 	}
-	n := 0
-	if state != nil {
-		if state.proc == p {
-			n = state.n
-		} else {
-			// Parameters may differ from the recorded run: drop it. The
-			// processor is immutable after construction, so pointer
-			// identity is a sound cache key.
-			*state = FreqSolverState{proc: p}
-		}
+	// The processor is immutable after construction, so pointer identity
+	// is a sound key.
+	if state != nil && state.proc == p && state.fA < f && f <= state.fB {
+		return state.v, nil
 	}
+	fA, fB := math.Inf(-1), math.Inf(1)
 	lo, hi := p.thresholdVoltage, p.maxVoltage
 	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
 		mid := 0.5 * (lo + hi)
-		var fm float64
-		if iter < n && state.mid[iter] == mid {
-			fm = state.fmax[iter]
-		} else {
-			fm = p.MaxFrequency(mid)
-			if state != nil {
-				state.mid[iter], state.fmax[iter] = mid, fm
-				n = iter + 1
-			}
-		}
+		fm := p.MaxFrequency(mid)
 		if fm < f {
 			lo = mid
+			if fm > fA {
+				fA = fm
+			}
 		} else {
 			hi = mid
+			if fm < fB {
+				fB = fm
+			}
 		}
-	}
-	if state != nil {
-		state.n = n
 	}
 	v := 0.5 * (lo + hi)
 	if v < p.minVoltage {
 		v = p.minVoltage
 	}
+	if state != nil {
+		*state = FreqSolverState{proc: p, fA: fA, fB: fB, v: v}
+	}
 	return v, nil
+}
+
+// SupplyMemo is a caller-owned one-entry memo of the processor model's
+// supply-dependent terms, MaxFrequency(v) and LeakagePower(v), keyed on the
+// processor and the bits of v. A transient simulator resolves its operating
+// point every step at a supply that mostly repeats (a regulated output
+// holds its commanded voltage), so a hit skips the alpha law's math.Pow and
+// the leakage exponential. Its methods return exactly what the Processor
+// methods of the same names return, for every input. The zero value is an
+// empty memo; it is not safe for concurrent use, and the Processor itself
+// stays immutable and shareable.
+type SupplyMemo struct {
+	proc       *Processor // the processor the entry belongs to
+	vbits      uint64     // math.Float64bits of the memoized supply
+	fmax, leak float64    // MaxFrequency and LeakagePower there
+}
+
+// at makes the memo hold p's terms at supply v.
+func (m *SupplyMemo) at(p *Processor, v float64) {
+	if b := math.Float64bits(v); m.proc != p || m.vbits != b {
+		m.proc, m.vbits = p, b
+		m.fmax, m.leak = p.MaxFrequency(v), p.LeakagePower(v)
+	}
+}
+
+// MaxFrequency returns p.MaxFrequency(v).
+func (m *SupplyMemo) MaxFrequency(p *Processor, v float64) float64 {
+	m.at(p, v)
+	return m.fmax
+}
+
+// LeakagePower returns p.LeakagePower(v).
+func (m *SupplyMemo) LeakagePower(p *Processor, v float64) float64 {
+	m.at(p, v)
+	return m.leak
+}
+
+// Power returns p.Power(v, f).
+func (m *SupplyMemo) Power(p *Processor, v, f float64) float64 {
+	m.at(p, v)
+	return p.dynamicPower(v, f, m.fmax) + m.leak
 }
 
 // VoltageForMaxPower returns the supply voltage (V) at which full-speed

@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -416,22 +417,106 @@ func TestVoltageForFrequencyWarmParity(t *testing.T) {
 	}
 }
 
-// TestVoltageForFrequencyWarmReusesProbes verifies the cache actually short-
-// circuits alpha-law evaluations on repeated solves for the same frequency.
-func TestVoltageForFrequencyWarmReusesProbes(t *testing.T) {
+// TestVoltageForFrequencyWarmIntervalMemo pins the interval memo: a
+// frequency inside the memoized (fA, fB] gets the stateless bits without a
+// re-solve, and one just outside it re-solves.
+func TestVoltageForFrequencyWarmIntervalMemo(t *testing.T) {
 	p := NewProcessor()
+	stateless := func(f float64) float64 {
+		t.Helper()
+		v, err := p.VoltageForFrequency(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	var state FreqSolverState
-	if _, err := p.VoltageForFrequencyWarm(55e6, &state); err != nil {
-		t.Fatal(err)
+	if v, err := p.VoltageForFrequencyWarm(55e6, &state); err != nil || v != stateless(55e6) {
+		t.Fatalf("first solve = %v, %v; want %v", v, err, stateless(55e6))
 	}
-	if state.n == 0 {
-		t.Fatal("no probe trajectory recorded")
+	if !(state.proc == p && state.fA < 55e6 && 55e6 <= state.fB) {
+		t.Fatalf("memo (%v, %v] does not hold the solved frequency 55e6", state.fA, state.fB)
 	}
-	before := state.n
-	if _, err := p.VoltageForFrequencyWarm(55e6, &state); err != nil {
-		t.Fatal(err)
+	memo := state
+	inside := []float64{
+		math.Nextafter(memo.fA, math.Inf(1)), 0.5 * (memo.fA + memo.fB), memo.fB,
 	}
-	if state.n != before {
-		t.Fatalf("identical solve changed trajectory length: %d -> %d", before, state.n)
+	for _, f := range inside {
+		if v, err := p.VoltageForFrequencyWarm(f, &state); err != nil || v != stateless(f) {
+			t.Fatalf("f=%v inside the memo: %v, %v; want %v", f, v, err, stateless(f))
+		}
+		if state != memo {
+			t.Fatalf("f=%v inside the memo re-solved: %+v -> %+v", f, memo, state)
+		}
+	}
+	// Poisoning the memoized voltage shows who answers: inside the interval
+	// the memo does, just outside it a fresh solve does.
+	const poison = -1.0
+	state.v = poison
+	if v, _ := p.VoltageForFrequencyWarm(inside[1], &state); v != poison {
+		t.Fatalf("f=%v inside the memo was re-solved to %v", inside[1], v)
+	}
+	for _, f := range []float64{memo.fA, math.Nextafter(memo.fB, math.Inf(1))} {
+		state = memo
+		state.v = poison
+		if v, err := p.VoltageForFrequencyWarm(f, &state); err != nil || v != stateless(f) {
+			t.Fatalf("f=%v just outside the memo: %v, %v; want %v", f, v, err, stateless(f))
+		}
+		if !(state.fA < f && f <= state.fB) || state.v == poison {
+			t.Fatalf("f=%v just outside the memo did not re-solve: %+v", f, state)
+		}
+	}
+	// A memo from another processor never answers.
+	q := NewProcessor(WithAlpha(1.6))
+	state = memo
+	state.v = poison
+	if v, _ := q.VoltageForFrequencyWarm(55e6, &state); v == poison || state.proc != q {
+		t.Fatalf("memo of %p answered for %p: v=%v", p, q, v)
+	}
+}
+
+// TestSupplyMemoParity checks the supply memo against the Processor methods
+// bit for bit: random supplies and clocks, edge inputs, repeated and
+// alternating supplies, and processors swapped on one memo.
+func TestSupplyMemoParity(t *testing.T) {
+	procs := []*Processor{
+		NewProcessor(),
+		NewProcessor(WithAlpha(1.6), WithThresholdVoltage(0.33)),
+		NewProcessor(WithLeakage(1e-3, 2), WithCorner(CornerFast)),
+	}
+	var m SupplyMemo
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(p *Processor, v, f float64) {
+		t.Helper()
+		if got, want := m.MaxFrequency(p, v), p.MaxFrequency(v); !same(got, want) {
+			t.Fatalf("MaxFrequency(%v) = %v, want %v", v, got, want)
+		}
+		if got, want := m.Power(p, v, f), p.Power(v, f); !same(got, want) {
+			t.Fatalf("Power(%v, %v) = %v, want %v", v, f, got, want)
+		}
+		if got, want := m.LeakagePower(p, v), p.LeakagePower(v); !same(got, want) {
+			t.Fatalf("LeakagePower(%v) = %v, want %v", v, got, want)
+		}
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1), -0.2, -1e-300, 0.1, 0.32, 0.33, 0.34, 0.5, 1.2, 5,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64,
+	}
+	for _, p := range procs {
+		for _, v := range edges {
+			for _, f := range edges {
+				check(p, v, f)
+				check(p, v, f) // the same supply again: served by the memo
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 20000; n++ {
+		p := procs[rng.Intn(len(procs))]
+		v := rng.Float64()*1.6 - 0.2
+		if n%3 != 0 {
+			v = 0.45 + 1e-3*float64(rng.Intn(4)) // repeats, as a regulated supply does
+		}
+		check(p, v, rng.Float64()*300e6-10e6)
 	}
 }

@@ -6,8 +6,7 @@ package pv
 //
 //   - in sweep mode (nil BatchSolver) one "walking" SolverState chains
 //     warm starts across consecutive lanes, so lane k+1 resumes from lane
-//     k's Newton root, replay trajectory, derived-parameter cache and
-//     anchored exponential. A batch-1 call degenerates to today's cold
+//     k's Newton root, derived-parameter cache and anchored exponential. A batch-1 call degenerates to today's cold
 //     stateless solve; a 10k-lane fine-grid sweep converges in 1-2 Newton
 //     iterations per lane — the width-dependent throughput win guarded by
 //     BenchmarkKernelBatch and the batch_* benchguard entries;

@@ -38,6 +38,35 @@ package pv
 // CurrentReference for every input while evaluating the exponential a
 // handful of times instead of ~45.
 //
+// Integer replay. Once the bracket [lo, hi] and the root are positive
+// normal floats in one binade [2^e, 2^(e+1)) below the top one, the rest of
+// the replay runs on their bit patterns, which within a binade are the
+// significands in units of the binade's ulp u = 2^(e-52) plus a shared
+// exponent field. Every float operation of the replay is then exact or
+// rounds in a known way:
+//
+//   - lo+hi lies in [2^(e+1), 2^(e+2)), whose grid is 2u, so it is the
+//     exact sum rounded half-to-even onto that grid, and 0.5*(lo+hi) is
+//     exact. With s = bits(lo)+bits(hi) (no overflow: both are below 2^63)
+//     that is bits(mid) = s>>1 + (s & (s>>1) & 1): s>>1 truncates the
+//     halved sum, and an odd sum (s&1) rounds up exactly when the truncated
+//     significand is odd.
+//   - mid stays between lo and hi, so the next bracket stays in the binade.
+//   - hi-lo and mid-root are exact multiples of u by Sterbenz's lemma, so
+//     "hi-lo > 1e-12" is "bits(hi)-bits(lo) > floor(1e-12/u)" and
+//     "|mid-root| <= margin" is "|bits(mid)-bits(root)| <= floor(margin/u)".
+//     Both quotients are exact, because u is a power of two and they stay
+//     normal: u <= 2^970 below the top binade, and margin >= replayMarginAbs.
+//   - "mid < root" is "bits(mid) < bits(root)", as for any positive floats.
+//
+// In-binade distances are below 2^52 ulps, so a threshold at or above 2^53
+// (a band wider than the bracket, or a stop width wider than the binade;
+// either quotient may even overflow to +Inf) is clamped to 2^53 without
+// changing a comparison, which keeps the float-to-integer conversions in
+// range. The top binade is excluded because lo+hi would overflow to +Inf
+// there. The levels that straddle a binade, negative or subnormal roots
+// and the banded loop keep the float arithmetic.
+//
 // Robustness. Whenever the fast path's assumptions do not hold — degenerate
 // cell parameters, non-finite inputs, a Newton iteration that fails to
 // converge or produces non-finite values — the solve falls back to the
@@ -100,19 +129,6 @@ const (
 type SolverState struct {
 	warm  bool
 	lastI float64
-
-	// Replayed-bisection trajectory cache. stack[j] is the bracket before
-	// bisection iteration j of the most recent replay, recorded for the
-	// photocurrent cacheIph (0 = nothing recorded); depth indexes the final
-	// bracket. Brackets are nested, and every probe of a recorded run lies
-	// outside its later brackets with a sign consistent with its position,
-	// so a new solve whose guard band sits strictly inside stack[k] would
-	// reproduce the first k decisions verbatim — it can resume from
-	// stack[k] instead of from [-Iph, Iph]. Validity never depends on the
-	// voltage the stack was recorded at.
-	cacheIph float64
-	depth    int
-	stack    [maxSolverIterations + 1][2]float64
 
 	// Derived-parameter cache: the inverses and curvature coefficient the
 	// Newton loop needs, valid while the raw parameters they were derived
@@ -183,7 +199,7 @@ func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
 				state.warm = true
 				state.lastI = root
 			}
-			return c.replayBisect(v, iph, root, state)
+			return c.replayBisect(v, iph, root)
 		}
 	}
 	if state != nil {
@@ -351,130 +367,56 @@ func (c *Cell) currentBisect(v, iph float64) float64 {
 // but each residual sign test is answered by comparing the probe against
 // the root — except inside the guard band, where the true residual is
 // evaluated just as the bisection would.
-func (c *Cell) replayBisect(v, iph, root float64, state *SolverState) float64 {
+func (c *Cell) replayBisect(v, iph, root float64) float64 {
 	margin := replayMarginAbs + replayMarginRel*(math.Abs(root)+iph)
 	bandLo, bandHi := root-margin, root+margin
 	lo, hi := -iph, iph
-	start := 0
-	record := false
-	if state != nil {
-		// Resume from the deepest recorded bracket that still strictly
-		// contains the guard band: nesting makes validity monotone in
-		// depth. Bracket widths halve per level, so the number of levels to
-		// climb from the final bracket is predicted from the exponent of
-		// how far the band pokes out of it, then corrected by walking. On a
-		// transient the root moves a hair per step, so this typically skips
-		// over half the bisection.
-		if state.cacheIph == iph && state.depth > 0 {
-			d := state.depth
-			fin := &state.stack[d]
-			out := fin[0] - bandLo
-			if o := bandHi - fin[1]; o > out {
-				out = o
-			}
-			if out > 0 {
-				if w := fin[1] - fin[0]; w > 0 {
-					// Biased-exponent difference ~ log2(out/w), cheaper
-					// than math.Ilogb; the walk below corrects it.
-					eo := int(math.Float64bits(out)>>52) & 0x7ff
-					ew := int(math.Float64bits(w)>>52) & 0x7ff
-					d -= eo - ew + 3
-				} else {
-					d = 0
-				}
-				if d < 0 {
-					d = 0
-				}
-				if d > state.depth {
-					d = state.depth
-				}
-			}
-			for ; d > 0; d-- { // walk up while the band still pokes out
-				if b := &state.stack[d]; b[0] < bandLo && bandHi < b[1] {
-					break
-				}
-			}
-			for ; d < state.depth; d++ { // walk down while deeper is valid
-				if b := &state.stack[d+1]; !(b[0] < bandLo && bandHi < b[1]) {
-					break
-				}
-			}
-			if b := &state.stack[d]; b[0] < bandLo && bandHi < b[1] {
-				lo, hi, start = b[0], b[1], d
-			}
-		} else if state.cacheIph != iph {
-			state.cacheIph = iph
-			state.depth = 0
-		}
-		record = true
-	}
-	if start == 0 && c.residualNegative(v, iph, lo, bandLo, bandHi) {
+	if c.residualNegative(v, iph, lo, bandLo, bandHi) {
 		// Bracket extension: the root lies below -iph (far beyond Voc).
-		// The trajectory invariants do not cover extension probes, so this
-		// run is not recorded and any cache is dropped.
-		if state != nil {
-			state.cacheIph = 0
-			record = false
-		}
 		for iter := 0; c.residualNegative(v, iph, lo, bandLo, bandHi) && iter < maxSolverIterations; iter++ {
 			lo *= 2
 		}
 	}
-	// Main loops. Each sign test inlines "f(mid) > 0": strictly decreasing
+	// Float loop. Each sign test inlines "f(mid) > 0": strictly decreasing
 	// f makes the sign follow from the probe's position relative to the
-	// root outside the guard band; inside it control jumps to the banded
+	// root outside the guard band; inside it the loop breaks to the banded
 	// loop, which evaluates the true residual exactly as the bisection
-	// would (an exactly-zero residual counts as not-positive, matching
-	// currentBisect). Keeping that call out of the hot loops lets the
-	// compiler hold the whole bracket iteration in registers; the direction
-	// decisions themselves are the binary expansion of the root's position
-	// within the bracket — unpredictable — so the select is routed through
-	// integer conditional moves instead of a data-dependent branch that
-	// would mispredict on most iterations.
-	iter := start
-	if record {
-		for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
-			state.stack[iter] = [2]float64{lo, hi}
-			mid := 0.5 * (lo + hi)
-			if math.Abs(mid-root) <= margin { // rare, well-predicted
-				goto banded
-			}
-			mb := math.Float64bits(mid)
-			nl, nh := math.Float64bits(lo), mb
-			if mid < root {
-				nl = mb
-			}
-			if mid < root {
-				nh = math.Float64bits(hi)
-			}
-			lo, hi = math.Float64frombits(nl), math.Float64frombits(nh)
-		}
-	} else {
-		for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
-			mid := 0.5 * (lo + hi)
-			if math.Abs(mid-root) <= margin { // rare, well-predicted
-				goto banded
-			}
-			mb := math.Float64bits(mid)
-			nl, nh := math.Float64bits(lo), mb
-			if mid < root {
-				nl = mb
-			}
-			if mid < root {
-				nh = math.Float64bits(hi)
-			}
-			lo, hi = math.Float64frombits(nl), math.Float64frombits(nh)
-		}
-	}
-	goto done
-banded:
-	// A probe landed inside the guard band; once that happens the bracket
-	// hugs the root and further in-band probes are likely, so the rest of
-	// the run stays in this full-fidelity loop.
+	// would. Keeping that call out of the hot loop lets the compiler hold
+	// the whole bracket iteration in registers; the direction decisions
+	// themselves are the binary expansion of the root's position within
+	// the bracket — unpredictable — so the select is routed through integer
+	// conditional moves instead of a data-dependent branch that would
+	// mispredict on most iterations. As soon as the bracket shares the
+	// root's binade, the integer replay (see the file header) takes over.
+	rb := math.Float64bits(root)
+	binadeOK := root >= 0x1p-1022 && root < 0x1p1023 // positive normal, below the top binade
+	iter := 0
 	for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
-		if record {
-			state.stack[iter] = [2]float64{lo, hi}
+		lb, hb := math.Float64bits(lo), math.Float64bits(hi)
+		if binadeOK && (lb^rb)|(hb^rb) < 1<<52 { // same sign and exponent field
+			lo, hi, iter = replayBinade(lb, hb, rb, margin, iter)
+			break
 		}
+		mid := 0.5 * (lo + hi)
+		if math.Abs(mid-root) <= margin { // rare, well-predicted
+			break
+		}
+		mb := math.Float64bits(mid)
+		nl, nh := lb, mb
+		if mid < root {
+			nl = mb
+		}
+		if mid < root {
+			nh = hb
+		}
+		lo, hi = math.Float64frombits(nl), math.Float64frombits(nh)
+	}
+	// Banded loop: a probe landed inside the guard band (or the bracket is
+	// final and the loop test fails at once). Once that happens the bracket
+	// hugs the root and further in-band probes are likely, so the rest of
+	// the run stays in this full-fidelity loop (an exactly-zero residual
+	// counts as not-positive, matching currentBisect).
+	for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
 		mid := 0.5 * (lo + hi)
 		if math.Abs(mid-root) <= margin {
 			if c.loadResidual(v, iph, mid) > 0 {
@@ -488,12 +430,42 @@ banded:
 			hi = mid
 		}
 	}
-done:
-	if record {
-		state.stack[iter] = [2]float64{lo, hi}
-		state.depth = iter
-	}
 	return 0.5 * (lo + hi)
+}
+
+// replayBinade continues replayBisect from iteration iter on the bit
+// patterns lb, hb of a bracket that shares the sign and exponent field of
+// the root's bit pattern rb (the integer replay of the file header). It
+// returns the bracket and iteration at its first in-band probe, which the
+// caller's banded loop re-runs, or where the float loop test would end the
+// bisection.
+func replayBinade(lb, hb, rb uint64, margin float64, iter int) (lo, hi float64, next int) {
+	u := math.Float64frombits(rb>>52<<52) * 0x1p-52 // the binade's ulp, exact even when subnormal
+	stop, band := 1e-12/u, margin/u
+	if stop > 0x1p53 {
+		stop = 0x1p53
+	}
+	if band > 0x1p53 {
+		band = 0x1p53
+	}
+	stopN, bandN := uint64(stop), uint64(band)
+	band2 := 2 * bandN
+	for ; iter < maxSolverIterations && hb-lb > stopN; iter++ {
+		s := lb + hb
+		mb := s>>1 + (s & (s >> 1) & 1)
+		if mb-rb+bandN <= band2 { // |mb-rb| <= bandN as one wrapping compare
+			break
+		}
+		nl, nh := lb, mb
+		if mb < rb {
+			nl = mb
+		}
+		if mb < rb {
+			nh = hb
+		}
+		lb, hb = nl, nh
+	}
+	return math.Float64frombits(lb), math.Float64frombits(hb), iter
 }
 
 // residualNegative reports f(i) < 0 by the same argument as the inline sign

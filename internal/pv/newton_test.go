@@ -62,42 +62,59 @@ func TestCurrentWarmStateIndependence(t *testing.T) {
 }
 
 // TestCurrentWarmTransientProfile mimics the simulator's actual call
-// pattern — a capacitor voltage moving by microvolts per step — and checks
-// bit-identity along the whole trajectory, plus that the state actually
-// warms up.
+// pattern — a capacitor voltage moving by microvolts per step, under
+// constant light or under light that changes every step as an interpolated
+// weather trace does — and checks bit-identity along the whole trajectory,
+// plus that the state actually warms up.
 func TestCurrentWarmTransientProfile(t *testing.T) {
-	c := NewCell()
-	var warm SolverState
-	v := 0.2
-	for n := 0; n < 20000; n++ {
-		v += 5e-5 * math.Sin(float64(n)/300) // slow charge/discharge wiggle
-		want := c.CurrentReference(v, HalfSun)
-		if got := c.CurrentWarm(v, HalfSun, &warm); got != want {
-			t.Fatalf("step %d: CurrentWarm(%g) = %v, reference %v", n, v, got, want)
-		}
+	cases := []struct {
+		name string
+		irr  func(n int) float64
+	}{
+		{"constant half sun", func(int) float64 { return HalfSun }},
+		{"drifting irradiance", func(n int) float64 {
+			// A slow cloud wave plus a per-step ramp: a new photocurrent on
+			// every call, sweeping roots across several binades.
+			return 0.02 + 0.5*(1+math.Sin(float64(n)/900)) + 1e-5*float64(n%97)
+		}},
 	}
-	if !warm.warm {
-		t.Error("solver state never warmed up over a smooth transient")
-	}
-	warm.Reset()
-	if warm.warm {
-		t.Error("Reset left the state warm")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCell()
+			var warm SolverState
+			v := 0.2
+			for n := 0; n < 20000; n++ {
+				v += 5e-5 * math.Sin(float64(n)/300) // slow charge/discharge wiggle
+				irr := tc.irr(n)
+				want := c.CurrentReference(v, irr)
+				if got := c.CurrentWarm(v, irr, &warm); got != want {
+					t.Fatalf("step %d: CurrentWarm(%g, %g) = %v, reference %v", n, v, irr, got, want)
+				}
+			}
+			if !warm.warm {
+				t.Error("solver state never warmed up over a smooth transient")
+			}
+			warm.Reset()
+			if warm.warm {
+				t.Error("Reset left the state warm")
+			}
+		})
 	}
 }
 
 // randomSolverCell draws a physically plausible calibration with wider
 // spread than cache_test.go's randomCell: the ranges cover paper-scale
 // modules through larger panels, with enough dynamic range to hit the
-// solver's edge regimes.
-func randomSolverCell(rng *rand.Rand) *Cell {
-	return NewCell(
+// solver's edge regimes. Options in override apply after the draw.
+func randomSolverCell(rng *rand.Rand, override ...Option) *Cell {
+	return NewCell(append([]Option{
 		WithPhotoCurrent(math.Pow(10, -4+3*rng.Float64())),       // 0.1 mA .. 100 mA
 		WithSaturationCurrent(math.Pow(10, -12+6*rng.Float64())), // 1 pA .. 1 uA
-		WithIdealityFactor(1+rng.Float64()),                      // 1 .. 2
-		WithSeriesCells(1+rng.Intn(6)),                           // 1 .. 6 junctions
+		WithIdealityFactor(1 + rng.Float64()),                    // 1 .. 2
+		WithSeriesCells(1 + rng.Intn(6)),                         // 1 .. 6 junctions
 		WithSeriesResistance(math.Pow(10, -1+2*rng.Float64())),   // 0.1 .. 10 ohm
 		WithShuntResistance(math.Pow(10, 2+3*rng.Float64())),     // 100 .. 100k ohm
-	)
+	}, override...)...)
 }
 
 // TestCurrentFastPropertyRandomCells is the satellite property test: for
@@ -137,6 +154,95 @@ func TestCurrentFastPropertyRandomCells(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// voltageForCurrent returns the voltage at which c's reference current at
+// irr falls through target, bisecting v down to adjacent floats (the
+// current falls as v rises).
+func voltageForCurrent(c *Cell, irr, target float64) float64 {
+	lo, hi := -1e3, 1e3
+	for mid := 0.5 * (lo + hi); mid != lo && mid != hi; mid = 0.5 * (lo + hi) {
+		if c.CurrentReference(mid, irr) > target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestCurrentReplayBinadeEdges drives random cells to the edges of the
+// integer replay (newton.go): Newton roots a few ulps above and below a
+// power of two, where the bracket straddles a binade for many levels;
+// photocurrents that are exact powers of two, so the first bracket
+// [-Iph, Iph] ends on a binade boundary (up to kiloamps, where the stop
+// width is a handful of ulps); photocurrents whose bracket halves onto the
+// 1e-12 A stop width; negative roots beyond Voc, which never leave the
+// float loop; and the largest photocurrents randomSolverCell draws.
+// Every solve, stateless and warm, must match the reference bit for bit,
+// and the test fails if it did not reach each edge.
+func TestCurrentReplayBinadeEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(c *Cell, v, irr float64, warm *SolverState) {
+		t.Helper()
+		want := c.CurrentReference(v, irr)
+		if got := c.Current(v, irr); got != want {
+			t.Fatalf("Current(%x, %x) = %x, reference %x", v, irr, got, want)
+		}
+		if got := c.CurrentWarm(v, irr, warm); got != want {
+			t.Fatalf("CurrentWarm(%x, %x) = %x, reference %x", v, irr, got, want)
+		}
+	}
+	var above, below, negative int
+	for n := 0; n < 400; n++ {
+		var c *Cell
+		switch n % 4 {
+		case 0:
+			c = randomSolverCell(rng)
+		case 1:
+			c = randomSolverCell(rng, WithPhotoCurrent(0.1*(1-0.01*rng.Float64())))
+		case 2:
+			c = randomSolverCell(rng, WithPhotoCurrent(math.Ldexp(1, -14+rng.Intn(27))))
+		default:
+			// The bracket width is 2*Iph/2^k after k levels, so an Iph
+			// within a few ulps-worth of 2^(k-1)*1e-12 ends the bisection
+			// with its width exactly at the integer stop threshold.
+			jitter := 1 + 4e-5*(2*rng.Float64()-1)
+			c = randomSolverCell(rng, WithPhotoCurrent(math.Ldexp(1e-12, 30+rng.Intn(8))*jitter))
+		}
+		const irr = 1.0 // photocurrent = the cell's full-sun value, bit for bit
+		iph := c.photoCurrent(irr)
+		var warm SolverState
+		for _, v := range sweepVoltages(c, irr) {
+			check(c, v, irr, &warm)
+			if root, ok := c.newtonRoot(v, iph, 0, nil); ok && root < 0 {
+				negative++
+			}
+		}
+		// Step the voltage away from where the current crosses a power of
+		// two by 1, 2, 4, ... ulps on either side.
+		pow2 := math.Ldexp(1, math.Ilogb(iph*(0.05+0.9*rng.Float64())))
+		vx := voltageForCurrent(c, irr, pow2)
+		ulp := math.Nextafter(vx, math.Inf(1)) - vx
+		for e := 0; e <= 40; e++ {
+			for _, sign := range []float64{-1, 1} {
+				v := vx + sign*math.Ldexp(ulp, e)
+				check(c, v, irr, &warm)
+				root, ok := c.newtonRoot(v, iph, 0, nil)
+				switch {
+				case !ok:
+				case root >= pow2 && root < pow2*(1+1e-9):
+					above++
+				case root < pow2 && root > pow2*(1-1e-9):
+					below++
+				}
+			}
+		}
+	}
+	if above == 0 || below == 0 || negative == 0 {
+		t.Fatalf("edges not reached: %d roots just above a power of two, %d just below, %d negative",
+			above, below, negative)
 	}
 }
 
@@ -192,24 +298,29 @@ func TestOperatingPointBranchesUnchanged(t *testing.T) {
 	}
 }
 
-// FuzzCurrentSolverParity fuzzes cell parameters and inputs: whatever the
-// values, the fast path (stateless and warm) must return exactly what the
-// reference bisection returns.
+// FuzzCurrentSolverParity fuzzes cell parameters and a walk through
+// (v, irr): from the fuzzed start the solver steps by (dv, dirr) with its
+// state carried along, as a transient under changing light does, and at
+// every step the fast path (stateless and warm) must return exactly what
+// the reference bisection returns. A zero step re-solves one point.
 func FuzzCurrentSolverParity(f *testing.F) {
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5)
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45) // just above Voc
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 15.0) // bracket extension
-	f.Add(1e-4, 1e-12, 1.0, 1, 0.1, 100.0, 1e-3, 0.0)     // short circuit
-	f.Add(0.1, 1e-6, 2.0, 6, 10.0, 1e5, 1.0, -0.3)        // negative bias
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 0.0, 3000.0, 1.0, 0.5)   // Rs = 0 direct path
-	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v float64) {
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5, 0.0, 0.0)
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45, 1e-4, 0.0) // just above Voc
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 15.0, 0.0, 0.0)  // bracket extension
+	f.Add(1e-4, 1e-12, 1.0, 1, 0.1, 100.0, 1e-3, 0.0, 0.0, 1e-5)     // short circuit
+	f.Add(0.1, 1e-6, 2.0, 6, 10.0, 1e5, 1.0, -0.3, 1e-3, -1e-3)      // negative bias
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 0.0, 3000.0, 1.0, 0.5, 1e-3, 1e-3)  // Rs = 0 direct path
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.6, 1.2, 1e-5, 5e-5)  // drifting light at the knee
+	f.Add(0.125, 1e-9, 1.3, 2, 1.0, 1e4, 1.0, 0.0, 1e-6, -1e-6)      // Iph a power of two
+	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v, dv, dirr float64) {
 		// Clamp to the physically sane envelope; the fuzzer's job is to
 		// explore solver regimes, not to feed NaN cell calibrations (those
 		// are covered by TestCurrentFastDegenerateFallsBack).
 		if !(iph >= 0 && iph <= 1) || !(i0 >= 0 && i0 <= 1e-3) ||
 			!(n >= 0.5 && n <= 4) || ns < 1 || ns > 10 ||
 			!(rs >= 0 && rs <= 100) || !(rsh >= 1 && rsh <= 1e7) ||
-			!(irr >= 0 && irr <= 10) || !(v >= -10 && v <= 50) {
+			!(irr >= 0 && irr <= 10) || !(v >= -10 && v <= 50) ||
+			!(math.Abs(dv) <= 1e-2) || !(math.Abs(dirr) <= 1e-2) {
 			t.Skip()
 		}
 		c := NewCell(
@@ -217,15 +328,17 @@ func FuzzCurrentSolverParity(f *testing.F) {
 			WithIdealityFactor(n), WithSeriesCells(ns),
 			WithSeriesResistance(rs), WithShuntResistance(rsh),
 		)
-		want := c.CurrentReference(v, irr)
-		if got := c.Current(v, irr); got != want {
-			t.Fatalf("Current(%g, %g) = %v, reference %v", v, irr, got, want)
-		}
 		var warm SolverState
-		for i := 0; i < 3; i++ { // re-solve with carried state
-			if got := c.CurrentWarm(v, irr, &warm); got != want {
-				t.Fatalf("CurrentWarm pass %d (%g, %g) = %v, reference %v", i, v, irr, got, want)
+		for step := 0; step < 64; step++ {
+			want := c.CurrentReference(v, irr)
+			if got := c.Current(v, irr); got != want {
+				t.Fatalf("step %d: Current(%x, %x) = %x, reference %x", step, v, irr, got, want)
 			}
+			if got := c.CurrentWarm(v, irr, &warm); got != want {
+				t.Fatalf("step %d: CurrentWarm(%x, %x) = %x, reference %x", step, v, irr, got, want)
+			}
+			v += dv
+			irr += dirr
 		}
 	})
 }
@@ -247,6 +360,25 @@ func BenchmarkCellCurrentWarm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sink = c.CurrentWarm(rampVoltage(i), 0.8, &warm)
+	}
+	benchSink = sink
+}
+
+// driftIrradiance mimics an interpolated weather trace: the light level
+// changes a little on every step, so every solve sees a new photocurrent.
+func driftIrradiance(i int) float64 {
+	return 0.6 + 0.2*float64(i%4096)/4096
+}
+
+// BenchmarkCellCurrentWarmDrifting is BenchmarkCellCurrentWarm under light
+// that changes on every call — a fleet or scenario node's call pattern.
+func BenchmarkCellCurrentWarmDrifting(b *testing.B) {
+	c := NewCell()
+	var warm SolverState
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = c.CurrentWarm(rampVoltage(i), driftIrradiance(i), &warm)
 	}
 	benchSink = sink
 }

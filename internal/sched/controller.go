@@ -48,9 +48,10 @@ type DeadlineController struct {
 	sprinting    bool // the profile is in its fast second half
 	missReported bool // the deadline-miss event already fired
 
-	// vsolve warm-starts the per-step supply-voltage solve; the commanded
-	// rate drifts slowly, so the bisection's probe trajectory is nearly
-	// identical step to step (results are bit-identical either way).
+	// vsolve memoizes the per-step supply-voltage solve; the commanded
+	// rate drifts slowly, so it nearly always lands in the interval of
+	// frequencies that take the last solve's bisection path (results are
+	// bit-identical either way).
 	vsolve cpu.FreqSolverState
 }
 

@@ -48,7 +48,7 @@ type QueueController struct {
 	lastCycles float64
 	current    int // index into jobs; -1 when idle
 
-	// vsolve warm-starts the per-step supply-voltage solve (bit-identical
+	// vsolve memoizes the per-step supply-voltage solve (bit-identical
 	// results, far fewer alpha-power-law evaluations).
 	vsolve cpu.FreqSolverState
 }
