@@ -197,9 +197,8 @@ func BenchmarkHeadlineSavings(b *testing.B) {
 
 // BenchmarkKernelFullRun times one representative registry experiment end to
 // end (Fig. 11b: the longest transient in the registry — MPPT, sprinting and
-// bypass through a light dip). This is the simulation-kernel gate: it is what
-// `benchguard -suite sim` measures as sim_full_run, and what the warm-started
-// PV solver (DESIGN.md Sec. 10) is meant to speed up.
+// bypass through a light dip). It is what the warm-started PV solver
+// (DESIGN.md Sec. 10) is meant to speed up.
 func BenchmarkKernelFullRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -759,9 +758,7 @@ func BenchmarkFleetRun(b *testing.B) {
 // Geometry note: a verbatim step through a collapsed node is already
 // cheap (the kernel short-circuits), so the skip only dominates once the
 // dark tail outnumbers the bright head ~100:1 in steps — hence dark=0.99
-// over a long horizon rather than a fatter bright head. The benchguard
-// fleet_dark_* entries guard a scaled-down version of this ratio in
-// BENCH_sim.json.
+// over a long horizon rather than a fatter bright head.
 func BenchmarkFleetDark(b *testing.B) {
 	base := fleet.Config{
 		Nodes: 10000, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,

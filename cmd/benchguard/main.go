@@ -1,25 +1,19 @@
-// Command benchguard is the benchmark regression gate for the hot paths.
-// Two suites are guarded, each with its own committed baseline:
-//
-//   - serve (BENCH_serve.json): PV solve cached and uncached, one registry
-//     report render, and the cached experiment HTTP handler.
-//   - sim (BENCH_sim.json): the simulation kernel — the warm-started PV
-//     solve versus the stateless bisection reference, the batched sweep
-//     solver at width 1 and 10k, a 2000-step circuit run with energy
-//     profiling off and on, a 16-lane circuit.RunBatch, one full
-//     registry experiment end to end, and a mostly-dark fleet with
-//     fast-forward on, off, and on with profiling.
+// Command benchguard is the benchmark regression gate for the serving hot
+// paths: PV solve cached and uncached, one registry report render, and the
+// cached experiment HTTP handler, against the committed BENCH_serve.json
+// baseline. The simulation kernel is measured end to end by e2ebench and
+// by the Go benchmarks in bench_test.go.
 //
 // It measures each path in-process, writes the measured ns/op to a JSON
 // file, and exits non-zero if any path regressed more than the tolerance
 // versus the committed baseline (-report-only prints regressions without
 // failing, for noisy CI runners). CI runs it after the unit tests; refresh
-// a baseline deliberately with -update after an intentional performance
+// the baseline deliberately with -update after an intentional performance
 // change.
 //
 // Usage:
 //
-//	benchguard [-suite serve|sim] [-baseline FILE] [-out measured.json]
+//	benchguard [-baseline FILE] [-out measured.json]
 //	           [-tolerance 0.25] [-benchtime 200ms] [-update] [-report-only]
 package main
 
@@ -33,14 +27,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cap"
-	"repro/internal/circuit"
-	"repro/internal/cpu"
 	"repro/internal/expt"
-	"repro/internal/fleet"
-	"repro/internal/prof"
 	"repro/internal/pv"
-	"repro/internal/reg"
 	"repro/internal/serve"
 )
 
@@ -97,222 +85,6 @@ func hotPaths() map[string]hotPath {
 	}
 }
 
-// benchSink keeps measured loops from being optimised away.
-var benchSink float64
-
-// simPaths returns the simulation-kernel paths guarded by BENCH_sim.json.
-// The warm path keeps one pv.SolverState alive across iterations, mirroring
-// how circuit.State threads it through a run; the voltage ramps in µV steps
-// so consecutive solves stay close, like vcap between timesteps.
-func simPaths() map[string]hotPath {
-	cell := pv.NewCell()
-	var state pv.SolverState
-	warmIdx, refIdx := 0, 0
-	rampVoltage := func(i int) float64 { return 0.95 + 1e-6*float64(i%1000) }
-
-	// The batched sweep: the BenchmarkKernelBatch grid (10k points at 1 µV
-	// spacing around the knee) solved through SolveBatch in chunks. Width 1
-	// is a cold scalar solve per point; width 10k chains the walking solver
-	// state across the whole sweep — the batch speedup under guard.
-	const sweepPoints = 10000
-	sweepVs := make([]float64, sweepPoints)
-	for i := range sweepVs {
-		sweepVs[i] = 0.995 + 0.01*float64(i)/sweepPoints
-	}
-	sweepIrr := []float64{0.8}
-	sweepOut := make([]float64, sweepPoints)
-	sweep := func(width int) {
-		for lo := 0; lo < sweepPoints; lo += width {
-			hi := lo + width
-			if hi > sweepPoints {
-				hi = sweepPoints
-			}
-			cell.SolveBatch(sweepVs[lo:hi], sweepIrr, sweepOut[lo:hi], nil)
-		}
-		benchSink = sweepOut[sweepPoints-1]
-	}
-
-	batchRun := func() error {
-		cfgs := make([]circuit.Config, 16)
-		for i := range cfgs {
-			storage, err := cap.New(100e-6, 0.8+0.05*float64(i%8), 2.0)
-			if err != nil {
-				return err
-			}
-			cfgs[i] = circuit.Config{
-				Cell:        cell,
-				Proc:        cpu.NewProcessor(),
-				Reg:         reg.NewSC(),
-				Cap:         storage,
-				Irradiance:  circuit.ConstantIrradiance(0.2 + 0.1*float64(i%5)),
-				Controller:  &circuit.FixedPoint{Supply: 0.5},
-				ClockLevels: []float64{10e6, 20e6, 40e6, 80e6},
-				Step:        5e-6,
-				MaxTime:     500 * 5e-6,
-			}
-		}
-		_, err := circuit.RunBatch(cfgs)
-		return err
-	}
-
-	// led == nil is the production default (profiling off); the paired
-	// profile_on/profile_off entries guard the observer's overhead and,
-	// more importantly, that the off path stays free.
-	circuitRun := func(led *prof.Ledger) error {
-		storage, err := cap.New(100e-6, 1.0, 2.0)
-		if err != nil {
-			return err
-		}
-		sim, err := circuit.New(circuit.Config{
-			Cell:        cell,
-			Proc:        cpu.NewProcessor(),
-			Reg:         reg.NewSC(),
-			Cap:         storage,
-			Irradiance:  circuit.ConstantIrradiance(1.0),
-			Controller:  &circuit.FixedPoint{Supply: 0.5},
-			ClockLevels: []float64{10e6, 20e6, 40e6, 80e6},
-			Step:        5e-6,
-			MaxTime:     2000 * 5e-6,
-			Ledger:      led,
-		})
-		if err != nil {
-			return err
-		}
-		_, err = sim.Run()
-		return err
-	}
-
-	return map[string]hotPath{
-		"cell_current_warm": func(n int) error {
-			for i := 0; i < n; i++ {
-				benchSink = cell.CurrentWarm(rampVoltage(warmIdx), 0.8, &state)
-				warmIdx++
-			}
-			return nil
-		},
-		"cell_current_reference": func(n int) error {
-			for i := 0; i < n; i++ {
-				benchSink = cell.CurrentReference(rampVoltage(refIdx), 0.8)
-				refIdx++
-			}
-			return nil
-		},
-		"circuit_run_2000step": func(n int) error {
-			for i := 0; i < n; i++ {
-				if err := circuitRun(nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		// The same 2000-step run with the energy ledger detached/attached:
-		// off must track circuit_run_2000step (the nil check is the whole
-		// cost), on bounds the per-step accounting overhead.
-		"profile_off_step": func(n int) error {
-			for i := 0; i < n; i++ {
-				if err := circuitRun(nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"profile_on_step": func(n int) error {
-			var led prof.Ledger
-			for i := 0; i < n; i++ {
-				if err := circuitRun(&led); err != nil {
-					return err
-				}
-			}
-			benchSink = led.TotalJoules()
-			return nil
-		},
-		"sim_full_run": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := expt.Render("fig11b"); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"batch_solve_sweep_w1": func(n int) error {
-			for i := 0; i < n; i++ {
-				sweep(1)
-			}
-			return nil
-		},
-		"batch_solve_sweep_w10k": func(n int) error {
-			for i := 0; i < n; i++ {
-				sweep(sweepPoints)
-			}
-			return nil
-		},
-		// 16 lanes x 500 steps on one contiguous slab, the shape a fleet
-		// worker advances per epoch.
-		"batch_run_16lane": func(n int) error {
-			for i := 0; i < n; i++ {
-				if err := batchRun(); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		// The fleet engine end to end: 50 nodes, 500 steps each. The
-		// companion BenchmarkFleetRun (repo root) reports nodes/sec at
-		// N=100/1k/10k; this entry is the regression gate.
-		"fleet_run_50node": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := fleet.Run(fleet.Config{
-					Nodes: 50, Seed: 1, Horizon: 0.01, Epoch: 2e-3, Step: 2e-5,
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		// Event-horizon fast-forward on a mostly-dark fleet, scaled down
-		// from BenchmarkFleetDark (repo root, 10k nodes): the same
-		// geometry at 50 nodes. The pair pins the skip path's speedup in
-		// the baseline — fleet_dark_noffwd / fleet_dark_ffwd is the
-		// recorded ratio, and fleet_dark_ffwd alone guards the skip
-		// machinery against regressions.
-		"fleet_dark_ffwd": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := fleet.Run(fleet.Config{
-					Nodes: 50, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"fleet_dark_noffwd": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := fleet.Run(fleet.Config{
-					Nodes: 50, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
-					NoFastForward: true,
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		// The same dark fleet with the energy ledger attached: skipped
-		// spans are credited to dead time instead of stepped, so this
-		// tracks fleet_dark_ffwd, not fleet_dark_noffwd.
-		"fleet_dark_profiled": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := fleet.Run(fleet.Config{
-					Nodes: 50, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
-					Profile: prof.New(),
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
-}
-
 // measure times p until the budget is spent and returns ns/op. One
 // untimed warm-up iteration absorbs cold caches and lazy allocations.
 func measure(p hotPath, budget time.Duration) (float64, error) {
@@ -348,8 +120,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	var (
-		suite        = fs.String("suite", "serve", "path suite to guard: serve or sim")
-		baselinePath = fs.String("baseline", "", "committed baseline to compare against (default BENCH_<suite>.json)")
+		baselinePath = fs.String("baseline", "BENCH_serve.json", "committed baseline to compare against")
 		outPath      = fs.String("out", "", "also write measured ns/op to this file")
 		tolerance    = fs.Float64("tolerance", 0.25, "allowed fractional regression per path")
 		benchtime    = fs.Duration("benchtime", 200*time.Millisecond, "measurement budget per path")
@@ -360,18 +131,7 @@ func run(args []string) error {
 		return err
 	}
 
-	var paths map[string]hotPath
-	switch *suite {
-	case "serve":
-		paths = hotPaths()
-	case "sim":
-		paths = simPaths()
-	default:
-		return fmt.Errorf("unknown suite %q (want serve or sim)", *suite)
-	}
-	if *baselinePath == "" {
-		*baselinePath = "BENCH_" + *suite + ".json"
-	}
+	paths := hotPaths()
 	names := make([]string, 0, len(paths))
 	for n := range paths {
 		names = append(names, n)
@@ -379,8 +139,7 @@ func run(args []string) error {
 	sort.Strings(names)
 
 	measured := baselineFile{
-		Note: fmt.Sprintf("ns/op baselines for the %s hot paths; refresh deliberately with: go run ./cmd/benchguard -suite %s -update",
-			*suite, *suite),
+		Note:       "ns/op baselines for the serve hot paths; refresh deliberately with: go run ./cmd/benchguard -update",
 		Benchmarks: make(map[string]float64, len(names)),
 	}
 	for _, name := range names {

@@ -26,7 +26,7 @@ func TestStepCountExactMultiples(t *testing.T) {
 		{1, 1e-3, 1000},
 		{8, 20e-6, 400000},        // ext-weather geometry
 		{52e-3, 2e-6, 26000},      // fig9b/fig11b geometry
-		{2000 * 5e-6, 5e-6, 2000}, // benchguard circuit_run geometry
+		{2000 * 5e-6, 5e-6, 2000}, // BenchmarkCircuitStep geometry
 		{0.3, 0.1, 3},             // 0.3/0.1 = 2.9999999999999996
 		{800e-3, 2e-6, 400000},    // ext-intermittent geometry
 		{60e-3, 2e-6, 30000},      // fig8 geometry

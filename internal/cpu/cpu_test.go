@@ -410,7 +410,8 @@ func TestVoltageForFrequencyWarmParity(t *testing.T) {
 	for _, f := range []float64{80e6, 80e6, 1e6, 0, -5, 1e12, math.Inf(1), 200e6, 3e6} {
 		check(p, f)
 	}
-	// Swapping processors must invalidate the cached trajectory.
+	// Swapping processors must invalidate the interval memo, which is keyed
+	// on the processor.
 	for i := 0; i < 100; i++ {
 		check(q, 30e6+1e4*float64(i))
 		check(p, 30e6+1e4*float64(i))

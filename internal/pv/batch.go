@@ -8,8 +8,8 @@ package pv
 //     warm starts across consecutive lanes, so lane k+1 resumes from lane
 //     k's Newton root, derived-parameter cache and anchored exponential. A batch-1 call degenerates to today's cold
 //     stateless solve; a 10k-lane fine-grid sweep converges in 1-2 Newton
-//     iterations per lane — the width-dependent throughput win guarded by
-//     BenchmarkKernelBatch and the batch_* benchguard entries;
+//     iterations per lane — the width-dependent throughput win measured by
+//     BenchmarkKernelBatch;
 //   - in lane mode (non-nil BatchSolver) each lane owns a persistent
 //     SolverState that survives across calls, for lockstep transients
 //     where lane k is always the same physical node (circuit.BatchStepper).

@@ -17,9 +17,10 @@ package pv
 //	f'(I) = -Id'(V+I*Rs)*Rs - Rs/Rsh - 1,  Id'(vd) = I0/s * exp(vd/s),
 //
 // which converges in a handful of iterations from a cold start and in 1-2
-// iterations when warm-started from the previous step's operating point
-// (SolverState): the capacitor voltage moves by microvolts per step, so the
-// previous root is an excellent guess. f is strictly decreasing (f' <= -1)
+// iterations when warm-started from the tangent at the previous step's
+// operating point (SolverState): the capacitor voltage moves by microvolts
+// and the light by little per step, so the linearised prediction is an
+// excellent guess. f is strictly decreasing (f' <= -1)
 // and concave, so Newton converges globally: one step from the left of the
 // root lands on the right, after which the iterates decrease monotonically.
 //
@@ -67,13 +68,60 @@ package pv
 // there. The levels that straddle a binade, negative or subnormal roots
 // and the banded loop keep the float arithmetic.
 //
+// Block replay. The integer level loop is one dependent compare-and-select
+// per level. Before it runs, replayBlocks replays the first levels four at
+// a time on the low bit pattern L of the bracket and the width w0 = hb-lb
+// it starts from:
+//
+//   - Exact arithmetic without the comparisons. At level k the bracket
+//     width is (w0>>k)+δ with δ in {0, 1}, and the midpoint sits at
+//     L + (w0>>(k+1)) + f with f in {0, 1}. Both follow from the midpoint
+//     formula above: with p = L mod 2 and b0, b1 the bits k and k+1 of w0,
+//     the width is odd exactly when odd = b0⊕δ, and then f = p⊕b1;
+//     otherwise f = b0∧δ. Going left (mid >= root) keeps L and p and sets
+//     δ' = f; going right adds the offset to L, so p' = p⊕b1⊕f and
+//     δ' = f⊕odd. The pair (p, δ) is a 4-state transducer driven by the
+//     decisions and the bits of w0 (replayLevel).
+//   - Four levels per lookup. Over levels k0..k0+3 with decision bits D
+//     (the level-k0 decision most significant) and W = w0>>(k0+1), the
+//     offsets sum to (W>>3)·D + Σ dᵢ·(fᵢ + ((W&7)>>i)). The second term is
+//     at most 15, and it and the next state depend only on the state, D
+//     and bits k0..k0+4 of w0, so one byte of a 2,048-entry table holds
+//     both. The table is generated from the one-level rule on first use.
+//     The state chain is one OR and one load per four levels; the multiply
+//     stays off it.
+//   - Guess, then certify. The decisions are the binary expansion of the
+//     root's position in the bracket, so the first kb of them are guessed
+//     at once as j = floor((rb-lb)/w0 · 2^kb), clamped to 2^kb-1 (both
+//     operands are exact below 2^53), and the bracket [L, H] they lead to
+//     is accepted only if all of these hold:
+//     1. L < rb <= H. Brackets only shrink, so a wrong "right" leaves
+//     L >= mid >= rb and a wrong "left" leaves H <= mid < rb; containment
+//     certifies every guessed decision.
+//     2. rb-L > bandN and H-rb > bandN. Every earlier probe is an endpoint
+//     of an enclosing bracket and so lies outside (L, H); none was in
+//     band. Conditions 1 and 2 are the two compares L+bandN < rb and
+//     rb+bandN < H.
+//     3. kb <= K1, the first level with w0>>k <= stopN. Every level k < K1
+//     has width >= w0>>k > stopN, so the loop test held at each of them.
+//     4. iter+kb <= maxSolverIterations, the loop's iteration cap.
+//
+//     kb is the largest multiple of four at most K1-1, so the level loop
+//     finishes the last one to four levels, where in-band probes are
+//     likeliest, with its own band, stop and cap tests. When the
+//     certificate fails, the level loop replays from the original bracket.
+//
 // Robustness. Whenever the fast path's assumptions do not hold — degenerate
 // cell parameters, non-finite inputs, a Newton iteration that fails to
 // converge or produces non-finite values — the solve falls back to the
 // reference bisection verbatim, so the fast path is never less robust than
 // the original solver.
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 const (
 	// newtonMaxIterations bounds the Newton iteration; warm solves use 1-2,
@@ -108,16 +156,24 @@ const (
 	// expAnchorMaxDelta/expApproxRelErr govern the anchored exponential: on
 	// a transient the diode argument vd/s drifts by ~1e-5 per step, so the
 	// warm path refreshes exp via math.Exp only when the argument has moved
-	// more than expAnchorMaxDelta from the anchored evaluation and otherwise
-	// updates it with a cubic Taylor factor, exp(a+d) = exp(a)*(1+d+d²/2+d³/6).
-	// The truncation (d⁴/24 ≈ 3.4e-16 at the widest d), the update's ~5
-	// rounding operations and the anchor's own ulp stay below
-	// expApproxRelErr, which the acceptance tests charge against their error
-	// budget (see fErr in newtonRoot) — acceptance therefore stays rigorous,
-	// an approximate exponential can only cost extra iterations, never a
-	// wrong accept.
-	expAnchorMaxDelta = 3e-4
-	expApproxRelErr   = 2e-15
+	// expAnchorMaxDelta or more from the anchored evaluation and otherwise
+	// updates it with a degree-5 Taylor factor in Estrin form,
+	//
+	//	exp(a+d) = exp(a)*((1+d) + d²*((1/2+d/6) + d²*(1/24+d/120))),
+	//
+	// which splits the polynomial into two short dependency chains, so the
+	// update's latency stays below math.Exp's. The relative error against
+	// exp(a+d) is the truncation, at most |d|⁶/720*(1+|d|) < 1.41e-15 for
+	// |d| < 1e-2, plus the rounding: 2^-53 each for 1+d, the final sum and
+	// the product with exp(a), at most one ulp (2^-52) for the anchor
+	// math.Exp(a), and below 2e-18 together for the d² terms and for
+	// d = x-a's own rounding. That sums to < 1.97e-15, below
+	// expApproxRelErr, which the acceptance tests charge against their
+	// error budget (see fErr in newtonRoot) — acceptance therefore stays
+	// rigorous, an approximate exponential can only cost extra iterations,
+	// never a wrong accept.
+	expAnchorMaxDelta = 1e-2
+	expApproxRelErr   = 2.5e-15
 )
 
 // SolverState carries the operating point of one implicit-equation solve to
@@ -129,6 +185,12 @@ const (
 type SolverState struct {
 	warm  bool
 	lastI float64
+
+	// Tangent at the last accepted root: the solve's v and Iph, the
+	// conductance g = Id'(vd) + 1/Rsh at the accepted iterate and
+	// k = 1/(1 + Rs*g). The next warm guess is the Newton step of the
+	// residual linearised there (see newtonStart).
+	lastV, lastIph, tanG, tanK float64
 
 	// Derived-parameter cache: the inverses and curvature coefficient the
 	// Newton loop needs, valid while the raw parameters they were derived
@@ -186,26 +248,35 @@ func (c *Cell) CurrentReference(v, irradiance float64) float64 {
 // the fast path's assumptions fail.
 func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
 	if isFinite(v) && iph > 0 && isFinite(iph) {
-		var guess float64
-		if state != nil && state.warm {
-			guess = state.lastI
-		} else {
-			// Cold start from the Rs = 0 solution: one diode evaluation
-			// that lands within a few Newton steps of the root.
-			guess = iph - c.diodeCurrent(v) - v/c.shuntResistance
-		}
-		if root, ok := c.newtonRoot(v, iph, guess, state); ok {
-			if state != nil {
-				state.warm = true
-				state.lastI = root
-			}
-			return c.replayBisect(v, iph, root)
+		if root, _, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, state), state); ok {
+			i, _, _ := c.replayBisect(v, iph, root)
+			return i
 		}
 	}
 	if state != nil {
 		state.warm = false
 	}
 	return c.currentBisect(v, iph)
+}
+
+// newtonStart returns Newton's starting point. A warm state predicts the
+// root from the tangent at the last accepted one: linearising
+// f = Iph - Id(vd) - vd/Rsh - I there gives dI = (dIph - g*dv)/(1 + Rs*g).
+// A cold start takes the Rs = 0 solution: one diode evaluation that lands
+// within a few Newton steps of the root.
+func (c *Cell) newtonStart(v, iph float64, state *SolverState) float64 {
+	if state != nil && state.warm {
+		return state.lastI + ((iph-state.lastIph)-state.tanG*(v-state.lastV))*state.tanK
+	}
+	return iph - c.diodeCurrent(v) - v/c.shuntResistance
+}
+
+// accept records an accepted root and the tangent there, where the
+// residual's conductance is g, for the next warm start.
+func (s *SolverState) accept(v, iph, root, g, rs float64) {
+	s.warm = true
+	s.lastI, s.lastV, s.lastIph = root, v, iph
+	s.tanG, s.tanK = g, 1/(1+rs*g)
 }
 
 // loadResidual is f(I), the shared residual of the implicit equation. The
@@ -218,7 +289,9 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 }
 
 // newtonRoot runs the Newton iteration from guess and reports whether it
-// converged to a finite root. It also owns the fast path's parameter
+// converged to a finite root, and after how many residual evaluations. On
+// an accept it records the root and its tangent in state for the next warm
+// start (newtonStart). It also owns the fast path's parameter
 // envelope: on a derived-cache miss it checks the monotonicity and
 // finiteness assumptions (these are what guarantee f' <= -1 and the
 // concavity that Newton's global convergence and the replay's sign
@@ -237,7 +310,7 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 // guard band. When the exponential was approximated, fErr bounds the
 // resulting |f| error and is charged against the acceptance budget, so an
 // accept always certifies the true residual.
-func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float64, ok bool) {
+func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float64, iters int, ok bool) {
 	rs, rsh, i0 := c.seriesResistance, c.shuntResistance, c.saturationCurrent
 	js := c.junctionScale()
 	var invRsh, invScale, curvCoef float64
@@ -247,7 +320,7 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 	} else {
 		if !(rs > 0 && isFinite(rs) && rsh > 0 && isFinite(rsh) &&
 			i0 >= 0 && isFinite(i0) && js > 0 && isFinite(js)) {
-			return 0, false
+			return 0, 0, false
 		}
 		invRsh = 1 / rsh
 		invScale = 1 / js
@@ -275,7 +348,8 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 			x := vd * invScale
 			if state != nil {
 				if d := x - state.expArg; d < expAnchorMaxDelta && d > -expAnchorMaxDelta && state.expVal > 0 {
-					e = state.expVal * (1 + d*(1+d*(0.5+d*(1.0/6))))
+					d2 := d * d
+					e = state.expVal * ((1 + d) + d2*((0.5+d*(1.0/6))+d2*(1.0/24+d*(1.0/120))))
 					fErr = expApproxRelErr * i0 * e
 				} else {
 					e = math.Exp(x)
@@ -289,19 +363,22 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 		}
 		f := iph - id - vd*invRsh - i
 		if !isFinite(f) {
-			return 0, false
+			return 0, 0, false
 		}
 		if math.Abs(f)+fErr <= acceptBase+acceptRel*math.Abs(i) {
-			return i, true
+			if state != nil {
+				state.accept(v, iph, i, didvd+invRsh, rs)
+			}
+			return i, iter + 1, true
 		}
 		slope := -didvd*rs - rsInvRsh - 1
 		if !(slope < 0) || math.IsInf(slope, 0) {
-			return 0, false
+			return 0, 0, false
 		}
 		step := f / slope // the update is i -> i - step
 		next := i - step
 		if !isFinite(next) {
-			return 0, false
+			return 0, 0, false
 		}
 		// Quadratic-convergence shortcut: the tangent is zero at next, so
 		// the Taylor remainder gives |f(next)| <= M/2*step^2 with M bounding
@@ -330,12 +407,17 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 			}
 			errBound := 0.5*m*step*step + 1.5*fErr
 			if errBound <= 0.5*(acceptBase+acceptRel*math.Abs(next)) {
-				return next, true
+				if state != nil {
+					// The tangent is the one at i: a warm guess only
+					// needs it close.
+					state.accept(v, iph, next, didvd+invRsh, rs)
+				}
+				return next, iter + 1, true
 			}
 		}
 		i = next
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // currentBisect is the original solver, kept verbatim as the fallback and
@@ -366,8 +448,10 @@ func (c *Cell) currentBisect(v, iph float64) float64 {
 // Newton root: identical bracket arithmetic and identical branch decisions,
 // but each residual sign test is answered by comparing the probe against
 // the root — except inside the guard band, where the true residual is
-// evaluated just as the bisection would.
-func (c *Cell) replayBisect(v, iph, root float64) float64 {
+// evaluated just as the bisection would. It also reports whether the replay
+// reached the root's binade and whether a certified block prefix served it
+// there, which only the package's tests read.
+func (c *Cell) replayBisect(v, iph, root float64) (i float64, binade, blocked bool) {
 	margin := replayMarginAbs + replayMarginRel*(math.Abs(root)+iph)
 	bandLo, bandHi := root-margin, root+margin
 	lo, hi := -iph, iph
@@ -394,7 +478,8 @@ func (c *Cell) replayBisect(v, iph, root float64) float64 {
 	for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
 		lb, hb := math.Float64bits(lo), math.Float64bits(hi)
 		if binadeOK && (lb^rb)|(hb^rb) < 1<<52 { // same sign and exponent field
-			lo, hi, iter = replayBinade(lb, hb, rb, margin, iter)
+			binade = true
+			lo, hi, iter, blocked = replayBinade(lb, hb, rb, margin, iter)
 			break
 		}
 		mid := 0.5 * (lo + hi)
@@ -430,16 +515,26 @@ func (c *Cell) replayBisect(v, iph, root float64) float64 {
 			hi = mid
 		}
 	}
-	return 0.5 * (lo + hi)
+	return 0.5 * (lo + hi), binade, blocked
 }
 
 // replayBinade continues replayBisect from iteration iter on the bit
 // patterns lb, hb of a bracket that shares the sign and exponent field of
-// the root's bit pattern rb (the integer replay of the file header). It
-// returns the bracket and iteration at its first in-band probe, which the
+// the root's bit pattern rb (the integer replay of the file header): a
+// certified block prefix when there is one, then the level loop. It
+// returns the bracket and iteration at the first in-band probe, which the
 // caller's banded loop re-runs, or where the float loop test would end the
-// bisection.
-func replayBinade(lb, hb, rb uint64, margin float64, iter int) (lo, hi float64, next int) {
+// bisection, and whether the block prefix was certified.
+func replayBinade(lb, hb, rb uint64, margin float64, iter int) (lo, hi float64, next int, blocked bool) {
+	stopN, bandN := binadeThresholds(rb, margin)
+	lb, hb, kb := replayBlocks(lb, hb, rb, stopN, bandN, iter)
+	lb, hb, iter = replayLevels(lb, hb, rb, stopN, bandN, iter+kb)
+	return math.Float64frombits(lb), math.Float64frombits(hb), iter, kb > 0
+}
+
+// binadeThresholds returns the integer replay's loop and band thresholds in
+// ulps of rb's binade: floor(1e-12/u) and floor(margin/u), clamped at 2^53.
+func binadeThresholds(rb uint64, margin float64) (stopN, bandN uint64) {
 	u := math.Float64frombits(rb>>52<<52) * 0x1p-52 // the binade's ulp, exact even when subnormal
 	stop, band := 1e-12/u, margin/u
 	if stop > 0x1p53 {
@@ -448,11 +543,16 @@ func replayBinade(lb, hb, rb uint64, margin float64, iter int) (lo, hi float64, 
 	if band > 0x1p53 {
 		band = 0x1p53
 	}
-	stopN, bandN := uint64(stop), uint64(band)
+	return uint64(stop), uint64(band)
+}
+
+// replayLevels is the integer level loop: one bisection level per pass on
+// the bit patterns, from iteration iter. It stops at the first in-band
+// probe, once the width is at most stopN, or at the iteration cap.
+func replayLevels(lb, hb, rb, stopN, bandN uint64, iter int) (uint64, uint64, int) {
 	band2 := 2 * bandN
 	for ; iter < maxSolverIterations && hb-lb > stopN; iter++ {
-		s := lb + hb
-		mb := s>>1 + (s & (s >> 1) & 1)
+		mb := midBits(lb, hb)
 		if mb-rb+bandN <= band2 { // |mb-rb| <= bandN as one wrapping compare
 			break
 		}
@@ -465,7 +565,105 @@ func replayBinade(lb, hb, rb uint64, margin float64, iter int) (lo, hi float64, 
 		}
 		lb, hb = nl, nh
 	}
-	return math.Float64frombits(lb), math.Float64frombits(hb), iter
+	return lb, hb, iter
+}
+
+// midBits is the bit pattern of 0.5*(lo+hi) for lo, hi in one binade: s>>1
+// truncates the halved sum of the patterns, and an odd sum rounds up to
+// even exactly when the truncated significand is odd.
+func midBits(lb, hb uint64) uint64 {
+	s := lb + hb
+	return s>>1 + (s & (s >> 1) & 1)
+}
+
+// replayBlocks is the block replay of the file header: it guesses the
+// level loop's first kb decisions from the root's position, computes the
+// bracket they lead to four levels per table lookup, and returns it with kb
+// when the certificate holds. Otherwise it returns the bracket unchanged
+// and kb = 0.
+func replayBlocks(lb, hb, rb, stopN, bandN uint64, iter int) (uint64, uint64, int) {
+	w0 := hb - lb
+	if !(lb < rb && rb <= hb && w0 > stopN) {
+		return lb, hb, 0
+	}
+	k1 := bits.Len64(w0) - bits.Len64(stopN) // K1: the first k with w0>>k <= stopN
+	if w0>>k1 > stopN {
+		k1++
+	}
+	kb := (k1 - 1) &^ 3
+	if kb == 0 || iter+kb > maxSolverIterations {
+		return lb, hb, 0
+	}
+	// The guessed path is the root's position scaled to kb levels. The
+	// distances are below 2^52, so the signed conversions are exact and
+	// compile to single instructions.
+	j := int64(float64(int64(rb-lb)) / float64(int64(w0)) * float64(int64(1)<<kb))
+	if j >= 1<<kb {
+		j = 1<<kb - 1
+	}
+	table := blockTable()
+	l, state, w := lb, lb&1, w0
+	d := uint64(j) << (64 - kb) // the next four decisions are d's top bits
+	for n := kb; n > 0; n -= 4 {
+		e := table[state|d>>60<<2|(w&31)<<6]
+		w >>= 4
+		l += w*(d>>60) + uint64(e>>2)
+		state = uint64(e & 3)
+		d <<= 4
+	}
+	h := l + w + state>>1
+	if l+bandN < rb && rb+bandN < h {
+		return l, h, kb
+	}
+	return lb, hb, 0
+}
+
+// replayLevel is one level of the block replay's transducer: from state
+// (p, δ) = (state&1, state>>1), decision d (1 = right) and bits b0, b1 of
+// w0 at the level, it returns the next state and the midpoint offset's
+// rounding bit f.
+func replayLevel(state, d, b0, b1 uint) (next, f uint) {
+	p, delta := state&1, state>>1
+	odd := b0 ^ delta
+	if odd == 1 {
+		f = p ^ b1
+	} else {
+		f = b0 & delta
+	}
+	if d == 0 {
+		return p | f<<1, f
+	}
+	return (p ^ b1 ^ f) | (f^odd)<<1, f
+}
+
+// replayTable holds the block replay's four-level steps, indexed by
+// state | D<<2 | (w0>>k0 & 31)<<6: the next state in the low two bits and
+// the offset term Σ dᵢ·(fᵢ + ((W&7)>>i)) above them. blockTable builds it
+// from replayLevel on first use, so programs that never solve pay nothing.
+var (
+	replayTable     [2048]uint8
+	replayTableOnce sync.Once
+)
+
+// blockTable returns replayTable, built.
+func blockTable() *[2048]uint8 {
+	replayTableOnce.Do(buildReplayTable)
+	return &replayTable
+}
+
+// buildReplayTable runs four levels of replayLevel for each entry.
+func buildReplayTable() {
+	for i := range replayTable {
+		state, d, w := uint(i&3), uint(i>>2&15), uint(i>>6)
+		g := uint(0)
+		for l := uint(0); l < 4; l++ {
+			dl := d >> (3 - l) & 1
+			next, f := replayLevel(state, dl, w>>l&1, w>>(l+1)&1)
+			g += dl * (f + (w>>1&7)>>l)
+			state = next
+		}
+		replayTable[i] = uint8(state | g<<2)
+	}
 }
 
 // residualNegative reports f(i) < 0 by the same argument as the inline sign

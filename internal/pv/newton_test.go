@@ -148,7 +148,7 @@ func TestCurrentFastPropertyRandomCells(t *testing.T) {
 			iph := c.photoCurrent(irr)
 			// 1e-12 covers the bisection's own final-interval quantization,
 			// which dominates for sub-microamp photocurrents.
-			if root, ok := c.newtonRoot(v, iph, 0, nil); ok && root <= iph {
+			if root, _, ok := c.newtonRoot(v, iph, 0, nil); ok && root <= iph {
 				if tol := 2e-7*iph + 1e-12; math.Abs(root-want) > tol {
 					t.Fatalf("cell %d: newton root %v vs reference %v exceeds %g", n, root, want, tol)
 				}
@@ -216,7 +216,7 @@ func TestCurrentReplayBinadeEdges(t *testing.T) {
 		var warm SolverState
 		for _, v := range sweepVoltages(c, irr) {
 			check(c, v, irr, &warm)
-			if root, ok := c.newtonRoot(v, iph, 0, nil); ok && root < 0 {
+			if root, _, ok := c.newtonRoot(v, iph, 0, nil); ok && root < 0 {
 				negative++
 			}
 		}
@@ -229,7 +229,7 @@ func TestCurrentReplayBinadeEdges(t *testing.T) {
 			for _, sign := range []float64{-1, 1} {
 				v := vx + sign*math.Ldexp(ulp, e)
 				check(c, v, irr, &warm)
-				root, ok := c.newtonRoot(v, iph, 0, nil)
+				root, _, ok := c.newtonRoot(v, iph, 0, nil)
 				switch {
 				case !ok:
 				case root >= pow2 && root < pow2*(1+1e-9):
@@ -243,6 +243,220 @@ func TestCurrentReplayBinadeEdges(t *testing.T) {
 	if above == 0 || below == 0 || negative == 0 {
 		t.Fatalf("edges not reached: %d roots just above a power of two, %d just below, %d negative",
 			above, below, negative)
+	}
+}
+
+// TestReplayLevelRule checks the block replay's one-level transducer
+// (replayLevel) exhaustively on small integer brackets against the level
+// loop's midpoint formula: every state (p, δ), both decisions and every
+// pair of width bits (b0, b1), at several levels k and bracket offsets.
+func TestReplayLevelRule(t *testing.T) {
+	var seen [4][2][4]bool
+	for k := uint(0); k < 4; k++ {
+		for w0 := uint64(0); w0 < 64; w0++ {
+			b0, b1 := uint(w0>>k&1), uint(w0>>(k+1)&1)
+			for delta := uint64(0); delta < 2; delta++ {
+				for lb := uint64(1000); lb < 1008; lb++ {
+					hb := lb + w0>>k + delta
+					mb := midBits(lb, hb)
+					state := uint(lb&1) | uint(delta)<<1
+					for d := uint(0); d < 2; d++ {
+						seen[state][d][b0|b1<<1] = true
+						next, f := replayLevel(state, d, b0, b1)
+						if mb != lb+w0>>(k+1)+uint64(f) {
+							t.Fatalf("k=%d w0=%d δ=%d lb=%d: midpoint offset %d, rule says %d+%d",
+								k, w0, delta, lb, mb-lb, w0>>(k+1), f)
+						}
+						nl, nh := lb, mb
+						if d == 1 {
+							nl, nh = mb, hb
+						}
+						want := uint(nl&1) | uint(nh-nl-w0>>(k+1))<<1
+						if nh-nl-w0>>(k+1) > 1 || next != want {
+							t.Fatalf("k=%d w0=%d δ=%d lb=%d d=%d: bracket [%d, %d] has state %d, rule says %d",
+								k, w0, delta, lb, d, nl, nh, want, next)
+						}
+					}
+				}
+			}
+		}
+	}
+	for state := range seen {
+		for d := range seen[state] {
+			for b := range seen[state][d] {
+				if !seen[state][d][b] {
+					t.Errorf("state %d, decision %d, bits %02b never checked", state, d, b)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayTable checks every entry of the block replay's table against
+// four forced-decision levels of the level loop's midpoint formula, on
+// brackets of width (w0>>k0)+δ with random high bits in w0 and random
+// offsets: the bracket the four levels reach must start at
+// L + (W>>3)·D + g, with W = w0>>(k0+1) and g the entry's offset term, and
+// be in the entry's next state.
+func TestReplayTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	table := blockTable()
+	for i, e := range table {
+		state, d, low := uint64(i&3), uint64(i>>2&15), uint64(i>>6)
+		for n := 0; n < 8; n++ {
+			k0 := uint(rng.Intn(8))
+			w0 := (rng.Uint64()>>20)<<(k0+5) | low<<k0 | rng.Uint64()&(1<<k0-1)
+			lb := rng.Uint64()>>2&^1 | state&1
+			l, h := lb, lb+w0>>k0+state>>1
+			for lvl := 3; lvl >= 0; lvl-- {
+				mb := midBits(l, h)
+				if d>>lvl&1 == 1 {
+					l = mb
+				} else {
+					h = mb
+				}
+			}
+			wantL := lb + w0>>(k0+4)*d + uint64(e>>2)
+			width := w0 >> (k0 + 4)
+			if l != wantL || h-l-width > 1 || uint64(e&3) != l&1|(h-l-width)<<1 {
+				t.Fatalf("entry %d (state %d, D %04b, bits %05b) at k0=%d w0=%#x: levels reach [%d, %d], table says L=%d, state %d",
+					i, state, d, low, k0, w0, l, h, wantL, e&3)
+			}
+		}
+	}
+}
+
+// FuzzReplayBinadeParity checks the block replay against the level loop
+// alone on raw brackets: lb, hb and rb are mapped into one binade (rb's
+// exponent field when it is positive normal and below the top binade; the
+// sign bit is dropped), and replayBinade must return exactly the bracket
+// and iteration that replayLevels reaches from the original bracket.
+func FuzzReplayBinadeParity(f *testing.F) {
+	b := math.Float64bits
+	one, two := b(1.0), b(2.0)
+	f.Add(one, two-1, one+1, 1e-300, 0)           // rb = lb+1
+	f.Add(one, two-1, two-1, 1e-300, 0)           // rb = hb
+	f.Add(one, b(1.75), b(1.3), 1e-300, 0)        // a root well inside
+	f.Add(one, b(1.75), b(1.3), 1e-13, 7)         // a band of a few hundred ulps
+	f.Add(one, one+4503<<20, one+1234567, 0.0, 3) // w0>>20 == stopN in [1, 2)
+	f.Add(one, one+4504<<20, one+1<<25, 0.0, 3)   // w0>>20 == stopN+1
+	f.Add(one, b(1.5), b(1.25), 1.0, 0)           // a margin wider than the bracket
+	f.Add(one, two-1, b(1.6), 1e-300, 197)        // iter within 4 of the cap
+	f.Add(one, two-1, b(1.6), 1e-300, 199)        // one level below the cap
+	// The bottom and top of a binade, in the bottom and top replayed ones.
+	for _, e := range []uint64{1, 2045} {
+		f.Add(e<<52, (e+1)<<52-1, e<<52|12345, 0.0, 0)
+		f.Add(e<<52, (e+1)<<52-1, (e+1)<<52-12345, 1e-310, 0)
+	}
+	// Roots at the first midpoint of an odd width, with either rounding
+	// bit, and one ulp either side, in a binade whose stop width is below
+	// one ulp: the guess lands on an in-band probe.
+	base := b(8192.0)
+	for _, w := range []uint64{1001, 1003, 1<<40 + 1, 1<<40 + 3} {
+		mid := midBits(base, base+w)
+		for _, rb := range []uint64{mid - 1, mid, mid + 1} {
+			f.Add(base, base+w, rb, 1e-300, 0)
+		}
+	}
+	f.Fuzz(func(t *testing.T, lb, hb, rb uint64, margin float64, iter int) {
+		if !(margin >= 0) || iter < 0 || iter > maxSolverIterations {
+			t.Skip()
+		}
+		exp := rb >> 52 & 0x7ff // rb's exponent field, moved into the replayed binades
+		if exp == 0 || exp > 2045 {
+			exp = 1 + exp%2045
+		}
+		const sig = 1<<52 - 1
+		lb, hb, rb = exp<<52|lb&sig, exp<<52|hb&sig, exp<<52|rb&sig
+		if lb > hb {
+			lb, hb = hb, lb
+		}
+		stopN, bandN := binadeThresholds(rb, margin)
+		wl, wh, wi := replayLevels(lb, hb, rb, stopN, bandN, iter)
+		lo, hi, next, _ := replayBinade(lb, hb, rb, margin, iter)
+		if gl, gh := math.Float64bits(lo), math.Float64bits(hi); gl != wl || gh != wh || next != wi {
+			t.Fatalf("replayBinade(%#x, %#x, %#x, %g, %d) = [%#x, %#x] at %d, level loop [%#x, %#x] at %d",
+				lb, hb, rb, margin, iter, gl, gh, next, wl, wh, wi)
+		}
+	})
+}
+
+// pathMix counts how the fast path served a run of solves. Both fast paths
+// fall back quietly by design — a block prefix that fails its certificate
+// replays level by level, a poor warm start costs Newton iterations — so
+// only these counts show a regression that leaves every result unchanged.
+type pathMix struct {
+	warm, oneIteration int // warm solves, and those accepted at the first evaluation
+	binade, blocked    int // replays that reached the root's binade, and those a block prefix served
+}
+
+// solve runs currentFast's steps on (v, irr) with warm, checks the result
+// against the reference and counts the path.
+func (m *pathMix) solve(t *testing.T, c *Cell, v, irr float64, warm *SolverState) {
+	t.Helper()
+	iph := c.photoCurrent(irr)
+	wasWarm := warm.warm
+	root, iters, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, warm), warm)
+	if !ok {
+		t.Fatalf("Newton failed at v=%g irr=%g", v, irr)
+	}
+	got, binade, blocked := c.replayBisect(v, iph, root)
+	if want := c.CurrentReference(v, irr); got != want {
+		t.Fatalf("replay at v=%g irr=%g = %v, reference %v", v, irr, got, want)
+	}
+	if wasWarm {
+		m.warm++
+		if iters == 1 {
+			m.oneIteration++
+		}
+	}
+	if binade {
+		m.binade++
+		if blocked {
+			m.blocked++
+		}
+	}
+}
+
+// TestReplayPathMix pins the fast paths' hit rates where a silent fallback
+// would otherwise only show as lost speed: on BenchmarkCellCurrentWarmDrifting's
+// voltage and light profile, and on random cells under small drifts, block
+// prefixes serve at least 90% of the in-binade replays, and on the profile
+// at least 85% of warm solves converge at the first Newton evaluation from
+// the tangent start.
+func TestReplayPathMix(t *testing.T) {
+	var drift pathMix
+	c := NewCell()
+	var warm SolverState
+	for i := 0; i < 20000; i++ {
+		drift.solve(t, c, rampVoltage(i), driftIrradiance(i), &warm)
+	}
+	var random pathMix
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 300; n++ {
+		c := randomSolverCell(rng)
+		irr := 0.05 + 0.95*rng.Float64()
+		v := c.OpenCircuitVoltage(irr) * (0.2 + 0.7*rng.Float64())
+		dv, dirr := 1e-5*(2*rng.Float64()-1), 1e-5*(2*rng.Float64()-1)
+		var warm SolverState
+		for step := 0; step < 100; step++ {
+			random.solve(t, c, v, irr, &warm)
+			v += dv
+			irr += dirr
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		m    pathMix
+	}{{"drifting profile", drift}, {"random cells", random}} {
+		if rate := float64(tc.m.blocked) / float64(tc.m.binade); !(rate >= 0.90) {
+			t.Errorf("%s: block prefixes served %d of %d in-binade replays (%.3f), want >= 0.90",
+				tc.name, tc.m.blocked, tc.m.binade, rate)
+		}
+	}
+	if rate := float64(drift.oneIteration) / float64(drift.warm); !(rate >= 0.85) {
+		t.Errorf("drifting profile: %d of %d warm solves converged in one Newton iteration (%.3f), want >= 0.85",
+			drift.oneIteration, drift.warm, rate)
 	}
 }
 
