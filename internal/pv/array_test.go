@@ -1,9 +1,16 @@
 package pv
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
+
+// shadingPatterns are ExtShading's (internal/expt) per-segment irradiances
+// on a three-segment string: uniform, one shaded segment, graded shading.
+var shadingPatterns = [][]float64{{1.0, 1.0, 1.0}, {1.0, 1.0, 0.3}, {1.0, 0.5, 0.15}}
 
 func newTestArray(t *testing.T, n int) *Array {
 	t.Helper()
@@ -19,11 +26,32 @@ func newTestArray(t *testing.T, n int) *Array {
 }
 
 func TestArrayValidation(t *testing.T) {
-	if _, err := NewArray(nil); err == nil {
-		t.Error("empty array accepted")
+	lit := []*Cell{NewCell()}
+	for _, tc := range []struct {
+		name     string
+		segments []*Cell
+		opts     []ArrayOption
+		want     error
+	}{
+		{"no segments", nil, nil, ErrNoSegments},
+		{"nil segment", []*Cell{NewCell(), nil}, nil, ErrNilSegment},
+		{"NaN bypass drop", lit, []ArrayOption{WithBypassDrop(math.NaN())}, ErrInvalidBypassDrop},
+		{"negative bypass drop", lit, []ArrayOption{WithBypassDrop(-0.35)}, ErrInvalidBypassDrop},
+		{"infinite bypass drop", lit, []ArrayOption{WithBypassDrop(math.Inf(1))}, ErrInvalidBypassDrop},
+	} {
+		if a, err := NewArray(tc.segments, tc.opts...); !errors.Is(err, tc.want) || a != nil {
+			t.Errorf("%s: NewArray = %v, %v; want nil, %v", tc.name, a, err, tc.want)
+		}
 	}
-	a := newTestArray(t, 3)
-	if a.Segments() != 3 {
+	a, err := NewArray([]*Cell{NewCell(), NewCell()}, WithBypassDrop(0))
+	if err != nil {
+		t.Fatalf("zero bypass drop: %v", err)
+	}
+	// A dark segment with an ideal bypass diode costs the string nothing.
+	if got, want := a.OpenCircuitVoltage([]float64{1, 0}), NewCell().OpenCircuitVoltage(1); math.Abs(got-want) > 1e-6 {
+		t.Errorf("Voc with an ideal bypass = %.6f, want the lit cell's %.6f", got, want)
+	}
+	if a := newTestArray(t, 3); a.Segments() != 3 {
 		t.Errorf("segments = %d", a.Segments())
 	}
 }
@@ -141,6 +169,191 @@ func TestMissingIrradianceEntriesAreDark(t *testing.T) {
 	if math.Abs(voc-want) > 5e-3 {
 		t.Errorf("Voc with dark tail = %.4f, want %.4f", voc, want)
 	}
+}
+
+// verbatimSolver prepares a solver whose segment solves all take the
+// original bisection: the oracle for the replay.
+func verbatimSolver(a *Array, irradiances []float64) *stringSolver {
+	s := a.newSolver(irradiances)
+	s.verbatim = true
+	return s
+}
+
+// sameBits reports whether x and y have identical bit patterns.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// TestSegmentReplayMatchesVerbatim pins the replayed segment solve to the
+// original bisection bit for bit across calibrations whose guard bands span
+// seven decades (Rs = 0, and shunts from 10 ohm to 1 Gohm), across
+// irradiances, and at the currents where the root sits on the bracket's
+// ends: zero, 2^-40 and one ulp below Isc, and Isc itself (bypassed).
+func TestSegmentReplayMatchesVerbatim(t *testing.T) {
+	type namedCell struct {
+		name string
+		cell *Cell
+	}
+	cells := []namedCell{
+		{"default", NewCell()},
+		{"Rs=0", NewCell(WithSeriesResistance(0))},
+		{"Rsh=10", NewCell(WithShuntResistance(10))},
+		{"Rsh=1e9", NewCell(WithShuntResistance(1e9))},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for k := 0; k < 8; k++ {
+		cells = append(cells, namedCell{fmt.Sprintf("random %d", k), randomSolverCell(rng)})
+	}
+	for _, tc := range cells {
+		a, err := NewArray([]*Cell{tc.cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, irr := range []float64{1, 0.5, 0.3, 0.15, 1e-3} {
+			s, ref := a.newSolver([]float64{irr}), verbatimSolver(a, []float64{irr})
+			isc := s.iscs[0]
+			currents := []float64{0, isc * (1 - 0x1p-40), math.Nextafter(isc, 0), isc}
+			for k := 1; k < 64; k++ {
+				currents = append(currents, isc*float64(k)/64)
+			}
+			for _, current := range currents {
+				if got, want := s.segmentVoltage(0, current), ref.segmentVoltage(0, current); !sameBits(got, want) {
+					t.Errorf("%s, irr %g: segment voltage at %x A = %x, verbatim %x", tc.name, irr, current, got, want)
+				}
+			}
+			if _, band := s.segmentRoot(0, isc/2); math.IsInf(band, 1) {
+				t.Errorf("%s, irr %g: the replay fell back at Isc/2", tc.name, irr)
+			}
+		}
+	}
+}
+
+// TestSegmentReplayRandomCells draws random calibrations, irradiances and
+// currents, a third of them within 2^-30 relative of zero or of Isc, and
+// checks the replayed segment solve against the original bisection bitwise.
+func TestSegmentReplayRandomCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; n < 10000; n++ {
+		a, err := NewArray([]*Cell{randomSolverCell(rng)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		irr := []float64{math.Pow(10, -3*rng.Float64())}
+		s, ref := a.newSolver(irr), verbatimSolver(a, irr)
+		isc := s.iscs[0]
+		var current float64
+		switch n % 6 {
+		case 0:
+			current = isc * 0x1p-30 * rng.Float64()
+		case 1:
+			current = isc * (1 - 0x1p-30*rng.Float64())
+		default:
+			current = isc * rng.Float64()
+		}
+		if got, want := s.segmentVoltage(0, current), ref.segmentVoltage(0, current); !sameBits(got, want) {
+			t.Fatalf("case %d: segment voltage at %x A, irr %x = %x, verbatim %x", n, current, irr[0], got, want)
+		}
+	}
+}
+
+// TestArrayReplayMatchesVerbatim checks every public solve on ExtShading's
+// patterns against the verbatim nested bisection, bitwise.
+func TestArrayReplayMatchesVerbatim(t *testing.T) {
+	a := newTestArray(t, 3)
+	for _, p := range shadingPatterns {
+		ref := verbatimSolver(a, p)
+		gv, gp := a.GlobalMPP(p)
+		if wv, wp := ref.globalMPP(); !sameBits(gv, wv) || !sameBits(gp, wp) {
+			t.Errorf("%v: GlobalMPP = (%x, %x), verbatim (%x, %x)", p, gv, gp, wv, wp)
+		}
+		peaks, want := a.LocalMPPs(p), ref.localMPPs()
+		if len(peaks) != len(want) {
+			t.Fatalf("%v: LocalMPPs = %v, verbatim %v", p, peaks, want)
+		}
+		for k, v := range want {
+			if !sameBits(peaks[k], v) {
+				t.Errorf("%v: local peak %d at %x, verbatim %x", p, k, peaks[k], v)
+			}
+			if got, want := a.Power(v, p), ref.power(v); !sameBits(got, want) {
+				t.Errorf("%v: Power(%x) = %x, verbatim %x", p, v, got, want)
+			}
+		}
+	}
+}
+
+// TestSegmentReplayPathMix pins the replay's path mix, where a silent
+// fallback would only show as lost speed: on ExtShading's patterns, across
+// each lit segment's currents from 0 to Isc, the default cell never falls
+// back to the verbatim loop, and a replayed segment solve evaluates
+// Cell.Current at most once on average.
+func TestSegmentReplayPathMix(t *testing.T) {
+	a := newTestArray(t, 3)
+	for _, p := range shadingPatterns {
+		s := a.newSolver(p)
+		solves, evals := 0, 0
+		for i := range p {
+			for k := 0; k < 500; k++ {
+				current := s.iscs[i] * float64(k) / 500
+				vstar, band := s.segmentRoot(i, current)
+				if math.IsInf(band, 1) {
+					t.Fatalf("%v: segment %d fell back at %g A", p, i, current)
+				}
+				_, n := s.bisectSegment(i, current, vstar, band)
+				solves++
+				evals += n
+			}
+		}
+		mean := float64(evals) / float64(solves)
+		t.Logf("%v: %.3f Current evaluations per replayed segment solve", p, mean)
+		if !(mean <= 1) {
+			t.Errorf("%v: %d Current evaluations over %d replayed segment solves (%.3f), want <= 1",
+				p, evals, solves, mean)
+		}
+	}
+}
+
+// FuzzArrayParity checks StringVoltage, Current and Power on strings of
+// one to four default cells against the verbatim nested bisection, bitwise,
+// under fuzzed irradiances (zero, negative and NaN read as dark), terminal
+// voltages (at or below zero, beyond the string's Voc) and string currents.
+func FuzzArrayParity(f *testing.F) {
+	for _, p := range shadingPatterns {
+		for _, v := range []float64{-0.5, 0, 0.7, 1.9, 2.9, 4.2, 6} {
+			f.Add(uint8(2), p[0], p[1], p[2], 0.0, v, 0.004)
+		}
+	}
+	f.Add(uint8(3), 1.0, 0.0, -0.5, math.NaN(), 0.5, 0.016)
+	f.Add(uint8(0), 1e-3, 0.0, 0.0, 0.0, 0.3, 1e-6)
+	f.Add(uint8(1), 0.15, 1.0, 0.0, 0.0, 1.0, -0.01)
+	f.Fuzz(func(t *testing.T, n uint8, i0, i1, i2, i3, v, current float64) {
+		irr := []float64{i0, i1, i2, i3}[:1+n%4]
+		for _, x := range irr {
+			// Rejects infinities too, for which OpenCircuitVoltage's
+			// uncapped bisection never returns; NaN passes as dark.
+			if math.Abs(x) > 100 {
+				t.Skip()
+			}
+		}
+		if !(math.Abs(v) <= 100) || !(math.Abs(current) <= 1) {
+			t.Skip()
+		}
+		cells := make([]*Cell, len(irr))
+		for k := range cells {
+			cells[k] = NewCell()
+		}
+		a, err := NewArray(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := verbatimSolver(a, irr)
+		if got, want := a.StringVoltage(current, irr), ref.stringVoltage(current); !sameBits(got, want) {
+			t.Fatalf("StringVoltage(%x, %v) = %x, verbatim %x", current, irr, got, want)
+		}
+		if got, want := a.Current(v, irr), ref.current(v); !sameBits(got, want) {
+			t.Fatalf("Current(%x, %v) = %x, verbatim %x", v, irr, got, want)
+		}
+		if got, want := a.Power(v, irr), ref.power(v); !sameBits(got, want) {
+			t.Fatalf("Power(%x, %v) = %x, verbatim %x", v, irr, got, want)
+		}
+	})
 }
 
 func BenchmarkGlobalMPP(b *testing.B) {
