@@ -11,6 +11,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cap"
@@ -208,16 +209,17 @@ func BenchmarkKernelFullRun(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelBatch measures the batched PV kernel (DESIGN.md Sec. 13):
+// BenchmarkKernelBatch measures the batched kernel (DESIGN.md Sec. 13):
 // one 10000-point fine I-V sweep (1 µV spacing around the knee, where
-// Newton iterations are most expensive) solved through pv.SolveBatch in
-// chunks of 1, 100 and 10000 points. Chunk width is the whole win: within
-// a chunk the walking solver state carries warm starts, the derived
-// parameters and the anchored exponential from lane to lane, while width
-// 1 degenerates to a cold scalar solve per point. The results are
-// bit-identical at every width (the batch parity suites); only solves/sec
-// moves. A lockstep sub-benchmark times circuit.RunBatch advancing a
-// 16-lane slab, the shape the fleet scheduler runs per epoch.
+// Newton iterations are most expensive) solved with CurrentWarm, the
+// walking SolverState restarted cold every 1, 100 and 10000 points. Run
+// length is the whole win: within a run the walking state carries warm
+// starts, the derived parameters and the anchored exponential from point
+// to point, while a restart every point degenerates to a cold solve per
+// point. The results are bit-identical at every width
+// (TestCurveMatchesScalar, FuzzCurrentSolverParity); only solves/sec
+// moves. A lockstep sub-benchmark times NewBatch stepping a 16-lane slab
+// to completion, the shape the fleet scheduler runs per epoch.
 func BenchmarkKernelBatch(b *testing.B) {
 	const points = 10000
 	cell := pv.NewCell()
@@ -225,18 +227,17 @@ func BenchmarkKernelBatch(b *testing.B) {
 	for i := range vs {
 		vs[i] = 0.995 + 0.01*float64(i)/points
 	}
-	irr := []float64{0.8}
 	out := make([]float64, points)
 	for _, width := range []int{1, 100, 10000} {
 		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
 			b.ReportAllocs()
+			var walk pv.SolverState
 			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < points; lo += width {
-					hi := lo + width
-					if hi > points {
-						hi = points
+				for k, v := range vs {
+					if k%width == 0 {
+						walk.Reset()
 					}
-					cell.SolveBatch(vs[lo:hi], irr, out[lo:hi], nil)
+					out[k] = cell.CurrentWarm(v, 0.8, &walk)
 				}
 			}
 			b.ReportMetric(float64(points)*float64(b.N)/b.Elapsed().Seconds(), "solves/s")
@@ -265,9 +266,14 @@ func BenchmarkKernelBatch(b *testing.B) {
 			return cfgs
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := circuit.RunBatch(mk()); err != nil {
+			slab, err := circuit.NewBatch(mk())
+			if err != nil {
 				b.Fatal(err)
 			}
+			if _, err := slab.StepToCountContext(nil, math.MaxInt); err != nil {
+				b.Fatal(err)
+			}
+			slab.Outcomes()
 		}
 		b.ReportMetric(float64(lanes*steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 	})

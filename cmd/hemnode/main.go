@@ -4,24 +4,17 @@
 // sensornode example, for exploring scenarios without editing code.
 //
 // With -campaigns N > 1 it fans N campaigns (seed, seed+1, ...) out over a
-// worker pool (-j), grouping -batch consecutive seeds into each worker job,
-// and prints their reports in seed order; the output is deterministic and
-// independent of both the worker count and the batch size.
+// worker pool (-j) and prints their reports in seed order; the output is
+// deterministic and independent of the worker count.
 //
 // Usage:
 //
 //	hemnode [-duration 6] [-seed 7] [-policy tracked|fixed|mep]
 //	        [-cloudiness 0.4] [-cap 100e-6] [-csv trace.csv]
 //	        [-trace events.jsonl] [-profile energy.pb.gz]
-//	        [-campaigns 1] [-j N] [-batch 1]
-//	hemnode -scenario spec.json [-csv trace.csv] [-trace events.jsonl]
-//	        [-profile energy.pb.gz] [-j N]
+//	        [-campaigns 1] [-j N]
 //
-// With -scenario the command runs a declarative scenario spec
-// (internal/scenario) instead of a weather campaign: the spec picks the
-// energy source (sky, bench light, piezo harvester, indoor lighting, or a
-// recorded trace), the workload and the population size; -csv then exports
-// the rendered light trace of the shared environment.
+// Declarative scenario specs (internal/scenario) run under hemsim -scenario.
 package main
 
 import (
@@ -44,7 +37,6 @@ import (
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/runner"
-	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/weather"
 )
@@ -79,19 +71,11 @@ func run(args []string, stdout io.Writer) error {
 		csvPath    = fs.String("csv", "", "write the irradiance trace to this CSV file")
 		tracePath  = fs.String("trace", "", "write simulation events to this file (.json selects Chrome trace format, else JSONL)")
 		profPath   = fs.String("profile", "", "write the campaign's energy-flow pprof profile to this file")
-		scenPath   = fs.String("scenario", "", "run the declarative scenario spec in this JSON file (internal/scenario) instead of a weather campaign")
 		campaigns  = fs.Int("campaigns", 1, "number of campaigns to fan out (seeds seed..seed+N-1)")
-		batch      = fs.Int("batch", 1, "consecutive campaigns one worker job runs back to back; output bytes are identical at every batch size")
 		jobs       = fs.Int("j", runtime.NumCPU(), "campaigns to run in parallel")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *scenPath != "" {
-		if *campaigns != 1 {
-			return fmt.Errorf("-scenario runs its own population; drop -campaigns")
-		}
-		return runScenario(*scenPath, *jobs, *csvPath, *tracePath, *profPath, stdout)
 	}
 	if *duration <= 0 || *capacity <= 0 {
 		return fmt.Errorf("duration and cap must be positive")
@@ -101,9 +85,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *campaigns < 1 {
 		return fmt.Errorf("campaigns must be >= 1")
-	}
-	if *batch < 1 {
-		return fmt.Errorf("batch must be >= 1")
 	}
 	if *campaigns > 1 && *csvPath != "" {
 		return fmt.Errorf("-csv supports a single campaign (run fan-outs without it)")
@@ -129,36 +110,15 @@ func run(args []string, stdout io.Writer) error {
 		return campaign(cfg, stdout)
 	}
 
-	// Fan out in batches: each job runs a window of consecutive seeds back
-	// to back, separating campaigns inside the window exactly as the flusher
-	// separates jobs, so the stdout bytes are independent of -batch (and of
-	// -j, as ever).
 	var work []runner.Job
-	for lo := 0; lo < *campaigns; lo += *batch {
-		hi := lo + *batch
-		if hi > *campaigns {
-			hi = *campaigns
-		}
-		lo := lo
-		id := fmt.Sprintf("seed=%d", cfg.seed+int64(lo))
-		if hi-lo > 1 {
-			id = fmt.Sprintf("seed=%d..%d", cfg.seed+int64(lo), cfg.seed+int64(hi-1))
-		}
+	for i := 0; i < *campaigns; i++ {
+		c := cfg
+		c.seed = cfg.seed + int64(i)
 		work = append(work, runner.Job{
-			ID: id,
+			ID: fmt.Sprintf("seed=%d", c.seed),
 			Run: func(w io.Writer) error {
-				for i := lo; i < hi; i++ {
-					if i > lo {
-						fmt.Fprintln(w)
-					}
-					c := cfg
-					c.seed = cfg.seed + int64(i)
-					fmt.Fprintf(w, "== campaign seed=%d ==\n", c.seed)
-					if err := campaign(c, w); err != nil {
-						return err
-					}
-				}
-				return nil
+				fmt.Fprintf(w, "== campaign seed=%d ==\n", c.seed)
+				return campaign(c, w)
 			},
 		})
 	}
@@ -176,65 +136,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	})
-}
-
-// runScenario executes a declarative scenario spec (internal/scenario):
-// the node-explorer view of the same engine hemsim -scenario drives. The
-// report bytes depend only on the spec; -csv exports the rendered light
-// trace of the shared environment.
-func runScenario(specPath string, workers int, csvPath, tracePath, profPath string, stdout io.Writer) error {
-	specText, err := os.ReadFile(specPath)
-	if err != nil {
-		return err
-	}
-	spec, err := scenario.ParseScenario(specText)
-	if err != nil {
-		return err
-	}
-	cfg := scenario.Config{Spec: spec, Workers: workers}
-	var rec *trace.Recorder
-	if tracePath != "" {
-		rec = trace.NewRecorder()
-		cfg.Tracer = rec
-	}
-	if profPath != "" {
-		cfg.Profile = prof.New()
-		cfg.ProfileScope = "hemnode"
-	}
-	rep, err := scenario.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if err := rep.Report(stdout); err != nil {
-		return err
-	}
-	if csvPath != "" {
-		if err := writeTraceCSV(csvPath, rep.SourceSamples()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "trace written to %s\n", csvPath)
-	}
-	if rec != nil {
-		if err := writeEvents(tracePath, rec.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "trace events written to %s (%d events)\n", tracePath, rec.Len())
-	}
-	if profPath != "" {
-		f, err := os.Create(profPath)
-		if err != nil {
-			return fmt.Errorf("create profile file: %w", err)
-		}
-		defer f.Close()
-		if err := prof.WritePprof(f, cfg.Profile); err != nil {
-			return fmt.Errorf("write profile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "energy profile written to %s\n", profPath)
-	}
-	return nil
 }
 
 // campaign runs one weather-driven campaign and writes its report.

@@ -80,29 +80,6 @@ func TestCampaignFanOut(t *testing.T) {
 	}
 }
 
-// TestCampaignFanOutBatchParity: grouping consecutive seeds into worker
-// jobs with -batch must not change a byte of the fan-out output.
-func TestCampaignFanOutBatchParity(t *testing.T) {
-	outFor := func(batch, jobs string) string {
-		var b strings.Builder
-		args := []string{"-duration", "0.2", "-seed", "3", "-campaigns", "5", "-j", jobs, "-batch", batch}
-		if err := run(args, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	ref := outFor("1", "1")
-	for _, tc := range [][2]string{{"2", "1"}, {"2", "4"}, {"5", "4"}, {"7", "2"}} {
-		if got := outFor(tc[0], tc[1]); got != ref {
-			t.Errorf("-batch %s -j %s: output differs from -batch 1 -j 1", tc[0], tc[1])
-		}
-	}
-	var b strings.Builder
-	if err := run([]string{"-batch", "0"}, &b); err == nil {
-		t.Error("batch=0 accepted")
-	}
-}
-
 func TestCampaignFanOutValidation(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-campaigns", "0"}, &b); err == nil {
@@ -129,43 +106,5 @@ func TestTraceCSVExport(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "irradiance") {
 		t.Error("csv series missing")
-	}
-}
-
-// TestScenarioRun drives the -scenario path: the report renders, is
-// deterministic across -j, and -csv exports the rendered light trace.
-func TestScenarioRun(t *testing.T) {
-	dir := t.TempDir()
-	spec := filepath.Join(dir, "spec.json")
-	text := `{"name":"n","seed":4,"source":{"kind":"indoor"},` +
-		`"workload":{"job_cycles":5e6,"arrivals":{"process":"none"}},` +
-		`"geometry":{"nodes":2,"horizon_s":0.2,"step_s":1e-4}}`
-	if err := os.WriteFile(spec, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	csv := filepath.Join(dir, "light.csv")
-	var a, b strings.Builder
-	if err := run([]string{"-scenario", spec, "-j", "1", "-csv", csv}, &a); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a.String(), "== SCENARIO: n ==") {
-		t.Fatalf("unexpected report:\n%s", a.String())
-	}
-	data, err := os.ReadFile(csv)
-	if err != nil || !strings.Contains(string(data), "irradiance") {
-		t.Errorf("csv export missing or malformed: %v", err)
-	}
-	if err := run([]string{"-scenario", spec, "-j", "8"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a.String(), b.String()) {
-		t.Error("-j 8 report differs from -j 1")
-	}
-	var c strings.Builder
-	if err := run([]string{"-scenario", spec, "-campaigns", "2"}, &c); err == nil {
-		t.Error("-scenario with -campaigns accepted")
-	}
-	if err := run([]string{"-scenario", filepath.Join(dir, "missing.json")}, &c); err == nil {
-		t.Error("missing spec file accepted")
 	}
 }

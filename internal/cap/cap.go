@@ -9,7 +9,6 @@ package cap
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Errors returned by this package.
@@ -17,31 +16,23 @@ var (
 	// ErrInvalidCapacitance indicates a non-positive capacitance.
 	ErrInvalidCapacitance = errors.New("cap: capacitance must be positive")
 
-	// ErrVoltageOutOfRange indicates an initial or assigned voltage outside
-	// the capacitor's rated range.
+	// ErrVoltageOutOfRange indicates an initial voltage outside the
+	// capacitor's rated range.
 	ErrVoltageOutOfRange = errors.New("cap: voltage out of rated range")
 )
 
 // Capacitor is a storage capacitor with a rated voltage window and,
-// optionally, non-idealities: equivalent series resistance (ESR) and a
-// leakage (self-discharge) resistance. Construct with New; the zero value
-// is not useful.
+// optionally, a leakage (self-discharge) resistance. Construct with New;
+// the zero value is not useful.
 type Capacitor struct {
 	capacitance float64 // C (F)
 	voltage     float64 // current terminal voltage (V)
 	maxVoltage  float64 // rated maximum voltage (V)
-	esr         float64 // equivalent series resistance (ohm); 0 = ideal
 	leakage     float64 // self-discharge resistance (ohm); 0 = none
 }
 
 // Option configures capacitor non-idealities.
 type Option func(*Capacitor)
-
-// WithESR sets the equivalent series resistance (ohm). The terminal
-// voltage seen by the load droops by I*ESR while discharging.
-func WithESR(ohms float64) Option {
-	return func(c *Capacitor) { c.esr = ohms }
-}
 
 // WithLeakage sets a parallel self-discharge resistance (ohm); the
 // capacitor loses V/R of current every integration step.
@@ -69,28 +60,11 @@ func New(capacitance, initialVoltage, maxVoltage float64, opts ...Option) (*Capa
 	return c, nil
 }
 
-// ESR returns the equivalent series resistance (ohm).
-func (c *Capacitor) ESR() float64 { return c.esr }
-
-// TerminalVoltage returns the voltage seen at the terminals while the given
-// current (A, positive = discharging into the load) flows: V - I*ESR.
-// Never negative.
-func (c *Capacitor) TerminalVoltage(dischargeCurrent float64) float64 {
-	v := c.voltage - dischargeCurrent*c.esr
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
 // Capacitance returns C (F).
 func (c *Capacitor) Capacitance() float64 { return c.capacitance }
 
 // Voltage returns the current terminal voltage (V).
 func (c *Capacitor) Voltage() float64 { return c.voltage }
-
-// MaxVoltage returns the rated maximum voltage (V).
-func (c *Capacitor) MaxVoltage() float64 { return c.maxVoltage }
 
 // Leakage returns the self-discharge resistance (ohm); 0 means none.
 // The circuit stepper's fast-forward path uses it to prove a frozen
@@ -106,15 +80,6 @@ func (c *Capacitor) Energy() float64 {
 // vHigh to vLow: 1/2*C*(vHigh^2 - vLow^2). Negative if vHigh < vLow.
 func (c *Capacitor) EnergyBetween(vHigh, vLow float64) float64 {
 	return 0.5 * c.capacitance * (vHigh*vHigh - vLow*vLow)
-}
-
-// SetVoltage forces the terminal voltage, e.g. to initialise a simulation.
-func (c *Capacitor) SetVoltage(v float64) error {
-	if v < 0 || v > c.maxVoltage {
-		return fmt.Errorf("%w: got %g V with max %g V", ErrVoltageOutOfRange, v, c.maxVoltage)
-	}
-	c.voltage = v
-	return nil
 }
 
 // ApplyCurrent integrates a net charging current (A, positive charges the
@@ -134,33 +99,4 @@ func (c *Capacitor) ApplyCurrent(current, dt float64) float64 {
 		c.voltage = c.maxVoltage
 	}
 	return c.voltage
-}
-
-// ApplyPower integrates a net power flow (W, positive charges the
-// capacitor) over dt seconds using the current terminal voltage to convert
-// power to current. At zero voltage, positive power charges the capacitor
-// through an exact energy update instead (V = sqrt(2*E/C)) to avoid a
-// division by zero; negative power at zero voltage is a no-op.
-func (c *Capacitor) ApplyPower(power, dt float64) float64 {
-	if c.voltage <= 0 {
-		if power > 0 {
-			c.voltage = math.Sqrt(2 * power * dt / c.capacitance)
-			if c.voltage > c.maxVoltage {
-				c.voltage = c.maxVoltage
-			}
-		}
-		return c.voltage
-	}
-	return c.ApplyCurrent(power/c.voltage, dt)
-}
-
-// TimeToDischarge returns the time (s) for the voltage to fall from vHigh to
-// vLow under a constant discharge current (A): t = C*(vHigh-vLow)/I. This
-// closed form underlies the paper's Eq. 6-7 time-based power estimator. It
-// returns +Inf for non-positive current.
-func (c *Capacitor) TimeToDischarge(vHigh, vLow, current float64) float64 {
-	if current <= 0 || vHigh <= vLow {
-		return math.Inf(1)
-	}
-	return c.capacitance * (vHigh - vLow) / current
 }

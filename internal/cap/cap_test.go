@@ -33,8 +33,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	c := mustNew(t, 100e-6, 1.2, 2.0)
-	if c.Capacitance() != 100e-6 || c.Voltage() != 1.2 || c.MaxVoltage() != 2.0 {
-		t.Errorf("accessors: %g %g %g", c.Capacitance(), c.Voltage(), c.MaxVoltage())
+	if c.Capacitance() != 100e-6 || c.Voltage() != 1.2 {
+		t.Errorf("accessors: %g %g", c.Capacitance(), c.Voltage())
 	}
 }
 
@@ -71,59 +71,6 @@ func TestApplyCurrentClamps(t *testing.T) {
 	c.ApplyCurrent(-1, 1e-3)
 	if c.Voltage() != 0 {
 		t.Errorf("over-discharge: %g, want clamp at 0", c.Voltage())
-	}
-}
-
-func TestApplyPowerMatchesEnergy(t *testing.T) {
-	c := mustNew(t, 100e-6, 1.0, 5.0)
-	e0 := c.Energy()
-	// 5 mW for 10 ms in fine steps should add ~50 uJ.
-	for i := 0; i < 10000; i++ {
-		c.ApplyPower(5e-3, 1e-6)
-	}
-	gained := c.Energy() - e0
-	if math.Abs(gained-50e-6)/50e-6 > 1e-3 {
-		t.Errorf("energy gained = %.3g uJ, want ~50 uJ", gained*1e6)
-	}
-}
-
-func TestApplyPowerAtZeroVoltage(t *testing.T) {
-	c := mustNew(t, 1e-6, 0, 2.0)
-	c.ApplyPower(-1e-3, 1e-3) // discharging an empty cap: no-op
-	if c.Voltage() != 0 {
-		t.Errorf("discharge at 0 V moved voltage to %g", c.Voltage())
-	}
-	c.ApplyPower(1e-3, 1e-6) // exact energy bootstrap
-	want := math.Sqrt(2 * 1e-3 * 1e-6 / 1e-6)
-	if math.Abs(c.Voltage()-want) > 1e-12 {
-		t.Errorf("bootstrap voltage = %g, want %g", c.Voltage(), want)
-	}
-}
-
-func TestSetVoltage(t *testing.T) {
-	c := mustNew(t, 1e-6, 1.0, 2.0)
-	if err := c.SetVoltage(1.5); err != nil || c.Voltage() != 1.5 {
-		t.Errorf("set: %v, %g", err, c.Voltage())
-	}
-	if err := c.SetVoltage(2.5); !errors.Is(err, ErrVoltageOutOfRange) {
-		t.Errorf("overset: %v", err)
-	}
-	if err := c.SetVoltage(-0.1); !errors.Is(err, ErrVoltageOutOfRange) {
-		t.Errorf("negative set: %v", err)
-	}
-}
-
-func TestTimeToDischarge(t *testing.T) {
-	c := mustNew(t, 100e-6, 1.0, 2.0)
-	// 100 uF dropping 0.1 V at 1 mA: t = C*dV/I = 10 ms.
-	if got := c.TimeToDischarge(1.0, 0.9, 1e-3); math.Abs(got-10e-3) > 1e-12 {
-		t.Errorf("t = %g, want 10 ms", got)
-	}
-	if !math.IsInf(c.TimeToDischarge(1.0, 0.9, 0), 1) {
-		t.Error("zero current should never discharge")
-	}
-	if !math.IsInf(c.TimeToDischarge(0.9, 1.0, 1e-3), 1) {
-		t.Error("inverted thresholds should be +Inf")
 	}
 }
 
@@ -173,28 +120,6 @@ func BenchmarkApplyCurrent(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		c.ApplyCurrent(1e-6, 1e-6)
-	}
-}
-
-func TestESRTerminalVoltage(t *testing.T) {
-	c, err := New(100e-6, 1.0, 2.0, WithESR(2.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ESR() != 2.0 {
-		t.Errorf("ESR = %g", c.ESR())
-	}
-	// 10 mA discharge through 2 ohm: 20 mV droop.
-	if got := c.TerminalVoltage(10e-3); math.Abs(got-0.98) > 1e-12 {
-		t.Errorf("terminal voltage = %g, want 0.98", got)
-	}
-	// Charging current raises the terminal above the plate voltage.
-	if got := c.TerminalVoltage(-10e-3); math.Abs(got-1.02) > 1e-12 {
-		t.Errorf("charging terminal voltage = %g, want 1.02", got)
-	}
-	// Never negative.
-	if got := c.TerminalVoltage(10); got != 0 {
-		t.Errorf("overload terminal voltage = %g, want clamp at 0", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package cap
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Federation errors.
 var (
@@ -25,54 +22,24 @@ var (
 // so banked energy backs the node. Switching is an instantaneous node
 // voltage step, as a real switch matrix produces.
 type Federation struct {
-	members  []*Capacitor
-	active   int
-	fullAt   float64 // member voltage considered full (V)
-	emptyAt  float64 // member voltage considered drained (V)
-	switches int     // telemetry: selector actuations
-}
-
-// FederationOption configures a Federation.
-type FederationOption func(*Federation)
-
-// WithSwitchThresholds sets the full and empty member voltages (V).
-func WithSwitchThresholds(fullAt, emptyAt float64) FederationOption {
-	return func(f *Federation) {
-		f.fullAt = fullAt
-		f.emptyAt = emptyAt
-	}
+	members []*Capacitor
+	active  int
+	fullAt  float64 // member voltage considered full (V)
+	emptyAt float64 // member voltage considered drained (V)
 }
 
 // NewFederation builds a federation over the given members, which should be
 // ordered smallest first (the cold-start member leads). The first member
 // starts active.
-func NewFederation(members []*Capacitor, opts ...FederationOption) (*Federation, error) {
+func NewFederation(members []*Capacitor) (*Federation, error) {
 	if len(members) == 0 {
 		return nil, ErrNoMembers
 	}
-	f := &Federation{
+	return &Federation{
 		members: members,
 		fullAt:  1.15,
 		emptyAt: 0.30,
-	}
-	for _, opt := range opts {
-		opt(f)
-	}
-	return f, nil
-}
-
-// Active returns the index of the member currently on the node.
-func (f *Federation) Active() int { return f.active }
-
-// Switches returns how many selector actuations have occurred.
-func (f *Federation) Switches() int { return f.switches }
-
-// Member returns the i-th member for inspection.
-func (f *Federation) Member(i int) (*Capacitor, error) {
-	if i < 0 || i >= len(f.members) {
-		return nil, fmt.Errorf("cap: federation has no member %d", i)
-	}
-	return f.members[i], nil
+	}, nil
 }
 
 // Voltage implements circuit.Storage: the active member's voltage.
@@ -108,13 +75,11 @@ func (f *Federation) ApplyCurrent(current, dt float64) float64 {
 		// surplus banks up, preferring later (larger) members on ties.
 		if next := f.emptiest(f.active); next != f.active {
 			f.active = next
-			f.switches++
 		}
 	case current <= 0 && v <= f.emptyAt:
 		// Active member drained: fall back to the fullest other member.
 		if next := f.fullest(f.active); next != f.active && f.members[next].Voltage() > v {
 			f.active = next
-			f.switches++
 		}
 	}
 	return f.members[f.active].Voltage()

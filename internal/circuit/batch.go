@@ -19,7 +19,6 @@ package circuit
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // LaneError reports which lane of a batched operation failed, so callers
@@ -109,21 +108,4 @@ func (b *BatchStepper) Outcomes() []*Outcome {
 		outs[i] = sim.Outcome()
 	}
 	return outs
-}
-
-// RunBatch runs every configuration to completion on a freshly allocated
-// slab and returns the outcomes in config order. Lanes run one at a time,
-// each to its own horizon, keeping the working set a single lane wide;
-// callers that need the lanes to share a clock use NewBatch +
-// StepToCountContext with increasing epoch targets instead
-// (internal/population).
-func RunBatch(cfgs []Config) ([]*Outcome, error) {
-	b, err := NewBatch(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := b.StepToCountContext(nil, math.MaxInt); err != nil {
-		return nil, err
-	}
-	return b.Outcomes(), nil
 }

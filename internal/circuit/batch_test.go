@@ -48,9 +48,24 @@ func laneConfig(t testing.TB, i, steps int) Config {
 	return cfg
 }
 
-// TestRunBatchScalarParity is the circuit-level differential: RunBatch
-// outcomes (including events and waveform samples) must equal scalar
-// New+Run outcomes for the identical configs, at every batch size.
+// runBatch runs every config to completion on one slab and returns the
+// outcomes in config order.
+func runBatch(t *testing.T, cfgs []Config) []*Outcome {
+	t.Helper()
+	b, err := NewBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.StepToCountContext(nil, math.MaxInt); err != nil {
+		t.Fatal(err)
+	}
+	return b.Outcomes()
+}
+
+// TestRunBatchScalarParity is the circuit-level differential: outcomes of
+// a batch run to completion (including events and waveform samples) must
+// equal scalar New+Run outcomes for the identical configs, at every batch
+// size.
 func TestRunBatchScalarParity(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 1000} {
 		steps := 400
@@ -71,10 +86,7 @@ func TestRunBatchScalarParity(t *testing.T) {
 		for i := range cfgs {
 			cfgs[i] = laneConfig(t, i, steps)
 		}
-		batched, err := RunBatch(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batched := runBatch(t, cfgs)
 		for i := range scalar {
 			if !reflect.DeepEqual(batched[i], scalar[i]) {
 				t.Fatalf("n=%d lane %d: batched outcome differs from scalar:\nbatched %+v\nscalar  %+v",
@@ -86,7 +98,7 @@ func TestRunBatchScalarParity(t *testing.T) {
 
 // TestBatchLockstepParity: advancing a batch in shared-clock epochs
 // (fleet-style), whole or split into Group windows, must be bit-identical
-// to one-shot RunBatch.
+// to a batch run to completion in one call.
 func TestBatchLockstepParity(t *testing.T) {
 	const n, steps = 24, 500
 	cfgs := func() []Config {
@@ -96,10 +108,7 @@ func TestBatchLockstepParity(t *testing.T) {
 		}
 		return cfgs
 	}
-	ref, err := RunBatch(cfgs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runBatch(t, cfgs())
 
 	for _, groups := range []int{1, 3} {
 		b, err := NewBatch(cfgs())
@@ -121,7 +130,7 @@ func TestBatchLockstepParity(t *testing.T) {
 		}
 		for i, out := range b.Outcomes() {
 			if !reflect.DeepEqual(out, ref[i]) {
-				t.Fatalf("groups=%d lane %d: lockstep outcome differs from RunBatch", groups, i)
+				t.Fatalf("groups=%d lane %d: lockstep outcome differs from one-call run", groups, i)
 			}
 		}
 	}
@@ -177,10 +186,7 @@ func TestBatchCancelResumeParity(t *testing.T) {
 		}
 		return cfgs
 	}
-	ref, err := RunBatch(cfgs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runBatch(t, cfgs())
 
 	b, err := NewBatch(cfgs())
 	if err != nil {

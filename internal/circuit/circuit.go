@@ -309,14 +309,8 @@ func (s *State) Frequency() float64 { return s.effFreq }
 // CyclesDone returns the clock cycles executed so far.
 func (s *State) CyclesDone() float64 { return s.cyclesDone }
 
-// JobCycles returns the configured cycle budget (0 if none).
-func (s *State) JobCycles() float64 { return s.cfg.JobCycles }
-
 // Bypassed reports whether the regulator is bypassed.
 func (s *State) Bypassed() bool { return s.bypass }
-
-// LoadPower returns the power (W) the processor consumed in the last step.
-func (s *State) LoadPower() float64 { return s.loadPow }
 
 // InputPower returns the power (W) drawn from the storage node in the last
 // step (load power plus conversion losses).
@@ -393,9 +387,6 @@ func (s *State) SetBypass(on bool) { s.bypass = on }
 // command it takes effect from the next step. A no-op without a Ledger —
 // controllers may call it unconditionally.
 func (s *State) SetProfilePhase(b prof.Bin) { s.profPhase = b }
-
-// ProfilePhase returns the last declared workload phase.
-func (s *State) ProfilePhase() prof.Bin { return s.profPhase }
 
 // Simulator runs a configured transient simulation, either in one shot
 // (Run) or incrementally as a resumable stepper (Init / StepTo / Outcome,

@@ -460,15 +460,15 @@ func (p *probeController) OnStep(s *State) {
 		p.fail = "Frequency"
 	case s.CyclesDone() <= 0:
 		p.fail = "CyclesDone"
-	case s.JobCycles() != 0:
+	case s.cfg.JobCycles != 0:
 		p.fail = "JobCycles"
 	case s.Bypassed():
 		p.fail = "Bypassed"
 	case s.Halted():
 		p.fail = "Halted"
-	case s.LoadPower() <= 0:
+	case s.loadPow <= 0:
 		p.fail = "LoadPower"
-	case s.InputPower() < s.LoadPower():
+	case s.InputPower() < s.loadPow:
 		p.fail = "InputPower below LoadPower"
 	case s.Step() != 5e-6:
 		p.fail = "Step"

@@ -1,151 +1,126 @@
 package core
 
 import (
-	"math/rand"
-	"sort"
+	"errors"
+	"math"
 	"testing"
-
-	"repro/internal/cap"
-	"repro/internal/circuit"
-	"repro/internal/trace"
 )
+
+// envelopePoint is one level of a light sweep under the holistic policy:
+// the plan PlanPerformance picks there and which mode it chose.
+type envelopePoint struct {
+	irr      float64
+	pt       Point
+	err      error
+	bypass   bool // direct connection chosen at this level
+	runnable bool // false when even direct connection cannot run
+}
+
+// envelope plans n evenly spaced irradiance levels from lo to hi with
+// PlanPerformance: the system's operating envelope, whose mode boundary
+// is the bypass crossover.
+func envelope(m *Manager, lo, hi float64, n int) []envelopePoint {
+	pts := make([]envelopePoint, n)
+	for k := range pts {
+		irr := lo + (hi-lo)*float64(k)/float64(n-1)
+		pt, err := m.PlanPerformance(irr)
+		pts[k] = envelopePoint{
+			irr:      irr,
+			pt:       pt,
+			err:      err,
+			bypass:   err == nil && pt.RegulatorName == "Bypass",
+			runnable: err == nil && pt.Frequency > 0,
+		}
+	}
+	return pts
+}
+
+// bypassBoundary returns the highest swept irradiance at which the
+// envelope still chooses direct connection, or 0 if it never does.
+func bypassBoundary(env []envelopePoint) float64 {
+	boundary := 0.0
+	for _, ep := range env {
+		if ep.runnable && ep.bypass && ep.irr > boundary {
+			boundary = ep.irr
+		}
+	}
+	return boundary
+}
 
 func TestEnvelopeNeverRunnable(t *testing.T) {
 	m := testManager()
 	// Light so faint even direct connection cannot clock the core.
-	env := m.Envelope(1e-9, 1e-6, 8)
-	if len(env) != 8 {
-		t.Fatalf("got %d points", len(env))
-	}
-	for _, ep := range env {
-		if ep.Runnable {
-			t.Errorf("irr=%g marked runnable", ep.Irradiance)
+	for _, ep := range envelope(m, 1e-9, 1e-6, 8) {
+		if ep.runnable {
+			t.Errorf("irr=%g marked runnable", ep.irr)
 		}
-	}
-	if b := BypassBoundary(env); b != 0 {
-		t.Errorf("never-runnable envelope boundary = %g, want 0", b)
+		if !errors.Is(ep.err, ErrNoFeasiblePoint) {
+			t.Errorf("irr=%g: %v, want ErrNoFeasiblePoint", ep.irr, ep.err)
+		}
 	}
 }
 
 func TestEnvelopeAllBypass(t *testing.T) {
 	m := testManager()
-	// Sweep entirely below the analytic crossover: every runnable point
-	// should choose direct connection, and the boundary is the brightest
-	// runnable level in the sweep.
-	crossover := m.System().BypassCrossover(m.Regulator(), 0.02, 1.0)
-	env := m.Envelope(0.02, crossover*0.9, 12)
-	if len(env) == 0 {
-		t.Fatal("empty envelope")
-	}
+	// Sweep entirely below the analytic crossover: every runnable level
+	// should choose direct connection.
+	crossover := m.sys.BypassCrossover(m.r, 0.02, 1.0)
+	env := envelope(m, 0.02, crossover*0.9, 12)
 	best := 0.0
 	for _, ep := range env {
-		if !ep.Runnable {
+		if !ep.runnable {
 			continue
 		}
-		if !ep.Bypass {
-			t.Errorf("irr=%.3f regulated below the crossover %.3f", ep.Irradiance, crossover)
+		if !ep.bypass {
+			t.Errorf("irr=%.3f regulated below the crossover %.3f", ep.irr, crossover)
 		}
-		if ep.Irradiance > best {
-			best = ep.Irradiance
-		}
+		best = math.Max(best, ep.irr)
 	}
 	if best == 0 {
 		t.Fatal("no runnable points below the crossover")
 	}
-	if b := BypassBoundary(env); b != best {
+	if b := bypassBoundary(env); b != best {
 		t.Errorf("boundary = %g, want brightest bypass level %g", b, best)
 	}
 }
 
-// TestBypassBoundaryMonotone is the property behind BypassBoundary: the
-// holistic bypass decision is monotone in irradiance (direct connection
-// wins below the crossover, regulation above), so among runnable envelope
-// points sorted by irradiance the bypass points form a prefix — and the
-// boundary is therefore order-independent: any permutation of the sweep
-// yields the same value.
-func TestBypassBoundaryMonotone(t *testing.T) {
+func TestEnvelope(t *testing.T) {
 	m := testManager()
-	env := m.Envelope(0.01, 1.0, 60)
-
-	sorted := append([]EnvelopePoint(nil), env...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Irradiance < sorted[j].Irradiance })
-	seenRegulated := false
-	for _, ep := range sorted {
-		if !ep.Runnable {
+	env := envelope(m, 0.05, 1.0, 40)
+	// Frequency non-decreasing with light among runnable points.
+	prev := -1.0
+	for _, ep := range env {
+		if !ep.runnable {
 			continue
 		}
-		if !ep.Bypass {
-			seenRegulated = true
-		} else if seenRegulated {
-			t.Fatalf("bypass at irr=%.3f above a regulated level: decision not monotone", ep.Irradiance)
+		if ep.pt.Frequency < prev-1e3 {
+			t.Fatalf("frequency fell with more light at irr=%.3f", ep.irr)
 		}
+		prev = ep.pt.Frequency
 	}
-
-	want := BypassBoundary(env)
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 10; trial++ {
-		perm := append([]EnvelopePoint(nil), env...)
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		if got := BypassBoundary(perm); got != want {
-			t.Fatalf("trial %d: boundary %g after shuffle, want %g", trial, got, want)
-		}
+	// The mode boundary matches the analytic crossover.
+	boundary := bypassBoundary(env)
+	crossover := m.sys.BypassCrossover(m.r, 0.02, 1.0)
+	if math.Abs(boundary-crossover) > 0.05 {
+		t.Errorf("envelope boundary %.3f vs analytic crossover %.3f", boundary, crossover)
 	}
 }
 
-func TestPlanPerformanceEmitsPlanEvent(t *testing.T) {
-	rec := trace.NewRecorder()
-	m := testManager().WithTracer(rec)
-	if _, err := m.PlanPerformance(1.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.PlanPerformance(0.1); err != nil {
-		t.Fatal(err)
-	}
-	events := rec.Events()
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
-	}
-	for _, ev := range events {
-		if ev.Kind != "core.plan" || ev.Clock != trace.ClockSim {
-			t.Errorf("unexpected event %+v", ev)
+// TestBypassBoundaryMonotone checks that the holistic bypass decision is
+// monotone in irradiance: direct connection wins below the crossover and
+// regulation above, so among runnable levels the bypass ones form a
+// prefix of the sweep.
+func TestBypassBoundaryMonotone(t *testing.T) {
+	m := testManager()
+	regulated := false
+	for _, ep := range envelope(m, 0.01, 1.0, 60) {
+		if !ep.runnable {
+			continue
 		}
-	}
-	if b, ok := events[1].Args["bypass"].(bool); !ok || !b {
-		t.Errorf("dim plan event should carry bypass=true, got %v", events[1].Args["bypass"])
-	}
-}
-
-func TestRunConfigTracerOverridesManager(t *testing.T) {
-	mgrRec := trace.NewRecorder()
-	runRec := trace.NewRecorder()
-	m := testManager().WithTracer(mgrRec)
-	storage, err := cap.New(100e-6, 1.09, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.RunDeadlineJob(DeadlineRunConfig{
-		Cap:        storage,
-		Irradiance: circuit.ConstantIrradiance(1.0),
-		Cycles:     4e6,
-		Deadline:   20e-3,
-		Tracer:     runRec,
-		TraceTrack: "override",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Outcome.Completed {
-		t.Fatalf("job did not complete")
-	}
-	if runRec.Len() == 0 {
-		t.Fatal("override tracer saw no events")
-	}
-	for _, ev := range runRec.Events() {
-		if ev.Track != "override" {
-			t.Errorf("event track = %q, want override", ev.Track)
+		if !ep.bypass {
+			regulated = true
+		} else if regulated {
+			t.Fatalf("bypass at irr=%.3f above a regulated level: decision not monotone", ep.irr)
 		}
-	}
-	if mgrRec.Len() != 0 {
-		t.Errorf("manager tracer saw %d events despite the override", mgrRec.Len())
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -54,12 +53,6 @@ func orTrack(track, fallback string) string {
 	return fallback
 }
 
-// System returns the managed system.
-func (m *Manager) System() *System { return m.sys }
-
-// Regulator returns the managed regulator.
-func (m *Manager) Regulator() reg.Regulator { return m.r }
-
 // PlanPerformance returns the best performance-oriented operating point at
 // the given irradiance, applying the bypass rule: regulated MPP operation
 // when it wins, direct connection otherwise.
@@ -67,7 +60,7 @@ func (m *Manager) PlanPerformance(irradiance float64) (Point, error) {
 	d := m.sys.DecideBypass(m.r, irradiance)
 	if trace.On(m.tracer) {
 		// Planning is timeless: plan events sit at t=0 on the sim clock and
-		// rely on sequence order (e.g. an Envelope sweep emits one per level).
+		// rely on sequence order (BuildTrackingTable emits one per level).
 		pt := d.Regulated
 		if d.Bypass {
 			pt = d.Unregulated
@@ -85,33 +78,6 @@ func (m *Manager) PlanPerformance(irradiance float64) (Point, error) {
 		return d.Unregulated, nil
 	}
 	return d.Regulated, nil
-}
-
-// PlanMinimumEnergy returns the holistic minimum-energy operating point at
-// the given irradiance (Sec. V): supply at the holistic MEP voltage, clock
-// at the maximum for that voltage.
-func (m *Manager) PlanMinimumEnergy(irradiance float64) (Point, error) {
-	vmpp, pmpp := m.sys.Cell.MPP(irradiance)
-	if pmpp <= 0 {
-		return Point{}, fmt.Errorf("%w: harvester yields no power", ErrNoFeasiblePoint)
-	}
-	mep, err := m.sys.HolisticMEP(m.r, vmpp)
-	if err != nil {
-		return Point{}, err
-	}
-	v := mep.HolisticVoltage
-	f := m.sys.Proc.MaxFrequency(v)
-	p := m.sys.Proc.Power(v, f)
-	return Point{
-		SolarVoltage:   vmpp,
-		SolarPower:     pmpp,
-		Supply:         v,
-		Frequency:      f,
-		LoadPower:      p,
-		Efficiency:     m.r.Efficiency(vmpp, v, p),
-		RegulatorName:  m.r.Name(),
-		EnergyPerCycle: energyPerCycle(p, f),
-	}, nil
 }
 
 // BuildTrackingTable pre-characterises the harvester at the given
@@ -291,26 +257,4 @@ func (m *Manager) RunDeadlineJob(cfg DeadlineRunConfig) (*DeadlineResult, error)
 		return nil, err
 	}
 	return &DeadlineResult{Outcome: out, BypassedAt: ctl.BypassedAt}, nil
-}
-
-// HeadlineSavings sweeps irradiance levels and reports the largest energy
-// saving of holistic planning over the conventional rule of thumb
-// (operating at the conventional MEP voltage through the regulator),
-// supporting the paper's "up to 30%" claim.
-func (m *Manager) HeadlineSavings(levels []float64) (best float64, atIrradiance float64) {
-	best = math.Inf(-1)
-	for _, irr := range levels {
-		vmpp, pmpp := m.sys.Cell.MPP(irr)
-		if pmpp <= 0 {
-			continue
-		}
-		mep, err := m.sys.HolisticMEP(m.r, vmpp)
-		if err != nil {
-			continue
-		}
-		if mep.Savings > best {
-			best, atIrradiance = mep.Savings, irr
-		}
-	}
-	return best, atIrradiance
 }

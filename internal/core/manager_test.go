@@ -7,7 +7,7 @@ import (
 	"repro/internal/cap"
 	"repro/internal/circuit"
 	"repro/internal/pv"
-	"repro/internal/reg"
+	"repro/internal/trace"
 )
 
 func testManager() *Manager {
@@ -36,51 +36,28 @@ func TestPlanPerformanceFollowsBypassRule(t *testing.T) {
 	}
 }
 
-func TestPlanMinimumEnergy(t *testing.T) {
-	m := testManager()
-	pt, err := m.PlanMinimumEnergy(pv.FullSun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perf, err := m.PlanPerformance(pv.FullSun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The MEP plan runs at a lower voltage and lower energy per cycle than
-	// the performance plan.
-	if pt.Supply >= perf.Supply {
-		t.Errorf("MEP supply %.3f >= performance supply %.3f", pt.Supply, perf.Supply)
-	}
-	// Compare source-side energy per cycle: load energy over conversion
-	// efficiency over frequency.
-	src := func(p Point) float64 { return p.LoadPower / p.Efficiency / p.Frequency }
-	if src(pt) >= src(perf) {
-		t.Errorf("MEP plan source energy %.4g >= performance plan %.4g", src(pt), src(perf))
-	}
-	if _, err := m.PlanMinimumEnergy(0); err == nil {
-		t.Error("darkness should error")
-	}
-}
-
 func TestBuildTrackingTable(t *testing.T) {
 	m := testManager()
 	table := m.BuildTrackingTable([]float64{0.05, 0.25, 1.0})
 	if table.Len() != 3 {
 		t.Fatalf("len = %d", table.Len())
 	}
-	entries := table.Entries()
 	// Bright levels regulate; dim levels bypass, matching DecideBypass.
-	for _, e := range entries {
-		d := m.System().DecideBypass(m.Regulator(), e.Irradiance)
-		if e.Bypass != d.Bypass {
-			t.Errorf("irr=%.2f: table bypass=%v, decision=%v", e.Irradiance, e.Bypass, d.Bypass)
+	for _, irr := range []float64{0.05, 0.25, 1.0} {
+		_, pmpp := m.sys.Cell.MPP(irr)
+		e, err := table.Lookup(pmpp)
+		if err != nil || e.Irradiance != irr {
+			t.Fatalf("irr=%.2f: row %+v, %v", irr, e, err)
+		}
+		if d := m.sys.DecideBypass(m.r, irr); e.Bypass != d.Bypass {
+			t.Errorf("irr=%.2f: table bypass=%v, decision=%v", irr, e.Bypass, d.Bypass)
 		}
 	}
 }
 
 func TestRunTrackedReproducesMPPT(t *testing.T) {
 	m := testManager()
-	vmpp, _ := m.System().Cell.MPP(1.0)
+	vmpp, _ := m.sys.Cell.MPP(1.0)
 	storage, err := cap.New(100e-6, vmpp, 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +77,7 @@ func TestRunTrackedReproducesMPPT(t *testing.T) {
 	if len(res.Estimates) == 0 || res.Retargets == 0 {
 		t.Fatalf("no tracking activity: %+v", res)
 	}
-	_, want := m.System().Cell.MPP(0.25)
+	_, want := m.sys.Cell.MPP(0.25)
 	if math.Abs(res.Estimates[0]-want)/want > 0.30 {
 		t.Errorf("estimate %.3g W, want within 30%% of %.3g W", res.Estimates[0], want)
 	}
@@ -142,60 +119,6 @@ func TestRunDeadlineJobConfigErrors(t *testing.T) {
 	}
 }
 
-func TestHeadlineSavings(t *testing.T) {
-	m := testManager()
-	best, at := m.HeadlineSavings([]float64{1.0, 0.5, 0.25})
-	if best < 0.05 || best > 0.45 {
-		t.Errorf("headline savings %.1f%%, want 5-45%% (paper up to ~30%%)", best*100)
-	}
-	if at <= 0 {
-		t.Errorf("best at irradiance %g", at)
-	}
-	if best, _ := m.HeadlineSavings(nil); !math.IsInf(best, -1) {
-		t.Error("empty sweep should return -Inf")
-	}
-}
-
-func TestManagerAccessors(t *testing.T) {
-	sys, sc, _, _ := defaultSystem()
-	m := NewManager(sys, sc)
-	if m.System() != sys || m.Regulator() != reg.Regulator(sc) {
-		t.Error("accessors wrong")
-	}
-}
-
-func TestEnvelope(t *testing.T) {
-	m := testManager()
-	env := m.Envelope(0.05, 1.0, 40)
-	if len(env) != 40 {
-		t.Fatalf("got %d points", len(env))
-	}
-	// Frequency non-decreasing with light among runnable points.
-	prev := -1.0
-	for _, ep := range env {
-		if !ep.Runnable {
-			continue
-		}
-		if ep.Point.Frequency < prev-1e3 {
-			t.Fatalf("frequency fell with more light at irr=%.3f", ep.Irradiance)
-		}
-		prev = ep.Point.Frequency
-	}
-	// The mode boundary matches the analytic crossover.
-	boundary := BypassBoundary(env)
-	crossover := m.System().BypassCrossover(m.Regulator(), 0.02, 1.0)
-	if math.Abs(boundary-crossover) > 0.05 {
-		t.Errorf("envelope boundary %.3f vs analytic crossover %.3f", boundary, crossover)
-	}
-	// Degenerate sweeps return nil.
-	if m.Envelope(1.0, 0.5, 10) != nil || m.Envelope(0.1, 1.0, 1) != nil {
-		t.Error("degenerate sweep should return nil")
-	}
-	if BypassBoundary(nil) != 0 {
-		t.Error("empty envelope boundary should be 0")
-	}
-}
-
 func TestRunDeadlineJobQuantizedClock(t *testing.T) {
 	m := testManager()
 	storage, err := cap.New(100e-6, 1.09, 2.0)
@@ -228,5 +151,63 @@ func TestRunDeadlineJobQuantizedClock(t *testing.T) {
 		if !onGrid {
 			t.Fatalf("off-grid frequency %.4g Hz in trace", s.Frequency)
 		}
+	}
+}
+
+func TestPlanPerformanceEmitsPlanEvent(t *testing.T) {
+	rec := trace.NewRecorder()
+	m := testManager().WithTracer(rec)
+	if _, err := m.PlanPerformance(1.0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PlanPerformance(0.1); err != nil {
+		t.Fatal(err)
+	}
+	events := rec.Events()
+	if len(events) != 2 {
+		t.Fatalf("got %d events, want 2", len(events))
+	}
+	for _, ev := range events {
+		if ev.Kind != "core.plan" || ev.Clock != trace.ClockSim {
+			t.Errorf("unexpected event %+v", ev)
+		}
+	}
+	if b, ok := events[1].Args["bypass"].(bool); !ok || !b {
+		t.Errorf("dim plan event should carry bypass=true, got %v", events[1].Args["bypass"])
+	}
+}
+
+func TestRunConfigTracerOverridesManager(t *testing.T) {
+	mgrRec := trace.NewRecorder()
+	runRec := trace.NewRecorder()
+	m := testManager().WithTracer(mgrRec)
+	storage, err := cap.New(100e-6, 1.09, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunDeadlineJob(DeadlineRunConfig{
+		Cap:        storage,
+		Irradiance: circuit.ConstantIrradiance(1.0),
+		Cycles:     4e6,
+		Deadline:   20e-3,
+		Tracer:     runRec,
+		TraceTrack: "override",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Outcome.Completed {
+		t.Fatalf("job did not complete")
+	}
+	if runRec.Len() == 0 {
+		t.Fatal("override tracer saw no events")
+	}
+	for _, ev := range runRec.Events() {
+		if ev.Track != "override" {
+			t.Errorf("event track = %q, want override", ev.Track)
+		}
+	}
+	if mgrRec.Len() != 0 {
+		t.Errorf("manager tracer saw %d events despite the override", mgrRec.Len())
 	}
 }

@@ -31,21 +31,9 @@ const (
 
 // Errors returned by this package.
 var (
-	// ErrBelowThreshold indicates an operating voltage at or below the
-	// transistor threshold where the model predicts no switching activity.
-	ErrBelowThreshold = errors.New("cpu: voltage at or below threshold")
-
 	// ErrUnreachableFrequency indicates that no voltage within the valid
 	// operating range reaches the requested frequency.
 	ErrUnreachableFrequency = errors.New("cpu: frequency unreachable within voltage range")
-
-	// ErrInsufficientPower indicates a power budget too small to run the
-	// processor at any valid operating point.
-	ErrInsufficientPower = errors.New("cpu: power budget below minimum operating power")
-
-	// ErrEmptyVoltageRange indicates a search range that does not overlap
-	// the processor's functional voltage range.
-	ErrEmptyVoltageRange = errors.New("cpu: empty voltage range")
 )
 
 // Processor is a compact power/performance model of a microprocessor core.
@@ -70,45 +58,6 @@ type Processor struct {
 
 // Option configures a Processor.
 type Option func(*Processor)
-
-// WithNominal sets the nominal operating point: fmax(voltage) = frequency.
-func WithNominal(voltage, frequency float64) Option {
-	return func(p *Processor) {
-		p.nominalVoltage = voltage
-		p.nominalFrequency = frequency
-	}
-}
-
-// WithThresholdVoltage sets the transistor threshold voltage Vth (V).
-func WithThresholdVoltage(v float64) Option {
-	return func(p *Processor) { p.thresholdVoltage = v }
-}
-
-// WithAlpha sets the alpha-power-law velocity-saturation exponent.
-func WithAlpha(a float64) Option {
-	return func(p *Processor) { p.alpha = a }
-}
-
-// WithSwitchedCapacitance sets the effective switched capacitance Ceff (F).
-func WithSwitchedCapacitance(farads float64) Option {
-	return func(p *Processor) { p.switchedCap = farads }
-}
-
-// WithLeakage sets the leakage model Ileak(V) = i0 * exp(kDIBL*V).
-func WithLeakage(i0, kDIBL float64) Option {
-	return func(p *Processor) {
-		p.leakageCurrent0 = i0
-		p.dibl = kDIBL
-	}
-}
-
-// WithVoltageRange sets the functional supply range [min, max] (V).
-func WithVoltageRange(minV, maxV float64) Option {
-	return func(p *Processor) {
-		p.minVoltage = minV
-		p.maxVoltage = maxV
-	}
-}
 
 // Corner identifies a process corner of the fabricated die. The paper
 // evaluates one test chip; corners let the analyses ask how its conclusions
@@ -196,9 +145,6 @@ func (p *Processor) MinVoltage() float64 { return p.minVoltage }
 
 // MaxVoltage returns the highest rated supply voltage (V).
 func (p *Processor) MaxVoltage() float64 { return p.maxVoltage }
-
-// ThresholdVoltage returns the transistor threshold voltage (V).
-func (p *Processor) ThresholdVoltage() float64 { return p.thresholdVoltage }
 
 // MaxFrequency returns the highest clock frequency (Hz) the core sustains at
 // supply voltage v, per the alpha-power law. It returns 0 at or below the
@@ -325,14 +271,6 @@ func minimizeEnergy(lo, hi float64, f func(float64) float64) (x, fx float64) {
 	return x, f(x)
 }
 
-// MinimizeEnergyOver minimises an arbitrary per-cycle energy function over
-// the processor's functional voltage range. It is exported so that holistic
-// analyses can fold regulator efficiency into the objective while reusing
-// the same solver and range.
-func (p *Processor) MinimizeEnergyOver(energyAt func(v float64) float64) (voltage, energy float64) {
-	return minimizeEnergy(p.minVoltage, p.maxVoltage, energyAt)
-}
-
 // VoltageForFrequency returns the lowest supply voltage (V) at which the
 // core sustains clock frequency f. It returns ErrUnreachableFrequency if f
 // exceeds MaxFrequency(maxVoltage).
@@ -442,30 +380,6 @@ func (m *SupplyMemo) Power(p *Processor, v, f float64) float64 {
 	return p.dynamicPower(v, f, m.fmax) + m.leak
 }
 
-// VoltageForMaxPower returns the supply voltage (V) at which full-speed
-// operation consumes exactly budget watts. MaxPower is strictly increasing
-// in voltage above threshold, so the solution is unique. It returns
-// ErrInsufficientPower when the budget is below the minimum operating power
-// and caps at MaxVoltage when the budget exceeds the maximum draw.
-func (p *Processor) VoltageForMaxPower(budget float64) (float64, error) {
-	if budget < p.MaxPower(p.minVoltage) {
-		return 0, ErrInsufficientPower
-	}
-	if budget >= p.MaxPower(p.maxVoltage) {
-		return p.maxVoltage, nil
-	}
-	lo, hi := p.minVoltage, p.maxVoltage
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		if p.MaxPower(mid) < budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
-}
-
 // FrequencyForPower returns the highest clock frequency (Hz) sustainable at
 // supply voltage v within a total power budget (W), accounting for leakage.
 // The result is capped at MaxFrequency(v). It returns 0 if leakage alone
@@ -483,34 +397,4 @@ func (p *Processor) FrequencyForPower(v, budget float64) float64 {
 		f = fm
 	}
 	return f
-}
-
-// OperatingPoint is a fully determined DVFS setting.
-type OperatingPoint struct {
-	Voltage   float64 // supply voltage (V)
-	Frequency float64 // clock frequency (Hz)
-	Power     float64 // total power at this point (W)
-}
-
-// BestPointForBudget returns the DVFS operating point maximising clock
-// frequency subject to a total power budget (W), searching supply voltages
-// in [minV, maxV] intersected with the processor's functional range. This
-// implements the Sec. IV optimisation for a fixed available power. It
-// returns ErrInsufficientPower if no voltage in range can run at all.
-func (p *Processor) BestPointForBudget(budget, minV, maxV float64) (OperatingPoint, error) {
-	lo := math.Max(minV, p.minVoltage)
-	hi := math.Min(maxV, p.maxVoltage)
-	if lo > hi {
-		return OperatingPoint{}, ErrEmptyVoltageRange
-	}
-	// Frequency-vs-voltage under a power cap is unimodal: rising while the
-	// cap is not binding (f = fmax(V)), falling once it binds (f ~ B/V^2).
-	// Golden-section search on -frequency.
-	neg := func(v float64) float64 { return -p.FrequencyForPower(v, budget) }
-	v, negF := minimizeEnergy(lo, hi, neg)
-	f := -negF
-	if f <= 0 {
-		return OperatingPoint{}, ErrInsufficientPower
-	}
-	return OperatingPoint{Voltage: v, Frequency: f, Power: p.Power(v, f)}, nil
 }

@@ -42,7 +42,7 @@ func TestMaxFrequencyMonotone(t *testing.T) {
 		}
 		prev = f
 	}
-	if f := p.MaxFrequency(p.ThresholdVoltage()); f != 0 {
+	if f := p.MaxFrequency(p.thresholdVoltage); f != 0 {
 		t.Errorf("f at threshold = %g, want 0", f)
 	}
 	if f := p.MaxFrequency(0.1); f != 0 {
@@ -86,7 +86,7 @@ func TestLeakageGrowsWithVoltage(t *testing.T) {
 
 func TestEnergyPerCycleShape(t *testing.T) {
 	p := NewProcessor()
-	if !math.IsInf(p.EnergyPerCycle(p.ThresholdVoltage()), 1) {
+	if !math.IsInf(p.EnergyPerCycle(p.thresholdVoltage), 1) {
 		t.Error("energy per cycle at threshold should be +Inf")
 	}
 	mepV, mepE := p.ConventionalMEP()
@@ -134,25 +134,6 @@ func TestVoltageForFrequencyInverse(t *testing.T) {
 	}
 }
 
-func TestVoltageForMaxPower(t *testing.T) {
-	p := NewProcessor()
-	for _, budget := range []float64{1e-3, 5e-3, 20e-3} {
-		v, err := p.VoltageForMaxPower(budget)
-		if err != nil {
-			t.Fatalf("budget=%g: %v", budget, err)
-		}
-		if math.Abs(p.MaxPower(v)-budget)/budget > 1e-3 {
-			t.Errorf("budget=%g: P(%.4f V) = %.6g", budget, v, p.MaxPower(v))
-		}
-	}
-	if _, err := p.VoltageForMaxPower(1e-9); !errors.Is(err, ErrInsufficientPower) {
-		t.Errorf("want ErrInsufficientPower, got %v", err)
-	}
-	if v, err := p.VoltageForMaxPower(10); err != nil || v != p.MaxVoltage() {
-		t.Errorf("huge budget: got %v, %v, want max voltage", v, err)
-	}
-}
-
 func TestFrequencyForPower(t *testing.T) {
 	p := NewProcessor()
 	v := 0.6
@@ -175,60 +156,19 @@ func TestFrequencyForPower(t *testing.T) {
 	}
 }
 
-func TestBestPointForBudget(t *testing.T) {
-	p := NewProcessor()
-	budget := 5e-3
-	pt, err := p.BestPointForBudget(budget, 0, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Power > budget*(1+1e-9) {
-		t.Errorf("point power %.4g exceeds budget %.4g", pt.Power, budget)
-	}
-	// Beats a dense grid.
-	for v := p.MinVoltage(); v <= p.MaxVoltage(); v += 0.002 {
-		if f := p.FrequencyForPower(v, budget); f > pt.Frequency*(1+1e-6) {
-			t.Fatalf("grid point %.3f V gives %.6g Hz > solver %.6g Hz", v, f, pt.Frequency)
-		}
-	}
-	if _, err := p.BestPointForBudget(1e-9, 0, 1.2); !errors.Is(err, ErrInsufficientPower) {
-		t.Errorf("tiny budget: want ErrInsufficientPower, got %v", err)
-	}
-	if _, err := p.BestPointForBudget(1e-3, 0.9, 0.5); !errors.Is(err, ErrEmptyVoltageRange) {
-		t.Errorf("inverted range: want ErrEmptyVoltageRange, got %v", err)
-	}
-}
-
-func TestMinimizeEnergyOver(t *testing.T) {
-	p := NewProcessor()
-	// With a constant-efficiency wrapper the result equals the plain MEP.
-	v1, e1 := p.ConventionalMEP()
-	v2, e2 := p.MinimizeEnergyOver(func(v float64) float64 { return p.EnergyPerCycle(v) / 0.8 })
-	if math.Abs(v1-v2) > 1e-4 {
-		t.Errorf("constant-eta MEP moved: %.4f vs %.4f", v1, v2)
-	}
-	if math.Abs(e2-e1/0.8)/e2 > 1e-6 {
-		t.Errorf("scaled energy mismatch: %g vs %g", e2, e1/0.8)
-	}
-}
-
 func TestOptions(t *testing.T) {
-	p := NewProcessor(
-		WithNominal(0.9, 500e6),
-		WithThresholdVoltage(0.25),
-		WithAlpha(1.3),
-		WithSwitchedCapacitance(50e-12),
-		WithLeakage(1e-5, 2.5),
-		WithVoltageRange(0.3, 1.0),
-	)
+	p := NewProcessor(func(p *Processor) {
+		p.nominalVoltage, p.nominalFrequency = 0.9, 500e6
+		p.thresholdVoltage, p.alpha, p.switchedCap = 0.25, 1.3, 50e-12
+		p.minVoltage, p.maxVoltage = 0.3, 1.0
+	})
+	// NewProcessor derives the alpha-law norm and the Vmax clock after the
+	// options run, so the overridden nominal point and range hold.
 	if f := p.MaxFrequency(0.9); math.Abs(f-500e6) > 1 {
 		t.Errorf("nominal point not honoured: %g", f)
 	}
-	if p.MinVoltage() != 0.3 || p.MaxVoltage() != 1.0 {
-		t.Error("voltage range not honoured")
-	}
-	if p.ThresholdVoltage() != 0.25 {
-		t.Error("threshold not honoured")
+	if _, err := p.VoltageForFrequency(p.MaxFrequency(1.0) * 1.01); !errors.Is(err, ErrUnreachableFrequency) {
+		t.Errorf("voltage range not honoured: %v", err)
 	}
 	if got := p.DynamicEnergyPerCycle(1.0); math.Abs(got-50e-12) > 1e-15 {
 		t.Errorf("Ceff not honoured: %g", got)
@@ -268,43 +208,10 @@ func TestQuickFrequencyForPowerBounds(t *testing.T) {
 	}
 }
 
-// Property: more budget never means a slower best point.
-func TestQuickBudgetMonotonicity(t *testing.T) {
-	p := NewProcessor()
-	f := func(aRaw, bRaw uint16) bool {
-		a := 1e-3 + float64(aRaw)/65535*20e-3
-		b := 1e-3 + float64(bRaw)/65535*20e-3
-		if a > b {
-			a, b = b, a
-		}
-		ptA, errA := p.BestPointForBudget(a, 0, 1.2)
-		ptB, errB := p.BestPointForBudget(b, 0, 1.2)
-		if errA != nil {
-			return true // a infeasible: nothing to compare
-		}
-		if errB != nil {
-			return false // more budget cannot become infeasible
-		}
-		return ptB.Frequency >= ptA.Frequency*(1-1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkConventionalMEP(b *testing.B) {
 	p := NewProcessor()
 	for i := 0; i < b.N; i++ {
 		p.ConventionalMEP()
-	}
-}
-
-func BenchmarkBestPointForBudget(b *testing.B) {
-	p := NewProcessor()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.BestPointForBudget(8e-3, 0, 1.2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -385,7 +292,7 @@ func TestTemperatureEffects(t *testing.T) {
 // and non-positive frequencies, and a processor swap mid-state.
 func TestVoltageForFrequencyWarmParity(t *testing.T) {
 	p := NewProcessor()
-	q := NewProcessor(WithAlpha(1.6), WithThresholdVoltage(0.33))
+	q := NewProcessor(func(p *Processor) { p.alpha, p.thresholdVoltage = 1.6, 0.33 })
 	var state FreqSolverState
 
 	check := func(proc *Processor, f float64) {
@@ -468,7 +375,7 @@ func TestVoltageForFrequencyWarmIntervalMemo(t *testing.T) {
 		}
 	}
 	// A memo from another processor never answers.
-	q := NewProcessor(WithAlpha(1.6))
+	q := NewProcessor(func(p *Processor) { p.alpha = 1.6 })
 	state = memo
 	state.v = poison
 	if v, _ := q.VoltageForFrequencyWarm(55e6, &state); v == poison || state.proc != q {
@@ -482,8 +389,8 @@ func TestVoltageForFrequencyWarmIntervalMemo(t *testing.T) {
 func TestSupplyMemoParity(t *testing.T) {
 	procs := []*Processor{
 		NewProcessor(),
-		NewProcessor(WithAlpha(1.6), WithThresholdVoltage(0.33)),
-		NewProcessor(WithLeakage(1e-3, 2), WithCorner(CornerFast)),
+		NewProcessor(func(p *Processor) { p.alpha, p.thresholdVoltage = 1.6, 0.33 }),
+		NewProcessor(func(p *Processor) { p.leakageCurrent0, p.dibl = 1e-3, 2 }, WithCorner(CornerFast)),
 	}
 	var m SupplyMemo
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

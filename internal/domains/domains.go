@@ -46,14 +46,6 @@ func SqrtUtility(power float64) float64 {
 	return math.Sqrt(power)
 }
 
-// LinearUtility values every delivered watt equally.
-func LinearUtility(power float64) float64 {
-	if power <= 0 {
-		return 0
-	}
-	return power
-}
-
 // Domain is one on-chip power domain.
 type Domain struct {
 	// Name identifies the domain in reports ("core", "sram", "radio").
@@ -124,17 +116,8 @@ type Allocator struct {
 	quantum float64 // allocation step (W)
 }
 
-// Option configures an Allocator.
-type Option func(*Allocator)
-
-// WithQuantum sets the greedy allocation step (W). Smaller is more exact
-// and slower. The default is 10 uW.
-func WithQuantum(watts float64) Option {
-	return func(a *Allocator) { a.quantum = watts }
-}
-
 // New builds an allocator over the given domains.
-func New(ds []Domain, opts ...Option) (*Allocator, error) {
+func New(ds []Domain) (*Allocator, error) {
 	if len(ds) == 0 {
 		return nil, ErrNoDomains
 	}
@@ -143,14 +126,10 @@ func New(ds []Domain, opts ...Option) (*Allocator, error) {
 			return nil, err
 		}
 	}
-	a := &Allocator{
+	return &Allocator{
 		domains: append([]Domain(nil), ds...),
 		quantum: 10e-6,
-	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a, nil
+	}, nil
 }
 
 // draw returns the source power a domain needs to receive load power p from
@@ -248,18 +227,4 @@ func (a *Allocator) Allocate(vin, budget float64) (Allocation, error) {
 		alloc.TotalUtility += u
 	}
 	return alloc, nil
-}
-
-// Sweep evaluates the allocation across budgets, for plotting utility
-// curves and finding the budget at which domains saturate.
-func (a *Allocator) Sweep(vin float64, budgets []float64) ([]Allocation, error) {
-	out := make([]Allocation, 0, len(budgets))
-	for _, b := range budgets {
-		alloc, err := a.Allocate(vin, b)
-		if err != nil {
-			return nil, fmt.Errorf("budget %.4g W: %w", b, err)
-		}
-		out = append(out, alloc)
-	}
-	return out, nil
 }

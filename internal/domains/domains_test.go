@@ -107,10 +107,13 @@ func TestUtilityMonotoneInBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgets := []float64{2e-3, 5e-3, 10e-3, 20e-3, 40e-3}
-	allocs, err := a.Sweep(1.1, budgets)
-	if err != nil {
-		t.Fatal(err)
+	var allocs []Allocation
+	for _, budget := range []float64{2e-3, 5e-3, 10e-3, 20e-3, 40e-3} {
+		alloc, err := a.Allocate(1.1, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, alloc)
 	}
 	for i := 1; i < len(allocs); i++ {
 		if allocs[i].TotalUtility < allocs[i-1].TotalUtility-1e-9 {
@@ -159,18 +162,16 @@ func TestUtilities(t *testing.T) {
 	if SqrtUtility(4) != 2 || SqrtUtility(-1) != 0 {
 		t.Error("sqrt utility wrong")
 	}
-	if LinearUtility(3) != 3 || LinearUtility(-1) != 0 {
-		t.Error("linear utility wrong")
-	}
 }
 
 // Property: allocations never draw more than the budget and never deliver
 // more than they draw, for random budgets and node voltages.
 func TestQuickAllocationSafety(t *testing.T) {
-	a, err := New(threeDomains(), WithQuantum(50e-6))
+	a, err := New(threeDomains())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.quantum = 50e-6
 	f := func(vinRaw, budRaw uint16) bool {
 		vin := 0.9 + float64(vinRaw)/65535*0.5
 		budget := 2e-3 + float64(budRaw)/65535*30e-3
@@ -195,7 +196,7 @@ func TestGreedyNearOptimalTwoDomains(t *testing.T) {
 		{Name: "a", Reg: reg.NewSC(), Supply: 0.55, MaxPower: 10e-3, Weight: 1},
 		{Name: "b", Reg: reg.NewBuck(), Supply: 0.60, MaxPower: 10e-3, Weight: 1},
 	}
-	a, err := New(ds, WithQuantum(10e-6))
+	a, err := New(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +234,11 @@ func TestGreedyNearOptimalTwoDomains(t *testing.T) {
 }
 
 func BenchmarkAllocate(b *testing.B) {
-	a, err := New(threeDomains(), WithQuantum(50e-6))
+	a, err := New(threeDomains())
 	if err != nil {
 		b.Fatal(err)
 	}
+	a.quantum = 50e-6
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Allocate(1.1, 12e-3); err != nil {
 			b.Fatal(err)

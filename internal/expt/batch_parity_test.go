@@ -2,12 +2,13 @@ package expt
 
 // Differential parity between the scalar and batched kernels at the
 // experiment level. The committed goldens (and traces) predate the batched
-// path — pv.Curve now sweeps through pv.SolveBatch and the fleet scheduler
-// steps circuit.BatchStepper groups — so matching them byte for byte, with
-// no -update, is the end-to-end proof that batching changed the schedule of
-// the computation and nothing else. The lower layers pin the same contract
-// microscopically (pv/batch_test.go, circuit/batch_test.go); this suite
-// pins it at the report/CSV/trace surface every consumer actually reads.
+// path — pv.Curve now sweeps with one walking solver state and the fleet
+// scheduler steps circuit.BatchStepper groups — so matching them byte for
+// byte, with no -update, is the end-to-end proof that batching changed the
+// schedule of the computation and nothing else. The lower layers pin the
+// same contract microscopically (pv's TestCurveMatchesScalar,
+// circuit/batch_test.go); this suite pins it at the report/CSV/trace
+// surface every consumer actually reads.
 
 import (
 	"bytes"

@@ -196,27 +196,10 @@ type FeatureExtractor struct {
 	orientationBins int // histogram bins over [0, pi)
 }
 
-// FeatureOption configures a FeatureExtractor.
-type FeatureOption func(*FeatureExtractor)
-
-// WithCellSize sets the square cell edge length in pixels.
-func WithCellSize(px int) FeatureOption {
-	return func(fe *FeatureExtractor) { fe.cellSize = px }
-}
-
-// WithOrientationBins sets the number of orientation histogram bins.
-func WithOrientationBins(n int) FeatureOption {
-	return func(fe *FeatureExtractor) { fe.orientationBins = n }
-}
-
 // NewFeatureExtractor returns an extractor with 8x8-pixel cells and 8
-// orientation bins by default.
-func NewFeatureExtractor(opts ...FeatureOption) *FeatureExtractor {
-	fe := &FeatureExtractor{cellSize: 8, orientationBins: 8}
-	for _, opt := range opts {
-		opt(fe)
-	}
-	return fe
+// orientation bins.
+func NewFeatureExtractor() *FeatureExtractor {
+	return &FeatureExtractor{cellSize: 8, orientationBins: 8}
 }
 
 // FeatureLength returns the feature vector length for a frame of the given

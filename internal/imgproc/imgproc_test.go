@@ -1,9 +1,7 @@
 package imgproc
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -119,7 +117,7 @@ func TestFeatureLength(t *testing.T) {
 	if _, err := fe.FeatureLength(0, 64); !errors.Is(err, ErrBadDimensions) {
 		t.Errorf("zero width: %v", err)
 	}
-	fe2 := NewFeatureExtractor(WithCellSize(16), WithOrientationBins(4))
+	fe2 := &FeatureExtractor{cellSize: 16, orientationBins: 4}
 	if n, err := fe2.FeatureLength(64, 64); err != nil || n != 4*4*4 {
 		t.Errorf("custom extractor length = %d (%v), want 64", n, err)
 	}
@@ -321,59 +319,6 @@ func BenchmarkProcessFrame(b *testing.B) {
 		if _, err := pipe.Process(im); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestPGMRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	im := Generate(rng, ClassChecker, 48, 32)
-	var buf bytes.Buffer
-	if err := im.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPGM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Width != 48 || back.Height != 32 {
-		t.Fatalf("dimensions %dx%d", back.Width, back.Height)
-	}
-	for i := range im.Pix {
-		if im.Pix[i] != back.Pix[i] {
-			t.Fatal("pixels corrupted in round trip")
-		}
-	}
-}
-
-func TestPGMWithComments(t *testing.T) {
-	data := "P5\n# a comment line\n2 2\n# another\n255\nABCD"
-	im, err := ReadPGM(strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Width != 2 || im.Height != 2 || im.Pix[0] != 'A' || im.Pix[3] != 'D' {
-		t.Errorf("parsed %dx%d %v", im.Width, im.Height, im.Pix)
-	}
-}
-
-func TestPGMErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad magic":    "P2\n2 2\n255\nABCD",
-		"zero width":   "P5\n0 2\n255\n",
-		"huge maxval":  "P5\n2 2\n65535\nABCDEFGH",
-		"short pixels": "P5\n2 2\n255\nAB",
-		"non-numeric":  "P5\nx 2\n255\nABCD",
-		"empty":        "",
-	}
-	for name, data := range cases {
-		if _, err := ReadPGM(strings.NewReader(data)); !errors.Is(err, ErrBadPGM) {
-			t.Errorf("%s: got %v", name, err)
-		}
-	}
-	// Writing an inconsistent image errors.
-	bad := &Image{Width: 4, Height: 4, Pix: make([]uint8, 3)}
-	if err := bad.WritePGM(io.Discard); !errors.Is(err, ErrBadPGM) {
-		t.Errorf("inconsistent write: %v", err)
 	}
 }
 

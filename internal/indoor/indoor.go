@@ -61,12 +61,6 @@ type Environment struct {
 // Option configures an Environment.
 type Option func(*Environment)
 
-// WithStages replaces the lighting ladder. Stages are ordered dimmest to
-// brightest; transitions move one rung at a time.
-func WithStages(stages []Stage) Option {
-	return func(e *Environment) { e.stages = stages }
-}
-
 // WithStartStage sets the initial rung (index into the stage ladder).
 func WithStartStage(i int) Option {
 	return func(e *Environment) { e.start = i }

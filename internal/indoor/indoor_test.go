@@ -71,9 +71,14 @@ func TestTraceVisitsMultipleRegimes(t *testing.T) {
 	}
 }
 
+// withStages replaces the lighting ladder, ordered dimmest to brightest.
+func withStages(stages []Stage) Option {
+	return func(e *Environment) { e.stages = stages }
+}
+
 func TestSingleStageLadder(t *testing.T) {
 	e := New(
-		WithStages([]Stage{{Level: 0.05, MeanDwellS: 10, Efficiency: 1}}),
+		withStages([]Stage{{Level: 0.05, MeanDwellS: 10, Efficiency: 1}}),
 		WithStartStage(0),
 		WithJitter(0),
 	)
@@ -96,10 +101,10 @@ func TestTraceErrors(t *testing.T) {
 		t.Errorf("zero step: %v", err)
 	}
 	for name, e := range map[string]*Environment{
-		"empty ladder":    New(WithStages(nil)),
-		"negative level":  New(WithStages([]Stage{{Level: -1, MeanDwellS: 1, Efficiency: 1}})),
-		"zero dwell":      New(WithStages([]Stage{{Level: 0.1, MeanDwellS: 0, Efficiency: 1}}), WithStartStage(0)),
-		"bad efficiency":  New(WithStages([]Stage{{Level: 0.1, MeanDwellS: 1, Efficiency: 1.5}}), WithStartStage(0)),
+		"empty ladder":    New(withStages(nil)),
+		"negative level":  New(withStages([]Stage{{Level: -1, MeanDwellS: 1, Efficiency: 1}})),
+		"zero dwell":      New(withStages([]Stage{{Level: 0.1, MeanDwellS: 0, Efficiency: 1}}), WithStartStage(0)),
+		"bad efficiency":  New(withStages([]Stage{{Level: 0.1, MeanDwellS: 1, Efficiency: 1.5}}), WithStartStage(0)),
 		"start off rung":  New(WithStartStage(99)),
 		"jitter too big":  New(WithJitter(1)),
 		"negative jitter": New(WithJitter(-0.1)),

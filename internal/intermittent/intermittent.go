@@ -30,9 +30,6 @@ import (
 var (
 	// ErrBadTask indicates a task with no work or negative state size.
 	ErrBadTask = errors.New("intermittent: invalid task")
-
-	// ErrNoPolicy indicates an executor without a checkpoint policy.
-	ErrNoPolicy = errors.New("intermittent: missing checkpoint policy")
 )
 
 // NVM models the non-volatile memory used for checkpoints (e.g. on-chip
@@ -245,10 +242,6 @@ type Stats struct {
 	CompletedAt      float64 // simulation time of the final commit (s)
 }
 
-// Progress returns total useful work that would survive a failure right
-// now.
-func (s Stats) Progress() float64 { return s.Committed }
-
 // Executor runs a Task across power failures. It implements
 // circuit.Controller: configure a DVFS point, a checkpoint policy and an
 // NVM model, then hand it to the transient simulator. The simulation's
@@ -287,7 +280,6 @@ type Executor struct {
 	pendingLeft   float64 // cycles banked while the commit mark settles
 	prevCommitted float64 // committed work in the older buffered image
 	restores      int     // restore attempts, indexing Faults.CorruptRestore
-	workAtFailure float64 // committed+volatile at the previous failure
 }
 
 var _ circuit.Controller = (*Executor)(nil)
@@ -397,11 +389,6 @@ func (e *Executor) OnStep(s *circuit.State) {
 // powerFailure destroys volatile state and schedules a restore.
 func (e *Executor) powerFailure(s *circuit.State) {
 	e.Stats.Failures++
-	if obs, ok := e.Policy.(FailureObserver); ok {
-		work := e.Stats.Committed + e.Stats.Volatile
-		obs.OnFailure(work - e.workAtFailure)
-		e.workAtFailure = work - e.Stats.Volatile // volatile is about to be lost
-	}
 	if s.Tracing() {
 		s.TraceInstant("intermittent.failure", trace.Args{
 			"lost_cycles": e.Stats.Volatile, "committed": e.Stats.Committed,

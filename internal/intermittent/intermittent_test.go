@@ -290,69 +290,3 @@ func BenchmarkIntermittentExecution(b *testing.B) {
 		runExecutor(b, e, blink(3e-3), 100e-3)
 	}
 }
-
-func TestAdaptivePolicyUnit(t *testing.T) {
-	p := &AdaptivePolicy{}
-	if p.Name() != "adaptive" {
-		t.Error("name wrong")
-	}
-	if got := p.Interval(); got != 0.5e6 {
-		t.Errorf("initial interval %g, want 0.5e6", got)
-	}
-	if p.ShouldCheckpoint(0.4e6, 1.0) || !p.ShouldCheckpoint(0.5e6, 1.0) {
-		t.Error("threshold logic wrong")
-	}
-	// Frequent failures with little work shrink the interval.
-	for i := 0; i < 5; i++ {
-		p.OnFailure(0.2e6)
-	}
-	if got := p.Interval(); got > 0.1e6 {
-		t.Errorf("interval after flaky power %g, want <= 0.05e6*?.. shrunk below 0.1e6", got)
-	}
-	// Long stable windows grow it back, bounded by Max.
-	for i := 0; i < 12; i++ {
-		p.OnFailure(50e6)
-	}
-	if got := p.Interval(); got != 5e6 {
-		t.Errorf("interval after stable power %g, want clamp at Max 5e6", got)
-	}
-	// Zero-work failures clamp at Min.
-	q := &AdaptivePolicy{}
-	for i := 0; i < 10; i++ {
-		q.OnFailure(0)
-	}
-	if got := q.Interval(); got < 50e3-1 || got > 0.3e6 {
-		t.Errorf("interval after zero-work failures %g, want near Min", got)
-	}
-}
-
-func TestAdaptivePolicyCompletesAndAdapts(t *testing.T) {
-	task := Task{TotalCycles: 6e6, StateBytes: 1024}
-	pol := &AdaptivePolicy{}
-	e := &Executor{Task: task, Policy: pol, Supply: 0.55}
-	runExecutor(t, e, blink(3e-3), 400e-3)
-	if e.Stats.Failures == 0 {
-		t.Fatal("no failures; test is vacuous")
-	}
-	if !e.Stats.Completed {
-		t.Fatalf("adaptive task did not complete: %+v", e.Stats)
-	}
-	// The learned interval should reflect the observed power windows: below
-	// the generous default but above the floor.
-	if got := pol.Interval(); got <= 50e3 || got >= 5e6 {
-		t.Errorf("learned interval %g not in the interior", got)
-	}
-}
-
-func TestAdaptiveBeatsFixedOnMismatchedInterval(t *testing.T) {
-	// A fixed policy with a badly mismatched (too long) interval loses most
-	// work to failures; the adaptive policy converges to the environment.
-	task := Task{TotalCycles: 6e6, StateBytes: 1024}
-	fixed := &Executor{Task: task, Policy: PeriodicPolicy{Interval: 4e6}, Supply: 0.55}
-	runExecutor(t, fixed, blink(3e-3), 400e-3)
-	adaptive := &Executor{Task: task, Policy: &AdaptivePolicy{Initial: 4e6}, Supply: 0.55}
-	runExecutor(t, adaptive, blink(3e-3), 400e-3)
-	if adaptive.Stats.Committed <= fixed.Stats.Committed {
-		t.Errorf("adaptive committed %.3g <= fixed %.3g", adaptive.Stats.Committed, fixed.Stats.Committed)
-	}
-}

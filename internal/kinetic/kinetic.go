@@ -75,11 +75,6 @@ func WithJitter(j float64) Option {
 	return func(h *Harvester) { h.jitter = j }
 }
 
-// WithCap sets the equivalent-irradiance ceiling.
-func WithCap(c float64) Option {
-	return func(h *Harvester) { h.cap = c }
-}
-
 // New returns a harvester with wearable-walking defaults.
 func New(opts ...Option) *Harvester {
 	h := &Harvester{

@@ -41,7 +41,7 @@ func TestTraceDeterministicBySeed(t *testing.T) {
 }
 
 func TestTraceBoundsAndActivity(t *testing.T) {
-	h := New(WithCap(0.5))
+	h := New(func(h *Harvester) { h.cap = 0.5 })
 	tr, err := h.Trace(rand.New(rand.NewSource(3)), 60, 0.005)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestTraceErrors(t *testing.T) {
 		New(WithImpulse(-1)),
 		New(WithDecay(0)),
 		New(WithJitter(1.5)),
-		New(WithCap(0)),
+		New(func(h *Harvester) { h.cap = 0 }),
 	} {
 		if _, err := h.Trace(rand.New(rand.NewSource(1)), 10, 0.01); err == nil {
 			t.Errorf("harvester %+v accepted", h)

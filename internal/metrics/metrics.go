@@ -8,7 +8,7 @@
 //
 //   - zero dependencies: the exposition writer and the strict parser
 //     (expfmt.go) are standard library only;
-//   - hot-path updates are single atomics (Counter.Inc, Gauge.Set,
+//   - hot-path updates are single atomics (Counter.Inc, Gauge.Add,
 //     Histogram.Observe) — no locks after the series exists;
 //   - label order is the declared order, and series export in sorted
 //     label-value order, so consecutive scrapes differ only in values;
@@ -57,11 +57,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable float64.
+// Gauge is a float64 that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add shifts the value by d (atomic read-modify-write).
 func (g *Gauge) Add(d float64) {
@@ -137,7 +134,6 @@ type family struct {
 	// scalar families hold their single instrument directly:
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 }
 
 // series is one labelled child of a vector family.
@@ -226,14 +222,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge whose value is sampled at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, kind: KindGauge, fn: fn})
-}
-
-// Histogram registers and returns a scalar fixed-bucket histogram; bounds
-// are the finite upper bounds in ascending order.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(append([]float64(nil), bounds...))
-	r.register(&family{name: name, help: help, kind: KindHistogram, bounds: h.bounds, hist: h})
-	return h
 }
 
 // CounterVec is a counter family with declared labels.
@@ -407,8 +395,6 @@ func (r *Registry) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
 		case f.gauge != nil:
 			fmt.Fprintf(w, "%s %s\n", f.name, formatValue(f.gauge.Value()))
-		case f.hist != nil:
-			writeHistogram(w, f.name, nil, nil, f.hist)
 		default: // vector family
 			for _, s := range f.sorted() {
 				switch f.kind {

@@ -18,7 +18,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 3", c.Value())
 	}
 	g := r.Gauge("depth", "Queue depth.")
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1)
 	if g.Value() != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", g.Value())
@@ -26,8 +26,7 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_ms", "Latency.", []float64{1, 5, 10})
+	h := newHistogram([]float64{1, 5, 10})
 	for _, v := range []float64{0.5, 1, 3, 7, 100} {
 		h.Observe(v)
 	}
@@ -76,7 +75,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 func TestWriteTextRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain_total", "Plain counter.").Add(7)
-	r.Gauge("temp", "With\nnewline and back\\slash.").Set(1.25)
+	r.Gauge("temp", "With\nnewline and back\\slash.").Add(1.25)
 	r.GaugeFunc("sampled", "Sampled at scrape.", func() float64 { return 1e6 })
 	v := r.CounterVec("reqs_total", "By route.", "route", "class")
 	v.With("a b", "2xx").Add(2)

@@ -104,11 +104,6 @@ func BuildTable(cell *pv.Cell, levels []float64, plan Planner) *Table {
 // Len returns the number of table rows.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Entries returns a copy of the table rows in ascending input power.
-func (t *Table) Entries() []Entry {
-	return append([]Entry(nil), t.entries...)
-}
-
 // Lookup returns the row whose input power is nearest (in log ratio) to the
 // estimate, which matches how a hardware LUT with decade-spaced rows is
 // indexed.

@@ -99,7 +99,7 @@ func TestBuildTableSortedAndComplete(t *testing.T) {
 	if table.Len() != 4 {
 		t.Fatalf("len = %d, want 4", table.Len())
 	}
-	entries := table.Entries()
+	entries := table.entries
 	for i := 1; i < len(entries); i++ {
 		if entries[i].InputPower < entries[i-1].InputPower {
 			t.Fatal("entries not sorted by input power")
@@ -327,133 +327,5 @@ func TestTimeBasedBeatsPerturbObserveAfterLightStep(t *testing.T) {
 	if tbOut.EnergyHarvested <= poOut.EnergyHarvested {
 		t.Errorf("time-based harvested %.4g J <= perturb-observe %.4g J after the light step",
 			tbOut.EnergyHarvested, poOut.EnergyHarvested)
-	}
-}
-
-func TestFractionalVocTracksMPP(t *testing.T) {
-	cell := pv.NewCell()
-	vmpp, pmpp := cell.MPP(1.0)
-	storage, err := cap.New(100e-6, vmpp, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv := &FractionalVoc{Supply: 0.5}
-	sim, err := circuit.New(circuit.Config{
-		Cell:       cell,
-		Proc:       cpu.NewProcessor(),
-		Reg:        reg.NewSC(),
-		Cap:        storage,
-		Irradiance: circuit.ConstantIrradiance(1.0),
-		Controller: fv,
-		Step:       2e-6,
-		MaxTime:    100e-3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fv.Measurements < 2 {
-		t.Fatalf("only %d Voc measurements", fv.Measurements)
-	}
-	// k*Voc for this cell is ~0.76*1.4 = 1.06 V, near the true MPP 1.096 V.
-	if diff := out.FinalCapVoltage - vmpp; diff < -0.15 || diff > 0.15 {
-		t.Errorf("node at %.3f V, MPP %.3f V", out.FinalCapVoltage, vmpp)
-	}
-	// Dead time costs harvest: average should be decent but below the MPP.
-	avg := out.EnergyHarvested / out.Duration
-	if avg < 0.6*pmpp {
-		t.Errorf("average harvest %.3g W below 60%% of MPP", avg)
-	}
-	if avg > pmpp {
-		t.Error("harvest above the MPP is impossible")
-	}
-}
-
-func TestFractionalVocSettleTimeTradeoff(t *testing.T) {
-	// FOCV's documented weakness on a battery-less node: the Voc sample
-	// requires floating the (large) storage capacitor toward open circuit,
-	// so a short settle window mis-measures after a light collapse, while a
-	// window long enough to float costs a long harvesting dead time. The
-	// paper's time-based estimator avoids the dead time entirely.
-	run := func(settle float64) (float64, float64) {
-		cell := pv.NewCell()
-		vmpp1, _ := cell.MPP(1.0)
-		storage, err := cap.New(100e-6, vmpp1, 2.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fv := &FractionalVoc{Supply: 0.5, Period: 40e-3, SettleTime: settle}
-		sim, err := circuit.New(circuit.Config{
-			Cell:       cell,
-			Proc:       cpu.NewProcessor(),
-			Reg:        reg.NewSC(),
-			Cap:        storage,
-			Irradiance: circuit.StepIrradiance(1.0, 0.25, 30e-3),
-			Controller: fv,
-			Step:       2e-6,
-			MaxTime:    160e-3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.FinalCapVoltage, out.EnergyHarvested
-	}
-	cell := pv.NewCell()
-	vmpp2, _ := cell.MPP(0.25)
-
-	// A 1 ms settle cannot float the node after the collapse: the target is
-	// badly wrong and the node ends far below the dim MPP.
-	shortV, shortE := run(1e-3)
-	if diff := shortV - vmpp2; diff > -0.2 {
-		t.Errorf("short settle ended at %.3f V, expected far below the dim MPP %.3f V", shortV, vmpp2)
-	}
-	// A 25 ms settle re-targets correctly after the collapse but pays a
-	// large dead time while bright; a 1 ms settle avoids the dead time but
-	// mis-measures when dim. Neither escapes the trade-off — the paper's
-	// time-based tracker (which measures *while discharging normally*) must
-	// beat both on the same scenario.
-	_, longE := run(25e-3)
-
-	proc := cpu.NewProcessor()
-	table := BuildTable(cell, []float64{0.1, 0.25, 0.5, 1.0}, func(_, _, p float64) (float64, float64, bool) {
-		return 0.5, proc.FrequencyForPower(0.5, 0.6*p), false
-	})
-	vmpp1, _ := cell.MPP(1.0)
-	storage, err := cap.New(100e-6, vmpp1, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := circuit.New(circuit.Config{
-		Cell:       cell,
-		Proc:       proc,
-		Reg:        reg.NewSC(),
-		Cap:        storage,
-		Irradiance: circuit.StepIrradiance(1.0, 0.25, 30e-3),
-		Controller: &Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1},
-		Comparators: []circuit.Comparator{
-			{Threshold: 1.00, Hysteresis: 0.004},
-			{Threshold: 0.90, Hysteresis: 0.004},
-		},
-		Step:    2e-6,
-		MaxTime: 160e-3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	trackedE := out.EnergyHarvested
-	if trackedE <= shortE || trackedE <= longE {
-		t.Errorf("time-based tracker harvested %.4g J, FOCV short %.4g J / long %.4g J; tracker should beat both",
-			trackedE, shortE, longE)
 	}
 }

@@ -97,8 +97,8 @@ type flightCall struct {
 // exactly the bytes the leader produced — coalescing never changes
 // results, it only removes duplicate work under concurrent cold misses
 // (a request storm on a fresh hemserved process hits each key once, and
-// a SolveBatch fan-out whose lanes share curve keys hits each key once
-// per process, not once per lane).
+// a fan-out of workers whose sweeps share curve keys hits each key once
+// per process, not once per worker).
 //
 // Distinct keys never wait on each other, and a leader's nested solve
 // (MPP's internal Voc lookup) uses a different key, so no cycle — and

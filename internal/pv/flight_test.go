@@ -112,11 +112,10 @@ func TestCoalescePanicRecovery(t *testing.T) {
 	}
 }
 
-// TestBatchedCurveCoalescing: concurrent batched sweeps (Curve now runs
-// its solves through SolveBatch) hitting one cold key must run the batch
-// solver once, with followers sharing the leader's table — the
-// SolveBatch-era guarantee that a fan-out of workers sweeping the same
-// calibration does not multiply the cold-solve cost by the worker count.
+// TestBatchedCurveCoalescing: concurrent curve sweeps hitting one cold key
+// must run the walking-state sweep once, with followers sharing the
+// leader's table, so a fan-out of workers sweeping the same calibration
+// does not multiply the cold-solve cost by the worker count.
 func TestBatchedCurveCoalescing(t *testing.T) {
 	resetSolveCache()
 	c := NewCell()

@@ -297,20 +297,18 @@ func (c *Cell) Curve(irradiance float64, n int) []Point {
 	})
 }
 
-// curveUncached samples the I-V curve directly. The solves run through
-// SolveBatch in sweep mode: the grid is exactly the fine, slowly-moving
-// voltage sequence the walking warm state was built for, and the results
-// are bit-identical to per-point Current calls (see batch.go).
+// curveUncached samples the I-V curve directly. One walking SolverState
+// carries each point's warm start to the next: the grid is exactly the
+// fine, slowly-moving voltage sequence the warm state was built for, and
+// CurrentWarm returns bit-identical results to Current whatever the state
+// holds (see newton.go).
 func (c *Cell) curveUncached(irradiance float64, n int) []Point {
 	voc := c.OpenCircuitVoltage(irradiance)
-	vs := make([]float64, n)
-	for k := 0; k < n; k++ {
-		vs[k] = voc * float64(k) / float64(n-1)
-	}
-	is := c.SolveBatch(vs, []float64{irradiance}, nil, nil)
+	var walk SolverState
 	pts := make([]Point, n)
-	for k, v := range vs {
-		i := is[k]
+	for k := range pts {
+		v := voc * float64(k) / float64(n-1)
+		i := c.CurrentWarm(v, irradiance, &walk)
 		if i < 0 {
 			i = 0
 		}

@@ -2,6 +2,7 @@ package pv
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +178,37 @@ func TestCurve(t *testing.T) {
 	}
 	if c.Curve(0, 10) != nil {
 		t.Error("Curve with zero irradiance should return nil")
+	}
+}
+
+// TestCurveMatchesScalar is the walking-state differential: every point of
+// an uncached curve, solved with one SolverState carried from point to
+// point, must equal the clamped stateless Current at the same voltage, bit
+// for bit, for random calibrations, irradiances and grid sizes.
+func TestCurveMatchesScalar(t *testing.T) {
+	bits := func(p Point) [3]uint64 {
+		return [3]uint64{math.Float64bits(p.Voltage), math.Float64bits(p.Current), math.Float64bits(p.Power)}
+	}
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		c := NewCell()
+		if trial > 0 {
+			c = randomSolverCell(rng)
+		}
+		irr := math.Pow(10, -3*rng.Float64())
+		voc := c.OpenCircuitVoltage(irr)
+		for _, n := range []int{2, 7, 64, 1000} {
+			for k, got := range c.curveUncached(irr, n) {
+				v := voc * float64(k) / float64(n-1)
+				i := c.Current(v, irr)
+				if i < 0 {
+					i = 0
+				}
+				if want := (Point{Voltage: v, Current: i, Power: v * i}); bits(got) != bits(want) {
+					t.Fatalf("trial %d n=%d point %d: got %+v, want %+v", trial, n, k, got, want)
+				}
+			}
+		}
 	}
 }
 

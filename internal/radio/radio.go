@@ -30,42 +30,15 @@ type Radio struct {
 	overhead int     // protocol overhead per packet (bytes): preamble, CRC
 }
 
-// Option configures a Radio.
-type Option func(*Radio)
-
-// WithTXPower sets the active transmit power draw (W).
-func WithTXPower(watts float64) Option {
-	return func(r *Radio) { r.txPower = watts }
-}
-
-// WithStartupTime sets the per-packet startup time (s).
-func WithStartupTime(seconds float64) Option {
-	return func(r *Radio) { r.startup = seconds }
-}
-
-// WithBitrate sets the payload bitrate (bit/s).
-func WithBitrate(bps float64) Option {
-	return func(r *Radio) { r.bitrate = bps }
-}
-
-// WithOverheadBytes sets the per-packet protocol overhead (bytes).
-func WithOverheadBytes(n int) Option {
-	return func(r *Radio) { r.overhead = n }
-}
-
 // New returns a BLE-advertiser-class radio: ~9 mW while transmitting,
 // 250 us startup, 1 Mbit/s, 14 bytes of protocol overhead.
-func New(opts ...Option) *Radio {
-	r := &Radio{
+func New() *Radio {
+	return &Radio{
 		txPower:  9e-3,
 		startup:  250e-6,
 		bitrate:  1e6,
 		overhead: 14,
 	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	return r
 }
 
 // PacketAirtime returns the on-air duration (s) of a payload of the given
@@ -76,16 +49,6 @@ func (r *Radio) PacketAirtime(payloadBytes int) (float64, error) {
 	}
 	bits := float64(8 * (payloadBytes + r.overhead))
 	return r.startup + bits/r.bitrate, nil
-}
-
-// PacketEnergy returns the energy (J) one packet of the given payload size
-// costs.
-func (r *Radio) PacketEnergy(payloadBytes int) (float64, error) {
-	airtime, err := r.PacketAirtime(payloadBytes)
-	if err != nil {
-		return 0, err
-	}
-	return r.txPower * airtime, nil
 }
 
 // Packet is one scheduled transmission.
@@ -140,17 +103,4 @@ func (s *Schedule) Load(t float64) float64 {
 		}
 	}
 	return draw
-}
-
-// PeriodicSchedule builds a schedule transmitting one packet of the given
-// payload every `period` seconds from `start` until `end`.
-func (r *Radio) PeriodicSchedule(start, end, period float64, payloadBytes int) (*Schedule, error) {
-	if period <= 0 || end < start {
-		return nil, fmt.Errorf("%w: period=%g window=[%g, %g]", ErrBadPacket, period, start, end)
-	}
-	var packets []Packet
-	for t := start; t <= end; t += period {
-		packets = append(packets, Packet{Time: t, PayloadBytes: payloadBytes})
-	}
-	return r.NewSchedule(packets)
 }

@@ -22,11 +22,11 @@ func TestPacketAirtimeAndEnergy(t *testing.T) {
 	if math.Abs(airtime-want) > 1e-12 {
 		t.Errorf("airtime = %g, want %g", airtime, want)
 	}
-	e, err := r.PacketEnergy(50)
+	s, err := r.NewSchedule([]Packet{{PayloadBytes: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(e-9e-3*want) > 1e-15 {
+	if e := s.TotalEnergy(); math.Abs(e-9e-3*want) > 1e-15 {
 		t.Errorf("energy = %g", e)
 	}
 	if _, err := r.PacketAirtime(-1); !errors.Is(err, ErrBadPacket) {
@@ -35,7 +35,7 @@ func TestPacketAirtimeAndEnergy(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	r := New(WithTXPower(20e-3), WithStartupTime(0), WithBitrate(2e6), WithOverheadBytes(0))
+	r := &Radio{txPower: 20e-3, bitrate: 2e6}
 	airtime, err := r.PacketAirtime(100)
 	if err != nil {
 		t.Fatal(err)
@@ -43,14 +43,14 @@ func TestOptions(t *testing.T) {
 	if math.Abs(airtime-8*100/2e6) > 1e-15 {
 		t.Errorf("airtime = %g", airtime)
 	}
-	e, _ := r.PacketEnergy(100)
-	if math.Abs(e-20e-3*airtime) > 1e-15 {
+	s, _ := r.NewSchedule([]Packet{{PayloadBytes: 100}})
+	if e := s.TotalEnergy(); math.Abs(e-20e-3*airtime) > 1e-15 {
 		t.Errorf("energy = %g", e)
 	}
 }
 
 func TestScheduleLoad(t *testing.T) {
-	r := New(WithStartupTime(0), WithOverheadBytes(0), WithBitrate(8e3)) // 1 B = 1 ms
+	r := &Radio{txPower: 9e-3, bitrate: 8e3} // 1 B = 1 ms
 	s, err := r.NewSchedule([]Packet{
 		{Time: 10e-3, PayloadBytes: 5}, // 10-15 ms
 		{Time: 30e-3, PayloadBytes: 2}, // 30-32 ms
@@ -77,7 +77,7 @@ func TestScheduleLoad(t *testing.T) {
 }
 
 func TestOverlappingPacketsAdd(t *testing.T) {
-	r := New(WithStartupTime(0), WithOverheadBytes(0), WithBitrate(8e3))
+	r := &Radio{txPower: 9e-3, bitrate: 8e3}
 	s, err := r.NewSchedule([]Packet{
 		{Time: 0, PayloadBytes: 10},
 		{Time: 1e-3, PayloadBytes: 10},
@@ -90,26 +90,16 @@ func TestOverlappingPacketsAdd(t *testing.T) {
 	}
 }
 
-func TestPeriodicSchedule(t *testing.T) {
-	r := New()
-	s, err := r.PeriodicSchedule(0, 1.0, 0.1, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perPacket, _ := r.PacketEnergy(20)
-	if math.Abs(s.TotalEnergy()-11*perPacket) > 1e-12 {
-		t.Errorf("total = %g, want 11 packets", s.TotalEnergy())
-	}
-	if _, err := r.PeriodicSchedule(0, 1, 0, 20); !errors.Is(err, ErrBadPacket) {
-		t.Errorf("zero period: %v", err)
-	}
-}
-
 func TestScheduleDrivesSimulatorAuxLoad(t *testing.T) {
 	// Transmit bursts must show up in the simulator's aux energy ledger and
 	// dent the storage node.
-	r := New(WithTXPower(15e-3))
-	sched, err := r.PeriodicSchedule(2e-3, 18e-3, 4e-3, 32)
+	r := New()
+	r.txPower = 15e-3
+	var packets []Packet
+	for ms := 2; ms <= 18; ms += 4 {
+		packets = append(packets, Packet{Time: float64(ms) * 1e-3, PayloadBytes: 32})
+	}
+	sched, err := r.NewSchedule(packets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,29 +37,6 @@ var _ Regulator = (*Buck)(nil)
 // BuckOption configures a Buck converter.
 type BuckOption func(*Buck)
 
-// WithBuckQuiescent sets the controller quiescent power (W).
-func WithBuckQuiescent(watts float64) BuckOption {
-	return func(b *Buck) { b.quiescent = watts }
-}
-
-// WithBuckSwitchDrop sets the switching loss per ampere (V).
-func WithBuckSwitchDrop(volts float64) BuckOption {
-	return func(b *Buck) { b.switchDrop = volts }
-}
-
-// WithBuckResistance sets the lumped conduction resistance (ohm).
-func WithBuckResistance(ohms float64) BuckOption {
-	return func(b *Buck) { b.resistance = ohms }
-}
-
-// WithBuckOutputRange sets the regulable output window (V).
-func WithBuckOutputRange(lo, hi float64) BuckOption {
-	return func(b *Buck) {
-		b.minOutput = lo
-		b.maxOutput = hi
-	}
-}
-
 // WithBuckPFM enables pulse-frequency-modulation light-load operation below
 // the given output power (W), with the given residual always-on power (W).
 // PFM trades switching activity for load, flattening the light-load

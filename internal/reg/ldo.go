@@ -16,30 +16,13 @@ type LDO struct {
 
 var _ Regulator = (*LDO)(nil)
 
-// LDOOption configures an LDO.
-type LDOOption func(*LDO)
-
-// WithLDODropout sets the minimum input-output headroom (V).
-func WithLDODropout(v float64) LDOOption {
-	return func(l *LDO) { l.dropout = v }
-}
-
-// WithLDOQuiescent sets the quiescent current (A).
-func WithLDOQuiescent(amps float64) LDOOption {
-	return func(l *LDO) { l.quiescent = amps }
-}
-
 // NewLDO returns an LDO calibrated to the paper's 65 nm implementation.
-func NewLDO(opts ...LDOOption) *LDO {
-	l := &LDO{
+func NewLDO() *LDO {
+	return &LDO{
 		dropout:   0.05,
 		quiescent: 8e-6,
 		minOutput: 0.1,
 	}
-	for _, opt := range opts {
-		opt(l)
-	}
-	return l
 }
 
 // Name implements Regulator.

@@ -8,7 +8,7 @@ import (
 )
 
 func allRegulators() []Regulator {
-	return []Regulator{NewLDO(), NewSC(), NewBuck(), NewBypass()}
+	return []Regulator{NewLDO(), NewSC(), NewBuck()}
 }
 
 func TestEfficiencyBounds(t *testing.T) {
@@ -88,7 +88,7 @@ func TestSCScallops(t *testing.T) {
 	s := NewSC()
 	// Efficiency peaks just below each ratio's ideal output voltage.
 	vin := 1.2
-	for _, k := range s.Ratios() {
+	for _, k := range s.ratios {
 		ideal := k * vin
 		nearIdeal := s.Efficiency(vin, ideal*0.99, 10e-3)
 		midScallop := s.Efficiency(vin, ideal*0.80, 10e-3)
@@ -186,46 +186,11 @@ func TestBuckBelowSCAtLightLoad(t *testing.T) {
 	}
 }
 
-func TestBypass(t *testing.T) {
-	by := NewBypass()
-	if eta := by.Efficiency(0.8, 0.8, 5e-3); eta != 1 {
-		t.Errorf("bypass eta = %g, want 1", eta)
-	}
-	if eta := by.Efficiency(0.8, 0.5, 5e-3); eta != 0 {
-		t.Errorf("bypass at different vout: eta = %g, want 0", eta)
-	}
-	lo, hi := by.OutputRange(0.8)
-	if lo > 0.8 || hi < 0.8 {
-		t.Errorf("bypass range [%g, %g] excludes vin", lo, hi)
-	}
-}
-
-func TestInputPower(t *testing.T) {
-	s := NewSC()
-	pin, err := InputPower(s, 1.2, 0.55, 10e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 10e-3 / s.Efficiency(1.2, 0.55, 10e-3)
-	if math.Abs(pin-want) > 1e-12 {
-		t.Errorf("pin = %g, want %g", pin, want)
-	}
-	if pin, err := InputPower(s, 1.2, 0.55, 0); err != nil || pin != 0 {
-		t.Errorf("zero load: %g, %v", pin, err)
-	}
-	if _, err := InputPower(s, 1.2, 1.1, 10e-3); !errors.Is(err, ErrUnreachableOutput) {
-		t.Errorf("unreachable: got %v", err)
-	}
-}
-
 func TestOutputPowerInvertsInputPower(t *testing.T) {
 	for _, r := range []Regulator{NewLDO(), NewSC(), NewBuck()} {
 		for _, pout := range []float64{1e-3, 5e-3, 10e-3} {
 			vin, vout := 1.2, 0.55
-			pin, err := InputPower(r, vin, vout, pout)
-			if err != nil {
-				t.Fatalf("%s: %v", r.Name(), err)
-			}
+			pin := pout / r.Efficiency(vin, vout, pout)
 			back, err := OutputPower(r, vin, vout, pin)
 			if err != nil {
 				t.Fatalf("%s: %v", r.Name(), err)
@@ -268,7 +233,7 @@ func TestEfficiencyCurve(t *testing.T) {
 // Property: for every regulator, drawn input power is at least the load
 // power (no free energy) whenever the point is reachable.
 func TestQuickNoFreeEnergy(t *testing.T) {
-	regs := []Regulator{NewLDO(), NewSC(), NewBuck(), NewBypass()}
+	regs := allRegulators()
 	f := func(ri uint8, vinRaw, voutRaw, poutRaw uint16) bool {
 		r := regs[int(ri)%len(regs)]
 		vin := 0.6 + float64(vinRaw)/65535*0.9
@@ -380,14 +345,11 @@ func TestBuckPFMImprovesLightLoad(t *testing.T) {
 }
 
 func TestNamesAndOptions(t *testing.T) {
-	if NewLDO().Name() != "LDO" || NewSC().Name() != "SC" || NewBuck().Name() != "Buck" || NewBypass().Name() != "Bypass" {
+	if NewLDO().Name() != "LDO" || NewSC().Name() != "SC" || NewBuck().Name() != "Buck" {
 		t.Error("regulator names wrong")
 	}
-	if got := NewSC().FullLoadPower(); got != 10e-3 {
-		t.Errorf("SC full-load rating %g, want 10 mW", got)
-	}
-	// LDO options shape the model as documented.
-	l := NewLDO(WithLDODropout(0.2), WithLDOQuiescent(1e-3))
+	// LDO parameters shape the model as documented.
+	l := &LDO{dropout: 0.2, quiescent: 1e-3, minOutput: 0.1}
 	if _, hi := l.OutputRange(1.0); hi != 0.8 {
 		t.Errorf("dropout not honoured: hi=%g", hi)
 	}
@@ -395,13 +357,15 @@ func TestNamesAndOptions(t *testing.T) {
 	if eta := l.Efficiency(1.2, 0.55, 0.5e-3); eta > 0.25 {
 		t.Errorf("1 mA quiescent should crush light-load LDO efficiency, got %.3f", eta)
 	}
-	// SC loss options: doubling the fixed loss lowers the light-load corner.
-	lossy := NewSC(WithSCFixedLoss(1.6e-3), WithSCBottomPlateLoss(0.288))
+	// SC loss parameters: doubling the fixed loss lowers the light-load corner.
+	lossy := NewSC()
+	lossy.fixedLoss *= 2
 	if a, b := lossy.Efficiency(1.2, 0.55, 1e-3), NewSC().Efficiency(1.2, 0.55, 1e-3); a >= b {
 		t.Errorf("doubled fixed loss did not lower efficiency: %.3f vs %.3f", a, b)
 	}
-	// Buck options.
-	bq := NewBuck(WithBuckQuiescent(5e-3), WithBuckSwitchDrop(0.4), WithBuckResistance(10), WithBuckOutputRange(0.2, 0.9))
+	// Buck parameters.
+	bq := NewBuck()
+	bq.quiescent, bq.switchDrop, bq.resistance, bq.minOutput, bq.maxOutput = 5e-3, 0.4, 10, 0.2, 0.9
 	if lo, hi := bq.OutputRange(1.5); lo != 0.2 || hi != 0.9 {
 		t.Errorf("buck output window not honoured: [%g, %g]", lo, hi)
 	}

@@ -1,8 +1,7 @@
 // Package reg models the fully integrated on-chip voltage regulators studied
 // in the paper: a low-dropout linear regulator (LDO, Fig. 3), a multi-ratio
 // switched-capacitor converter (SC, Fig. 4) and an on-chip buck converter
-// (Fig. 5), plus an ideal pass-through used for the regulator-bypass
-// operating mode. Each model exposes power efficiency as a function of
+// (Fig. 5). Each model exposes power efficiency as a function of
 // input voltage, output voltage and delivered load power, calibrated to the
 // corner points the paper quotes (e.g. SC: 67% at 0.55 V full load, 64% at
 // half load; buck: 63%/58%; LDO: 45% at 0.55 V).
@@ -46,20 +45,6 @@ type Regulator interface {
 	// OutputRange returns the reachable output voltage range [lo, hi] for
 	// the given input voltage. hi < lo means no output is reachable.
 	OutputRange(vin float64) (lo, hi float64)
-}
-
-// InputPower returns the power (W) drawn from the source to deliver pout at
-// vout from vin, i.e. pout / efficiency. It returns ErrUnreachableOutput
-// when the conversion point is invalid.
-func InputPower(r Regulator, vin, vout, pout float64) (float64, error) {
-	if pout <= 0 {
-		return 0, nil
-	}
-	eta := r.Efficiency(vin, vout, pout)
-	if eta <= 0 {
-		return 0, ErrUnreachableOutput
-	}
-	return pout / eta, nil
 }
 
 // OutputPower returns the maximum load power (W) deliverable at vout when

@@ -20,11 +20,10 @@ package reg
 // load and 64% at half load, matching Fig. 4, while light loads collapse
 // toward zero efficiency, which drives the paper's low-light bypass rule.
 type SC struct {
-	ratios        []float64 // step-down fractions k (ideal Vout = k*Vin)
-	fixedLoss     float64   // Pfixed: load-independent switching power (W)
-	bottomPlate   float64   // cBP: loss proportional to output power
-	minOutput     float64   // lowest regulable output voltage (V)
-	fullLoadPower float64   // documented full-load rating (W), for reports
+	ratios      []float64 // step-down fractions k (ideal Vout = k*Vin)
+	fixedLoss   float64   // Pfixed: load-independent switching power (W)
+	bottomPlate float64   // cBP: loss proportional to output power
+	minOutput   float64   // lowest regulable output voltage (V)
 }
 
 var _ Regulator = (*SC)(nil)
@@ -40,25 +39,14 @@ func WithSCRatios(ratios []float64) SCOption {
 	}
 }
 
-// WithSCFixedLoss sets the load-independent switching loss (W).
-func WithSCFixedLoss(watts float64) SCOption {
-	return func(s *SC) { s.fixedLoss = watts }
-}
-
-// WithSCBottomPlateLoss sets the proportional loss coefficient cBP.
-func WithSCBottomPlateLoss(c float64) SCOption {
-	return func(s *SC) { s.bottomPlate = c }
-}
-
 // NewSC returns an SC converter calibrated to the paper's 65 nm
 // implementation (ratios 5:4, 3:2, 2:1).
 func NewSC(opts ...SCOption) *SC {
 	s := &SC{
-		ratios:        []float64{4.0 / 5.0, 2.0 / 3.0, 1.0 / 2.0},
-		fixedLoss:     0.80e-3,
-		bottomPlate:   0.288,
-		minOutput:     0.1,
-		fullLoadPower: 10e-3,
+		ratios:      []float64{4.0 / 5.0, 2.0 / 3.0, 1.0 / 2.0},
+		fixedLoss:   0.80e-3,
+		bottomPlate: 0.288,
+		minOutput:   0.1,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -68,14 +56,6 @@ func NewSC(opts ...SCOption) *SC {
 
 // Name implements Regulator.
 func (s *SC) Name() string { return "SC" }
-
-// FullLoadPower returns the converter's documented full-load rating (W).
-func (s *SC) FullLoadPower() float64 { return s.fullLoadPower }
-
-// Ratios returns a copy of the available step-down fractions.
-func (s *SC) Ratios() []float64 {
-	return append([]float64(nil), s.ratios...)
-}
 
 // OutputRange implements Regulator. The highest reachable output is the
 // largest ratio's ideal output (minus nothing: the charge-sharing model lets

@@ -36,7 +36,8 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a JSONL trace, validating each event.
+// ReadJSONL parses a JSONL trace, validating each event and that Seq
+// strictly increases, so whatever it returns passes ValidateAll.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var events []Event
 	dec := json.NewDecoder(r)
@@ -47,7 +48,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		if err := Validate(ev); err != nil {
+		if err := validateNext(events, ev); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		events = append(events, ev)

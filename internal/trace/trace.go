@@ -248,13 +248,22 @@ func Validate(ev Event) error {
 // ValidateAll checks every event and that Seq is strictly increasing.
 func ValidateAll(events []Event) error {
 	for i, ev := range events {
-		if err := Validate(ev); err != nil {
+		if err := validateNext(events[:i], ev); err != nil {
 			return err
 		}
-		if i > 0 && ev.Seq <= events[i-1].Seq {
-			return fmt.Errorf("trace: seq not strictly increasing at event %d (%d after %d)",
-				i, ev.Seq, events[i-1].Seq)
-		}
+	}
+	return nil
+}
+
+// validateNext checks ev and that it may follow the events before it:
+// Seq strictly increases along a trace.
+func validateNext(before []Event, ev Event) error {
+	if err := Validate(ev); err != nil {
+		return err
+	}
+	if n := len(before); n > 0 && ev.Seq <= before[n-1].Seq {
+		return fmt.Errorf("trace: seq not strictly increasing at event %d (%d after %d)",
+			n, ev.Seq, before[n-1].Seq)
 	}
 	return nil
 }

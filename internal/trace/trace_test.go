@@ -102,6 +102,10 @@ func TestReadJSONLRejectsBadEvents(t *testing.T) {
 		"no kind":   `{"seq":0,"clock":"sim","t":0,"kind":"","ph":"i"}`,
 		"neg time":  `{"seq":0,"clock":"sim","t":-1,"kind":"k","ph":"i"}`,
 		"not json":  `nope`,
+		"seq falls": `{"seq":1,"clock":"sim","t":0,"kind":"k","ph":"i"}` + "\n" +
+			`{"seq":0,"clock":"sim","t":0,"kind":"k","ph":"i"}`,
+		"seq repeats": `{"seq":0,"clock":"sim","t":0,"kind":"k","ph":"i"}` + "\n" +
+			`{"seq":0,"clock":"sim","t":1,"kind":"k","ph":"i"}`,
 	}
 	for name, line := range cases {
 		if _, err := ReadJSONL(strings.NewReader(line + "\n")); err == nil {
