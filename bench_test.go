@@ -21,6 +21,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/fleet"
 	"repro/internal/mppt"
+	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/sched"
@@ -757,9 +758,11 @@ func BenchmarkFleetRun(b *testing.B) {
 // exists for: a 10k-node fleet whose sky is exactly dark for almost the
 // whole horizon, so every node drains, collapses, and then sits in a
 // provably-inert fixed point. The ffwd sub-benchmark skips those spans
-// (O(events) per epoch per dead node); noffwd steps them verbatim. Both
-// produce byte-identical reports — the whole point — so nodes/s is the
-// only number that moves.
+// (O(events) per epoch per dead node); noffwd steps them verbatim; profiled
+// skips them with an energy profile attached, crediting each skip to the
+// ledger (the profile's export is not timed). All three produce
+// byte-identical reports — the whole point — so nodes/s is the only number
+// that moves.
 //
 // Geometry note: a verbatim step through a collapsed node is already
 // cheap (the kernel short-circuits), so the skip only dominates once the
@@ -770,13 +773,16 @@ func BenchmarkFleetDark(b *testing.B) {
 		Nodes: 10000, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
 	}
 	for _, mode := range []struct {
-		name string
-		noFF bool
-	}{{"ffwd", false}, {"noffwd", true}} {
+		name           string
+		noFF, profiled bool
+	}{{"ffwd", false, false}, {"noffwd", true, false}, {"profiled", false, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := base
 			cfg.NoFastForward = mode.noFF
 			for i := 0; i < b.N; i++ {
+				if mode.profiled {
+					cfg.Profile, cfg.ProfileScope = prof.New(), "fleet"
+				}
 				if _, err := fleet.Run(cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -146,7 +145,7 @@ func campaign(cfg campaignConfig, stdout io.Writer) error {
 	if cloudyDwell == 0 {
 		cloudyDwell = 1e-9
 	}
-	gen := weather.NewGenerator(rand.New(rand.NewSource(cfg.seed)),
+	gen := weather.NewSeededGenerator(cfg.seed,
 		weather.WithDwellTimes(clearDwell, cloudyDwell),
 		weather.WithCloudAttenuation(0.2, 0.07),
 		weather.WithRelaxationTime(0.3),

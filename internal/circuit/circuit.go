@@ -306,6 +306,12 @@ func (s *State) Supply() float64 { return s.effSupply }
 // Frequency returns the effective clock frequency (Hz).
 func (s *State) Frequency() float64 { return s.effFreq }
 
+// MaxFrequency returns Processor().MaxFrequency(Supply()), served from the
+// supply memo the operating point has just filled at that supply.
+func (s *State) MaxFrequency() float64 {
+	return s.supplyMemo.MaxFrequency(s.cfg.Proc, s.effSupply)
+}
+
 // CyclesDone returns the clock cycles executed so far.
 func (s *State) CyclesDone() float64 { return s.cyclesDone }
 

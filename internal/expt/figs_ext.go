@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -125,7 +124,7 @@ func ExtWeather() (*ExtWeatherResult, error) {
 		duration = 8.0
 		step     = 20e-6
 	)
-	gen := weather.NewGenerator(rand.New(rand.NewSource(42)),
+	gen := weather.NewSeededGenerator(42,
 		weather.WithDwellTimes(3, 2), // compressed time scale
 		weather.WithCloudAttenuation(0.25, 0.08),
 		weather.WithRelaxationTime(0.5),

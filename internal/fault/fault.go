@@ -258,5 +258,5 @@ func StreamSeed(seed int64, stream, domain string) int64 {
 
 // newRand returns the seeded stream for one injection domain.
 func newRand(seed int64, stream, domain string) *rand.Rand {
-	return rand.New(rand.NewSource(StreamSeed(seed, stream, domain)))
+	return rand.New(NewSource(StreamSeed(seed, stream, domain)))
 }

@@ -304,7 +304,7 @@ type ServeInjector struct {
 
 // NewServe returns a request-level injector rooted at seed.
 func NewServe(seed int64) *ServeInjector {
-	return &ServeInjector{rng: rand.New(rand.NewSource(StreamSeed(seed, "serve", "http")))}
+	return &ServeInjector{rng: rand.New(NewSource(StreamSeed(seed, "serve", "http")))}
 }
 
 // Decision is the injector's verdict for one request under one plan.

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -38,15 +37,17 @@ const (
 func nodeStream(id int) string { return fmt.Sprintf("node/%07d", id) }
 
 // buildNodeConfig constructs the circuit configuration of node id. All
-// randomness is drawn from sources seeded via
+// randomness is drawn from streams seeded via
 // fault.StreamSeed(seed, "node/<id>", domain) — one domain per concern —
 // so every node's environment and trims are independent of every other
-// node's and of the build order.
+// node's and of the build order. One pooled generator serves the domains
+// in turn: re-seeding resets its whole state.
 func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
 	// Weather: the node's private sky. Dwell times and the OU relaxation
 	// scale with the horizon so short fleet runs still see cloud bursts.
-	gen := weather.NewSeededGenerator(
-		fault.StreamSeed(cfg.Seed, nodeStream(id), "weather"),
+	rng := fault.PooledRand(fault.StreamSeed(cfg.Seed, nodeStream(id), "weather"))
+	defer fault.ReleaseRand(rng)
+	gen := weather.NewGenerator(rng,
 		weather.WithDwellTimes(cfg.Horizon/6, cfg.Horizon/10),
 		weather.WithRelaxationTime(cfg.Horizon/25),
 	)
@@ -56,15 +57,15 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
 	}
 
 	// Trims: initial charge, job size, peripheral draw and site exposure.
-	trim := rand.New(rand.NewSource(fault.StreamSeed(cfg.Seed, nodeStream(id), "trim")))
-	v0 := nodeV0Lo + (nodeV0Hi-nodeV0Lo)*trim.Float64()
-	cycles := nodeCyclesLo + (nodeCyclesHi-nodeCyclesLo)*trim.Float64()
-	aux := nodeAuxLo + (nodeAuxHi-nodeAuxLo)*trim.Float64()
+	rng.Seed(fault.StreamSeed(cfg.Seed, nodeStream(id), "trim"))
+	v0 := nodeV0Lo + (nodeV0Hi-nodeV0Lo)*rng.Float64()
+	cycles := nodeCyclesLo + (nodeCyclesHi-nodeCyclesLo)*rng.Float64()
+	aux := nodeAuxLo + (nodeAuxHi-nodeAuxLo)*rng.Float64()
 
 	// Site exposure: a fixed per-node light scale modelling shading and
 	// panel orientation, the per-node harvest diversity population studies
 	// care about. Scaling the trace keeps Trace.At's interpolation.
-	site := nodeSiteLo + (nodeSiteHi-nodeSiteLo)*trim.Float64()
+	site := nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()
 	for i := range sky.Samples {
 		sky.Samples[i] *= site
 	}

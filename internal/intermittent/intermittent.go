@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/cpu"
 	"repro/internal/prof"
 	"repro/internal/trace"
 )
@@ -280,6 +281,8 @@ type Executor struct {
 	pendingLeft   float64 // cycles banked while the commit mark settles
 	prevCommitted float64 // committed work in the older buffered image
 	restores      int     // restore attempts, indexing Faults.CorruptRestore
+
+	supplyMemo cpu.SupplyMemo // the CPU model at Supply, which never changes
 }
 
 var _ circuit.Controller = (*Executor)(nil)
@@ -346,7 +349,7 @@ func (e *Executor) targetFrequency(s *circuit.State) float64 {
 	if e.Frequency > 0 {
 		return e.Frequency
 	}
-	return s.Processor().MaxFrequency(e.Supply)
+	return e.supplyMemo.MaxFrequency(s.Processor(), e.Supply)
 }
 
 // OnStep implements circuit.Controller: attribute the cycles executed since

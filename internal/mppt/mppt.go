@@ -210,7 +210,7 @@ func (tr *Tracker) OnStep(s *circuit.State) {
 	if base := tr.target.Frequency; f < 0.05*base {
 		f = 0.05 * base // keep the clock alive so the loop can recover
 	}
-	fm := s.Processor().MaxFrequency(s.Supply())
+	fm := s.MaxFrequency()
 	if f > fm {
 		f = fm
 	}

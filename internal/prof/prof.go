@@ -27,9 +27,50 @@
 // Ledgers merge by bin-wise addition and profiles by scope-keyed union, so
 // fleet epochs fold per-node ledgers in node-ID order and the exported
 // bytes stay identical across worker counts and batch sizes.
+//
+// Skip credit. A fast-forwarded span of n steps must leave the bits n
+// sequential `acc += dt` adds leave (never n*dt, which rounds once instead
+// of n times). AddSteps computes that result in O(binades crossed) instead
+// of O(n), on the accumulator's bit pattern:
+//
+//   - Let acc be a positive normal float in the binade [2^e, 2^(e+1)), with
+//     ulp u = 2^(e−52), so acc = (2^52 + f)·u for an integer f, and let dt
+//     be a positive normal float. Then q = dt/u is exact: both are powers of
+//     two times integers, and in integers q = md/2^s with md dt's 53-bit
+//     significand and s = exp(acc) − exp(dt).
+//   - While the exact sum acc + dt stays below 2^(e+1), round-to-nearest
+//     puts it on the u grid at (2^52 + f + round(q))·u, and round(q) = k
+//     does not depend on f unless q's fraction is exactly ½. On the bit
+//     pattern that add is bits(acc) += k (bits of positive floats are
+//     ordered, and a carry out of the 52-bit field is the next binade).
+//   - So j consecutive adds add j·k to bits(acc) for every j with
+//     bits(acc) + j·k < bits(2^(e+1)). The converse direction closes the
+//     argument: if bits(acc) + k < bits(2^(e+1)) then f + round(q) < 2^52,
+//     hence f + q < 2^52 and the exact sum is below 2^(e+1), so no add in
+//     the run can leave the binade or meet its coarser grid. The add that
+//     would cross the binade top runs as one real float add, and the next
+//     binade repeats the rule with the same dt.
+//   - A tie (fraction ½) rounds to the even significand, which depends on
+//     f's parity. An odd f takes one real add, whose result is even; from
+//     an even f every add adds fl + (fl mod 2), fl = ⌊q⌋, the even of the
+//     two neighbours, and f stays even.
+//   - k = 0 (q < ½, or a tie at fl = 0 from an even f) makes every
+//     remaining add the identity.
+//   - An accumulator that is zero, subnormal, negative or non-finite, and
+//     q ≥ 2^52 (dt at least the binade's bottom, so the add leaves it), take
+//     real adds one at a time; a zero or subnormal start becomes normal on
+//     its first add. A dt that is not a positive normal float takes the
+//     plain loop throughout.
+//
+// From a zero start n credits cross at most about log2(n)+2 binades, and a
+// running ledger usually crosses none. TestAddStepsMatchesRepeatedAddStep
+// and FuzzAddStepsParity check the result against the loop bit for bit.
 package prof
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Bin indexes the fixed attribution taxonomy. Each bin is one
 // component/state pair of the profile's label stack.
@@ -104,20 +145,72 @@ func (l *Ledger) AddStep(b Bin, dt, joules float64) {
 }
 
 // AddSteps attributes n consecutive load-free steps of dt seconds to the
-// time bin, bitwise equal to n calls of AddStep(b, dt, 0): the n adds run
-// one after another into a local (never n*dt, which rounds differently),
-// and the joules side takes the one +0 add those calls would make. The
-// stepper credits fast-forwarded dead spans through it.
+// time bin, bitwise equal to n calls of AddStep(b, dt, 0): the seconds
+// side is the closed form of n sequential adds (never n*dt, which rounds
+// differently; see the package doc), and the joules side takes the one +0
+// add those calls would make. The stepper credits fast-forwarded dead
+// spans through it.
 func (l *Ledger) AddSteps(b Bin, dt float64, n int) {
 	if n <= 0 {
 		return
 	}
-	acc := l.Seconds[b]
-	for i := 0; i < n; i++ {
-		acc += dt
-	}
-	l.Seconds[b] = acc
+	l.Seconds[b] = addRepeated(l.Seconds[b], dt, n)
 	l.Joules[b] += 0 // x += 0 is idempotent: one add stands for n
+}
+
+const (
+	fracBits = 52
+	fracMask = 1<<fracBits - 1
+	expMax   = 0x7ff // exponent field of Inf and NaN
+)
+
+// addRepeated returns acc after n sequential `acc += dt`, binade by binade
+// (the argument is in the package doc).
+func addRepeated(acc, dt float64, n int) float64 {
+	d := math.Float64bits(dt)
+	md, ed := d&fracMask|1<<fracBits, d>>fracBits
+	if ed == 0 || ed >= expMax { // dt zero, subnormal, negative, Inf or NaN
+		for ; n > 0; n-- {
+			acc += dt
+		}
+		return acc
+	}
+	for n > 0 {
+		a := math.Float64bits(acc)
+		ea := a >> fracBits // sign bit included: negatives fail the test
+		if ea == 0 || ea >= expMax || ea <= ed {
+			acc += dt // not a positive normal, or q >= 2^52
+			n--
+			continue
+		}
+		s := ea - ed // q = md / 2^s, s >= 1
+		if s > fracBits+1 {
+			return acc // q < 1/2: every add is the identity
+		}
+		fl, rem, half := md>>s, md&(1<<s-1), uint64(1)<<(s-1)
+		k := fl
+		switch {
+		case rem > half:
+			k++
+		case rem == half: // a tie rounds to the even significand
+			if a&1 != 0 {
+				acc += dt
+				n--
+				continue
+			}
+			k += fl & 1
+		}
+		if k == 0 {
+			return acc
+		}
+		j := ((ea+1)<<fracBits - 1 - a) / k // adds that stay in the binade
+		if uint64(n) <= j {
+			return math.Float64frombits(a + uint64(n)*k)
+		}
+		acc = math.Float64frombits(a+j*k) + dt // the add that crosses
+		n -= int(j) + 1
+	}
+	return acc
 }
 
 // AddEnergy attributes energy to a flow bin without advancing time.

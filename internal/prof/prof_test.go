@@ -335,3 +335,68 @@ func TestAddStepsMatchesRepeatedAddStep(t *testing.T) {
 		t.Error("no case distinguishes n sequential adds from one n*dt add")
 	}
 }
+
+// FuzzAddStepsParity: AddSteps leaves the bits n sequential AddStep(b, dt,
+// 0) calls leave, on both arrays, for any start, any dt and n up to
+// 2·10^6 — ties, zero and subnormal operands, binade crossings included.
+func FuzzAddStepsParity(f *testing.F) {
+	below2 := math.Nextafter(2, 0)
+	for _, c := range []struct {
+		start, dt float64
+		n         int
+	}{
+		{0, 2e-4, 1_000_000},                    // zero start, the dark fleet's step
+		{0.37, 2e-5, 2_000_000},                 // many adds inside few binades
+		{1, 0x1p-53, 10},                        // exact half-ulp tie at k = 0
+		{1 + 0x1p-52, 3 * 0x1p-53, 1000},        // tie at k = 1 from an odd significand
+		{1, 0x1p-54, 1_000_000},                 // dt below half an ulp: identity
+		{1e-300, 5e-324, 1000},                  // subnormal dt
+		{1, -2e-4, 1000},                        // negative dt
+		{below2, 2e-4, 100_000},                 // start just below a power of two
+		{math.Copysign(0, -1), 0.1, 50},         // negative zero start
+		{5e-324, 1e-310, 100},                   // subnormal start and dt
+		{math.MaxFloat64 / 2, 1e292, 2_000_000}, // crosses into +Inf
+		{math.Inf(1), 1, 10},
+		{1, math.NaN(), 10},
+	} {
+		f.Add(c.start, c.dt, c.n)
+	}
+	f.Fuzz(func(t *testing.T, start, dt float64, n int) {
+		if n < 0 {
+			n = -n
+		}
+		n %= 2_000_001
+		var want Ledger
+		want.Seconds[BinDead], want.Joules[BinDead] = start, start
+		got := want
+		for i := 0; i < n; i++ {
+			want.AddStep(BinDead, dt, 0)
+		}
+		got.AddSteps(BinDead, dt, n)
+		for b := 0; b < NumBins; b++ {
+			if math.Float64bits(got.Seconds[b]) != math.Float64bits(want.Seconds[b]) ||
+				math.Float64bits(got.Joules[b]) != math.Float64bits(want.Joules[b]) {
+				t.Fatalf("start=%x dt=%x n=%d bin %s: AddSteps (%x s, %x J) != loop (%x s, %x J)",
+					start, dt, n, Bin(b), got.Seconds[b], got.Joules[b], want.Seconds[b], want.Joules[b])
+			}
+		}
+	})
+}
+
+// BenchmarkAddSteps times one skip credit of n steps of 2e-4 s. From a
+// start of 1024 s no credit leaves the accumulator's binade, so ns/op
+// stays flat in n; from a zero start each doubling of the sum costs one
+// real add, so ns/op grows with log2(n).
+func BenchmarkAddSteps(b *testing.B) {
+	for _, start := range []float64{1024, 0} {
+		for _, n := range []int{1e2, 1e4, 1e6} {
+			b.Run(fmt.Sprintf("start=%g/n=%d", start, n), func(b *testing.B) {
+				var l Ledger
+				for i := 0; i < b.N; i++ {
+					l.Seconds[BinDead] = start
+					l.AddSteps(BinDead, 2e-4, n)
+				}
+			})
+		}
+	}
+}

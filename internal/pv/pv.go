@@ -190,10 +190,12 @@ func (c *Cell) OpenCircuitVoltage(irradiance float64) float64 {
 	return v[0]
 }
 
-// openCircuitVoltageUncached runs the Voc bisection directly.
+// openCircuitVoltageUncached runs the Voc bisection directly. Its cap
+// matters only when the photocurrent overflows: the bracket top is then
+// +Inf and never narrows.
 func (c *Cell) openCircuitVoltageUncached(irradiance float64) float64 {
 	lo, hi := 0.0, 2.0*c.junctionScale()*math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
-	for hi-lo > voltageSolveTolerance {
+	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
 		mid := 0.5 * (lo + hi)
 		if c.Current(mid, irradiance) > 0 {
 			lo = mid

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDefaultCalibration(t *testing.T) {
@@ -68,6 +69,26 @@ func TestOpenCircuitVoltageDropsWithLight(t *testing.T) {
 			t.Errorf("current at Voc(irr=%.3f) = %.3g, want ~0", irr, c.Current(voc, irr))
 		}
 		prev = voc
+	}
+}
+
+// Voc's bisection is capped like every other solver in the package, so an
+// irradiance whose photocurrent overflows returns instead of bisecting an
+// infinite bracket forever. Both +Inf and MaxFloat64 overflow the
+// photocurrent, and Voc reads +Inf.
+func TestOpenCircuitVoltageTerminatesOnHugeIrradiance(t *testing.T) {
+	c := NewCell()
+	done := make(chan [2]float64, 1)
+	go func() {
+		done <- [2]float64{c.OpenCircuitVoltage(math.Inf(1)), c.OpenCircuitVoltage(math.MaxFloat64)}
+	}()
+	select {
+	case v := <-done:
+		if !math.IsInf(v[0], 1) || !math.IsInf(v[1], 1) {
+			t.Errorf("Voc(+Inf), Voc(MaxFloat64) = %g, %g, want +Inf", v[0], v[1])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("OpenCircuitVoltage did not return on +Inf or MaxFloat64 irradiance")
 	}
 }
 

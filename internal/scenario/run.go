@@ -9,8 +9,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -63,12 +61,6 @@ type Config struct {
 // nodeLabel is the per-node stream/track/profile label.
 func nodeLabel(id int) string { return fmt.Sprintf("scn/%04d", id) }
 
-// rngs recycles the per-node generators. A math/rand source holds ~5 KB
-// of state, and building a population on the worker pool would otherwise
-// churn through it fast enough to raise the peak heap; Seed resets a
-// generator to exactly the state rand.NewSource(seed) starts in.
-var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // Run executes the scenario and returns its report.
 func Run(cfg Config) (*Report, error) {
 	spec := cfg.Spec
@@ -99,9 +91,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	horizon, step := spec.Geometry.HorizonS, spec.Geometry.StepS
 	build := func(id int) (circuit.Config, error) {
-		rng := rngs.Get().(*rand.Rand)
-		defer rngs.Put(rng)
-		rng.Seed(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim"))
+		rng := fault.PooledRand(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim"))
+		defer fault.ReleaseRand(rng)
 		v0, site := nodeV0Lo+(nodeV0Hi-nodeV0Lo)*rng.Float64(), 1.0
 		if n > 1 {
 			site = nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()

@@ -25,7 +25,7 @@ import (
 func (s Spec) SourceTrace() (*weather.Trace, error) {
 	src := s.Source
 	horizon, step := s.Geometry.HorizonS, s.Geometry.StepS
-	rng := rand.New(rand.NewSource(fault.StreamSeed(s.Seed, "scenario", "source")))
+	rng := rand.New(fault.NewSource(fault.StreamSeed(s.Seed, "scenario", "source")))
 	switch src.Kind {
 	case SourceBench:
 		tr := weather.NewTrace(horizon, step)

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/fault"
 )
 
 // Errors returned by this package.
@@ -85,13 +87,12 @@ func NewGenerator(rng *rand.Rand, opts ...Option) *Generator {
 }
 
 // NewSeededGenerator returns a generator whose randomness comes from a
-// private rand source seeded with the given value. It exists for callers
-// that own many independent streams (one per fleet node): deriving each
-// seed with fault.StreamSeed and constructing a seeded generator per node
-// keeps every node's weather independent of every other node's and of the
-// worker count.
+// private source seeded with the given value: a fault.Source, which draws
+// math/rand's stream for that seed. Deriving each seed with
+// fault.StreamSeed keeps every stream independent of every other and of
+// the worker count.
 func NewSeededGenerator(seed int64, opts ...Option) *Generator {
-	return NewGenerator(rand.New(rand.NewSource(seed)), opts...)
+	return NewGenerator(rand.New(fault.NewSource(seed)), opts...)
 }
 
 // Trace is a precomputed irradiance time series. The zero value is not
