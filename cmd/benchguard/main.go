@@ -1,8 +1,8 @@
 // Command benchguard is the benchmark regression gate for the serving hot
-// paths: PV solve cached and uncached, one registry report render, and the
-// cached experiment HTTP handler, against the committed BENCH_serve.json
-// baseline. The simulation kernel is measured end to end by e2ebench and
-// by the Go benchmarks in bench_test.go.
+// paths: a PV solve, one registry report render, and the cached experiment
+// HTTP handler, against the committed BENCH_serve.json baseline. The
+// simulation kernel is measured end to end by e2ebench and by the Go
+// benchmarks in bench_test.go.
 //
 // It measures each path in-process, writes the measured ns/op to a JSON
 // file, and exits non-zero if any path regressed more than the tolerance
@@ -42,25 +42,16 @@ type baselineFile struct {
 type hotPath func(n int) error
 
 // hotPaths returns the guarded paths keyed by name. Shared state (the
-// server, the uncached-irradiance counter) lives in the closures so warm-up
-// and measurement see the same world.
+// server) lives in the closures so warm-up and measurement see the same
+// world.
 func hotPaths() map[string]hotPath {
 	cell := pv.NewCell()
 	h := serve.New(serve.Config{}).Handler()
-	uncachedIrr := 0.5
 
 	return map[string]hotPath{
-		"pv_solve_cached": func(n int) error {
-			for i := 0; i < n; i++ {
-				cell.MPP(pv.FullSun)
-			}
-			return nil
-		},
 		"pv_solve_uncached": func(n int) error {
 			for i := 0; i < n; i++ {
-				// A fresh key every iteration forces the full solve.
-				uncachedIrr += 1e-9
-				cell.MPP(uncachedIrr)
+				cell.MPP(pv.HalfSun)
 			}
 			return nil
 		},

@@ -18,15 +18,13 @@
 // With -fleet the command runs the shared-clock multi-node engine
 // (internal/fleet) instead of the figure experiments: N battery-less
 // nodes, each with a domain-separated weather stream derived from -seed,
-// advanced in epochs on the worker pool as contiguous lane groups of at
-// most -batch nodes (internal/circuit's batched stepper). The report on
-// stdout is byte-identical for every -j, every -batch and every repetition
-// of the same spec; the nodes/sec line goes to stderr so piping stdout
-// stays deterministic. Event-horizon fast-forward (-ffwd, on by default)
-// skips provably-inert node spans — collapsed nodes under an exactly-dark
-// sky (see a spec's dark= key) — without changing a byte of the report;
-// -ffwd=false forces verbatim stepping, which the ffwd-smoke CI job uses
-// to cross-check the two modes.
+// advanced in epochs on the worker pool, each worker stepping a
+// contiguous window of ceil(N/-j) lanes (internal/circuit's batched
+// stepper). The report on stdout is byte-identical for every -j and every
+// repetition of the same spec; the nodes/sec line goes to stderr so piping
+// stdout stays deterministic. Event-horizon fast-forward skips
+// provably-inert node spans — collapsed nodes under an exactly-dark sky
+// (see a spec's dark= key) — without changing a byte of the report.
 //
 // With -scenario the command runs a declarative scenario spec
 // (internal/scenario) instead of the figure experiments: one JSON document
@@ -34,7 +32,7 @@
 // impulse-train harvester, a staged indoor-lighting ladder, or a recorded
 // trace), a deadline-plus-radio workload with stochastic event arrivals,
 // and the run geometry. The report bytes depend only on the spec — parity
-// across -j and -batch like every other engine. -record captures the
+// across -j like every other engine. -record captures the
 // rendered light trace in a versioned replay file; pointing a spec's
 // source at it ({"kind":"trace","path":...}) reproduces the run byte for
 // byte.
@@ -45,16 +43,16 @@
 // types, sim_seconds and energy_joules, attributed along component/state
 // stacks (cpu/sprint, pv/harvest, ...). Render flamegraphs with
 // `go tool pprof -http=: <file>`. Profile bytes are byte-identical for
-// every -j and every -batch.
+// every -j.
 //
 // Usage:
 //
 //	hemsim [-list] [-csv dir] [-trace file] [-profile file.pb.gz]
 //	       [-faults plan.json] [-j N] [-timing] [experiment...]
 //	hemsim -fleet n=1000[,horizon=0.05,...] [-seed S] [-trace file]
-//	       [-profile file.pb.gz] [-progress] [-j N] [-batch B] [-ffwd=bool]
+//	       [-profile file.pb.gz] [-progress] [-j N]
 //	hemsim -scenario spec.json [-record trace.json] [-trace file]
-//	       [-profile file.pb.gz] [-csv dir] [-j N] [-batch B]
+//	       [-profile file.pb.gz] [-csv dir] [-j N]
 package main
 
 import (
@@ -100,8 +98,6 @@ func run(args []string, stdout io.Writer) error {
 	recordFile := fs.String("record", "", "with -scenario, also write the rendered light trace to <file> for later replay via a kind=trace source")
 	progress := fs.Bool("progress", false, "with -fleet, print a per-epoch progress ticker to stderr")
 	seed := fs.Int64("seed", 0, "master seed for -fleet (overrides a seed= key in the spec)")
-	batch := fs.Int("batch", 0, "nodes one -fleet worker advances as a contiguous lane group per epoch; 0 splits the fleet evenly across workers")
-	ffwd := fs.Bool("ffwd", true, "with -fleet, fast-forward provably-inert node spans (event-horizon stepping); report bytes are identical either way")
 	// Accept flags before and after the experiment IDs (`hemsim all -j 4`):
 	// the stdlib parser stops at the first positional, so re-enter it after
 	// consuming each one.
@@ -121,7 +117,7 @@ func run(args []string, stdout io.Writer) error {
 		if *fleetSpec != "" {
 			return errors.New("-scenario and -fleet are mutually exclusive")
 		}
-		return runScenario(*scenarioFile, *jobs, *batch, *traceFile, *profileFile, *csvDir, *recordFile, stdout)
+		return runScenario(*scenarioFile, *jobs, *traceFile, *profileFile, *csvDir, *recordFile, stdout)
 	}
 	if *recordFile != "" {
 		return errors.New("-record requires -scenario: it captures the scenario's rendered light trace")
@@ -133,7 +129,7 @@ func run(args []string, stdout io.Writer) error {
 				seedSet = true
 			}
 		})
-		return runFleet(*fleetSpec, *seed, seedSet, *jobs, *batch, *traceFile, *profileFile, *progress, !*ffwd, stdout)
+		return runFleet(*fleetSpec, *seed, seedSet, *jobs, *traceFile, *profileFile, *progress, stdout)
 	}
 	var plan *fault.Plan
 	if *faultsFile != "" {
@@ -271,11 +267,11 @@ func run(args []string, stdout io.Writer) error {
 
 // runScenario executes one declarative scenario run (internal/scenario).
 // The report bytes on stdout depend only on the spec — byte-identical for
-// every -j and -batch — so the wall-clock rate goes to stderr. With
+// every -j — so the wall-clock rate goes to stderr. With
 // -record, the rendered light trace is written in the versioned replay
 // format: swapping the spec's source for {"kind":"trace","path":...}
 // reproduces this run's report byte for byte.
-func runScenario(specPath string, workers, batch int, traceFile, profileFile, csvDir, recordFile string, stdout io.Writer) error {
+func runScenario(specPath string, workers int, traceFile, profileFile, csvDir, recordFile string, stdout io.Writer) error {
 	specText, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
@@ -284,7 +280,7 @@ func runScenario(specPath string, workers, batch int, traceFile, profileFile, cs
 	if err != nil {
 		return err
 	}
-	cfg := scenario.Config{Spec: spec, Workers: workers, Batch: batch}
+	cfg := scenario.Config{Spec: spec, Workers: workers}
 	var rec *trace.Recorder
 	if traceFile != "" {
 		rec = trace.NewRecorder()
@@ -338,7 +334,7 @@ func runScenario(specPath string, workers, batch int, traceFile, profileFile, cs
 // runFleet executes one fleet run. The report bytes on stdout depend only
 // on the resolved spec — the determinism contract extends the experiments'
 // -j parity to fleets — so the wall-clock rate is printed to stderr.
-func runFleet(specText string, seed int64, seedSet bool, workers, batch int, traceFile, profileFile string, progress, noFastForward bool, stdout io.Writer) error {
+func runFleet(specText string, seed int64, seedSet bool, workers int, traceFile, profileFile string, progress bool, stdout io.Writer) error {
 	spec, err := fleet.ParseSpec(specText)
 	if err != nil {
 		return err
@@ -348,8 +344,6 @@ func runFleet(specText string, seed int64, seedSet bool, workers, batch int, tra
 	}
 	cfg := spec.Config()
 	cfg.Workers = workers
-	cfg.Batch = batch
-	cfg.NoFastForward = noFastForward
 	var rec *trace.Recorder
 	if traceFile != "" {
 		rec = trace.NewRecorder()

@@ -77,24 +77,25 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetBatchParity: the -fleet report bytes are independent of both
-// the worker count and the lane-group size.
+// TestFleetBatchParity: the -fleet report bytes are independent of the
+// worker count and so of the lane windows it cuts the 12 nodes into: one
+// of 12 (-j 1), then windows of 6, 3 and 2 lanes, and single lanes (-j 12).
 func TestFleetBatchParity(t *testing.T) {
 	const spec = "n=12,seed=4,horizon=0.004,epoch=1e-3,step=2e-5"
-	outFor := func(jobs, batch string) string {
+	outFor := func(jobs string) string {
 		var b strings.Builder
-		if err := run([]string{"-fleet", spec, "-j", jobs, "-batch", batch}, &b); err != nil {
+		if err := run([]string{"-fleet", spec, "-j", jobs}, &b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	ref := outFor("1", "1")
+	ref := outFor("1")
 	if ref == "" {
 		t.Fatal("empty fleet report")
 	}
-	for _, tc := range [][2]string{{"4", "1"}, {"1", "5"}, {"4", "5"}, {"2", "100"}} {
-		if got := outFor(tc[0], tc[1]); got != ref {
-			t.Errorf("-j %s -batch %s: fleet report differs from -j 1 -batch 1", tc[0], tc[1])
+	for _, jobs := range []string{"2", "4", "6", "12"} {
+		if got := outFor(jobs); got != ref {
+			t.Errorf("-j %s: fleet report differs from -j 1", jobs)
 		}
 	}
 }
@@ -378,23 +379,24 @@ func scenarioSpecFile(t *testing.T) string {
 }
 
 // TestScenarioBatchParity extends the determinism contract to -scenario:
-// byte-identical reports at every -j and -batch.
+// byte-identical reports at every -j, from one window of all three nodes
+// (-j 1) through 2+1 (-j 2) to single lanes (-j 3 and -j 8).
 func TestScenarioBatchParity(t *testing.T) {
 	spec := scenarioSpecFile(t)
-	outFor := func(jobs, batch string) string {
+	outFor := func(jobs string) string {
 		var b strings.Builder
-		if err := run([]string{"-scenario", spec, "-j", jobs, "-batch", batch}, &b); err != nil {
+		if err := run([]string{"-scenario", spec, "-j", jobs}, &b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	ref := outFor("1", "1")
+	ref := outFor("1")
 	if !strings.Contains(ref, "== SCENARIO: t ==") {
 		t.Fatalf("unexpected scenario report:\n%s", ref)
 	}
-	for _, tc := range [][2]string{{"2", "1"}, {"8", "1"}, {"1", "64"}, {"4", "2"}} {
-		if got := outFor(tc[0], tc[1]); got != ref {
-			t.Errorf("-j %s -batch %s: scenario report differs from -j 1 -batch 1", tc[0], tc[1])
+	for _, jobs := range []string{"2", "3", "8"} {
+		if got := outFor(jobs); got != ref {
+			t.Errorf("-j %s: scenario report differs from -j 1", jobs)
 		}
 	}
 }

@@ -80,19 +80,19 @@ func TestBatchScalarParity(t *testing.T) {
 	}
 }
 
-// TestBatchFleetReportParity sweeps the registry fleet's batch-size knob:
-// the report bytes must be identical whether each worker advances its nodes
-// one lane at a time or the whole population as a single group.
+// TestBatchFleetReportParity sweeps the registry fleet's lane windows
+// through the worker count: the report bytes must be identical whether
+// the 32 nodes advance one lane per window (32 workers), in windows of
+// seven, or as a single group (one worker).
 func TestBatchFleetReportParity(t *testing.T) {
-	render := func(batch int) []byte {
+	render := func(workers int) []byte {
 		t.Helper()
 		spec, err := fleet.ParseSpec(fleetDemoSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := spec.Config()
-		cfg.Workers = 2
-		cfg.Batch = batch
+		cfg.Workers = workers
 		rep, err := fleet.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -103,10 +103,10 @@ func TestBatchFleetReportParity(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	ref := render(1)
-	for _, batch := range []int{7, 64, 1000} {
-		if got := render(batch); !bytes.Equal(got, ref) {
-			t.Errorf("batch=%d: fleet report differs from batch=1:\n%s", batch, firstDiff(ref, got))
+	ref := render(32)
+	for _, workers := range []int{1, 2, 5} {
+		if got := render(workers); !bytes.Equal(got, ref) {
+			t.Errorf("workers=%d: fleet report differs from workers=32:\n%s", workers, firstDiff(ref, got))
 		}
 	}
 }

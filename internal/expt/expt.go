@@ -46,12 +46,10 @@ const (
 // Thread-safety contract: every model in Components is immutable after
 // construction (options apply only inside the constructors), so a
 // Components value — or the individual models — may be shared freely
-// across goroutines. The pv.Cell additionally memoizes its Voc/MPP/curve
-// solves in a concurrency-safe package cache (pv/cache.go). Per-run
-// mutable state (cap.Capacitor, circuit controllers, intermittent
-// executors) is NOT shareable and must be constructed per worker; every
-// driver in this package already does so by building its own storage and
-// simulator per call.
+// across goroutines. Per-run mutable state (cap.Capacitor, circuit
+// controllers, intermittent executors) is NOT shareable and must be
+// constructed per worker; every driver in this package already does so by
+// building its own storage and simulator per call.
 type Components struct {
 	Cell *pv.Cell
 	Proc *cpu.Processor

@@ -8,8 +8,8 @@ package expt
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/runner"
 )
 
 // sweepPoint is one evaluated sample; ok=false drops it from the series,
@@ -19,43 +19,19 @@ type sweepPoint struct {
 	ok   bool
 }
 
-// sweepXY evaluates fn at indices 0..n-1, in parallel when cores allow,
-// and assembles the accepted points into X/Y slices in index order. fn
-// must be safe for concurrent calls; every fn used by the drivers only
+// sweepXY evaluates fn at indices 0..n-1 on runner.ForEach, one worker per
+// core, and assembles the accepted points into X/Y slices in index order.
+// fn must be safe for concurrent calls; every fn used by the drivers only
 // reads calibrated models.
 func sweepXY(n int, fn func(k int) (x, y float64, ok bool)) (xs, ys []float64) {
 	if n <= 0 {
 		return nil, nil
 	}
 	pts := make([]sweepPoint, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for k := range pts {
-			x, y, ok := fn(k)
-			pts[k] = sweepPoint{x, y, ok}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= n {
-						return
-					}
-					x, y, ok := fn(k)
-					pts[k] = sweepPoint{x, y, ok}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	runner.ForEach(n, runtime.GOMAXPROCS(0), func(k int) {
+		x, y, ok := fn(k)
+		pts[k] = sweepPoint{x, y, ok}
+	})
 	xs = make([]float64, 0, n)
 	ys = make([]float64, 0, n)
 	for _, p := range pts {

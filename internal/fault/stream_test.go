@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -15,8 +16,18 @@ import (
 const streamDraws = 1400
 
 // drawIntn are Intn bounds on both of its paths: Int31n below 2^31,
-// Int63n above.
-var drawIntn = []int{1, 7, 1000, 1<<31 - 1, 1 << 31, 1<<40 + 3}
+// Int63n above. The Int63n bounds exist only where int has 64 bits.
+var drawIntn = intnBounds()
+
+func intnBounds() []int {
+	bounds := []int{1, 7, 1000, 1<<31 - 1}
+	if strconv.IntSize == 64 {
+		for _, b := range []int64{1 << 31, 1<<40 + 3} {
+			bounds = append(bounds, int(b))
+		}
+	}
+	return bounds
+}
 
 // compareStreams draws streamDraws values from want and got, cycling
 // through the rand.Rand methods the simulation stack uses, and reports the

@@ -17,7 +17,7 @@ const darkSpec = "n=24,seed=11,horizon=0.02,epoch=1e-3,step=2e-5,dark=0.7"
 const darkTailSpec = "n=16,seed=11,horizon=0.3,epoch=0.01,step=2e-4,dark=0.9"
 
 // renderFleetFF renders the spec with an explicit fast-forward setting.
-func renderFleetFF(t *testing.T, specText string, workers, batch int, noFF bool) []byte {
+func renderFleetFF(t *testing.T, specText string, workers int, noFF bool) []byte {
 	t.Helper()
 	spec, err := ParseSpec(specText)
 	if err != nil {
@@ -25,7 +25,6 @@ func renderFleetFF(t *testing.T, specText string, workers, batch int, noFF bool)
 	}
 	cfg := spec.Config()
 	cfg.Workers = workers
-	cfg.Batch = batch
 	cfg.NoFastForward = noFF
 	rep, err := Run(cfg)
 	if err != nil {
@@ -79,18 +78,17 @@ func TestFleetDarkSpecRoundTrip(t *testing.T) {
 
 // TestFleetFastForwardParity is the fleet half of the ffwd differential
 // contract: report bytes are identical with fast-forward on and off, at
-// every worker count and batch size, on both dark and ordinary specs.
+// every worker count — lane windows of 24, 6, 5 and 1 nodes — on both
+// dark and ordinary specs.
 func TestFleetFastForwardParity(t *testing.T) {
 	for _, specText := range []string{darkSpec, testSpec} {
-		ref := renderFleetFF(t, specText, 1, 0, true) // verbatim scalar reference
-		for _, workers := range []int{1, 4} {
-			for _, batch := range []int{0, 1, 5} {
-				for _, noFF := range []bool{false, true} {
-					got := renderFleetFF(t, specText, workers, batch, noFF)
-					if !bytes.Equal(got, ref) {
-						t.Errorf("%s workers=%d batch=%d noFF=%v: report differs from verbatim reference",
-							specText, workers, batch, noFF)
-					}
+		ref := renderFleetFF(t, specText, 1, true) // verbatim reference
+		for _, workers := range []int{1, 4, 5, 24} {
+			for _, noFF := range []bool{false, true} {
+				got := renderFleetFF(t, specText, workers, noFF)
+				if !bytes.Equal(got, ref) {
+					t.Errorf("%s workers=%d noFF=%v: report differs from verbatim reference",
+						specText, workers, noFF)
 				}
 			}
 		}
@@ -100,24 +98,21 @@ func TestFleetFastForwardParity(t *testing.T) {
 // TestFleetProfileFastForwardParity: a profiled dark fleet keeps the
 // fast path, and the skipped spans' dead-time credit leaves the profile
 // bytes — and the report bytes — exactly those of the verbatim scalar run
-// at every worker count and batch size.
+// (16 workers, one lane each) at every worker count: lane windows of 16,
+// 6, 4 and 1 nodes.
 func TestFleetProfileFastForwardParity(t *testing.T) {
-	refProf, refRep := profiledFleet(t, darkTailSpec, 1, 1, true)
-	if plain := renderFleetFF(t, darkTailSpec, 1, 1, true); !bytes.Equal(refRep, plain) {
+	refProf, refRep := profiledFleet(t, darkTailSpec, 16, true)
+	if plain := renderFleetFF(t, darkTailSpec, 16, true); !bytes.Equal(refRep, plain) {
 		t.Error("profiling changed the report bytes")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{0, 1, 5} {
-			for _, noFF := range []bool{false, true} {
-				p, r := profiledFleet(t, darkTailSpec, workers, batch, noFF)
-				if !bytes.Equal(p, refProf) {
-					t.Errorf("workers=%d batch=%d noFF=%v: profile bytes differ from verbatim reference",
-						workers, batch, noFF)
-				}
-				if !bytes.Equal(r, refRep) {
-					t.Errorf("workers=%d batch=%d noFF=%v: report bytes differ from verbatim reference",
-						workers, batch, noFF)
-				}
+	for _, workers := range []int{1, 3, 4, 16} {
+		for _, noFF := range []bool{false, true} {
+			p, r := profiledFleet(t, darkTailSpec, workers, noFF)
+			if !bytes.Equal(p, refProf) {
+				t.Errorf("workers=%d noFF=%v: profile bytes differ from verbatim reference", workers, noFF)
+			}
+			if !bytes.Equal(r, refRep) {
+				t.Errorf("workers=%d noFF=%v: report bytes differ from verbatim reference", workers, noFF)
 			}
 		}
 	}

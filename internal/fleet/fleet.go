@@ -59,19 +59,14 @@ type Config struct {
 	Dark float64
 	// NoFastForward forces verbatim stepping in every node simulator,
 	// disabling event-horizon fast-forward. An execution detail like
-	// Workers: the report bytes are identical either way (the ffwd-smoke
-	// CI job and the differential tests enforce it).
+	// Workers: the report bytes are identical either way (the differential
+	// tests enforce it).
 	NoFastForward bool
 	// Workers bounds the goroutines advancing nodes within an epoch;
-	// < 1 means 1. It must not affect the report bytes — that is the
-	// point of the epoch barrier.
+	// < 1 means 1. They advance contiguous lane windows of at most
+	// ceil(Nodes/Workers) nodes. It must not affect the report bytes —
+	// that is the point of the epoch barrier.
 	Workers int
-	// Batch bounds how many nodes one worker advances as a contiguous
-	// lane group (a circuit.BatchStepper window) within an epoch; < 1
-	// selects ceil(Nodes/Workers) — one group per worker. Like Workers
-	// it is an execution detail, not part of the Spec: the report and
-	// trace bytes are identical at every batch size.
-	Batch int
 	// Tracer, when non-nil, receives fleet.* events (run span, per-epoch
 	// counters) on the sim clock. Events are emitted by the scheduler
 	// goroutine only, between barriers, so traces are deterministic too.
@@ -90,7 +85,7 @@ type Config struct {
 	// node. Each node's step loop accumulates into a private ledger (one
 	// comparison per step when off), and the scheduler folds the ledgers
 	// into Profile in node-ID order after the run, so the profile bytes are
-	// independent of Workers and Batch like everything else.
+	// independent of Workers like everything else.
 	Profile *prof.Profile
 	// ProfileScope is the experiment label under which node ledgers are
 	// filed in Profile (Scope.Experiment); nodes are labelled node/NNNNNNN.

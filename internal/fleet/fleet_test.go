@@ -22,11 +22,6 @@ const testSpec = "n=24,seed=11,horizon=0.02,epoch=1e-3,step=2e-5"
 // renderFleet runs the spec with the given worker count and returns the
 // report bytes.
 func renderFleet(t *testing.T, specText string, workers int) []byte {
-	return renderFleetBatch(t, specText, workers, 0)
-}
-
-// renderFleetBatch is renderFleet with an explicit batch-size knob.
-func renderFleetBatch(t *testing.T, specText string, workers, batch int) []byte {
 	t.Helper()
 	spec, err := ParseSpec(specText)
 	if err != nil {
@@ -34,7 +29,6 @@ func renderFleetBatch(t *testing.T, specText string, workers, batch int) []byte 
 	}
 	cfg := spec.Config()
 	cfg.Workers = workers
-	cfg.Batch = batch
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,20 +41,14 @@ func renderFleetBatch(t *testing.T, specText string, workers, batch int) []byte 
 }
 
 // TestFleetWorkerParity is the fleet half of the repo's signature
-// invariant: report bytes must not depend on the worker count — nor, now
-// that workers advance contiguous lane groups, on the batch size.
+// invariant: report bytes must not depend on the worker count, nor on the
+// contiguous lane windows it cuts the 24 nodes into — from one window of
+// 24 (workers=1) through windows of 12, 8, 5 and 3 to 24 single lanes.
 func TestFleetWorkerParity(t *testing.T) {
 	ref := renderFleet(t, testSpec, 1)
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{2, 3, 5, 8, 24} {
 		if got := renderFleet(t, testSpec, workers); !bytes.Equal(got, ref) {
 			t.Errorf("workers=%d: report differs from workers=1:\n%s\n-- vs --\n%s", workers, got, ref)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{1, 3, 8, 1000} {
-			if got := renderFleetBatch(t, testSpec, workers, batch); !bytes.Equal(got, ref) {
-				t.Errorf("workers=%d batch=%d: report differs from the scalar reference", workers, batch)
-			}
 		}
 	}
 }
@@ -192,13 +180,14 @@ func (c *countingCtx) Err() error {
 
 // TestFleetMidBatchCancellation: a context that fires between two lanes of
 // a batch still aborts the run with the context's error. The barrier check
-// consumes one Err call and each lane one more, so a budget of 5 on a
-// 16-lane batch cancels after lane 4 — squarely mid-batch. (That an
-// interrupted batch leaves every lane's warm state valid and resumable is
-// pinned bit-exactly by circuit.TestBatchCancelResumeParity.)
+// consumes one Err call and each lane one more, so a budget of 5 on the
+// one 16-lane window of a single worker cancels after lane 4 — squarely
+// mid-batch. (That an interrupted batch leaves every lane's warm state
+// valid and resumable is pinned bit-exactly by
+// circuit.TestBatchCancelResumeParity.)
 func TestFleetMidBatchCancellation(t *testing.T) {
 	ctx := &countingCtx{Context: context.Background(), remaining: 5}
-	_, err := Run(Config{Nodes: 16, Seed: 1, Workers: 1, Batch: 16, Ctx: ctx})
+	_, err := Run(Config{Nodes: 16, Seed: 1, Workers: 1, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-batch cancelled run returned %v, want context.Canceled", err)
 	}

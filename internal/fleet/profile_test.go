@@ -11,7 +11,7 @@ import (
 // profiledFleet runs the spec with profiling on and an explicit
 // fast-forward setting, and returns the encoded profile bytes plus the
 // report bytes.
-func profiledFleet(t *testing.T, specText string, workers, batch int, noFF bool) ([]byte, []byte) {
+func profiledFleet(t *testing.T, specText string, workers int, noFF bool) ([]byte, []byte) {
 	t.Helper()
 	spec, err := ParseSpec(specText)
 	if err != nil {
@@ -19,7 +19,6 @@ func profiledFleet(t *testing.T, specText string, workers, batch int, noFF bool)
 	}
 	cfg := spec.Config()
 	cfg.Workers = workers
-	cfg.Batch = batch
 	cfg.NoFastForward = noFF
 	cfg.Profile = prof.New()
 	cfg.ProfileScope = "fleet"
@@ -38,22 +37,21 @@ func profiledFleet(t *testing.T, specText string, workers, batch int, noFF bool)
 }
 
 // TestFleetProfileParity extends the signature invariant to profiles: the
-// exported bytes must be identical across worker counts and batch sizes,
-// and profiling must not perturb the report itself.
+// exported bytes must be identical across worker counts — lane windows of
+// 24, 12, 8, 3 and 1 nodes — and profiling must not perturb the report
+// itself.
 func TestFleetProfileParity(t *testing.T) {
-	refProf, refRep := profiledFleet(t, testSpec, 1, 0, false)
+	refProf, refRep := profiledFleet(t, testSpec, 1, false)
 	if plain := renderFleet(t, testSpec, 1); !bytes.Equal(refRep, plain) {
 		t.Error("profiling changed the report bytes")
 	}
-	for _, workers := range []int{2, 8} {
-		for _, batch := range []int{0, 1, 3, 1000} {
-			p, r := profiledFleet(t, testSpec, workers, batch, false)
-			if !bytes.Equal(p, refProf) {
-				t.Errorf("workers=%d batch=%d: profile bytes differ", workers, batch)
-			}
-			if !bytes.Equal(r, refRep) {
-				t.Errorf("workers=%d batch=%d: report bytes differ", workers, batch)
-			}
+	for _, workers := range []int{2, 3, 8, 24} {
+		p, r := profiledFleet(t, testSpec, workers, false)
+		if !bytes.Equal(p, refProf) {
+			t.Errorf("workers=%d: profile bytes differ", workers)
+		}
+		if !bytes.Equal(r, refRep) {
+			t.Errorf("workers=%d: report bytes differ", workers)
 		}
 	}
 }

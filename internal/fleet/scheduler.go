@@ -88,7 +88,6 @@ func schedule(cfg Config) (*Report, []*circuit.Simulator, error) {
 		Targets:      targets,
 		Barrier:      barrier,
 		Workers:      cfg.Workers,
-		Batch:        cfg.Batch,
 		Ctx:          cfg.Ctx,
 		Profile:      cfg.Profile,
 		ProfileScope: cfg.ProfileScope,

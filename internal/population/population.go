@@ -6,7 +6,7 @@
 // advances only its own contiguous window of lanes, and everything that
 // reads across nodes — the barrier, the error report, the profile fold —
 // runs on the calling goroutine after the pool drains, in node-ID order.
-// Outputs are therefore independent of Workers and Batch.
+// Outputs are therefore independent of Workers.
 package population
 
 import (
@@ -38,9 +38,9 @@ type Config struct {
 	// ones are dropped only after it returns.
 	Barrier func(epoch int, active []*circuit.Simulator)
 	// Workers bounds the goroutines building and advancing nodes; < 1
-	// means 1. Batch bounds the lanes one worker advances as one
-	// circuit.Group window; < 1 selects ceil(Nodes/Workers).
-	Workers, Batch int
+	// means 1. Each epoch the active lanes are advanced in circuit.Group
+	// windows of at most ceil(Nodes/Workers) lanes.
+	Workers int
 	// Ctx, when non-nil, is checked at every epoch barrier and before every
 	// lane, but never during the build: a cancelled run returns once the
 	// population is built.
@@ -59,9 +59,7 @@ func Run(cfg Config) ([]*circuit.Simulator, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.Batch < 1 {
-		cfg.Batch = (n + cfg.Workers - 1) / cfg.Workers
-	}
+	window := (n + cfg.Workers - 1) / cfg.Workers
 
 	cfgs := make([]circuit.Config, n)
 	errs := make([]error, n)
@@ -108,7 +106,7 @@ func Run(cfg Config) ([]*circuit.Simulator, error) {
 		if epoch <= len(cfg.Targets) {
 			target = cfg.Targets[epoch-1]
 		}
-		runner.ForEachBatch(active, cfg.Batch, cfg.Workers, func(lo, hi int) {
+		runner.ForEachBatch(active, window, cfg.Workers, func(lo, hi int) {
 			grp := circuit.Group(lanes[lo:hi])
 			_, groupErrs[lo] = grp.StepToCountContext(cfg.Ctx, target)
 		})

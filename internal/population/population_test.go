@@ -40,37 +40,37 @@ func nodeConfig(id int) (circuit.Config, error) {
 // TestEpochsAndBarrier pins the schedule: listed epochs stop at their
 // targets, the epoch past the list takes every lane to its own horizon,
 // and the barrier sees the epoch's active lanes in node-ID order —
-// finished ones included — before they are dropped.
+// finished ones included — before they are dropped. The worker counts
+// give windows of three, two and one lanes, and one more worker than
+// lanes.
 func TestEpochsAndBarrier(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{0, 1, 2} {
-			var seen [][]*circuit.Simulator
-			var steps [][]int
-			lanes, err := Run(Config{
-				Name: "test", Nodes: 3, Workers: workers, Batch: batch,
-				Build:   nodeConfig,
-				Targets: []int{5, 15},
-				Barrier: func(epoch int, active []*circuit.Simulator) {
-					if epoch != len(seen)+1 {
-						t.Errorf("barrier epoch %d, want %d", epoch, len(seen)+1)
-					}
-					seen = append(seen, append([]*circuit.Simulator(nil), active...))
-					var s []int
-					for _, sim := range active {
-						s = append(s, sim.Progress().Steps)
-					}
-					steps = append(steps, s)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLanes := [][]*circuit.Simulator{lanes, lanes, lanes[1:]}
-			wantSteps := [][]int{{5, 5, 5}, {10, 15, 15}, {20, 30}}
-			if !reflect.DeepEqual(seen, wantLanes) || !reflect.DeepEqual(steps, wantSteps) {
-				t.Errorf("workers=%d batch=%d: barriers saw steps %v, want %v (lanes in node-ID order)",
-					workers, batch, steps, wantSteps)
-			}
+	for _, workers := range []int{1, 2, 3, 4} {
+		var seen [][]*circuit.Simulator
+		var steps [][]int
+		lanes, err := Run(Config{
+			Name: "test", Nodes: 3, Workers: workers,
+			Build:   nodeConfig,
+			Targets: []int{5, 15},
+			Barrier: func(epoch int, active []*circuit.Simulator) {
+				if epoch != len(seen)+1 {
+					t.Errorf("barrier epoch %d, want %d", epoch, len(seen)+1)
+				}
+				seen = append(seen, append([]*circuit.Simulator(nil), active...))
+				var s []int
+				for _, sim := range active {
+					s = append(s, sim.Progress().Steps)
+				}
+				steps = append(steps, s)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLanes := [][]*circuit.Simulator{lanes, lanes, lanes[1:]}
+		wantSteps := [][]int{{5, 5, 5}, {10, 15, 15}, {20, 30}}
+		if !reflect.DeepEqual(seen, wantLanes) || !reflect.DeepEqual(steps, wantSteps) {
+			t.Errorf("workers=%d: barriers saw steps %v, want %v (lanes in node-ID order)",
+				workers, steps, wantSteps)
 		}
 	}
 }

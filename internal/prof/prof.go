@@ -26,7 +26,7 @@
 //
 // Ledgers merge by bin-wise addition and profiles by scope-keyed union, so
 // fleet epochs fold per-node ledgers in node-ID order and the exported
-// bytes stay identical across worker counts and batch sizes.
+// bytes stay identical across worker counts.
 //
 // Skip credit. A fast-forwarded span of n steps must leave the bits n
 // sequential `acc += dt` adds leave (never n*dt, which rounds once instead

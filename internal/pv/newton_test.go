@@ -102,10 +102,9 @@ func TestCurrentWarmTransientProfile(t *testing.T) {
 	}
 }
 
-// randomSolverCell draws a physically plausible calibration with wider
-// spread than cache_test.go's randomCell: the ranges cover paper-scale
-// modules through larger panels, with enough dynamic range to hit the
-// solver's edge regimes. Options in override apply after the draw.
+// randomSolverCell draws a physically plausible calibration: the ranges
+// cover paper-scale modules through larger panels, with enough dynamic
+// range to hit the solver's edge regimes. Options in override apply after the draw.
 func randomSolverCell(rng *rand.Rand, override ...Option) *Cell {
 	return NewCell(append([]Option{
 		WithPhotoCurrent(math.Pow(10, -4+3*rng.Float64())),       // 0.1 mA .. 100 mA

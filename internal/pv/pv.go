@@ -178,22 +178,13 @@ func (c *Cell) ShortCircuitCurrent(irradiance float64) float64 {
 }
 
 // OpenCircuitVoltage returns Voc (V) at the given irradiance fraction,
-// found by bisection on Current(v) = 0. Solutions are memoized per
-// (calibration, irradiance); see cache.go.
+// found by bisection on Current(v) = 0. The iteration cap matters only
+// when the photocurrent overflows: the bracket top is then +Inf and never
+// narrows.
 func (c *Cell) OpenCircuitVoltage(irradiance float64) float64 {
 	if irradiance <= 0 {
 		return 0
 	}
-	v := cachedSolve(solveKey{cell: c.params(), irr: irradiance, kind: kindVoc}, func() [2]float64 {
-		return [2]float64{c.openCircuitVoltageUncached(irradiance)}
-	})
-	return v[0]
-}
-
-// openCircuitVoltageUncached runs the Voc bisection directly. Its cap
-// matters only when the photocurrent overflows: the bracket top is then
-// +Inf and never narrows.
-func (c *Cell) openCircuitVoltageUncached(irradiance float64) float64 {
 	lo, hi := 0.0, 2.0*c.junctionScale()*math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
 	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
 		mid := 0.5 * (lo + hi)
@@ -209,21 +200,11 @@ func (c *Cell) openCircuitVoltageUncached(irradiance float64) float64 {
 // MPP returns the maximum power point voltage (V) and power (W) at the given
 // irradiance fraction, found by golden-section search over [0, Voc]. Power
 // is unimodal in voltage for the single-diode model, so the search is exact
-// to the solver tolerance. Solutions are memoized per (calibration,
-// irradiance); see cache.go.
+// to the solver tolerance.
 func (c *Cell) MPP(irradiance float64) (voltage, power float64) {
 	if irradiance <= 0 {
 		return 0, 0
 	}
-	vp := cachedSolve(solveKey{cell: c.params(), irr: irradiance, kind: kindMPP}, func() [2]float64 {
-		v, p := c.mppUncached(irradiance)
-		return [2]float64{v, p}
-	})
-	return vp[0], vp[1]
-}
-
-// mppUncached runs the golden-section search directly.
-func (c *Cell) mppUncached(irradiance float64) (voltage, power float64) {
 	voc := c.OpenCircuitVoltage(irradiance)
 	const invPhi = 0.6180339887498949 // 1/golden ratio
 	lo, hi := 0.0, voc
@@ -288,23 +269,15 @@ type Point struct {
 
 // Curve samples the I-V curve at n evenly spaced voltages from 0 to Voc
 // (inclusive) at the given irradiance fraction. It returns nil if n < 2 or
-// irradiance is non-positive. Tables are memoized per (calibration,
-// irradiance, n); the returned slice is always the caller's to mutate.
+// irradiance is non-positive. The returned slice is always the caller's to
+// mutate. One walking SolverState carries each point's warm start to the
+// next: the grid is exactly the fine, slowly-moving voltage sequence the
+// warm state was built for, and CurrentWarm returns bit-identical results
+// to Current whatever the state holds (see newton.go).
 func (c *Cell) Curve(irradiance float64, n int) []Point {
 	if n < 2 || irradiance <= 0 {
 		return nil
 	}
-	return cachedCurve(curveKey{cell: c.params(), irr: irradiance, n: n}, func() []Point {
-		return c.curveUncached(irradiance, n)
-	})
-}
-
-// curveUncached samples the I-V curve directly. One walking SolverState
-// carries each point's warm start to the next: the grid is exactly the
-// fine, slowly-moving voltage sequence the warm state was built for, and
-// CurrentWarm returns bit-identical results to Current whatever the state
-// holds (see newton.go).
-func (c *Cell) curveUncached(irradiance float64, n int) []Point {
 	voc := c.OpenCircuitVoltage(irradiance)
 	var walk SolverState
 	pts := make([]Point, n)

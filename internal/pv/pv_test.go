@@ -203,7 +203,7 @@ func TestCurve(t *testing.T) {
 }
 
 // TestCurveMatchesScalar is the walking-state differential: every point of
-// an uncached curve, solved with one SolverState carried from point to
+// a curve, solved with one SolverState carried from point to
 // point, must equal the clamped stateless Current at the same voltage, bit
 // for bit, for random calibrations, irradiances and grid sizes.
 func TestCurveMatchesScalar(t *testing.T) {
@@ -219,7 +219,7 @@ func TestCurveMatchesScalar(t *testing.T) {
 		irr := math.Pow(10, -3*rng.Float64())
 		voc := c.OpenCircuitVoltage(irr)
 		for _, n := range []int{2, 7, 64, 1000} {
-			for k, got := range c.curveUncached(irr, n) {
+			for k, got := range c.Curve(irr, n) {
 				v := voc * float64(k) / float64(n-1)
 				i := c.Current(v, irr)
 				if i < 0 {

@@ -42,11 +42,9 @@ const (
 // the Spec.
 type Config struct {
 	Spec Spec
-	// Workers bounds the goroutines advancing nodes; < 1 means 1.
+	// Workers bounds the goroutines advancing nodes; < 1 means 1. The
+	// population is split evenly across them in contiguous lane windows.
 	Workers int
-	// Batch bounds how many nodes one worker advances as a contiguous
-	// circuit lane group; < 1 splits the population evenly across workers.
-	Batch int
 	// Tracer, when non-nil, receives the scenario.run span plus every
 	// node's circuit events (tracks scn/NNNN), merged in node-ID order.
 	Tracer trace.Tracer
@@ -151,7 +149,6 @@ func Run(cfg Config) (*Report, error) {
 		Nodes:        n,
 		Build:        build,
 		Workers:      cfg.Workers,
-		Batch:        cfg.Batch,
 		Ctx:          cfg.Ctx,
 		Profile:      cfg.Profile,
 		ProfileScope: cfg.ProfileScope,
@@ -186,7 +183,7 @@ func Run(cfg Config) (*Report, error) {
 	rep.MeanFinalVcap /= float64(n)
 
 	// Trace: the run span wraps every node's events, merged in node order,
-	// so the stream is independent of workers and batch size.
+	// so the stream is independent of the worker count.
 	if cfg.Tracer != nil {
 		trace.Begin(cfg.Tracer, "scenario.run", 0, "scenario", trace.Args{
 			"nodes": n, "seed": spec.Seed, "horizon_s": horizon,

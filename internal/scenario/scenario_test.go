@@ -22,13 +22,13 @@ const demoSpec = `{"name":"demo","seed":9,` +
 	`"workload":{"job_cycles":5e6,"aux_w":5e-5},"geometry":{"nodes":4,"horizon_s":1,"step_s":1e-4}}`
 
 // render runs the spec text and returns the report bytes.
-func render(t *testing.T, specText string, workers, batch int) []byte {
+func render(t *testing.T, specText string, workers int) []byte {
 	t.Helper()
 	spec, err := ParseScenario([]byte(specText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(Config{Spec: spec, Workers: workers, Batch: batch})
+	rep, err := Run(Config{Spec: spec, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,13 @@ func render(t *testing.T, specText string, workers, batch int) []byte {
 
 // renderProfiled runs the spec text with profiling on and returns the
 // report and pprof bytes.
-func renderProfiled(t *testing.T, specText string, workers, batch int) ([]byte, []byte) {
+func renderProfiled(t *testing.T, specText string, workers int) ([]byte, []byte) {
 	t.Helper()
 	spec, err := ParseScenario([]byte(specText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Spec: spec, Workers: workers, Batch: batch, Profile: prof.New(), ProfileScope: "scenario"}
+	cfg := Config{Spec: spec, Workers: workers, Profile: prof.New(), ProfileScope: "scenario"}
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,23 +67,23 @@ func renderProfiled(t *testing.T, specText string, workers, batch int) ([]byte, 
 
 // TestWorkerBatchParity is the scenario half of the repo's signature
 // invariant: report and profile bytes must not depend on the worker count
-// or the batch size, and profiling must not perturb the report.
+// or on the lane windows it cuts the four nodes into — one window of
+// four, two of two, four single lanes, or more workers than lanes — and
+// profiling must not perturb the report.
 func TestWorkerBatchParity(t *testing.T) {
-	ref := render(t, demoSpec, 1, 0)
-	_, refProf := renderProfiled(t, demoSpec, 1, 0)
-	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{0, 1, 3, 64} {
-			if got := render(t, demoSpec, workers, batch); !bytes.Equal(got, ref) {
-				t.Errorf("workers=%d batch=%d: report differs from the scalar reference:\n%s\n-- vs --\n%s",
-					workers, batch, got, ref)
-			}
-			rep, p := renderProfiled(t, demoSpec, workers, batch)
-			if !bytes.Equal(rep, ref) {
-				t.Errorf("workers=%d batch=%d: profiling changed the report bytes", workers, batch)
-			}
-			if !bytes.Equal(p, refProf) {
-				t.Errorf("workers=%d batch=%d: profile bytes differ from the scalar reference", workers, batch)
-			}
+	ref := render(t, demoSpec, 1)
+	_, refProf := renderProfiled(t, demoSpec, 1)
+	for _, workers := range []int{1, 2, 4, 8} {
+		if got := render(t, demoSpec, workers); !bytes.Equal(got, ref) {
+			t.Errorf("workers=%d: report differs from the workers=1 reference:\n%s\n-- vs --\n%s",
+				workers, got, ref)
+		}
+		rep, p := renderProfiled(t, demoSpec, workers)
+		if !bytes.Equal(rep, ref) {
+			t.Errorf("workers=%d: profiling changed the report bytes", workers)
+		}
+		if !bytes.Equal(p, refProf) {
+			t.Errorf("workers=%d: profile bytes differ from the workers=1 reference", workers)
 		}
 	}
 }
@@ -91,12 +91,12 @@ func TestWorkerBatchParity(t *testing.T) {
 // TestRunDeterminismBySeed: same spec twice is byte-identical; a different
 // seed changes the bytes.
 func TestRunDeterminismBySeed(t *testing.T) {
-	a := render(t, demoSpec, 4, 0)
-	b := render(t, demoSpec, 4, 0)
+	a := render(t, demoSpec, 4)
+	b := render(t, demoSpec, 4)
 	if !bytes.Equal(a, b) {
 		t.Error("same-spec runs differ")
 	}
-	other := render(t, strings.Replace(demoSpec, `"seed":9`, `"seed":10`, 1), 4, 0)
+	other := render(t, strings.Replace(demoSpec, `"seed":9`, `"seed":10`, 1), 4)
 	if bytes.Equal(a, other) {
 		t.Error("different seeds produced identical reports")
 	}
@@ -238,28 +238,30 @@ func TestRecordReplayByteIdentity(t *testing.T) {
 }
 
 // TestTraceDeterminism checks the scenario.* event stream: valid events
-// and byte-level independence from the worker count and batch size.
+// and byte-level independence from the worker count and its lane windows.
 func TestTraceDeterminism(t *testing.T) {
-	record := func(workers, batch int) []trace.Event {
+	record := func(workers int) []trace.Event {
 		spec, err := ParseScenario([]byte(demoSpec))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := trace.NewRecorder()
-		if _, err := Run(Config{Spec: spec, Workers: workers, Batch: batch, Tracer: rec}); err != nil {
+		if _, err := Run(Config{Spec: spec, Workers: workers, Tracer: rec}); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Events()
 	}
-	ref := record(1, 0)
+	ref := record(1)
 	if err := trace.ValidateAll(ref); err != nil {
 		t.Fatal(err)
 	}
 	if len(ref) < 2 {
 		t.Fatalf("only %d events recorded", len(ref))
 	}
-	if got := record(8, 1); !reflect.DeepEqual(got, ref) {
-		t.Error("trace events differ between workers=1 and workers=8/batch=1")
+	for _, workers := range []int{2, 4} {
+		if got := record(workers); !reflect.DeepEqual(got, ref) {
+			t.Errorf("trace events differ between workers=1 and workers=%d", workers)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 // randomness (source rendering, per-node trims, event arrivals) derives
 // from the spec seed via FNV-1a stream separation (fault.StreamSeed), and
 // all aggregation happens in node-ID order, so report bytes are identical
-// across worker counts, batch sizes and repeated runs. The canonical
+// across worker counts and repeated runs. The canonical
 // String() form — compact JSON with defaults resolved — is byte-stable and
 // doubles as a cache key, like fleet.Spec.
 package scenario

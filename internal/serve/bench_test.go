@@ -1,6 +1,6 @@
 package serve
 
-// Serving hot-path benchmarks. cmd/benchguard runs the same four paths
+// Serving hot-path benchmarks. cmd/benchguard runs the same three paths
 // in-process and gates CI on the committed BENCH_serve.json baseline;
 // these go-test benchmarks are the interactive view of the same numbers:
 //
@@ -16,23 +16,11 @@ import (
 	"repro/internal/pv"
 )
 
-// BenchmarkPVSolveCached measures the steady-state MPP lookup: every
-// iteration hits the memoized solver.
-func BenchmarkPVSolveCached(b *testing.B) {
-	cell := pv.NewCell()
-	cell.MPP(pv.FullSun)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cell.MPP(pv.FullSun)
-	}
-}
-
-// BenchmarkPVSolveUncached measures the full golden-section solve by
-// giving every iteration a fresh irradiance key.
+// BenchmarkPVSolveUncached measures the full golden-section solve.
 func BenchmarkPVSolveUncached(b *testing.B) {
 	cell := pv.NewCell()
 	for i := 0; i < b.N; i++ {
-		cell.MPP(0.5 + float64(i)*1e-9)
+		cell.MPP(pv.HalfSun)
 	}
 }
 
@@ -64,7 +52,7 @@ func BenchmarkHandlerExperimentCached(b *testing.B) {
 }
 
 // BenchmarkHandlerPVSolve measures the JSON solve endpoint end to end
-// (decode, gate, cached solve, encode).
+// (decode, gate, solve, encode).
 func BenchmarkHandlerPVSolve(b *testing.B) {
 	s := New(Config{})
 	h := s.Handler()

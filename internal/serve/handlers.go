@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 
 	"repro/internal/expt"
@@ -335,9 +336,8 @@ type pvSolveResponse struct {
 	Curve      []pvPoint `json:"curve,omitempty"`
 }
 
-// cellFor builds the request's cell; identical calibrations share the
-// process-wide solve cache, so repeated solves of the default cell are
-// lookups.
+// cellFor builds the request's cell; a request that overrides no
+// calibration field gets the server's default cell.
 func (s *Server) cellFor(req pvSolveRequest) *pv.Cell {
 	var opts []pv.Option
 	if req.PhotoCurrentA > 0 {
@@ -365,8 +365,9 @@ func (s *Server) cellFor(req pvSolveRequest) *pv.Cell {
 }
 
 // handlePVSolve characterises a cell at one irradiance: Voc, Isc, MPP and
-// optionally the sampled I-V curve. Solves hit the memoized, coalescing
-// cache in internal/pv.
+// optionally the sampled I-V curve. A calibration whose solution leaves
+// the float64 range (an overflowing photocurrent, say) gets 422: JSON has
+// no encoding for Inf or NaN.
 func (s *Server) handlePVSolve(w http.ResponseWriter, r *http.Request) {
 	var req pvSolveRequest
 	if !decodeJSON(w, r, &req) {
@@ -398,7 +399,25 @@ func (s *Server) handlePVSolve(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
+	ok := finite(resp.VocV, resp.IscA, resp.MPPVoltage, resp.MPPPower)
+	for _, p := range resp.Curve {
+		ok = ok && finite(p.V, p.I, p.P)
+	}
+	if !ok {
+		httpError(w, http.StatusUnprocessableEntity, "solution overflows float64: Voc, Isc, the MPP and every curve point must be finite")
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// finite reports whether no value is an infinity or NaN.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // mpptPlanRequest asks for a DVFS plan either directly from an input-power
@@ -463,7 +482,6 @@ func (s *Server) handleMPPTPlan(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics snapshots every counter the server maintains.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	pvHits, pvMisses := pv.CacheStats()
 	writeJSON(w, http.StatusOK, s.metrics.snapshot(map[string]any{
 		"report_cache": map[string]any{
 			"size":      s.reports.lru.len(),
@@ -471,11 +489,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"hits":      s.reports.hits.Load(),
 			"misses":    s.reports.misses.Load(),
 			"coalesced": s.reports.shared.Load(),
-		},
-		"pv_cache": map[string]any{
-			"hits":      pvHits,
-			"misses":    pvMisses,
-			"coalesced": pv.CacheCoalesced(),
 		},
 		"gate": map[string]any{
 			"capacity":  s.gate.Cap(),

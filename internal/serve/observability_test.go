@@ -100,7 +100,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE hemserved_http_requests_total counter",
 		"# TYPE hemserved_http_request_duration_ms histogram",
 		"# TYPE hemserved_report_cache_hits_total counter",
-		"# TYPE hemserved_pv_cache_hits_total counter",
 		"# TYPE hemserved_gate_capacity gauge",
 		"# TYPE hemserved_log_dropped_total counter",
 		`hemserved_http_requests_total{route="healthz",class="2xx"} 3`,

@@ -11,7 +11,6 @@ import (
 	"net/http"
 
 	"repro/internal/metrics"
-	"repro/internal/pv"
 )
 
 // handleMetricsPrometheus renders the counter snapshot in the Prometheus
@@ -41,13 +40,6 @@ func (s *Server) registerServerFuncs() {
 		func() float64 { return float64(s.reports.lru.len()) })
 	reg.GaugeFunc("hemserved_report_cache_capacity", "Report cache capacity.",
 		func() float64 { return float64(s.cfg.ReportCacheSize) })
-
-	reg.CounterFunc("hemserved_pv_cache_hits_total", "PV solve cache hits.",
-		func() float64 { h, _ := pv.CacheStats(); return float64(h) })
-	reg.CounterFunc("hemserved_pv_cache_misses_total", "PV solve cache misses.",
-		func() float64 { _, m := pv.CacheStats(); return float64(m) })
-	reg.CounterFunc("hemserved_pv_cache_coalesced_total", "PV solves shared via singleflight.",
-		u64(pv.CacheCoalesced))
 
 	reg.GaugeFunc("hemserved_gate_capacity", "Simulation gate capacity.",
 		func() float64 { return float64(s.gate.Cap()) })

@@ -10,14 +10,15 @@
 //     they live in an LRU keyed by experiment ID with singleflight
 //     coalescing in front of the render (cache.go) — a cached response is
 //     byte-identical to a cold one;
-//   - PV solves hit the process-wide memoized solver in internal/pv, which
-//     itself coalesces concurrent cold solves;
+//   - PV solves run the solvers in internal/pv on every request, under
+//     the gate;
 //   - per-request deadlines, request logging and /metrics (counters,
 //     latency histograms, cache hit rates, gate saturation) come from the
 //     middleware in this file and metrics.go, with no external deps.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -177,12 +178,18 @@ func (s *Server) gated(w http.ResponseWriter, r *http.Request, fn func() error) 
 }
 
 // writeJSON renders v with a stable field order (encoding/json sorts map
-// keys) and a trailing newline.
+// keys) and a trailing newline. It encodes before writing the status, so
+// a value encoding/json rejects gets the 500 envelope, not a 200 with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // httpError emits the JSON error envelope every handler shares.

@@ -236,20 +236,26 @@ func TestPVSolve(t *testing.T) {
 		t.Errorf("half photocurrent should harvest less: %g >= %g", resp2.MPPW, resp.MPPW)
 	}
 
-	for body, want := range map[string]int{
-		`{"irradiance":0}`:                http.StatusBadRequest,
-		`{"irradiance":-1}`:               http.StatusBadRequest,
-		`{"irradiance":0.5,"points":1}`:   http.StatusBadRequest,
-		`{"irradiance":0.5,"points":-3}`:  http.StatusBadRequest,
-		`{"irradiance":0.5,"points":1e9}`: http.StatusBadRequest,
-		`{"irradiance":0.5,"typo":true}`:  http.StatusBadRequest,
-		`not json`:                        http.StatusBadRequest,
-	} {
+	for body, want := range pvSolveRejects {
 		status, _ := post(t, ts.URL+"/api/v1/pv/solve", body)
 		if status != want {
 			t.Errorf("body %s: status %d, want %d", body, status, want)
 		}
 	}
+}
+
+// pvSolveRejects are PV solve bodies the server refuses, with the status
+// each must get.
+var pvSolveRejects = map[string]int{
+	`{"irradiance":0}`:                http.StatusBadRequest,
+	`{"irradiance":-1}`:               http.StatusBadRequest,
+	`{"irradiance":0.5,"points":1}`:   http.StatusBadRequest,
+	`{"irradiance":0.5,"points":-3}`:  http.StatusBadRequest,
+	`{"irradiance":0.5,"points":1e9}`: http.StatusBadRequest,
+	`{"irradiance":0.5,"typo":true}`:  http.StatusBadRequest,
+	`not json`:                        http.StatusBadRequest,
+	// Isc overflows to +Inf, which JSON cannot encode.
+	`{"irradiance":1e308,"photo_current_a":1e308,"points":16}`: http.StatusUnprocessableEntity,
 }
 
 func TestMPPTPlan(t *testing.T) {
@@ -333,10 +339,6 @@ func TestMetricsEndpoint(t *testing.T) {
 			Misses uint64 `json:"misses"`
 			Size   int    `json:"size"`
 		} `json:"report_cache"`
-		PVCache struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-		} `json:"pv_cache"`
 		Gate struct {
 			Capacity int `json:"capacity"`
 		} `json:"gate"`
