@@ -285,29 +285,31 @@ func BenchmarkKernelBatch(b *testing.B) {
 // BenchmarkAblationSprintFactor sweeps the sprint factor and reports the
 // harvested-energy gain of the best factor over constant speed.
 func BenchmarkAblationSprintFactor(b *testing.B) {
+	const cycles, deadline = 6e6, 26e-3
 	run := func(sprint float64) float64 {
 		cell := pv.NewCell()
-		proc := cpu.NewProcessor()
-		mgr := core.NewManager(core.NewSystem(cell, proc), reg.NewBuck())
 		vmpp, _ := cell.MPP(0.5)
 		storage, err := cap.New(100e-6, vmpp, 2.0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
-			Cap:            storage,
-			Irradiance:     circuit.RampIrradiance(0.5, 0.02, 8e-3, 18e-3),
-			Cycles:         6e6,
-			Deadline:       26e-3,
-			Sprint:         sprint,
-			Bypass:         true,
-			Step:           4e-6,
+		sim, err := circuit.New(circuit.Config{
+			Cell: cell, Proc: cpu.NewProcessor(), Reg: reg.NewBuck(), Cap: storage,
+			Irradiance: circuit.RampIrradiance(0.5, 0.02, 8e-3, 18e-3),
+			Controller: &sched.DeadlineController{
+				Cycles: cycles, Deadline: deadline, Sprint: sprint, AllowBypass: true,
+			},
+			Step: 4e-6, MaxTime: 2 * deadline, JobCycles: cycles,
 			StopOnBrownout: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Outcome.EnergyHarvested
+		out, err := sim.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out.EnergyHarvested
 	}
 	var bestGain float64
 	for i := 0; i < b.N; i++ {
@@ -329,25 +331,28 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	_, truePin := cell.MPP(0.25)
 	run := func(v1, v2 float64) float64 {
 		proc := cpu.NewProcessor()
-		mgr := core.NewManager(core.NewSystem(cell, proc), reg.NewSC())
+		sc := reg.NewSC()
+		mgr := core.NewManager(core.NewSystem(cell, proc), sc)
 		vmpp, _ := cell.MPP(1.0)
 		storage, err := cap.New(100e-6, vmpp, 2.0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mgr.RunTracked(core.TrackedRunConfig{
-			Cap:        storage,
-			Irradiance: circuit.StepIrradiance(1.0, 0.25, 8e-3),
-			Levels:     []float64{0.05, 0.25, 1.0},
-			V1:         v1,
-			V2:         v2,
-			Duration:   40e-3,
-			Step:       4e-6,
+		tracker := &mppt.Tracker{Table: mgr.BuildTrackingTable([]float64{0.05, 0.25, 1.0})}
+		sim, err := circuit.New(circuit.Config{
+			Cell: cell, Proc: proc, Reg: sc, Cap: storage,
+			Irradiance:  circuit.StepIrradiance(1.0, 0.25, 8e-3),
+			Controller:  tracker,
+			Comparators: mppt.Comparators(v1, v2),
+			Step:        4e-6, MaxTime: 40e-3,
 		})
-		if err != nil || len(res.Estimates) == 0 {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil || len(tracker.Estimates) == 0 {
 			return 1 // total failure counts as 100% error
 		}
-		e := res.Estimates[0]/truePin - 1
+		e := tracker.Estimates[0]/truePin - 1
 		if e < 0 {
 			e = -e
 		}
@@ -590,13 +595,10 @@ func BenchmarkAblationMPPTvsPO(b *testing.B) {
 		})
 		sim, err := circuit.New(circuit.Config{
 			Cell: cell, Proc: proc, Reg: reg.NewSC(), Cap: storage,
-			Irradiance: irr,
-			Controller: &mppt.Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1},
-			Comparators: []circuit.Comparator{
-				{Threshold: 1.00, Hysteresis: 0.004},
-				{Threshold: 0.90, Hysteresis: 0.004},
-			},
-			Step: 2e-6, MaxTime: duration,
+			Irradiance:  irr,
+			Controller:  &mppt.Tracker{Table: table},
+			Comparators: mppt.Comparators(1.00, 0.90),
+			Step:        2e-6, MaxTime: duration,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -695,12 +697,9 @@ func BenchmarkAblationClockLevels(b *testing.B) {
 		}
 		sim, err := circuit.New(circuit.Config{
 			Cell: cell, Proc: proc, Reg: reg.NewSC(), Cap: storage,
-			Irradiance: circuit.StepIrradiance(1.0, 0.25, 10e-3),
-			Controller: &mppt.Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1},
-			Comparators: []circuit.Comparator{
-				{Threshold: 1.00, Hysteresis: 0.004},
-				{Threshold: 0.90, Hysteresis: 0.004},
-			},
+			Irradiance:  circuit.StepIrradiance(1.0, 0.25, 10e-3),
+			Controller:  &mppt.Tracker{Table: table},
+			Comparators: mppt.Comparators(1.00, 0.90),
 			ClockLevels: levels,
 			Step:        2e-6,
 			MaxTime:     30e-3,

@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/imgproc"
+	"repro/internal/mppt"
 	"repro/internal/plot"
 	"repro/internal/prof"
 	"repro/internal/pv"
@@ -185,62 +186,56 @@ func campaign(cfg campaignConfig, stdout io.Writer) error {
 		led = profile.Ledger(prof.Scope{Experiment: "hemnode", Node: cfg.policy})
 	}
 
-	var cycles, harvested float64
+	// The policy picks only the controller (the tracker also its V1/V2
+	// comparators); one node assembly runs it.
+	var (
+		ctl         circuit.Controller
+		comparators []circuit.Comparator
+		tracker     *mppt.Tracker
+	)
 	switch cfg.policy {
 	case "tracked":
 		mgr := core.NewManager(core.NewSystem(cell, proc), sc)
-		res, err := mgr.RunTracked(core.TrackedRunConfig{
-			Cap:        storage,
-			Irradiance: wx.At,
-			Levels:     []float64{0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0},
-			V1:         0.95,
-			V2:         0.85,
-			Duration:   cfg.duration,
-			Step:       20e-6,
-			Tracer:     tracer,
-			TraceTrack: cfg.policy,
-			Ledger:     led,
-		})
-		if err != nil {
-			return fmt.Errorf("tracked run: %w", err)
-		}
-		cycles, harvested = res.Outcome.CyclesDone, res.Outcome.EnergyHarvested
-		fmt.Fprintf(stdout, "tracker: %d estimates, %d retargets\n", len(res.Estimates), res.Retargets)
-	case "fixed", "mep":
-		supply := 0.55
-		if cfg.policy == "mep" {
-			supply, _ = proc.ConventionalMEP()
-		}
-		sim, err := circuit.New(circuit.Config{
-			Cell:       cell,
-			Proc:       proc,
-			Reg:        sc,
-			Cap:        storage,
-			Irradiance: wx.At,
-			Controller: &circuit.FixedPoint{Supply: supply},
-			Step:       20e-6,
-			MaxTime:    cfg.duration,
-			Tracer:     tracer,
-			TraceTrack: cfg.policy,
-			Ledger:     led,
-		})
-		if err != nil {
-			return fmt.Errorf("assemble: %w", err)
-		}
-		out, err := sim.Run()
-		if err != nil {
-			return fmt.Errorf("run: %w", err)
-		}
-		cycles, harvested = out.CyclesDone, out.EnergyHarvested
+		tracker = &mppt.Tracker{Table: mgr.BuildTrackingTable([]float64{0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0})}
+		ctl, comparators = tracker, mppt.Comparators(0.95, 0.85)
+	case "fixed":
+		ctl = &circuit.FixedPoint{Supply: 0.55}
+	case "mep":
+		supply, _ := proc.ConventionalMEP()
+		ctl = &circuit.FixedPoint{Supply: supply}
 	default:
 		return fmt.Errorf("unknown policy %q (want tracked, fixed, or mep)", cfg.policy)
+	}
+	sim, err := circuit.New(circuit.Config{
+		Cell:        cell,
+		Proc:        proc,
+		Reg:         sc,
+		Cap:         storage,
+		Irradiance:  wx.At,
+		Controller:  ctl,
+		Comparators: comparators,
+		Step:        20e-6,
+		MaxTime:     cfg.duration,
+		Tracer:      tracer,
+		TraceTrack:  cfg.policy,
+		Ledger:      led,
+	})
+	if err != nil {
+		return fmt.Errorf("assemble: %w", err)
+	}
+	out, err := sim.Run()
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
+	}
+	if tracker != nil {
+		fmt.Fprintf(stdout, "tracker: %d estimates, %d retargets\n", len(tracker.Estimates), tracker.Retargets)
 	}
 
 	frame := float64(imgproc.DefaultCostModel().FrameCycles(64, 64, 512, imgproc.NumClasses))
 	fmt.Fprintf(stdout, "policy %q: %.2f G cycles executed = %.0f recognition frames\n",
-		cfg.policy, cycles/1e9, cycles/frame)
+		cfg.policy, out.CyclesDone/1e9, out.CyclesDone/frame)
 	fmt.Fprintf(stdout, "energy harvested: %.1f mJ; storage left at %.2f V\n",
-		harvested*1e3, storage.Voltage())
+		out.EnergyHarvested*1e3, storage.Voltage())
 	if rec != nil {
 		if err := writeEvents(cfg.tracePath, rec.Events()); err != nil {
 			return err

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/imgproc"
+	"repro/internal/mppt"
 	"repro/internal/pv"
 	"repro/internal/reg"
 )
@@ -41,68 +42,50 @@ func main() {
 
 	day := circuit.DayIrradiance(sunrise, sunset, peakSun)
 
+	// The three policies share one node: each picks only the controller
+	// (the tracker also its V1/V2 estimation comparators).
+	cell, proc, sc := pv.NewCell(), cpu.NewProcessor(), reg.NewSC()
+	mep, _ := proc.ConventionalMEP()
+	mgr := core.NewManager(core.NewSystem(cell, proc), sc)
 	policies := []struct {
-		name string
-		ctl  func() circuit.Controller
+		name        string
+		ctl         circuit.Controller
+		comparators []circuit.Comparator
 	}{
-		{"naive fixed 0.55 V", func() circuit.Controller {
-			return &circuit.FixedPoint{Supply: 0.55}
-		}},
-		{"conventional MEP", func() circuit.Controller {
-			proc := cpu.NewProcessor()
-			v, _ := proc.ConventionalMEP()
-			return &circuit.FixedPoint{Supply: v}
-		}},
-		{"holistic (tracked)", nil}, // handled via the Manager below
+		{"naive fixed 0.55 V", &circuit.FixedPoint{Supply: 0.55}, nil},
+		{"conventional MEP", &circuit.FixedPoint{Supply: mep}, nil},
+		{"holistic (tracked)", &mppt.Tracker{
+			Table: mgr.BuildTrackingTable([]float64{0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0}),
+		}, mppt.Comparators(0.95, 0.85)},
 	}
 
 	for _, p := range policies {
-		cell := pv.NewCell()
-		proc := cpu.NewProcessor()
-		sc := reg.NewSC()
 		storage, err := cap.New(100e-6, 0.9, 2.0)
 		if err != nil {
 			log.Fatalf("capacitor: %v", err)
 		}
-
-		var cycles float64
-		if p.ctl != nil {
-			sim, err := circuit.New(circuit.Config{
-				Cell:       cell,
-				Proc:       proc,
-				Reg:        sc,
-				Cap:        storage,
-				Irradiance: day,
-				Controller: p.ctl(),
-				Step:       simStep,
-				MaxTime:    dayLength,
-			})
-			if err != nil {
-				log.Fatalf("assemble %s: %v", p.name, err)
-			}
-			out, err := sim.Run()
-			if err != nil {
-				log.Fatalf("run %s: %v", p.name, err)
-			}
-			cycles = out.CyclesDone
-		} else {
-			mgr := core.NewManager(core.NewSystem(cell, proc), sc)
-			res, err := mgr.RunTracked(core.TrackedRunConfig{
-				Cap:        storage,
-				Irradiance: day,
-				Levels:     []float64{0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0},
-				V1:         0.95,
-				V2:         0.85,
-				Duration:   dayLength,
-				Step:       simStep,
-			})
-			if err != nil {
-				log.Fatalf("run %s: %v", p.name, err)
-			}
-			cycles = res.Outcome.CyclesDone
-			fmt.Printf("  (tracker made %d estimates, %d retargets)\n", len(res.Estimates), res.Retargets)
+		sim, err := circuit.New(circuit.Config{
+			Cell:        cell,
+			Proc:        proc,
+			Reg:         sc,
+			Cap:         storage,
+			Irradiance:  day,
+			Controller:  p.ctl,
+			Comparators: p.comparators,
+			Step:        simStep,
+			MaxTime:     dayLength,
+		})
+		if err != nil {
+			log.Fatalf("assemble %s: %v", p.name, err)
+		}
+		out, err := sim.Run()
+		if err != nil {
+			log.Fatalf("run %s: %v", p.name, err)
+		}
+		if tr, ok := p.ctl.(*mppt.Tracker); ok {
+			fmt.Printf("  (tracker made %d estimates, %d retargets)\n", len(tr.Estimates), tr.Retargets)
 		}
 		fmt.Printf("%-22s %6.0f frames recognised (%.1f G cycles)\n",
-			p.name, cycles/frameCycles, cycles/1e9)
+			p.name, out.CyclesDone/frameCycles, out.CyclesDone/1e9)
 	}
 }

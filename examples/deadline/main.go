@@ -12,12 +12,12 @@ import (
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/imgproc"
 	"repro/internal/plot"
 	"repro/internal/pv"
 	"repro/internal/reg"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -26,8 +26,6 @@ func main() {
 	cell := pv.NewCell()
 	proc := cpu.NewProcessor()
 	buck := reg.NewBuck()
-	sys := core.NewSystem(cell, proc)
-	mgr := core.NewManager(sys, buck)
 
 	// A 64x64 recognition frame, sized from the real pipeline's cycle
 	// model, due in 26 ms.
@@ -61,21 +59,33 @@ func main() {
 			log.Fatalf("capacitor: %v", err)
 		}
 		e0 := storage.Energy()
-		run, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
+		ctl := &sched.DeadlineController{
+			Cycles:        float64(job.Cycles),
+			Deadline:      deadline,
+			Sprint:        p.sprint,
+			AllowBypass:   p.bypass,
+			StopOnDropout: !p.bypass,
+		}
+		sim, err := circuit.New(circuit.Config{
+			Cell:           cell,
+			Proc:           proc,
+			Reg:            buck,
 			Cap:            storage,
 			Irradiance:     light,
-			Cycles:         float64(job.Cycles),
-			Deadline:       deadline,
-			Sprint:         p.sprint,
-			Bypass:         p.bypass,
+			Controller:     ctl,
+			Step:           2e-6,
+			MaxTime:        2 * deadline,
+			JobCycles:      float64(job.Cycles),
 			TraceEvery:     200,
 			StopOnBrownout: true,
-			StopOnDropout:  !p.bypass,
 		})
+		if err != nil {
+			log.Fatalf("assemble %s: %v", p.name, err)
+		}
+		out, err := sim.Run()
 		if err != nil {
 			log.Fatalf("run %s: %v", p.name, err)
 		}
-		out := run.Outcome
 		status := "ran out of light"
 		end := out.Duration
 		switch {
@@ -92,8 +102,8 @@ func main() {
 		fmt.Printf("%-32s %s at %5.2f ms | %4.1f%% of job done | harvested %.3f mJ | cap used %.3f mJ",
 			p.name, status, end*1e3, 100*out.CyclesDone/float64(job.Cycles),
 			out.EnergyHarvested*1e3, (e0-storage.Energy())*1e3)
-		if run.BypassedAt >= 0 {
-			fmt.Printf(" | bypassed at %.2f ms", run.BypassedAt*1e3)
+		if ctl.BypassedAt >= 0 {
+			fmt.Printf(" | bypassed at %.2f ms", ctl.BypassedAt*1e3)
 		}
 		fmt.Println()
 

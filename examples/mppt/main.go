@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/mppt"
 	"repro/internal/plot"
 	"repro/internal/pv"
 	"repro/internal/reg"
@@ -41,30 +42,40 @@ func main() {
 	if err != nil {
 		log.Fatalf("capacitor: %v", err)
 	}
-	res, err := mgr.RunTracked(core.TrackedRunConfig{
-		Cap:        storage,
-		Irradiance: cloud,
-		Levels:     []float64{0.05, 0.1, 0.25, 0.5, 1.0},
-		V1:         1.00,
-		V2:         0.90,
-		Duration:   60e-3,
-		TraceEvery: 100,
+	// The tracker retargets from the manager's plan table whenever the
+	// V1/V2 comparator pair times a discharge (Eq. 6-7).
+	tracker := &mppt.Tracker{Table: mgr.BuildTrackingTable([]float64{0.05, 0.1, 0.25, 0.5, 1.0})}
+	sim, err := circuit.New(circuit.Config{
+		Cell:        cell,
+		Proc:        proc,
+		Reg:         sc,
+		Cap:         storage,
+		Irradiance:  cloud,
+		Controller:  tracker,
+		Comparators: mppt.Comparators(1.00, 0.90),
+		Step:        2e-6,
+		MaxTime:     60e-3,
+		TraceEvery:  100,
 	})
+	if err != nil {
+		log.Fatalf("assemble: %v", err)
+	}
+	out, err := sim.Run()
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
 
 	fmt.Printf("tracker estimates (paper Eq. 7):\n")
-	for i, est := range res.Estimates {
+	for i, est := range tracker.Estimates {
 		fmt.Printf("  #%d: %.2f mW\n", i+1, est*1e3)
 	}
-	fmt.Printf("plan retargets: %d\n", res.Retargets)
-	fmt.Printf("energy harvested over the cloud event: %.3f mJ\n", res.Outcome.EnergyHarvested*1e3)
-	fmt.Printf("work done: %.2f M cycles\n\n", res.Outcome.CyclesDone/1e6)
+	fmt.Printf("plan retargets: %d\n", tracker.Retargets)
+	fmt.Printf("energy harvested over the cloud event: %.3f mJ\n", out.EnergyHarvested*1e3)
+	fmt.Printf("work done: %.2f M cycles\n\n", out.CyclesDone/1e6)
 
-	if res.Outcome.Trace != nil {
+	if out.Trace != nil {
 		node := plot.Series{Name: "Vsolar"}
-		for _, s := range res.Outcome.Trace.Samples {
+		for _, s := range out.Trace.Samples {
 			node.X = append(node.X, s.Time*1e3)
 			node.Y = append(node.Y, s.CapVoltage)
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/imgproc"
 	"repro/internal/pv"
 	"repro/internal/reg"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -25,7 +26,6 @@ func main() {
 	proc := cpu.NewProcessor()
 	sc := reg.NewSC()
 	sys := core.NewSystem(cell, proc)
-	mgr := core.NewManager(sys, sc)
 
 	// 2. Static analysis: what does holistic planning buy at full sun?
 	vmpp, pmpp := cell.MPP(pv.FullSun)
@@ -59,21 +59,31 @@ func main() {
 	fmt.Printf("one 64x64 frame: class %v, %.2f M cycles (%.1f ms at 0.5 V)\n",
 		res.Class, float64(res.Cycles)/1e6, float64(res.Cycles)/proc.MaxFrequency(0.5)*1e3)
 
-	// 4. Run the job on the transient simulator under the holistic plan.
+	// 4. Run the job on the transient simulator: the deadline controller
+	// (Sec. VI.B) paces it to finish within the deadline.
 	storage, err := cap.New(100e-6, vmpp, 2.0)
 	if err != nil {
 		log.Fatalf("capacitor: %v", err)
 	}
-	run, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
+	const deadline = 20e-3
+	sim, err := circuit.New(circuit.Config{
+		Cell:       cell,
+		Proc:       proc,
+		Reg:        sc,
 		Cap:        storage,
 		Irradiance: circuit.ConstantIrradiance(pv.FullSun),
-		Cycles:     float64(res.Cycles),
-		Deadline:   20e-3,
+		Controller: &sched.DeadlineController{Cycles: float64(res.Cycles), Deadline: deadline},
+		Step:       2e-6,
+		MaxTime:    2 * deadline,
+		JobCycles:  float64(res.Cycles),
 	})
+	if err != nil {
+		log.Fatalf("assemble: %v", err)
+	}
+	out, err := sim.Run()
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
-	out := run.Outcome
 	if out.Completed {
 		fmt.Printf("job completed at %.2f ms; harvested %.3f mJ, delivered %.3f mJ\n",
 			out.CompletionTime*1e3, out.EnergyHarvested*1e3, out.EnergyDelivered*1e3)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/intermittent"
 	"repro/internal/mppt"
@@ -28,18 +27,15 @@ import (
 func buildSim(t *testing.T, ctl circuit.Controller, storage circuit.Storage, irr func(float64) float64, maxTime float64) *circuit.Simulator {
 	t.Helper()
 	sim, err := circuit.New(circuit.Config{
-		Cell:       pv.NewCell(),
-		Proc:       cpu.NewProcessor(),
-		Reg:        reg.NewSC(),
-		Cap:        storage,
-		Irradiance: irr,
-		Controller: ctl,
-		Comparators: []circuit.Comparator{
-			{Threshold: 1.0, Hysteresis: 0.004},
-			{Threshold: 0.9, Hysteresis: 0.004},
-		},
-		Step:    4e-6,
-		MaxTime: maxTime,
+		Cell:        pv.NewCell(),
+		Proc:        cpu.NewProcessor(),
+		Reg:         reg.NewSC(),
+		Cap:         storage,
+		Irradiance:  irr,
+		Controller:  ctl,
+		Comparators: mppt.Comparators(1.0, 0.9),
+		Step:        4e-6,
+		MaxTime:     maxTime,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +71,7 @@ func allControllers(t *testing.T) map[string]func() circuit.Controller {
 			return &sched.DeadlineController{Cycles: 3e6, Deadline: 15e-3, Sprint: 0.2, AllowBypass: true}
 		},
 		"tracker": func() circuit.Controller {
-			return &mppt.Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1}
+			return &mppt.Tracker{Table: table}
 		},
 		"perturb-observe": func() circuit.Controller {
 			return &mppt.PerturbObserve{Supply: 0.5}
@@ -148,7 +144,6 @@ func TestDeterminism(t *testing.T) {
 func TestSprintAnalyticMatchesSimulation(t *testing.T) {
 	cell := pv.NewCell()
 	proc := cpu.NewProcessor()
-	mgr := core.NewManager(core.NewSystem(cell, proc), reg.NewBuck())
 
 	const (
 		cycles   = 6e6
@@ -158,21 +153,28 @@ func TestSprintAnalyticMatchesSimulation(t *testing.T) {
 	)
 	run := func(sprint float64) float64 {
 		vmpp, _ := cell.MPP(irrLevel)
-		storage := mustCap(t, 100e-6, vmpp)
-		res, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
-			Cap:            storage,
-			Irradiance:     circuit.ConstantIrradiance(irrLevel),
-			Cycles:         cycles,
-			Deadline:       deadline,
-			Sprint:         sprint,
-			Bypass:         true,
+		sim, err := circuit.New(circuit.Config{
+			Cell:       cell,
+			Proc:       proc,
+			Reg:        reg.NewBuck(),
+			Cap:        mustCap(t, 100e-6, vmpp),
+			Irradiance: circuit.ConstantIrradiance(irrLevel),
+			Controller: &sched.DeadlineController{
+				Cycles: cycles, Deadline: deadline, Sprint: sprint, AllowBypass: true,
+			},
 			Step:           4e-6,
+			MaxTime:        2 * deadline,
+			JobCycles:      cycles,
 			StopOnBrownout: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Outcome.EnergyHarvested
+		out, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.EnergyHarvested
 	}
 	simGain := run(factor) - run(0)
 
@@ -227,22 +229,19 @@ func TestFullStackWeatherFederationMPPT(t *testing.T) {
 	table := mppt.BuildTable(cell, []float64{0.1, 0.25, 0.5, 1.0}, func(_, _, p float64) (float64, float64, bool) {
 		return 0.5, proc.FrequencyForPower(0.5, 0.6*p), false
 	})
-	tracker := &mppt.Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1}
+	tracker := &mppt.Tracker{Table: table}
 	e0 := fed.Energy()
 
 	sim, err := circuit.New(circuit.Config{
-		Cell:       cell,
-		Proc:       proc,
-		Reg:        reg.NewSC(),
-		Cap:        fed,
-		Irradiance: trace.At,
-		Controller: tracker,
-		Comparators: []circuit.Comparator{
-			{Threshold: 1.0, Hysteresis: 0.004},
-			{Threshold: 0.9, Hysteresis: 0.004},
-		},
-		Step:    10e-6,
-		MaxTime: 2.0,
+		Cell:        cell,
+		Proc:        proc,
+		Reg:         reg.NewSC(),
+		Cap:         fed,
+		Irradiance:  trace.At,
+		Controller:  tracker,
+		Comparators: mppt.Comparators(1.0, 0.9),
+		Step:        10e-6,
+		MaxTime:     2.0,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,39 +101,6 @@ type Trace struct {
 	Samples []Sample
 }
 
-// EventKind labels a recorded mode transition.
-type EventKind int
-
-// Event kinds. Values start at 1 so the zero value is invalid.
-const (
-	EventBypassOn  EventKind = iota + 1 // regulator bypassed
-	EventBypassOff                      // regulated operation restored
-	EventHalt                           // processor halted (supply below minimum)
-	EventResume                         // processor resumed after a halt
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventBypassOn:
-		return "bypass-on"
-	case EventBypassOff:
-		return "bypass-off"
-	case EventHalt:
-		return "halt"
-	case EventResume:
-		return "resume"
-	default:
-		return "event?"
-	}
-}
-
-// Event is one recorded mode transition.
-type Event struct {
-	Time float64
-	Kind EventKind
-}
-
 // Outcome summarises a completed simulation run.
 type Outcome struct {
 	Completed       bool    // the job's cycle budget was reached
@@ -150,7 +117,6 @@ type Outcome struct {
 	Stopped         bool    // a controller requested the stop
 	StopReason      string  // reason passed to State.Stop
 	StoppedAt       float64 // time of the controller stop (s)
-	Events          []Event // mode transitions in time order
 	Trace           *Trace  // nil unless tracing was enabled
 }
 
@@ -580,15 +546,6 @@ func (st *State) quantizeClock(f float64) float64 {
 		return 0
 	}
 	return levels[lo-1]
-}
-
-// recordEvent appends a mode transition to the outcome, allocating the
-// event slice lazily with enough room that a typical run never regrows it.
-func (st *State) recordEvent(kind EventKind) {
-	if st.outcome.Events == nil {
-		st.outcome.Events = make([]Event, 0, 16)
-	}
-	st.outcome.Events = append(st.outcome.Events, Event{Time: st.time, Kind: kind})
 }
 
 // fireComparators detects threshold crossings with hysteresis and delivers

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/pv"
 	"repro/internal/reg"
+	"repro/internal/trace"
 )
 
 func testConfig(t *testing.T, ctl Controller) Config {
@@ -586,49 +587,40 @@ func TestEventLogRecordsTransitions(t *testing.T) {
 		return 0
 	}
 	cfg.MaxTime = 90e-3
+	rec := trace.NewRecorder()
+	cfg.Tracer = rec
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sim.Run()
-	if err != nil {
+	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var halts, resumes int
-	prev := -1.0
-	for _, ev := range out.Events {
+	prev, last := -1.0, ""
+	for _, ev := range rec.Events() {
 		if ev.Time < prev {
 			t.Fatal("events out of order")
 		}
 		prev = ev.Time
 		switch ev.Kind {
-		case EventHalt:
+		case "circuit.halt":
 			halts++
-		case EventResume:
+		case "circuit.resume":
 			resumes++
+		case "circuit.bypass-on", "circuit.bypass-off":
+			t.Fatalf("unexpected bypass transition %+v", ev)
+		default:
+			continue
 		}
-		if ev.Kind.String() == "event?" {
-			t.Errorf("unnamed event kind %v", ev.Kind)
+		// Halt and resume alternate.
+		if ev.Kind == last {
+			t.Fatalf("two %s events in a row", ev.Kind)
 		}
+		last = ev.Kind
 	}
 	if halts < 2 || resumes < 1 {
-		t.Errorf("got %d halts / %d resumes, want a few of each: %+v", halts, resumes, out.Events)
-	}
-	// Halt/resume alternate.
-	lastKind := EventKind(0)
-	for _, ev := range out.Events {
-		if ev.Kind == EventHalt && lastKind == EventHalt {
-			t.Fatal("double halt without resume")
-		}
-		if ev.Kind == EventHalt || ev.Kind == EventResume {
-			lastKind = ev.Kind
-		}
-	}
-	if EventKind(0).String() != "event?" {
-		t.Error("invalid kind name")
-	}
-	if EventBypassOn.String() != "bypass-on" || EventBypassOff.String() != "bypass-off" {
-		t.Error("bypass kind names wrong")
+		t.Errorf("got %d halts / %d resumes, want a few of each", halts, resumes)
 	}
 }
 

@@ -233,28 +233,26 @@ func (s *Simulator) stepOnce() {
 	vcap := cfg.Cap.Voltage()
 	st.resolveOperatingPoint(vcap)
 
-	// Record mode transitions.
+	// Trace mode transitions.
 	if st.bypass != s.prevBypass {
-		kind := EventBypassOn
-		if !st.bypass {
-			kind = EventBypassOff
-		}
-		st.recordEvent(kind)
 		if st.Tracing() {
-			st.TraceInstant("circuit."+kind.String(), trace.Args{
+			kind := "circuit.bypass-on"
+			if !st.bypass {
+				kind = "circuit.bypass-off"
+			}
+			st.TraceInstant(kind, trace.Args{
 				"vcap_v": vcap, "supply_v": st.effSupply,
 			})
 		}
 		s.prevBypass = st.bypass
 	}
 	if st.halted != s.prevHalted {
-		kind := EventHalt
-		if !st.halted {
-			kind = EventResume
-		}
-		st.recordEvent(kind)
 		if st.Tracing() {
-			st.TraceInstant("circuit."+kind.String(), trace.Args{
+			kind := "circuit.halt"
+			if !st.halted {
+				kind = "circuit.resume"
+			}
+			st.TraceInstant(kind, trace.Args{
 				"vcap_v": vcap, "cycles_done": st.cyclesDone,
 			})
 		}

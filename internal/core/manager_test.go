@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
+	"repro/internal/mppt"
 	"repro/internal/pv"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -55,6 +57,21 @@ func TestBuildTrackingTable(t *testing.T) {
 	}
 }
 
+// runOn runs cfg on the manager's node: its cell, processor and regulator.
+func runOn(t *testing.T, m *Manager, cfg circuit.Config) *circuit.Outcome {
+	t.Helper()
+	cfg.Cell, cfg.Proc, cfg.Reg = m.sys.Cell, m.sys.Proc, m.r
+	sim, err := circuit.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRunTrackedReproducesMPPT(t *testing.T) {
 	m := testManager()
 	vmpp, _ := m.sys.Cell.MPP(1.0)
@@ -62,86 +79,70 @@ func TestRunTrackedReproducesMPPT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunTracked(TrackedRunConfig{
-		Cap:        storage,
-		Irradiance: circuit.StepIrradiance(1.0, 0.25, 8e-3),
-		Levels:     []float64{0.05, 0.1, 0.25, 0.5, 1.0},
-		V1:         1.0,
-		V2:         0.9,
-		Duration:   40e-3,
-		TraceEvery: 100,
+	tracker := &mppt.Tracker{Table: m.BuildTrackingTable([]float64{0.05, 0.1, 0.25, 0.5, 1.0})}
+	out := runOn(t, m, circuit.Config{
+		Cap:         storage,
+		Irradiance:  circuit.StepIrradiance(1.0, 0.25, 8e-3),
+		Controller:  tracker,
+		Comparators: mppt.Comparators(1.0, 0.9),
+		Step:        2e-6,
+		MaxTime:     40e-3,
+		TraceEvery:  100,
 	})
+	if len(tracker.Estimates) == 0 || tracker.Retargets == 0 {
+		t.Fatalf("no tracking activity: %d estimates, %d retargets", len(tracker.Estimates), tracker.Retargets)
+	}
+	_, want := m.sys.Cell.MPP(0.25)
+	if math.Abs(tracker.Estimates[0]-want)/want > 0.30 {
+		t.Errorf("estimate %.3g W, want within 30%% of %.3g W", tracker.Estimates[0], want)
+	}
+	if out.Trace == nil {
+		t.Error("trace missing")
+	}
+}
+
+// deadlineJob is a job of the given length and window on a fresh 100 uF
+// node at full sun, horizon twice the deadline.
+func deadlineJob(t *testing.T, ctl *sched.DeadlineController) circuit.Config {
+	t.Helper()
+	storage, err := cap.New(100e-6, 1.09, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Estimates) == 0 || res.Retargets == 0 {
-		t.Fatalf("no tracking activity: %+v", res)
-	}
-	_, want := m.sys.Cell.MPP(0.25)
-	if math.Abs(res.Estimates[0]-want)/want > 0.30 {
-		t.Errorf("estimate %.3g W, want within 30%% of %.3g W", res.Estimates[0], want)
-	}
-	if res.Outcome.Trace == nil {
-		t.Error("trace missing")
+	return circuit.Config{
+		Cap:        storage,
+		Irradiance: circuit.ConstantIrradiance(1.0),
+		Controller: ctl,
+		Step:       2e-6,
+		MaxTime:    2 * ctl.Deadline,
+		JobCycles:  ctl.Cycles,
 	}
 }
 
 func TestRunDeadlineJobCompletes(t *testing.T) {
 	m := testManager()
-	storage, err := cap.New(100e-6, 1.09, 2.0)
-	if err != nil {
-		t.Fatal(err)
+	ctl := &sched.DeadlineController{Cycles: 4e6, Deadline: 20e-3}
+	out := runOn(t, m, deadlineJob(t, ctl))
+	if !out.Completed {
+		t.Fatalf("job did not complete: %+v", out)
 	}
-	res, err := m.RunDeadlineJob(DeadlineRunConfig{
-		Cap:        storage,
-		Irradiance: circuit.ConstantIrradiance(1.0),
-		Cycles:     4e6,
-		Deadline:   20e-3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Outcome.Completed {
-		t.Fatalf("job did not complete: %+v", res.Outcome)
-	}
-	if res.BypassedAt >= 0 {
+	if ctl.BypassedAt >= 0 {
 		t.Error("no bypass expected at constant full sun")
-	}
-}
-
-func TestRunDeadlineJobConfigErrors(t *testing.T) {
-	m := testManager()
-	if _, err := m.RunDeadlineJob(DeadlineRunConfig{}); err == nil {
-		t.Error("missing components should error")
-	}
-	if _, err := m.RunTracked(TrackedRunConfig{}); err == nil {
-		t.Error("missing components should error")
 	}
 }
 
 func TestRunDeadlineJobQuantizedClock(t *testing.T) {
 	m := testManager()
-	storage, err := cap.New(100e-6, 1.09, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	levels := []float64{100e6, 200e6, 300e6, 400e6}
-	res, err := m.RunDeadlineJob(DeadlineRunConfig{
-		Cap:         storage,
-		Irradiance:  circuit.ConstantIrradiance(1.0),
-		Cycles:      4e6,
-		Deadline:    25e-3,
-		ClockLevels: levels,
-		TraceEvery:  50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Outcome.Completed {
-		t.Fatalf("quantized job did not complete: %+v", res.Outcome)
+	cfg := deadlineJob(t, &sched.DeadlineController{Cycles: 4e6, Deadline: 25e-3})
+	cfg.ClockLevels = levels
+	cfg.TraceEvery = 50
+	out := runOn(t, m, cfg)
+	if !out.Completed {
+		t.Fatalf("quantized job did not complete: %+v", out)
 	}
 	// Every traced frequency sits on the grid (or zero).
-	for _, s := range res.Outcome.Trace.Samples {
+	for _, s := range out.Trace.Samples {
 		onGrid := s.Frequency == 0
 		for _, l := range levels {
 			if math.Abs(s.Frequency-l) < 1 {
@@ -174,40 +175,5 @@ func TestPlanPerformanceEmitsPlanEvent(t *testing.T) {
 	}
 	if b, ok := events[1].Args["bypass"].(bool); !ok || !b {
 		t.Errorf("dim plan event should carry bypass=true, got %v", events[1].Args["bypass"])
-	}
-}
-
-func TestRunConfigTracerOverridesManager(t *testing.T) {
-	mgrRec := trace.NewRecorder()
-	runRec := trace.NewRecorder()
-	m := testManager().WithTracer(mgrRec)
-	storage, err := cap.New(100e-6, 1.09, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.RunDeadlineJob(DeadlineRunConfig{
-		Cap:        storage,
-		Irradiance: circuit.ConstantIrradiance(1.0),
-		Cycles:     4e6,
-		Deadline:   20e-3,
-		Tracer:     runRec,
-		TraceTrack: "override",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Outcome.Completed {
-		t.Fatalf("job did not complete")
-	}
-	if runRec.Len() == 0 {
-		t.Fatal("override tracer saw no events")
-	}
-	for _, ev := range runRec.Events() {
-		if ev.Track != "override" {
-			t.Errorf("event track = %q, want override", ev.Track)
-		}
-	}
-	if mgrRec.Len() != 0 {
-		t.Errorf("manager tracer saw %d events despite the override", mgrRec.Len())
 	}
 }

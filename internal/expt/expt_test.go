@@ -178,10 +178,10 @@ func TestFig8TimeBasedTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Result.Estimates) == 0 {
+	if len(r.Tracker.Estimates) == 0 {
 		t.Fatal("no estimates made")
 	}
-	if r.Result.Retargets == 0 {
+	if r.Tracker.Retargets == 0 {
 		t.Fatal("tracker never retargeted")
 	}
 	// The time-based estimate should land within 20% of the true power.

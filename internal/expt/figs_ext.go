@@ -17,6 +17,7 @@ import (
 	"repro/internal/domains"
 	"repro/internal/fault"
 	"repro/internal/intermittent"
+	"repro/internal/mppt"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/sched"
@@ -142,20 +143,24 @@ func ExtWeather() (*ExtWeatherResult, error) {
 		CloudFrac: weather.CloudFraction(trace, flat, 0.9),
 	}
 
-	runFixed := func() (float64, error) {
-		storage, err := cap.New(DefaultCapacitance, 1.0, DefaultCapMaxVoltage)
+	// The policy picks only the controller (the tracker also its V1/V2
+	// comparators); one node assembly runs either.
+	cell, proc, sc := pv.NewCell(), cpu.NewProcessor(), reg.NewSC()
+	run := func(ctl circuit.Controller, comparators []circuit.Comparator) (float64, error) {
+		storage, err := NewStorageCap(1.0)
 		if err != nil {
 			return 0, err
 		}
 		sim, err := circuit.New(circuit.Config{
-			Cell:       pv.NewCell(),
-			Proc:       cpu.NewProcessor(),
-			Reg:        reg.NewSC(),
-			Cap:        storage,
-			Irradiance: trace.At,
-			Controller: &circuit.FixedPoint{Supply: 0.55},
-			Step:       step,
-			MaxTime:    duration,
+			Cell:        cell,
+			Proc:        proc,
+			Reg:         sc,
+			Cap:         storage,
+			Irradiance:  trace.At,
+			Controller:  ctl,
+			Comparators: comparators,
+			Step:        step,
+			MaxTime:     duration,
 		})
 		if err != nil {
 			return 0, err
@@ -166,31 +171,16 @@ func ExtWeather() (*ExtWeatherResult, error) {
 		}
 		return out.CyclesDone, nil
 	}
-	res.FixedCycles, err = runFixed()
+	res.FixedCycles, err = run(&circuit.FixedPoint{Supply: 0.55}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fixed policy: %w", err)
 	}
-
-	cell := pv.NewCell()
-	proc := cpu.NewProcessor()
-	mgr := core.NewManager(core.NewSystem(cell, proc), reg.NewSC())
-	storage, err := cap.New(DefaultCapacitance, 1.0, DefaultCapMaxVoltage)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := mgr.RunTracked(core.TrackedRunConfig{
-		Cap:        storage,
-		Irradiance: trace.At,
-		Levels:     []float64{0.05, 0.1, 0.25, 0.5, 0.75, 1.0},
-		V1:         0.95,
-		V2:         0.85,
-		Duration:   duration,
-		Step:       step,
-	})
+	table := core.NewManager(core.NewSystem(cell, proc), sc).
+		BuildTrackingTable([]float64{0.05, 0.1, 0.25, 0.5, 0.75, 1.0})
+	res.TrackCycles, err = run(&mppt.Tracker{Table: table}, mppt.Comparators(0.95, 0.85))
 	if err != nil {
 		return nil, fmt.Errorf("tracked policy: %w", err)
 	}
-	res.TrackCycles = tr.Outcome.CyclesDone
 	if res.FixedCycles > 0 {
 		res.TrackGain = res.TrackCycles/res.FixedCycles - 1
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/mppt"
 	"repro/internal/plot"
 	"repro/internal/pv"
 	"repro/internal/sched"
@@ -31,12 +32,12 @@ const (
 // Fig8Result reproduces Fig. 8: time-based MPP tracking through a sudden
 // light change.
 type Fig8Result struct {
-	Result        *core.TrackedResult
-	TruePower     float64 // MPP power at the dimmed level (W)
-	BestEstimate  float64 // estimate closest to the true power (W)
-	EstimateError float64 // |BestEstimate-TruePower|/TruePower
-	FinalVoltage  float64 // node voltage at the end (V)
-	TargetVoltage float64 // planned node voltage after retargeting (V)
+	Tracker       *mppt.Tracker // the run's controller, with its estimates
+	TruePower     float64       // MPP power at the dimmed level (W)
+	BestEstimate  float64       // estimate closest to the true power (W)
+	EstimateError float64       // |BestEstimate-TruePower|/TruePower
+	FinalVoltage  float64       // node voltage at the end (V)
+	TargetVoltage float64       // planned node voltage after retargeting (V)
 	Series        []plot.Series
 }
 
@@ -68,23 +69,31 @@ func fig8(obs Observe) (*Fig8Result, error) {
 		res.TargetVoltage = pt.SolarVoltage
 	}
 
-	tr, err := mgr.RunTracked(core.TrackedRunConfig{
-		Cap:        storage,
-		Ledger:     profLedger(obs.Profile, "fig8", ""),
-		Irradiance: circuit.StepIrradiance(fig8StartLevel, dimTo, 10e-3),
-		Levels:     []float64{1.0, 0.5, 0.25, 0.1, 0.05},
-		V1:         1.00,
-		V2:         0.90,
-		Duration:   60e-3,
-		Step:       demoStep,
-		TraceEvery: 50,
-		TraceTrack: "fig8",
+	tr := &mppt.Tracker{Table: mgr.BuildTrackingTable([]float64{1.0, 0.5, 0.25, 0.1, 0.05})}
+	sim, err := circuit.New(circuit.Config{
+		Cell:        c.Cell,
+		Proc:        c.Proc,
+		Reg:         c.SC,
+		Cap:         storage,
+		Irradiance:  circuit.StepIrradiance(fig8StartLevel, dimTo, 10e-3),
+		Controller:  tr,
+		Comparators: mppt.Comparators(1.00, 0.90),
+		Step:        demoStep,
+		MaxTime:     60e-3,
+		TraceEvery:  50,
+		Tracer:      obs.Tracer,
+		TraceTrack:  "fig8",
+		Ledger:      profLedger(obs.Profile, "fig8", ""),
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Result = tr
-	res.FinalVoltage = tr.Outcome.FinalCapVoltage
+	out, err := sim.Run()
+	if err != nil {
+		return nil, err
+	}
+	res.Tracker = tr
+	res.FinalVoltage = out.FinalCapVoltage
 	res.BestEstimate = math.Inf(1)
 	for _, est := range tr.Estimates {
 		if math.Abs(est-res.TruePower) < math.Abs(res.BestEstimate-res.TruePower) {
@@ -94,14 +103,14 @@ func fig8(obs Observe) (*Fig8Result, error) {
 	if len(tr.Estimates) > 0 {
 		res.EstimateError = math.Abs(res.BestEstimate-res.TruePower) / res.TruePower
 	}
-	res.Series = traceSeries(tr.Outcome.Trace)
+	res.Series = traceSeries(out.Trace)
 	return res, nil
 }
 
 // Report implements Reporter.
 func (r *Fig8Result) Report(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 8: time-based MPP tracking through a light step ==")
-	fmt.Fprintf(w, "  estimates: %d, retargets: %d\n", len(r.Result.Estimates), r.Result.Retargets)
+	fmt.Fprintf(w, "  estimates: %d, retargets: %d\n", len(r.Tracker.Estimates), r.Tracker.Retargets)
 	fmt.Fprintf(w, "  true input power after dimming: %.2f mW; best estimate %.2f mW (error %.1f%%)\n",
 		r.TruePower*1e3, r.BestEstimate*1e3, r.EstimateError*100)
 	fmt.Fprintf(w, "  node settled at %.3f V (plan target %.3f V)\n", r.FinalVoltage, r.TargetVoltage)
@@ -186,9 +195,6 @@ const variantTraceEvery = 100
 // stream and recorded as fault.* events on its track.
 func runVariant(obs Observe, fig, name string, sprint float64, bypass bool) (VariantOutcome, error) {
 	c := DefaultComponents()
-	sys := core.NewSystem(c.Cell, c.Proc)
-	mgr := core.NewManager(sys, c.Buck) // the test chip integrates the buck
-
 	vmpp, _ := c.Cell.MPP(demoStartLevel)
 	storage, err := NewStorageCap(vmpp)
 	if err != nil {
@@ -205,26 +211,36 @@ func runVariant(obs Observe, fig, name string, sprint float64, bypass bool) (Var
 		b.Emit(obs.Tracer, name, obs.Plan.Seed)
 		irr = b.Wrap(irr)
 	}
-	dr, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
+	ctl := &sched.DeadlineController{
+		Cycles:        demoJobCycles,
+		Deadline:      demoDeadline,
+		Sprint:        sprint,
+		AllowBypass:   bypass,
+		StopOnDropout: !bypass,
+	}
+	sim, err := circuit.New(circuit.Config{
+		Cell:           c.Cell,
+		Proc:           c.Proc,
+		Reg:            c.Buck, // the test chip integrates the buck
 		Cap:            storage,
 		Irradiance:     irr,
-		Cycles:         demoJobCycles,
-		Deadline:       demoDeadline,
-		Sprint:         sprint,
-		Bypass:         bypass,
+		Controller:     ctl,
 		Step:           demoStep,
 		MaxTime:        2 * demoDeadline,
+		JobCycles:      demoJobCycles,
 		TraceEvery:     variantTraceEvery,
 		StopOnBrownout: true,
-		StopOnDropout:  !bypass,
 		Tracer:         obs.Tracer,
 		TraceTrack:     name,
 		Ledger:         profLedger(obs.Profile, fig, name),
 	})
 	if err != nil {
+		return VariantOutcome{}, fmt.Errorf("assemble %s: %w", name, err)
+	}
+	out, err := sim.Run()
+	if err != nil {
 		return VariantOutcome{}, fmt.Errorf("run %s: %w", name, err)
 	}
-	out := dr.Outcome
 	vo := VariantOutcome{
 		Name:            name,
 		Completed:       out.Completed,
@@ -232,7 +248,7 @@ func runVariant(obs Observe, fig, name string, sprint float64, bypass bool) (Var
 		EnergyHarvested: out.EnergyHarvested,
 		EnergyDelivered: out.EnergyDelivered,
 		CapEnergyUsed:   e0 - storage.Energy(),
-		BypassedAt:      dr.BypassedAt,
+		BypassedAt:      ctl.BypassedAt,
 		Trace:           out.Trace,
 	}
 	switch {

@@ -149,10 +149,10 @@ func TestTraceMatchesReportTransitions(t *testing.T) {
 			retracks++
 		}
 	}
-	if estimates != len(f8.Result.Estimates) {
-		t.Errorf("%d mppt.estimate events, tracker made %d estimates", estimates, len(f8.Result.Estimates))
+	if estimates != len(f8.Tracker.Estimates) {
+		t.Errorf("%d mppt.estimate events, tracker made %d estimates", estimates, len(f8.Tracker.Estimates))
 	}
-	if retracks != f8.Result.Retargets {
-		t.Errorf("%d mppt.retrack events, tracker retargeted %d times", retracks, f8.Result.Retargets)
+	if retracks != f8.Tracker.Retargets {
+		t.Errorf("%d mppt.retrack events, tracker retargeted %d times", retracks, f8.Tracker.Retargets)
 	}
 }

@@ -180,7 +180,7 @@ func TestTornWriteFaultRetries(t *testing.T) {
 	if e.Stats.Checkpoints != 4 {
 		t.Errorf("checkpoints = %d, want 4 (torn write retried)", e.Stats.Checkpoints)
 	}
-	wantOverhead := 5 * e.Memory.CheckpointCycles(task.StateBytes) // 4 commits + 1 torn
+	wantOverhead := 5 * checkpointCycles(task.StateBytes) // 4 commits + 1 torn
 	if got := e.Stats.CheckpointCycles; got < wantOverhead-1 || got > wantOverhead+1 {
 		t.Errorf("checkpoint overhead %g, want ~%g", got, wantOverhead)
 	}

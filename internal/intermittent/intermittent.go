@@ -33,36 +33,24 @@ var (
 	ErrBadTask = errors.New("intermittent: invalid task")
 )
 
-// NVM models the non-volatile memory used for checkpoints (e.g. on-chip
-// FRAM/flash). Costs are charged in clock cycles of the core that drives
-// the writes, so they automatically scale with DVFS.
-type NVM struct {
-	// WriteCyclesPerByte is the cycle cost of persisting one byte.
-	WriteCyclesPerByte float64
-	// ReadCyclesPerByte is the cycle cost of restoring one byte.
-	ReadCyclesPerByte float64
-	// FixedCycles is the per-operation overhead (erase setup, commit mark).
-	FixedCycles float64
+// The checkpoint store is FRAM-class non-volatile memory: cheap reads,
+// writes a few cycles per byte, a small fixed per-operation overhead
+// (erase setup, commit mark). Costs are charged in clock cycles of the
+// core that drives the accesses, so they scale with DVFS.
+const (
+	nvmWriteCyclesPerByte = 4
+	nvmReadCyclesPerByte  = 2
+	nvmFixedCycles        = 500
+)
+
+// checkpointCycles returns the cycle cost of persisting `bytes` of state.
+func checkpointCycles(bytes int) float64 {
+	return nvmFixedCycles + nvmWriteCyclesPerByte*float64(bytes)
 }
 
-// DefaultNVM returns an FRAM-class memory: cheap reads, writes a few cycles
-// per byte, a small fixed commit cost.
-func DefaultNVM() NVM {
-	return NVM{
-		WriteCyclesPerByte: 4,
-		ReadCyclesPerByte:  2,
-		FixedCycles:        500,
-	}
-}
-
-// CheckpointCycles returns the cycle cost of persisting `bytes` of state.
-func (n NVM) CheckpointCycles(bytes int) float64 {
-	return n.FixedCycles + n.WriteCyclesPerByte*float64(bytes)
-}
-
-// RestoreCycles returns the cycle cost of restoring `bytes` of state.
-func (n NVM) RestoreCycles(bytes int) float64 {
-	return n.FixedCycles + n.ReadCyclesPerByte*float64(bytes)
+// restoreCycles returns the cycle cost of restoring `bytes` of state.
+func restoreCycles(bytes int) float64 {
+	return nvmFixedCycles + nvmReadCyclesPerByte*float64(bytes)
 }
 
 // Task is a long-running job executed intermittently.
@@ -244,8 +232,8 @@ type Stats struct {
 }
 
 // Executor runs a Task across power failures. It implements
-// circuit.Controller: configure a DVFS point, a checkpoint policy and an
-// NVM model, then hand it to the transient simulator. The simulation's
+// circuit.Controller: configure a DVFS point and a checkpoint policy,
+// then hand it to the transient simulator. The simulation's
 // JobCycles must be left at zero — completion is defined by the final
 // checkpoint commit, which the executor signals by stopping the run.
 type Executor struct {
@@ -253,8 +241,6 @@ type Executor struct {
 	Task Task
 	// Policy decides when to checkpoint. Required.
 	Policy Policy
-	// Memory is the checkpoint store cost model.
-	Memory NVM
 	// Supply and Frequency command the regulated DVFS point. A zero
 	// Frequency selects the maximum at Supply.
 	Supply    float64
@@ -289,9 +275,6 @@ var _ circuit.Controller = (*Executor)(nil)
 
 // Init implements circuit.Controller.
 func (e *Executor) Init(s *circuit.State) {
-	if e.Memory == (NVM{}) {
-		e.Memory = DefaultNVM()
-	}
 	// A fresh boot has nothing to restore.
 	e.mode = modeWorking
 	e.lastCycles = s.CyclesDone()
@@ -411,7 +394,7 @@ func (e *Executor) powerFailure(s *circuit.State) {
 	}
 	e.phaseCycles = 0
 	if e.everCommitted {
-		e.phaseNeeded = e.Memory.RestoreCycles(e.Task.StateBytes)
+		e.phaseNeeded = restoreCycles(e.Task.StateBytes)
 		e.setMode(s, modeRestoring)
 	} else {
 		// Nothing in NVM yet: reboot straight into work from zero.
@@ -447,7 +430,7 @@ func (e *Executor) consume(s *circuit.State, executed float64) {
 			if workDone || e.Policy.ShouldCheckpoint(e.Stats.Volatile, s.CapVoltage()) {
 				e.setMode(s, modeCheckpointing)
 				e.phaseCycles = 0
-				e.phaseNeeded = e.Memory.CheckpointCycles(e.Task.StateBytes)
+				e.phaseNeeded = checkpointCycles(e.Task.StateBytes)
 				e.finalCommit = workDone
 			} else if used == 0 && executed > 0 {
 				// Work exhausted without a pending final commit: should not

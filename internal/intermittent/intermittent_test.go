@@ -51,11 +51,10 @@ func runExecutor(t testing.TB, e *Executor, irr func(float64) float64, maxTime f
 }
 
 func TestNVMCosts(t *testing.T) {
-	n := DefaultNVM()
-	if got := n.CheckpointCycles(1000); got != 500+4000 {
+	if got := checkpointCycles(1000); got != 500+4000 {
 		t.Errorf("checkpoint cycles = %g", got)
 	}
-	if got := n.RestoreCycles(1000); got != 500+2000 {
+	if got := restoreCycles(1000); got != 500+2000 {
 		t.Errorf("restore cycles = %g", got)
 	}
 }
@@ -119,7 +118,7 @@ func TestStableLightCompletesWithExpectedOverhead(t *testing.T) {
 	if e.Stats.Checkpoints != 4 {
 		t.Errorf("checkpoints = %d, want 4", e.Stats.Checkpoints)
 	}
-	wantOverhead := 4 * e.Memory.CheckpointCycles(task.StateBytes)
+	wantOverhead := 4 * checkpointCycles(task.StateBytes)
 	if math.Abs(e.Stats.CheckpointCycles-wantOverhead) > 1 {
 		t.Errorf("checkpoint overhead %g, want %g", e.Stats.CheckpointCycles, wantOverhead)
 	}

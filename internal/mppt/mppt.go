@@ -126,22 +126,33 @@ func (t *Table) Lookup(pin float64) (Entry, error) {
 	return best, nil
 }
 
+// The tracker's fixed wiring: the simulation's comparator list opens with
+// the V1/V2 estimation pair that Comparators builds, each comparator has a
+// 4 mV hysteresis band, and the proportional loop trims the clock by
+// trackerGain per volt of node error per second.
+const (
+	v1Index, v2Index     = 0, 1
+	comparatorHysteresis = 0.004 // V
+	trackerGain          = 2000  // 1/(V*s)
+)
+
+// Comparators returns the V1/V2 estimation comparator pair a Tracker
+// reads, in the order it expects; v1 must exceed v2.
+func Comparators(v1, v2 float64) []circuit.Comparator {
+	return []circuit.Comparator{
+		{Threshold: v1, Hysteresis: comparatorHysteresis},
+		{Threshold: v2, Hysteresis: comparatorHysteresis},
+	}
+}
+
 // Tracker is a circuit.Controller that performs time-based MPP tracking:
 // a proportional DVFS loop holds the storage node near the MPP voltage of
 // the currently assumed light level, and comparator crossings between the
 // V1/V2 thresholds re-estimate the input power and re-target the plan.
+// It starts from the brightest table row.
 type Tracker struct {
 	// Table is the pre-characterised plan table (required).
 	Table *Table
-	// V1Index and V2Index identify the two estimation comparators in the
-	// simulation's comparator list; V1's threshold must exceed V2's.
-	V1Index int
-	V2Index int
-	// Gain is the proportional frequency gain per volt of node error per
-	// second. Zero selects a default of 2000 /V/s.
-	Gain float64
-	// InitialEntry indexes the table row assumed at start (clamped).
-	InitialEntry int
 
 	target      Entry
 	windowStart float64
@@ -158,17 +169,8 @@ var _ circuit.Controller = (*Tracker)(nil)
 
 // Init implements circuit.Controller.
 func (tr *Tracker) Init(s *circuit.State) {
-	if tr.Gain == 0 {
-		tr.Gain = 2000
-	}
-	idx := tr.InitialEntry
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tr.Table.entries) {
-		idx = len(tr.Table.entries) - 1
-	}
-	tr.target = tr.Table.entries[idx]
+	// Rows sort by input power, so the last is the brightest level.
+	tr.target = tr.Table.entries[len(tr.Table.entries)-1]
 	if s.Tracing() {
 		s.TraceInstant("mppt.init", trace.Args{
 			"irradiance": tr.target.Irradiance, "mpp_v": tr.target.MPPVoltage,
@@ -206,7 +208,7 @@ func (tr *Tracker) OnStep(s *circuit.State) {
 		tr.drawSamples++
 	}
 	err := s.CapVoltage() - tr.targetNodeVoltage()
-	f := s.Frequency() * (1 + tr.Gain*err*s.Step())
+	f := s.Frequency() * (1 + trackerGain*err*s.Step())
 	if base := tr.target.Frequency; f < 0.05*base {
 		f = 0.05 * base // keep the clock alive so the loop can recover
 	}
@@ -223,7 +225,7 @@ func (tr *Tracker) OnStep(s *circuit.State) {
 // table. Rising through V1 cancels a pending window (the node recovered).
 func (tr *Tracker) OnThreshold(s *circuit.State, ev circuit.ThresholdEvent) {
 	switch ev.Index {
-	case tr.V1Index:
+	case v1Index:
 		if !ev.Rising {
 			tr.windowStart = ev.Time
 			tr.windowOpen = true
@@ -238,7 +240,7 @@ func (tr *Tracker) OnThreshold(s *circuit.State, ev circuit.ThresholdEvent) {
 			}
 			tr.windowOpen = false
 		}
-	case tr.V2Index:
+	case v2Index:
 		if ev.Rising || !tr.windowOpen {
 			return
 		}
@@ -248,8 +250,8 @@ func (tr *Tracker) OnThreshold(s *circuit.State, ev circuit.ThresholdEvent) {
 		if tr.drawSamples > 0 {
 			draw = tr.drawAccum / float64(tr.drawSamples)
 		}
-		v1 := v1Threshold(s, tr.V1Index)
-		v2 := v1Threshold(s, tr.V2Index)
+		v1 := s.ComparatorThreshold(v1Index)
+		v2 := s.ComparatorThreshold(v2Index)
 		if s.Tracing() {
 			s.TraceEnd("mppt.window", trace.Args{"elapsed_s": elapsed, "draw_w": draw})
 		}
@@ -282,9 +284,4 @@ func (tr *Tracker) OnThreshold(s *circuit.State, ev circuit.ThresholdEvent) {
 		}
 		tr.apply(s)
 	}
-}
-
-// v1Threshold reads a comparator threshold back from the simulation.
-func v1Threshold(s *circuit.State, index int) float64 {
-	return s.ComparatorThreshold(index)
 }

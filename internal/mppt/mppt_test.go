@@ -158,20 +158,17 @@ func TestTrackerRetargetsOnLightStep(t *testing.T) {
 		// A simple regulated plan: supply 0.5 V, frequency scaled to power.
 		return 0.5, proc.FrequencyForPower(0.5, 0.6*pmpp), false
 	})
-	tracker := &Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1}
+	tracker := &Tracker{Table: table}
 	sim, err := circuit.New(circuit.Config{
-		Cell:       cell,
-		Proc:       proc,
-		Reg:        sc,
-		Cap:        storage,
-		Irradiance: circuit.StepIrradiance(1.0, 0.25, 8e-3),
-		Controller: tracker,
-		Comparators: []circuit.Comparator{
-			{Threshold: 1.00, Hysteresis: 0.004},
-			{Threshold: 0.90, Hysteresis: 0.004},
-		},
-		Step:    2e-6,
-		MaxTime: 50e-3,
+		Cell:        cell,
+		Proc:        proc,
+		Reg:         sc,
+		Cap:         storage,
+		Irradiance:  circuit.StepIrradiance(1.0, 0.25, 8e-3),
+		Controller:  tracker,
+		Comparators: Comparators(1.00, 0.90),
+		Step:        2e-6,
+		MaxTime:     50e-3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,20 +299,17 @@ func TestTimeBasedBeatsPerturbObserveAfterLightStep(t *testing.T) {
 	table := BuildTable(cell, []float64{0.1, 0.25, 0.5, 1.0}, func(irrLevel, v, p float64) (float64, float64, bool) {
 		return 0.5, proc.FrequencyForPower(0.5, 0.6*p), false
 	})
-	tracker := &Tracker{Table: table, V1Index: 0, V2Index: 1, InitialEntry: table.Len() - 1}
+	tracker := &Tracker{Table: table}
 	sim, err := circuit.New(circuit.Config{
-		Cell:       cell,
-		Proc:       proc,
-		Reg:        reg.NewSC(),
-		Cap:        storage,
-		Irradiance: irr,
-		Controller: tracker,
-		Comparators: []circuit.Comparator{
-			{Threshold: 1.00, Hysteresis: 0.004},
-			{Threshold: 0.90, Hysteresis: 0.004},
-		},
-		Step:    2e-6,
-		MaxTime: duration,
+		Cell:        cell,
+		Proc:        proc,
+		Reg:         reg.NewSC(),
+		Cap:         storage,
+		Irradiance:  irr,
+		Controller:  tracker,
+		Comparators: Comparators(1.00, 0.90),
+		Step:        2e-6,
+		MaxTime:     duration,
 	})
 	if err != nil {
 		t.Fatal(err)

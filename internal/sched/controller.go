@@ -29,9 +29,6 @@ type DeadlineController struct {
 	// AllowBypass enables switching to direct connection when the regulator
 	// can no longer sustain the required supply voltage.
 	AllowBypass bool
-	// SupplyMargin is extra headroom (V) commanded above the minimum supply
-	// for the target frequency. Zero selects a default of 0.01 V.
-	SupplyMargin float64
 	// StopOnDropout declares the job failed (ending the simulation) when
 	// the regulator can no longer sustain the required supply and bypass is
 	// not allowed — the conventional baseline of Fig. 11b, whose operation
@@ -55,13 +52,14 @@ type DeadlineController struct {
 	vsolve cpu.FreqSolverState
 }
 
+// supplyMargin is the headroom (V) the controller commands above the
+// minimum supply for its target frequency.
+const supplyMargin = 0.01
+
 var _ circuit.Controller = (*DeadlineController)(nil)
 
 // Init implements circuit.Controller.
 func (dc *DeadlineController) Init(s *circuit.State) {
-	if dc.SupplyMargin == 0 {
-		dc.SupplyMargin = 0.01
-	}
 	dc.BypassedAt = -1
 	dc.DroppedOutAt = -1
 	dc.sprinting = false
@@ -115,8 +113,7 @@ func (dc *DeadlineController) QuiescentUntil(s *circuit.State) float64 {
 		if _, hi := s.Regulator().OutputRange(s.CapVoltage()); hi != 0 {
 			return now
 		}
-		if !(dc.SupplyMargin > 0) || !(dc.Cycles > 0) ||
-			!(dc.Deadline > 0) || dc.Sprint >= 1 {
+		if !(dc.Cycles > 0) || !(dc.Deadline > 0) || dc.Sprint >= 1 {
 			return now
 		}
 	}
@@ -213,7 +210,7 @@ func (dc *DeadlineController) command(s *circuit.State) {
 		vdd = proc.MaxVoltage()
 		f = proc.MaxFrequency(vdd)
 	}
-	vdd += dc.SupplyMargin
+	vdd += supplyMargin
 
 	_, hi := s.Regulator().OutputRange(s.CapVoltage())
 	if vdd > hi {

@@ -19,6 +19,10 @@ func FuzzPVSolve(f *testing.F) {
 	for body := range pvSolveRejects {
 		f.Add(body)
 	}
+	// A second document is trailing data (400); trailing whitespace is not.
+	f.Add(`{"irradiance":0.5}{"irradiance":-1}`)
+	f.Add(`{"irradiance":0.5} xx`)
+	f.Add("{\"irradiance\":0.5,\"points\":16} \n")
 	for _, calibration := range []string{
 		`"ideality_factor":1e-300`, `"ideality_factor":1e300`, `"series_cells":1000000000`,
 		`"shunt_resistance_ohm":1e-300`, `"saturation_current_a":1e300`,

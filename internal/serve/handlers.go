@@ -526,13 +526,19 @@ func writeExperimentError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// decodeJSON parses a bounded JSON body, rejecting unknown fields so typos
-// fail loudly. It writes the 400 itself and reports success.
+// decodeJSON parses a bounded body that holds exactly one JSON document.
+// Unknown fields are rejected so typos fail loudly, and so is data after
+// the document; trailing whitespace is allowed. It writes the 400 itself
+// and reports success.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON document")
 		return false
 	}
 	return true

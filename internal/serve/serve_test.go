@@ -187,10 +187,16 @@ func TestBatch(t *testing.T) {
 	if status != http.StatusNotFound {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	// Empty list is a client error.
-	status, _ = post(t, ts.URL+"/api/v1/experiments/batch", `{"ids":[]}`)
-	if status != http.StatusBadRequest {
-		t.Errorf("empty ids status %d, want 400", status)
+	// Empty list and trailing data are client errors; trailing whitespace
+	// is not.
+	for body, want := range map[string]int{
+		`{"ids":[]}`:              http.StatusBadRequest,
+		`{"ids":["fig3"]} xx`:     http.StatusBadRequest,
+		"{\"ids\":[\"fig3\"]} \n": http.StatusOK,
+	} {
+		if status, _ := post(t, ts.URL+"/api/v1/experiments/batch", body); status != want {
+			t.Errorf("body %q: status %d, want %d", body, status, want)
+		}
 	}
 }
 
@@ -247,13 +253,14 @@ func TestPVSolve(t *testing.T) {
 // pvSolveRejects are PV solve bodies the server refuses, with the status
 // each must get.
 var pvSolveRejects = map[string]int{
-	`{"irradiance":0}`:                http.StatusBadRequest,
-	`{"irradiance":-1}`:               http.StatusBadRequest,
-	`{"irradiance":0.5,"points":1}`:   http.StatusBadRequest,
-	`{"irradiance":0.5,"points":-3}`:  http.StatusBadRequest,
-	`{"irradiance":0.5,"points":1e9}`: http.StatusBadRequest,
-	`{"irradiance":0.5,"typo":true}`:  http.StatusBadRequest,
-	`not json`:                        http.StatusBadRequest,
+	`{"irradiance":0}`:                    http.StatusBadRequest,
+	`{"irradiance":-1}`:                   http.StatusBadRequest,
+	`{"irradiance":0.5,"points":1}`:       http.StatusBadRequest,
+	`{"irradiance":0.5,"points":-3}`:      http.StatusBadRequest,
+	`{"irradiance":0.5,"points":1e9}`:     http.StatusBadRequest,
+	`{"irradiance":0.5,"typo":true}`:      http.StatusBadRequest,
+	`not json`:                            http.StatusBadRequest,
+	`{"irradiance":0.5} trailing garbage`: http.StatusBadRequest,
 	// Isc overflows to +Inf, which JSON cannot encode.
 	`{"irradiance":1e308,"photo_current_a":1e308,"points":16}`: http.StatusUnprocessableEntity,
 }
@@ -305,6 +312,7 @@ func TestMPPTPlan(t *testing.T) {
 		`{"pin_w":-1}`:                    http.StatusBadRequest,
 		`{"pin_w":0.01,"elapsed_s":0.01}`: http.StatusBadRequest, // both forms
 		`{"v_high":0.9,"v_low":1.0,"elapsed_s":0.01,"capacitance_f":1e-4}`: http.StatusBadRequest, // inverted
+		`{"pin_w":0.008}{"pin_w":-1}`:                                      http.StatusBadRequest, // a second document
 	} {
 		status, _ := post(t, ts.URL+"/api/v1/mppt/plan", body)
 		if status != want {
