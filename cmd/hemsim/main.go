@@ -18,13 +18,14 @@
 // With -fleet the command runs the shared-clock multi-node engine
 // (internal/fleet) instead of the figure experiments: N battery-less
 // nodes, each with a domain-separated weather stream derived from -seed,
-// advanced in epochs on the worker pool, each worker stepping a
-// contiguous window of ceil(N/-j) lanes (internal/circuit's batched
-// stepper). The report on stdout is byte-identical for every -j and every
-// repetition of the same spec; the nodes/sec line goes to stderr so piping
-// stdout stays deterministic. Event-horizon fast-forward skips
-// provably-inert node spans — collapsed nodes under an exactly-dark sky
-// (see a spec's dark= key) — without changing a byte of the report.
+// advanced in epochs on -j workers that claim the live lanes in contiguous
+// chunks from one counter (internal/runner.ForEachSpan over
+// internal/circuit's batched stepper). The report on stdout is
+// byte-identical for every -j and every repetition of the same spec; the
+// nodes/sec line goes to stderr so piping stdout stays deterministic.
+// Event-horizon fast-forward skips provably-inert node spans — collapsed
+// nodes under an exactly-dark sky (see a spec's dark= key) — without
+// changing a byte of the report.
 //
 // With -scenario the command runs a declarative scenario spec
 // (internal/scenario) instead of the figure experiments: one JSON document
@@ -87,7 +88,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hemsim", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list available experiments and exit")
 	csvDir := fs.String("csv", "", "also write each experiment's series to <dir>/<id>.csv")
-	jobs := fs.Int("j", runtime.NumCPU(), "experiments to run in parallel")
+	jobs := fs.Int("j", runtime.NumCPU(), "workers: experiments run in parallel, or the goroutines stepping a -fleet or -scenario population")
 	timing := fs.Bool("timing", true, "print the per-experiment timing footer on multi-experiment runs")
 	traceFile := fs.String("trace", "", "write traced experiments' simulation events to <file> (.json selects Chrome trace format, else JSONL)")
 	traceWall := fs.Bool("trace-wall", false, "add wall-clock runner spans (worker, queue wait) to the -trace output; non-deterministic")

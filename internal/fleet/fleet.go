@@ -63,9 +63,10 @@ type Config struct {
 	// tests enforce it).
 	NoFastForward bool
 	// Workers bounds the goroutines advancing nodes within an epoch;
-	// < 1 means 1. They advance contiguous lane windows of at most
-	// ceil(Nodes/Workers) nodes. It must not affect the report bytes —
-	// that is the point of the epoch barrier.
+	// < 1 means 1. Each epoch they claim the active nodes in contiguous
+	// chunks from one counter, so none idles while nodes are left
+	// (population.Config). It must not affect the report bytes — that is
+	// the point of the epoch barrier.
 	Workers int
 	// Tracer, when non-nil, receives fleet.* events (run span, per-epoch
 	// counters) on the sim clock. Events are emitted by the scheduler

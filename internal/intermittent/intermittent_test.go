@@ -10,6 +10,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/pv"
 	"repro/internal/reg"
+	"repro/internal/trace"
 )
 
 // blink produces k seconds of light followed by k seconds of darkness,
@@ -26,6 +27,12 @@ func blink(period float64) func(float64) float64 {
 // runExecutor wires an executor into the transient simulator.
 func runExecutor(t testing.TB, e *Executor, irr func(float64) float64, maxTime float64) *circuit.Outcome {
 	t.Helper()
+	return runExecutorTraced(t, e, irr, maxTime, nil)
+}
+
+// runExecutorTraced is runExecutor with the simulator's events sent to tr.
+func runExecutorTraced(t testing.TB, e *Executor, irr func(float64) float64, maxTime float64, tr trace.Tracer) *circuit.Outcome {
+	t.Helper()
 	storage, err := cap.New(47e-6, 1.0, 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +46,7 @@ func runExecutor(t testing.TB, e *Executor, irr func(float64) float64, maxTime f
 		Controller: e,
 		Step:       2e-6,
 		MaxTime:    maxTime,
+		Tracer:     tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,17 +222,37 @@ func TestTornCheckpointAtomicity(t *testing.T) {
 		Policy: PeriodicPolicy{Interval: 0.3e6},
 		Supply: 0.55,
 	}
-	runExecutor(t, e, blink(2.5e-3), 500e-3)
+	rec := trace.NewRecorder()
+	runExecutorTraced(t, e, blink(5e-3), 500e-3, rec)
 	if e.Stats.TornCheckpoints == 0 {
-		t.Skip("no checkpoint happened to be interrupted; scenario too gentle")
+		t.Fatalf("no checkpoint was interrupted (%d failures): the scenario no longer exercises torn images", e.Stats.Failures)
 	}
-	// Committed must be a multiple of the policy interval pieces actually
-	// committed — i.e. it never includes a torn checkpoint's volatile work.
-	if e.Stats.Committed > task.TotalCycles {
-		t.Errorf("committed %g exceeds the task", e.Stats.Committed)
+	// Committed work moves only at a checkpoint: it ends at the last
+	// checkpoint's value, and never rises between a torn failure and the
+	// next checkpoint — a torn image's volatile work is lost, not kept.
+	lastCheckpoint := 0.0
+	torn, tornAt := false, 0.0
+	for _, ev := range rec.Events() {
+		committed, ok := ev.Args["committed"].(float64)
+		if !ok {
+			continue
+		}
+		if ev.Kind == "intermittent.checkpoint" {
+			lastCheckpoint, torn = committed, false
+			continue
+		}
+		if torn && committed > tornAt {
+			t.Fatalf("%s at t=%g: committed %g rose from %g after a torn checkpoint", ev.Kind, ev.Time, committed, tornAt)
+		}
+		if ev.Kind == "intermittent.failure" && ev.Args["torn"] == true && !torn {
+			torn, tornAt = true, committed
+		}
 	}
-	if e.Stats.Committed < 0 {
-		t.Error("negative committed")
+	if e.Stats.Committed != lastCheckpoint {
+		t.Errorf("final committed %g, want the last checkpoint's %g", e.Stats.Committed, lastCheckpoint)
+	}
+	if e.Stats.Committed < 0 || e.Stats.Committed > task.TotalCycles {
+		t.Errorf("committed %g outside [0, %g]", e.Stats.Committed, task.TotalCycles)
 	}
 }
 

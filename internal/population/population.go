@@ -2,11 +2,13 @@
 // the worker pool under one deterministic schedule: the single
 // build–step–fold path of the fleet and scenario engines.
 //
-// Determinism contract: Build writes only its own node's slots, each worker
-// advances only its own contiguous window of lanes, and everything that
-// reads across nodes — the barrier, the error report, the profile fold —
-// runs on the calling goroutine after the pool drains, in node-ID order.
-// Outputs are therefore independent of Workers.
+// Determinism contract: Build writes only its own node's slots, each lane
+// is stepped by exactly one goroutine per epoch and handed off between
+// epochs at the pool's wait, and everything that reads across nodes — the
+// barrier, the error report, the profile fold — runs on the calling
+// goroutine after the pool drains, in node-ID order. Which goroutine steps
+// which lane is left to runner.ForEachSpan, so outputs are independent of
+// Workers.
 package population
 
 import (
@@ -38,8 +40,9 @@ type Config struct {
 	// ones are dropped only after it returns.
 	Barrier func(epoch int, active []*circuit.Simulator)
 	// Workers bounds the goroutines building and advancing nodes; < 1
-	// means 1. Each epoch the active lanes are advanced in circuit.Group
-	// windows of at most ceil(Nodes/Workers) lanes.
+	// means 1. Each epoch the workers claim the active lanes from one
+	// counter in circuit.Group chunks of max(8, active/(64·Workers)) lanes
+	// (runner.ForEachSpan).
 	Workers int
 	// Ctx, when non-nil, is checked at every epoch barrier and before every
 	// lane, but never during the build: a cancelled run returns once the
@@ -56,11 +59,6 @@ type Config struct {
 // has finished, and returns the lanes in node-ID order.
 func Run(cfg Config) ([]*circuit.Simulator, error) {
 	n := cfg.Nodes
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	window := (n + cfg.Workers - 1) / cfg.Workers
-
 	cfgs := make([]circuit.Config, n)
 	errs := make([]error, n)
 	var leds []prof.Ledger
@@ -88,7 +86,7 @@ func Run(cfg Config) ([]*circuit.Simulator, error) {
 	}
 
 	// lanes[:active] and ids[:active] are the still-running nodes in
-	// node-ID order; groupErrs[lo] is the error of the window starting at lo.
+	// node-ID order; groupErrs[lo] is the error of the span starting at lo.
 	all := make([]*circuit.Simulator, n)
 	lanes := make([]*circuit.Simulator, n)
 	ids := make([]int, n)
@@ -106,7 +104,7 @@ func Run(cfg Config) ([]*circuit.Simulator, error) {
 		if epoch <= len(cfg.Targets) {
 			target = cfg.Targets[epoch-1]
 		}
-		runner.ForEachBatch(active, window, cfg.Workers, func(lo, hi int) {
+		runner.ForEachSpan(active, cfg.Workers, func(lo, hi int) {
 			grp := circuit.Group(lanes[lo:hi])
 			_, groupErrs[lo] = grp.StepToCountContext(cfg.Ctx, target)
 		})

@@ -37,40 +37,96 @@ func nodeConfig(id int) (circuit.Config, error) {
 	}, nil
 }
 
+// skewedConfig is node id's lane in a population whose lanes mostly
+// retire in the first epoch: every node runs 4 steps except every 13th,
+// which runs 20 to 60, so from the second epoch on 40 of 512 lanes stay
+// live — fewer than one worker's share at up to eight workers, but still
+// several chunks.
+func skewedConfig(id int) (circuit.Config, error) {
+	c, err := nodeConfig(id)
+	steps := 4
+	if id%13 == 3 {
+		steps = 20 + id*7%41
+	}
+	c.MaxTime = float64(steps) * testStep
+	return c, err
+}
+
+// epochLog is what a run's barriers saw: each epoch's active node IDs and
+// their step counts, and every node's final progress.
+type epochLog struct {
+	ids, steps [][]int
+	final      []circuit.Progress
+}
+
+func runLogged(t *testing.T, nodes, workers int, build func(int) (circuit.Config, error), targets []int) epochLog {
+	t.Helper()
+	var log epochLog
+	var active [][]*circuit.Simulator
+	lanes, err := Run(Config{
+		Name: "test", Nodes: nodes, Workers: workers,
+		Build:   build,
+		Targets: targets,
+		Barrier: func(epoch int, lanes []*circuit.Simulator) {
+			if epoch != len(active)+1 {
+				t.Errorf("barrier epoch %d, want %d", epoch, len(active)+1)
+			}
+			active = append(active, append([]*circuit.Simulator(nil), lanes...))
+			var s []int
+			for _, sim := range lanes {
+				s = append(s, sim.Progress().Steps)
+			}
+			log.steps = append(log.steps, s)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := make(map[*circuit.Simulator]int, nodes)
+	for i, sim := range lanes {
+		id[sim] = i
+		log.final = append(log.final, sim.Progress())
+	}
+	for _, epoch := range active {
+		var ids []int
+		for _, sim := range epoch {
+			ids = append(ids, id[sim])
+		}
+		log.ids = append(log.ids, ids)
+	}
+	return log
+}
+
 // TestEpochsAndBarrier pins the schedule: listed epochs stop at their
 // targets, the epoch past the list takes every lane to its own horizon,
 // and the barrier sees the epoch's active lanes in node-ID order —
-// finished ones included — before they are dropped. The worker counts
-// give windows of three, two and one lanes, and one more worker than
-// lanes.
+// finished ones included — before they are dropped, at every worker count
+// up to one more worker than lanes. On the skewed population the live
+// lanes fall below one worker's share after the first epoch, and every
+// worker count must see the same barriers and end with the same lanes as
+// one worker.
 func TestEpochsAndBarrier(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4} {
-		var seen [][]*circuit.Simulator
-		var steps [][]int
-		lanes, err := Run(Config{
-			Name: "test", Nodes: 3, Workers: workers,
-			Build:   nodeConfig,
-			Targets: []int{5, 15},
-			Barrier: func(epoch int, active []*circuit.Simulator) {
-				if epoch != len(seen)+1 {
-					t.Errorf("barrier epoch %d, want %d", epoch, len(seen)+1)
-				}
-				seen = append(seen, append([]*circuit.Simulator(nil), active...))
-				var s []int
-				for _, sim := range active {
-					s = append(s, sim.Progress().Steps)
-				}
-				steps = append(steps, s)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLanes := [][]*circuit.Simulator{lanes, lanes, lanes[1:]}
+		got := runLogged(t, 3, workers, nodeConfig, []int{5, 15})
+		wantIDs := [][]int{{0, 1, 2}, {0, 1, 2}, {1, 2}}
 		wantSteps := [][]int{{5, 5, 5}, {10, 15, 15}, {20, 30}}
-		if !reflect.DeepEqual(seen, wantLanes) || !reflect.DeepEqual(steps, wantSteps) {
-			t.Errorf("workers=%d: barriers saw steps %v, want %v (lanes in node-ID order)",
-				workers, steps, wantSteps)
+		if !reflect.DeepEqual(got.ids, wantIDs) || !reflect.DeepEqual(got.steps, wantSteps) {
+			t.Errorf("workers=%d: barriers saw nodes %v with steps %v, want %v with %v",
+				workers, got.ids, got.steps, wantIDs, wantSteps)
+		}
+	}
+
+	const nodes = 512
+	targets := []int{4, 10, 22, 45}
+	want := runLogged(t, nodes, 1, skewedConfig, targets)
+	if len(want.ids) != 5 || len(want.ids[0]) != nodes || len(want.ids[1]) != 40 {
+		t.Fatalf("skewed population: barriers saw %v, want all %d nodes then 40 live ones", want.ids, nodes)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		got := runLogged(t, nodes, workers, skewedConfig, targets)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("skewed workers=%d: barriers saw nodes %v with steps %v, want %v with %v (final lanes equal: %v)",
+				workers, got.ids, got.steps, want.ids, want.steps, reflect.DeepEqual(got.final, want.final))
 		}
 	}
 }

@@ -128,32 +128,33 @@ func ForEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachBatch partitions [0, n) into consecutive spans of at most batch
-// indices and runs fn(lo, hi) for each span on up to `workers` goroutines.
-// It is the grouped counterpart of ForEach for callers whose unit of work
-// is a contiguous window rather than a single index — a fleet epoch
-// advancing the lanes a worker owns through one circuit.BatchStepper, a
-// sweep solving a window of configurations per call. The same contract
-// applies: each span touches only its own indices' state, the caller
-// reduces in index order after the barrier, and the span-to-goroutine
-// assignment must never leak into deterministic output. batch < 1 (or
-// batch >= n) selects a single span per remaining ForEach slot, i.e. the
-// whole range in one call when workers is also 1.
-func ForEachBatch(n, batch, workers int, fn func(lo, hi int)) {
+// ForEachSpan runs fn(lo, hi) over disjoint spans that together cover
+// [0, n) exactly once, on up to `workers` goroutines, and returns when all
+// calls have finished. It is the grouped counterpart of ForEach for callers
+// whose unit of work is a contiguous span rather than a single index — a
+// population epoch advancing a span of lanes through one
+// circuit.BatchStepper. The same contract applies: each span touches only
+// its own indices' state, the caller reduces in index order after the
+// barrier, and which goroutine runs which span is scheduling-dependent, so
+// it must never leak into deterministic output.
+//
+// The spans are chunks of max(8, n/(64·workers)) indices, claimed in order
+// from one shared counter: about 64 claims per goroutine, so a goroutine
+// whose chunks ran cheap takes the next one instead of idling, and at the
+// end none waits for more than the chunks still in progress elsewhere.
+// workers < 1 is treated as 1, and one goroutine runs fn(0, n) once.
+func ForEachSpan(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if batch < 1 || batch > n {
-		batch = n
+	if workers <= 1 {
+		fn(0, n)
+		return
 	}
-	groups := (n + batch - 1) / batch
-	ForEach(groups, workers, func(g int) {
-		lo := g * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
+	chunk := max(8, n/(64*workers))
+	ForEach((n+chunk-1)/chunk, workers, func(c int) {
+		lo := c * chunk
+		fn(lo, min(lo+chunk, n))
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,21 +177,16 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	ForEach(-1, 4, func(int) { t.Fatal("fn called for n=-1") })
 }
 
-func TestForEachBatchCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		for _, batch := range []int{-1, 0, 1, 7, 64, 200, 500} {
-			const n = 200
-			var hits [n]atomic.Int32
-			ForEachBatch(n, batch, workers, func(lo, hi int) {
-				if lo >= hi || hi > n {
-					t.Errorf("batch=%d: bad span [%d, %d)", batch, lo, hi)
-				}
-				want := batch
-				if batch < 1 || batch > n {
-					want = n
-				}
-				if hi-lo > want {
-					t.Errorf("batch=%d: span [%d, %d) wider than batch", batch, lo, hi)
+func TestForEachSpanCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		for _, workers := range []int{0, 1, 2, 3, 8, n + 1} {
+			hits := make([]atomic.Int32, n)
+			var calls atomic.Int32
+			ForEachSpan(n, workers, func(lo, hi int) {
+				calls.Add(1)
+				if lo < 0 || lo >= hi || hi > n {
+					t.Errorf("n=%d workers=%d: bad span [%d, %d)", n, workers, lo, hi)
+					return
 				}
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
@@ -198,11 +194,54 @@ func TestForEachBatchCoversEveryIndexOnce(t *testing.T) {
 			})
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d batch=%d: index %d executed %d times", workers, batch, i, got)
+					t.Fatalf("n=%d workers=%d: index %d executed %d times", n, workers, i, got)
 				}
+			}
+			if workers <= 1 && n > 0 && calls.Load() != 1 {
+				t.Errorf("n=%d workers=%d: %d calls, want one fn(0, n)", n, workers, calls.Load())
 			}
 		}
 	}
-	ForEachBatch(0, 4, 2, func(int, int) { t.Fatal("fn called for n=0") })
-	ForEachBatch(-3, 4, 2, func(int, int) { t.Fatal("fn called for n=-3") })
+	ForEachSpan(0, 4, func(int, int) { t.Fatal("fn called for n=0") })
+	ForEachSpan(-3, 4, func(int, int) { t.Fatal("fn called for n=-3") })
+}
+
+// TestForEachSpanRunsAroundAStalledSpan: the span at 0 blocks until a
+// span from the rest of the first worker's even share, [1, n/workers), has
+// run. The goroutine that claimed it is stuck there, so the run finishes
+// only if the other goroutines take over that share; a fixed split into
+// one span per worker hangs.
+func TestForEachSpanRunsAroundAStalledSpan(t *testing.T) {
+	const n = 1000
+	for _, workers := range []int{2, 3, 8} {
+		release := make(chan struct{})
+		var once sync.Once
+		hits := make([]atomic.Int32, n)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ForEachSpan(n, workers, func(lo, hi int) {
+				switch {
+				case lo == 0:
+					<-release
+				case lo < n/workers:
+					once.Do(func() { close(release) })
+				}
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			once.Do(func() { close(release) })
+			t.Fatalf("workers=%d: the share of the goroutine stalled at span 0 never ran", workers)
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d executed %d times", workers, i, got)
+			}
+		}
+	}
 }

@@ -42,8 +42,9 @@ const (
 // the Spec.
 type Config struct {
 	Spec Spec
-	// Workers bounds the goroutines advancing nodes; < 1 means 1. The
-	// population is split evenly across them in contiguous lane windows.
+	// Workers bounds the goroutines advancing nodes; < 1 means 1. They
+	// claim the population in contiguous lane chunks from one counter, so
+	// none idles while lanes are left (population.Config).
 	Workers int
 	// Tracer, when non-nil, receives the scenario.run span plus every
 	// node's circuit events (tracks scn/NNNN), merged in node-ID order.
