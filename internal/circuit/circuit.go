@@ -234,9 +234,11 @@ type State struct {
 	pvSolver pv.SolverState
 
 	// supplyMemo memoizes the CPU model at the last effective supply: a
-	// regulated output repeats its voltage step after step, so the alpha
-	// law and the leakage exponential run only when it moves. Results are
-	// bit-identical to the Processor's methods (see cpu.SupplyMemo).
+	// regulated output repeats its voltage step after step, so the leakage
+	// exponential runs only when it moves, and the alpha law only when a
+	// clock is not certified below fmax, as a bypassed core's supply moves
+	// every step. Results are bit-identical to the Processor's methods
+	// (see cpu.SupplyMemo).
 	supplyMemo cpu.SupplyMemo
 
 	stopRequested bool
@@ -272,8 +274,9 @@ func (s *State) Supply() float64 { return s.effSupply }
 // Frequency returns the effective clock frequency (Hz).
 func (s *State) Frequency() float64 { return s.effFreq }
 
-// MaxFrequency returns Processor().MaxFrequency(Supply()), served from the
-// supply memo the operating point has just filled at that supply.
+// MaxFrequency returns Processor().MaxFrequency(Supply()). The supply memo
+// evaluates the alpha law at most once per supply, and only when asked: a
+// step whose clock it certified below fmax has left none to serve.
 func (s *State) MaxFrequency() float64 {
 	return s.supplyMemo.MaxFrequency(s.cfg.Proc, s.effSupply)
 }
@@ -481,7 +484,7 @@ func (st *State) resolveOperatingPoint(vcap float64) {
 			return
 		}
 		st.halted = false
-		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, st.supplyMemo.MaxFrequency(proc, supply)))
+		st.effFreq = st.quantizeClock(st.supplyMemo.CappedFrequency(proc, supply, st.freqTarget))
 		st.loadPow = st.supplyMemo.Power(proc, supply, st.effFreq)
 		st.inputPow = st.loadPow
 		return
@@ -510,7 +513,7 @@ func (st *State) resolveOperatingPoint(vcap float64) {
 		st.loadPow = st.supplyMemo.LeakagePower(proc, supply)
 	} else {
 		st.halted = false
-		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, st.supplyMemo.MaxFrequency(proc, supply)))
+		st.effFreq = st.quantizeClock(st.supplyMemo.CappedFrequency(proc, supply, st.freqTarget))
 		st.loadPow = st.supplyMemo.Power(proc, supply, st.effFreq)
 	}
 	eta := cfg.Reg.Efficiency(vcap, supply, st.loadPow)

@@ -186,6 +186,116 @@ func TestBrownoutInDarkness(t *testing.T) {
 	}
 }
 
+// rampProbe drives a bypassed core down a discharging node: before each
+// step it commands a clock relative to fmax at the coming step's supply —
+// well below it, one ulp either side of it, at it and above it — and after
+// the step it checks the step's bits against the Processor methods.
+type rampProbe struct {
+	t     *testing.T
+	f     float64 // the clock commanded for the coming step
+	steps int     // steps checked
+	vLast float64 // the last step's supply
+}
+
+// rampClocks are the probe's commands as functions of fmax, cycled step by
+// step: runs of certifiable clocks, then the ulps around fmax and beyond.
+var rampClocks = []func(fm float64) float64{
+	func(fm float64) float64 { return 0.3 * fm },
+	func(fm float64) float64 { return 0.9 * fm },
+	func(fm float64) float64 { return 0.99 * fm },
+	func(fm float64) float64 { return fm * (1 - 1e-9) },
+	func(fm float64) float64 { return math.Nextafter(fm, 0) },
+	func(fm float64) float64 { return fm },
+	func(fm float64) float64 { return math.Nextafter(fm, math.Inf(1)) },
+	func(fm float64) float64 { return 1.5 * fm },
+	func(fm float64) float64 { return 0.6 * fm },
+	func(fm float64) float64 { return 0 },
+	func(fm float64) float64 { return 0.75 * fm },
+}
+
+func (c *rampProbe) Init(s *State) {
+	s.SetBypass(true)
+	c.command(s)
+}
+
+func (c *rampProbe) command(s *State) {
+	p := s.Processor()
+	c.f = rampClocks[c.steps%len(rampClocks)](p.MaxFrequency(math.Min(s.CapVoltage(), p.MaxVoltage())))
+	s.SetFrequency(c.f)
+}
+
+func (c *rampProbe) OnStep(s *State) {
+	if s.Halted() {
+		return // StopOnBrownout ends the run here
+	}
+	p, v := s.Processor(), s.Supply()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	fm := p.MaxFrequency(v)
+	want := math.Min(c.f, fm)
+	if !same(s.Frequency(), want) {
+		c.t.Fatalf("step %d at %v V: Frequency() = %v for %v, want %v (fmax %v)", c.steps, v, s.Frequency(), c.f, want, fm)
+	}
+	if got, want := s.InputPower(), p.Power(v, want); !same(got, want) {
+		c.t.Fatalf("step %d at %v V: InputPower() = %v, want %v", c.steps, v, got, want)
+	}
+	// Asking for fmax's bits moves the knot to this supply; asking on every
+	// fifth step lets it fall behind the supply in between.
+	if c.steps%5 == 0 && !same(s.MaxFrequency(), fm) {
+		c.t.Fatalf("step %d at %v V: MaxFrequency() = %v, want %v", c.steps, v, s.MaxFrequency(), fm)
+	}
+	if c.steps > 0 && !(v <= c.vLast) {
+		c.t.Fatalf("step %d: supply rose from %v to %v V", c.steps, c.vLast, v)
+	}
+	c.steps++
+	c.vLast = v
+	c.command(s)
+}
+
+func (c *rampProbe) OnThreshold(*State, ThresholdEvent) {}
+
+// TestBypassedRampOperatingPoint walks a bypassed core in darkness down a
+// discharging node, so the supply is the falling node voltage on every
+// step, and checks the operating point's clock, input power and fmax
+// against the Processor methods bit for bit (through the supply memo's
+// knot certificate and its alpha law). One node falls from above the
+// rated maximum to its brownout; one is so large that its supply creeps
+// down by a few ulps a step, where only the certificate's rounding slack
+// keeps a clock an ulp above fmax from passing.
+func TestBypassedRampOperatingPoint(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		capacitance  float64 // F
+		v0, horizon  float64 // V, s
+		minSteps     int
+		vEndAtLeast  float64 // the last supply is at or below this (V)
+		wantBrownout bool
+	}{
+		{"to brownout", 1e-3, 1.21, 1, 10000, 0.36, true},
+		{"creeping", 1e8, 0.7, 0.02, 3999, 0.7, false},
+	} {
+		probe := &rampProbe{t: t}
+		cfg := testConfig(t, probe)
+		storage, err := cap.New(tc.capacitance, tc.v0, 2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cap, cfg.Irradiance = storage, ConstantIrradiance(0)
+		cfg.MaxTime, cfg.StopOnBrownout = tc.horizon, true
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.BrownedOut != tc.wantBrownout || probe.steps < tc.minSteps || probe.vLast > tc.vEndAtLeast {
+			t.Errorf("%s: %d steps ending at %v V (browned out %v), want >= %d steps to %v V (%v)",
+				tc.name, probe.steps, probe.vLast, out.BrownedOut, tc.minSteps, tc.vEndAtLeast, tc.wantBrownout)
+		}
+	}
+}
+
 // thresholdRecorder records comparator events.
 type thresholdRecorder struct {
 	FixedPoint

@@ -54,6 +54,7 @@ type Processor struct {
 	// of the exact values the methods would otherwise recompute per call.
 	powNorm    float64 // Pow(Vnom-Vth, alpha)/Vnom, the alpha-law denominator
 	fmaxAtVmax float64 // MaxFrequency(maxVoltage)
+	powFrac    float64 // alpha's fraction as math.Pow splits it, 0 when alphaLaw defers to math.Pow
 }
 
 // Option configures a Processor.
@@ -135,6 +136,17 @@ func NewProcessor(opts ...Option) *Processor {
 	for _, opt := range opts {
 		opt(p)
 	}
+	// math.Pow's split of the exponent: Modf, then a fraction above 1/2
+	// folds into the integer part. alphaLaw runs the splits whose integer
+	// part is 1; a negative alpha splits into non-positive parts.
+	yi, yf := math.Modf(p.alpha)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	if yi == 1 {
+		p.powFrac = yf
+	}
 	p.powNorm = math.Pow(p.nominalVoltage-p.thresholdVoltage, p.alpha) / p.nominalVoltage
 	p.fmaxAtVmax = p.MaxFrequency(p.maxVoltage)
 	return p
@@ -153,7 +165,26 @@ func (p *Processor) MaxFrequency(v float64) float64 {
 	if v <= p.thresholdVoltage {
 		return 0
 	}
-	return p.nominalFrequency * math.Pow(v-p.thresholdVoltage, p.alpha) / v / p.powNorm
+	return p.nominalFrequency * p.alphaLaw(v-p.thresholdVoltage) / v / p.powNorm
+}
+
+// alphaLaw returns math.Pow(x, p.alpha), bit for bit, by math.Pow's own
+// operations where they are short. For y > 0 whose split (see NewProcessor)
+// is yi = 1 and yf != 0 — the default alpha = 1.4 splits into 1 and
+// 0.3999… — and x normal, math.Pow computes a1 = Exp(yf*Log(x)), multiplies
+// it by Frexp's mantissa x1 of x and scales the product by 2^xe with
+// Ldexp. For x in [2^-600, 2^600], a1 = x^yf lies in [2^-300, 2^300]
+// (|yf| <= 1/2) and the result in [2^-900, 2^900]: both products are normal
+// and Ldexp is exact, and rounding commutes with scaling by a power of two,
+// so that result is a1*x rounded once. The kernel calls the same Exp and Log
+// as math.Pow, so it agrees on every math path (assembly or portable, with
+// or without FMA). Every other exponent and x falls back to math.Pow
+// (FuzzAlphaLaw).
+func (p *Processor) alphaLaw(x float64) float64 {
+	if p.powFrac != 0 && x >= 0x1p-600 && x <= 0x1p600 {
+		return math.Exp(p.powFrac*math.Log(x)) * x
+	}
+	return math.Pow(x, p.alpha)
 }
 
 // DynamicPower returns the switching power (W) at supply voltage v and clock
@@ -339,33 +370,128 @@ func (p *Processor) VoltageForFrequencyWarm(f float64, state *FreqSolverState) (
 	return v, nil
 }
 
-// SupplyMemo is a caller-owned one-entry memo of the processor model's
-// supply-dependent terms, MaxFrequency(v) and LeakagePower(v), keyed on the
+// SupplyMemo is a caller-owned memo of the processor model's
+// supply-dependent terms, LeakagePower(v) and MaxFrequency(v), keyed on the
 // processor and the bits of v. A transient simulator resolves its operating
 // point every step at a supply that mostly repeats (a regulated output
-// holds its commanded voltage), so a hit skips the alpha law's math.Pow and
-// the leakage exponential. Its methods return exactly what the Processor
-// methods of the same names return, for every input. The zero value is an
-// empty memo; it is not safe for concurrent use, and the Processor itself
-// stays immutable and shareable.
+// holds its commanded voltage), so a hit skips the leakage exponential and
+// the alpha law. The alpha law runs only when a caller needs fmax's bits:
+// the memo keeps its last evaluation as a knot, and a clock that the knot
+// certifies below fmax (see certSlack) needs none. A bypassed core's
+// supply is the storage node, which moves every step, and its commanded
+// clock sits far below fmax, so the knot serves nearly all of its running
+// steps. Its methods return exactly what the Processor methods of the same
+// names return, and CappedFrequency what math.Min(f, MaxFrequency(v))
+// returns, for every input. The zero value is an empty memo; it is not
+// safe for concurrent use, and the Processor itself stays immutable and
+// shareable.
 type SupplyMemo struct {
-	proc       *Processor // the processor the entry belongs to
-	vbits      uint64     // math.Float64bits of the memoized supply
-	fmax, leak float64    // MaxFrequency and LeakagePower there
+	proc  *Processor // the processor the entries belong to
+	vbits uint64     // math.Float64bits of the memoized supply
+	leak  float64    // LeakagePower there
+	fbits uint64     // math.Float64bits of the supply of the last alpha-law evaluation, the knot
+	fmax  float64    // MaxFrequency there
+	coef  float64    // the knot's certificate coefficient; 0 certifies nothing
 }
 
-// at makes the memo hold p's terms at supply v.
+// at makes the memo hold p's leakage at supply v. A new processor also
+// gets its first alpha-law evaluation, so that fbits always names a supply
+// whose fmax the memo holds.
 func (m *SupplyMemo) at(p *Processor, v float64) {
-	if b := math.Float64bits(v); m.proc != p || m.vbits != b {
-		m.proc, m.vbits = p, b
-		m.fmax, m.leak = p.MaxFrequency(v), p.LeakagePower(v)
+	b := math.Float64bits(v)
+	if m.proc != p {
+		m.proc, m.vbits, m.leak = p, b, p.LeakagePower(v)
+		m.evaluate(p, v)
+	} else if m.vbits != b {
+		m.vbits, m.leak = b, p.LeakagePower(v)
 	}
+}
+
+// evaluate runs the alpha law at the memoized supply v and makes it the
+// knot.
+func (m *SupplyMemo) evaluate(p *Processor, v float64) {
+	m.fbits, m.fmax = m.vbits, p.MaxFrequency(v)
+	m.coef = p.knotCoef(v, m.fmax)
+}
+
+// maxFrequency returns p.MaxFrequency(v) at the memoized supply v,
+// evaluating the alpha law only when the last evaluation was at another
+// supply.
+func (m *SupplyMemo) maxFrequency(p *Processor, v float64) float64 {
+	if m.fbits != m.vbits {
+		m.evaluate(p, v)
+	}
+	return m.fmax
+}
+
+// Certificate slack. Let x = v-Vth and kx = kv-Vth be the differences
+// MaxFrequency computes at a supply v and at the knot kv, and E(v) =
+// fnom*x^alpha/v/powNorm the exact value of its expression. For
+// 1 <= alpha <= 2 and Vth >= 0, E(v) >= E(kv)*(min(x, kx)/kx)^2*(1-2u) with
+// u = 2^-53. Below the knot, (x/kx)^alpha >= (x/kx)^2 and kv/v > 1. Above
+// it, (x/kx)^alpha >= x/kx >= v/kv up to the roundings of x and kx (2u);
+// 2u also bounds what kv/v can lose when v > kv rounds to x = kx. Inside
+// the envelope of knotCoef every intermediate is normal, so the computed
+// fmax is E*(1+d) with |d| <= eps. math.Pow evaluates Exp(yf*Log(x)), and
+// on every math path Log and Exp are each within 1 ulp (2u): the
+// argument's relative error of 3u, times |yf*ln x| <= 22.2 (|yf| <= 1/2,
+// |ln x| <= 64 ln 2), passes through Exp as 66.6u; add 2u for Exp, 2u for
+// at most two integer-part products and 3u for MaxFrequency's multiply and
+// two divisions: eps <= 74u. So fmax(v) >= fmax(kv)*(min(x, kx)/kx)^2*
+// (1-2eps-2u). The coefficient fmax(kv)*(1-certSlack)/kx^2 and the bound
+// coef*x*x round five times (5u), so any certSlack >= 2eps+7u = 155u
+// (about 1.7e-14) keeps the bound at or below fmax(v). 2^-40 (8,192u)
+// leaves a 50-fold margin and withholds only 1e-12 of fmax.
+const certSlack = 0x1p-40
+
+// knotCoef returns the certificate coefficient for a knot at supply v with
+// fm = MaxFrequency(v), or 0 outside the envelope where the certSlack
+// derivation holds: 1 <= alpha <= 2, Vth >= 0, fnom, powNorm, Vmin and Vmax
+// in [2^-64, 2^64], v in [Vmin, Vmax] and v-Vth >= 2^-64.
+func (p *Processor) knotCoef(v, fm float64) float64 {
+	x := v - p.thresholdVoltage
+	if !(p.alpha >= 1 && p.alpha <= 2 && p.thresholdVoltage >= 0 &&
+		inCertRange(p.nominalFrequency) && inCertRange(p.powNorm) &&
+		inCertRange(p.minVoltage) && inCertRange(p.maxVoltage) &&
+		v >= p.minVoltage && v <= p.maxVoltage && x >= 0x1p-64) {
+		return 0
+	}
+	return fm * (1 - certSlack) / (x * x)
+}
+
+// inCertRange reports whether a positive parameter lies in [2^-64, 2^64].
+func inCertRange(a float64) bool { return a >= 0x1p-64 && a <= 0x1p64 }
+
+// below reports whether the knot certifies f < p.MaxFrequency(v) at the
+// memoized supply v: f < coef*min(x, kx)^2 for a supply v in [Vmin, Vmax]
+// with x = v-Vth >= 2^-64 and a non-negative f (see certSlack). A false
+// answer proves nothing.
+func (m *SupplyMemo) below(p *Processor, v, f float64) bool {
+	x := v - p.thresholdVoltage
+	if !(v >= p.minVoltage && v <= p.maxVoltage && x >= 0x1p-64 && f >= 0) {
+		return false
+	}
+	if kx := math.Float64frombits(m.fbits) - p.thresholdVoltage; x > kx {
+		x = kx
+	}
+	return f < m.coef*x*x
 }
 
 // MaxFrequency returns p.MaxFrequency(v).
 func (m *SupplyMemo) MaxFrequency(p *Processor, v float64) float64 {
 	m.at(p, v)
-	return m.fmax
+	return m.maxFrequency(p, v)
+}
+
+// CappedFrequency returns math.Min(f, p.MaxFrequency(v)), the clock a core
+// commanded to f runs at supply v. A clock the knot certifies below fmax
+// is returned as it is, without the alpha law.
+func (m *SupplyMemo) CappedFrequency(p *Processor, v, f float64) float64 {
+	m.at(p, v)
+	if m.fbits != m.vbits && m.below(p, v, f) {
+		return f
+	}
+	return math.Min(f, m.maxFrequency(p, v))
 }
 
 // LeakagePower returns p.LeakagePower(v).
@@ -374,10 +500,14 @@ func (m *SupplyMemo) LeakagePower(p *Processor, v float64) float64 {
 	return m.leak
 }
 
-// Power returns p.Power(v, f).
+// Power returns p.Power(v, f). A clock the knot certifies below fmax needs
+// no clamp, so it costs no alpha law.
 func (m *SupplyMemo) Power(p *Processor, v, f float64) float64 {
 	m.at(p, v)
-	return p.dynamicPower(v, f, m.fmax) + m.leak
+	if m.fbits != m.vbits && m.below(p, v, f) {
+		return p.dynamicPower(v, f, math.Inf(1)) + m.leak
+	}
+	return p.dynamicPower(v, f, m.maxFrequency(p, v)) + m.leak
 }
 
 // FrequencyForPower returns the highest clock frequency (Hz) sustainable at

@@ -385,7 +385,10 @@ func TestVoltageForFrequencyWarmIntervalMemo(t *testing.T) {
 
 // TestSupplyMemoParity checks the supply memo against the Processor methods
 // bit for bit: random supplies and clocks, edge inputs, repeated and
-// alternating supplies, and processors swapped on one memo.
+// alternating supplies, processors swapped on one memo, leakage-only runs
+// of supplies followed by fmax's bits at the last one, and the methods in
+// three orders, so that the knot certificate answers as well as fmax's
+// bits.
 func TestSupplyMemoParity(t *testing.T) {
 	procs := []*Processor{
 		NewProcessor(),
@@ -394,16 +397,51 @@ func TestSupplyMemoParity(t *testing.T) {
 	}
 	var m SupplyMemo
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	check := func(p *Processor, v, f float64) {
+	maxFrequency := func(p *Processor, v float64) {
 		t.Helper()
 		if got, want := m.MaxFrequency(p, v), p.MaxFrequency(v); !same(got, want) {
 			t.Fatalf("MaxFrequency(%v) = %v, want %v", v, got, want)
 		}
+	}
+	capped := func(p *Processor, v, f float64) {
+		t.Helper()
+		if got, want := m.CappedFrequency(p, v, f), math.Min(f, p.MaxFrequency(v)); !same(got, want) {
+			t.Fatalf("CappedFrequency(%v, %v) = %v, want %v", v, f, got, want)
+		}
+	}
+	power := func(p *Processor, v, f float64) {
+		t.Helper()
 		if got, want := m.Power(p, v, f), p.Power(v, f); !same(got, want) {
 			t.Fatalf("Power(%v, %v) = %v, want %v", v, f, got, want)
 		}
+	}
+	leakage := func(p *Processor, v float64) {
+		t.Helper()
 		if got, want := m.LeakagePower(p, v), p.LeakagePower(v); !same(got, want) {
 			t.Fatalf("LeakagePower(%v) = %v, want %v", v, got, want)
+		}
+	}
+	// check runs the four methods at (v, f) in one of their orders: the
+	// clock before fmax takes the certificate, fmax first serves the clock
+	// from its bits.
+	check := func(p *Processor, v, f float64, order int) {
+		t.Helper()
+		switch order % 3 {
+		case 0:
+			capped(p, v, f)
+			power(p, v, f)
+			leakage(p, v)
+			maxFrequency(p, v)
+		case 1:
+			power(p, v, f)
+			capped(p, v, f)
+			maxFrequency(p, v)
+			leakage(p, v)
+		default:
+			maxFrequency(p, v)
+			power(p, v, f)
+			capped(p, v, f)
+			leakage(p, v)
 		}
 	}
 	edges := []float64{
@@ -411,10 +449,10 @@ func TestSupplyMemoParity(t *testing.T) {
 		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64,
 	}
 	for _, p := range procs {
-		for _, v := range edges {
-			for _, f := range edges {
-				check(p, v, f)
-				check(p, v, f) // the same supply again: served by the memo
+		for i, v := range edges {
+			for j, f := range edges {
+				check(p, v, f, i+j)
+				check(p, v, f, i+j+1) // the same supply again: served by the memo
 			}
 		}
 	}
@@ -425,6 +463,186 @@ func TestSupplyMemoParity(t *testing.T) {
 		if n%3 != 0 {
 			v = 0.45 + 1e-3*float64(rng.Intn(4)) // repeats, as a regulated supply does
 		}
-		check(p, v, rng.Float64()*300e6-10e6)
+		check(p, v, rng.Float64()*300e6-10e6, n)
 	}
+	// A bypassed core: the supply falls a little every step, and runs of
+	// halted (leakage-only) steps leave the knot behind before fmax's bits
+	// are asked for at the last supply.
+	for _, p := range procs {
+		v := 1.1
+		for n := 0; n < 3000; n++ {
+			v -= 2e-4 * rng.Float64()
+			fm := p.MaxFrequency(v)
+			switch n % 10 {
+			case 0, 1, 2:
+				leakage(p, v)
+			case 3:
+				leakage(p, v)
+				maxFrequency(p, v)
+			case 4:
+				leakage(p, v)
+				power(p, v, fm)
+			default:
+				f := fm * (0.2 + 0.9*rng.Float64())
+				capped(p, v, f)
+				power(p, v, math.Min(f, fm))
+			}
+		}
+	}
+}
+
+// certifyAt arms m's knot at supply kv and reports whether it certifies f
+// below fmax at supply v, as the memo's methods consult it.
+func certifyAt(m *SupplyMemo, p *Processor, kv, v, f float64) bool {
+	m.MaxFrequency(p, kv)
+	m.at(p, v)
+	return m.below(p, v, f)
+}
+
+// TestSupplyMemoCertificateSound checks the knot certificate against the
+// alpha law as computed: every clock it certifies lies below
+// p.MaxFrequency(v), for knots above, at and below the supply and clocks up
+// to an ulp of fmax, across alpha, threshold, corner and temperature. It
+// also pins that the certificate serves: a clock 1e-9 below fmax at the
+// knot's own supply, and half of fmax a 20 mV step below it, certify.
+func TestSupplyMemoCertificateSound(t *testing.T) {
+	procs := []*Processor{
+		NewProcessor(),
+		NewProcessor(func(p *Processor) { p.alpha, p.thresholdVoltage = 1.6, 0.33 }),
+		NewProcessor(func(p *Processor) { p.alpha = 2 }),
+		NewProcessor(func(p *Processor) { p.alpha = 1 }),
+		NewProcessor(WithCorner(CornerSlow)),
+		NewProcessor(WithCorner(CornerFast), WithTemperature(60)),
+		NewProcessor(WithTemperature(-20)),
+	}
+	rng := rand.New(rand.NewSource(5))
+	var m SupplyMemo
+	certified := 0
+	for _, p := range procs {
+		lo, hi := p.MinVoltage(), p.MaxVoltage()
+		for n := 0; n < 20000; n++ {
+			kv := lo + (hi-lo)*rng.Float64()
+			v := lo + (hi-lo)*rng.Float64()
+			switch n % 4 {
+			case 0:
+				v = kv
+			case 1:
+				v = math.Nextafter(kv, 0)
+			case 2:
+				v = math.Min(kv+1e-3*rng.Float64(), hi) // a rising node
+			}
+			fm := p.MaxFrequency(v)
+			for _, f := range []float64{
+				0, math.Copysign(0, -1), fm * rng.Float64(), fm * (1 - 1e-9), fm * (1 - 0x1p-40),
+				math.Nextafter(fm, 0), fm, math.Nextafter(fm, math.Inf(1)), 2 * fm,
+			} {
+				if certifyAt(&m, p, kv, v, f) {
+					certified++
+					if !(f < fm) {
+						t.Fatalf("alpha %v Vth %v: knot %v certified f = %v below fmax(%v) = %v",
+							p.alpha, p.thresholdVoltage, kv, f, v, fm)
+					}
+				}
+			}
+		}
+		// At the knot itself a clock 1e-9 below fmax certifies, and so does
+		// half of fmax 20 mV lower.
+		for _, kv := range []float64{0.4, 0.55, 0.9, 1.2} {
+			if kv <= p.thresholdVoltage+0.02 {
+				continue
+			}
+			if fm := p.MaxFrequency(kv); !certifyAt(&m, p, kv, kv, fm*(1-1e-9)) {
+				t.Errorf("alpha %v: knot %v does not certify fmax*(1-1e-9) at its own supply", p.alpha, kv)
+			}
+			if v := kv - 0.02; v >= p.MinVoltage() && !certifyAt(&m, p, kv, v, p.MaxFrequency(v)/2) {
+				t.Errorf("alpha %v: knot %v does not certify fmax/2 at %v", p.alpha, kv, v)
+			}
+		}
+	}
+	if certified < len(procs)*20000 {
+		t.Errorf("certified %d clocks in %d knots, want at least one per knot", certified, len(procs)*20000)
+	}
+}
+
+// TestSupplyMemoCertificateRefuses pins what never certifies: an alpha
+// above 2 (where (x/kx)^alpha may fall below (x/kx)^2), a supply below Vmin
+// or above Vmax, a NaN supply, and a NaN, infinite or negative clock.
+func TestSupplyMemoCertificateRefuses(t *testing.T) {
+	var m SupplyMemo
+	steep := NewProcessor(func(p *Processor) { p.alpha = 2.2 })
+	for _, v := range []float64{0.4, 0.6, 1.0, 1.2} {
+		for _, f := range []float64{0, 1, steep.MaxFrequency(v) / 4} {
+			if certifyAt(&m, steep, v, v, f) {
+				t.Errorf("alpha 2.2: certified f = %v at %v", f, v)
+			}
+		}
+	}
+	p := NewProcessor()
+	for _, v := range []float64{0, 0.2, p.thresholdVoltage, math.Nextafter(p.MinVoltage(), 0),
+		math.Nextafter(p.MaxVoltage(), 2), 5, math.Inf(1), math.NaN()} {
+		if certifyAt(&m, p, 0.8, v, 0) {
+			t.Errorf("certified f = 0 at supply %v outside [Vmin, Vmax]", v)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if certifyAt(&m, p, 0.8, 0.7, f) {
+			t.Errorf("certified f = %v", f)
+		}
+	}
+	if !certifyAt(&m, p, 0.8, 0.7, 1) {
+		t.Errorf("a 1 Hz clock at 0.7 V is not certified below a 0.8 V knot")
+	}
+}
+
+// alphaLawExponents are the exponents the alpha-law tests run: the default
+// 1.4 (split 1 + 0.3999…), 1.6 (split 2 - 0.3999…, math.Pow's path), 0.7
+// (split 1 - 0.3, a folded fraction) and 2.5 (integer part 2).
+var alphaLawExponents = []float64{1.4, 1.6, 0.7, 2.5}
+
+// TestAlphaLawMatchesPow sweeps the alpha-law kernel against math.Pow bit
+// for bit: log-uniform over and beyond its normal-range guard, and uniform
+// over the supplies the model sees.
+func TestAlphaLawMatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, alpha := range alphaLawExponents {
+		p := NewProcessor(func(p *Processor) { p.alpha = alpha })
+		for n := 0; n < 200000; n++ {
+			x := math.Ldexp(1+rng.Float64(), rng.Intn(1500)-750)
+			if n%2 == 0 {
+				x = 1.2 * rng.Float64()
+			}
+			if got, want := p.alphaLaw(x), math.Pow(x, alpha); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("alpha %v: alphaLaw(%v) = %v, math.Pow %v", alpha, x, got, want)
+			}
+		}
+	}
+	if p := NewProcessor(); p.powFrac == 0 {
+		t.Errorf("the default alpha %v does not take the kernel", p.alpha)
+	}
+}
+
+// FuzzAlphaLaw fuzzes the alpha-law kernel against math.Pow(x, alpha) bit
+// for bit, over x at zero, subnormal, either side of the kernel's
+// normal-range guard, huge, NaN and infinite, and over the exponents of
+// TestAlphaLawMatchesPow and any other.
+func FuzzAlphaLaw(f *testing.F) {
+	xs := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1030, 0x1p-1022,
+		math.Nextafter(0x1p-600, 0), 0x1p-600, math.Nextafter(0x1p-600, 1),
+		0.08, 0.5, 1, 0.68, 1.2, math.Nextafter(0x1p600, 0), 0x1p600, math.Nextafter(0x1p600, math.Inf(1)),
+		1e300, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1), -0.5,
+	}
+	for i, x := range xs {
+		f.Add(x, alphaLawExponents[i%len(alphaLawExponents)])
+	}
+	for _, alpha := range alphaLawExponents {
+		f.Add(0.5, alpha)
+	}
+	f.Fuzz(func(t *testing.T, x, alpha float64) {
+		p := NewProcessor(func(p *Processor) { p.alpha = alpha })
+		if got, want := p.alphaLaw(x), math.Pow(x, alpha); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("alpha %v: alphaLaw(%v) = %v (%#x), math.Pow %v (%#x)",
+				alpha, x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }

@@ -202,11 +202,15 @@ type SolverState struct {
 	invRsh, invScale       float64
 	curvCoef               float64
 
-	// Anchored exponential: expVal = exp(expArg) computed by math.Exp.
-	// Arguments within expAnchorMaxDelta of the anchor are served by a
-	// Taylor update instead of a fresh exp. The anchor is a pure fact about
-	// exp — it stays valid across cells and parameter changes.
-	expArg, expVal float64
+	// Anchored exponentials: expVal[k] = exp(expArg[k]) computed by
+	// math.Exp, the newest in slot 0. An argument within expAnchorMaxDelta
+	// of an anchor is served by a Taylor update from it; a fresh exp
+	// becomes the newest anchor and the older one is dropped. Two anchors
+	// serve a node whose solves alternate between two operating points, as
+	// a browned-out node's storage flips between 0 V and a recharge of
+	// millivolts, from a Taylor update at both. The anchors are pure facts
+	// about exp — they stay valid across cells and parameter changes.
+	expArg, expVal [2]float64
 }
 
 // Reset discards the stored operating point, forcing the next solve to cold
@@ -248,7 +252,7 @@ func (c *Cell) CurrentReference(v, irradiance float64) float64 {
 // the fast path's assumptions fail.
 func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
 	if isFinite(v) && iph > 0 && isFinite(iph) {
-		if root, _, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, state), state); ok {
+		if root, _, _, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, state), state); ok {
 			i, _, _ := c.replayBisect(v, iph, root)
 			return i
 		}
@@ -279,6 +283,21 @@ func (s *SolverState) accept(v, iph, root, g, rs float64) {
 	s.tanG, s.tanK = g, 1/(1+rs*g)
 }
 
+// exp returns exp(x) and whether it is an anchor's Taylor update (see
+// expAnchorMaxDelta) rather than a fresh math.Exp.
+func (s *SolverState) exp(x float64) (float64, bool) {
+	for k := range s.expArg {
+		if d := x - s.expArg[k]; d < expAnchorMaxDelta && d > -expAnchorMaxDelta && s.expVal[k] > 0 {
+			d2 := d * d
+			return s.expVal[k] * ((1 + d) + d2*((0.5+d*(1.0/6))+d2*(1.0/24+d*(1.0/120)))), true
+		}
+	}
+	e := math.Exp(x)
+	s.expArg = [2]float64{x, s.expArg[0]}
+	s.expVal = [2]float64{e, s.expVal[0]}
+	return e, false
+}
+
 // loadResidual is f(I), the shared residual of the implicit equation. The
 // reference bisection, the Newton iteration and the replay guard band all
 // evaluate exactly these floating-point operations, which is what makes the
@@ -289,7 +308,8 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 }
 
 // newtonRoot runs the Newton iteration from guess and reports whether it
-// converged to a finite root, and after how many residual evaluations. On
+// converged to a finite root, after how many residual evaluations, and how
+// many of their exponentials were fresh math.Exp calls. On
 // an accept it records the root and its tangent in state for the next warm
 // start (newtonStart). It also owns the fast path's parameter
 // envelope: on a derived-cache miss it checks the monotonicity and
@@ -299,7 +319,7 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 // caller to the reference bisection.
 //
 // Each iteration evaluates the exponential once — through the state's
-// anchored-exp cache when warm — and derives both the residual f and the
+// anchored exponentials when warm — and derives both the residual f and the
 // analytic slope
 //
 //	f'(I) = -Id'(V+I*Rs)*Rs - Rs/Rsh - 1 <= -1
@@ -310,7 +330,7 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 // guard band. When the exponential was approximated, fErr bounds the
 // resulting |f| error and is charged against the acceptance budget, so an
 // accept always certifies the true residual.
-func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float64, iters int, ok bool) {
+func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float64, iters, exps int, ok bool) {
 	rs, rsh, i0 := c.seriesResistance, c.shuntResistance, c.saturationCurrent
 	js := c.junctionScale()
 	var invRsh, invScale, curvCoef float64
@@ -320,7 +340,7 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 	} else {
 		if !(rs > 0 && isFinite(rs) && rsh > 0 && isFinite(rsh) &&
 			i0 >= 0 && isFinite(i0) && js > 0 && isFinite(js)) {
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 		invRsh = 1 / rsh
 		invScale = 1 / js
@@ -347,38 +367,37 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 		if vd > 0 && i0 > 0 {
 			x := vd * invScale
 			if state != nil {
-				if d := x - state.expArg; d < expAnchorMaxDelta && d > -expAnchorMaxDelta && state.expVal > 0 {
-					d2 := d * d
-					e = state.expVal * ((1 + d) + d2*((0.5+d*(1.0/6))+d2*(1.0/24+d*(1.0/120))))
+				var approx bool
+				if e, approx = state.exp(x); approx {
 					fErr = expApproxRelErr * i0 * e
 				} else {
-					e = math.Exp(x)
-					state.expArg, state.expVal = x, e
+					exps++
 				}
 			} else {
 				e = math.Exp(x)
+				exps++
 			}
 			id = i0 * (e - 1)
 			didvd = i0 * invScale * e
 		}
 		f := iph - id - vd*invRsh - i
 		if !isFinite(f) {
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 		if math.Abs(f)+fErr <= acceptBase+acceptRel*math.Abs(i) {
 			if state != nil {
 				state.accept(v, iph, i, didvd+invRsh, rs)
 			}
-			return i, iter + 1, true
+			return i, iter + 1, exps, true
 		}
 		slope := -didvd*rs - rsInvRsh - 1
 		if !(slope < 0) || math.IsInf(slope, 0) {
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 		step := f / slope // the update is i -> i - step
 		next := i - step
 		if !isFinite(next) {
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 		// Quadratic-convergence shortcut: the tangent is zero at next, so
 		// the Taylor remainder gives |f(next)| <= M/2*step^2 with M bounding
@@ -412,12 +431,12 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 					// needs it close.
 					state.accept(v, iph, next, didvd+invRsh, rs)
 				}
-				return next, iter + 1, true
+				return next, iter + 1, exps, true
 			}
 		}
 		i = next
 	}
-	return 0, 0, false
+	return 0, 0, 0, false
 }
 
 // currentBisect is the original solver, kept verbatim as the fallback and

@@ -147,7 +147,7 @@ func TestCurrentFastPropertyRandomCells(t *testing.T) {
 			iph := c.photoCurrent(irr)
 			// 1e-12 covers the bisection's own final-interval quantization,
 			// which dominates for sub-microamp photocurrents.
-			if root, _, ok := c.newtonRoot(v, iph, 0, nil); ok && root <= iph {
+			if root, _, _, ok := c.newtonRoot(v, iph, 0, nil); ok && root <= iph {
 				if tol := 2e-7*iph + 1e-12; math.Abs(root-want) > tol {
 					t.Fatalf("cell %d: newton root %v vs reference %v exceeds %g", n, root, want, tol)
 				}
@@ -215,7 +215,7 @@ func TestCurrentReplayBinadeEdges(t *testing.T) {
 		var warm SolverState
 		for _, v := range sweepVoltages(c, irr) {
 			check(c, v, irr, &warm)
-			if root, _, ok := c.newtonRoot(v, iph, 0, nil); ok && root < 0 {
+			if root, _, _, ok := c.newtonRoot(v, iph, 0, nil); ok && root < 0 {
 				negative++
 			}
 		}
@@ -228,7 +228,7 @@ func TestCurrentReplayBinadeEdges(t *testing.T) {
 			for _, sign := range []float64{-1, 1} {
 				v := vx + sign*math.Ldexp(ulp, e)
 				check(c, v, irr, &warm)
-				root, _, ok := c.newtonRoot(v, iph, 0, nil)
+				root, _, _, ok := c.newtonRoot(v, iph, 0, nil)
 				switch {
 				case !ok:
 				case root >= pow2 && root < pow2*(1+1e-9):
@@ -387,6 +387,7 @@ func FuzzReplayBinadeParity(f *testing.F) {
 type pathMix struct {
 	warm, oneIteration int // warm solves, and those accepted at the first evaluation
 	binade, blocked    int // replays that reached the root's binade, and those a block prefix served
+	solves, exps       int // solves, and the fresh math.Exp calls their Newton iterations made
 }
 
 // solve runs currentFast's steps on (v, irr) with warm, checks the result
@@ -395,10 +396,12 @@ func (m *pathMix) solve(t *testing.T, c *Cell, v, irr float64, warm *SolverState
 	t.Helper()
 	iph := c.photoCurrent(irr)
 	wasWarm := warm.warm
-	root, iters, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, warm), warm)
+	root, iters, exps, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, warm), warm)
 	if !ok {
 		t.Fatalf("Newton failed at v=%g irr=%g", v, irr)
 	}
+	m.solves++
+	m.exps += exps
 	got, binade, blocked := c.replayBisect(v, iph, root)
 	if want := c.CurrentReference(v, irr); got != want {
 		t.Fatalf("replay at v=%g irr=%g = %v, reference %v", v, irr, got, want)
@@ -422,7 +425,11 @@ func (m *pathMix) solve(t *testing.T, c *Cell, v, irr float64, warm *SolverState
 // voltage and light profile, and on random cells under small drifts, block
 // prefixes serve at least 90% of the in-binade replays, and on the profile
 // at least 85% of warm solves converge at the first Newton evaluation from
-// the tangent start.
+// the tangent start. A browned-out node's solves alternate between 0 V and
+// a recharge of millivolts (Iph*1e-4 s/100 µF, the scenario engine's
+// 2-cycle), which moves the diode argument farther than expAnchorMaxDelta
+// under light rising through a morning: one exp anchor pays a math.Exp on
+// nearly every such solve, and with two at most one solve in four may.
 func TestReplayPathMix(t *testing.T) {
 	var drift pathMix
 	c := NewCell()
@@ -456,6 +463,19 @@ func TestReplayPathMix(t *testing.T) {
 	if rate := float64(drift.oneIteration) / float64(drift.warm); !(rate >= 0.85) {
 		t.Errorf("drifting profile: %d of %d warm solves converged in one Newton iteration (%.3f), want >= 0.85",
 			drift.oneIteration, drift.warm, rate)
+	}
+	var brownout pathMix
+	warm = SolverState{}
+	for n := 0; n < 20000; n++ {
+		irr, v := 0.05+0.95*float64(n)/20000, 0.0
+		if n%2 == 1 {
+			v = c.photoCurrent(irr) * 1e-4 / 100e-6
+		}
+		brownout.solve(t, c, v, irr, &warm)
+	}
+	if rate := float64(brownout.exps) / float64(brownout.solves); !(rate <= 0.25) {
+		t.Errorf("brownout 2-cycle: %d fresh math.Exp in %d solves (%.3f per solve), want <= 0.25",
+			brownout.exps, brownout.solves, rate)
 	}
 }
 
@@ -515,17 +535,22 @@ func TestOperatingPointBranchesUnchanged(t *testing.T) {
 // (v, irr): from the fuzzed start the solver steps by (dv, dirr) with its
 // state carried along, as a transient under changing light does, and at
 // every step the fast path (stateless and warm) must return exactly what
-// the reference bisection returns. A zero step re-solves one point.
+// the reference bisection returns. A zero step re-solves one point. An
+// alternating walk visits v, v+dv, v, … as a browned-out node does, which
+// serves Newton from both exp anchors.
 func FuzzCurrentSolverParity(f *testing.F) {
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5, 0.0, 0.0)
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45, 1e-4, 0.0) // just above Voc
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 15.0, 0.0, 0.0)  // bracket extension
-	f.Add(1e-4, 1e-12, 1.0, 1, 0.1, 100.0, 1e-3, 0.0, 0.0, 1e-5)     // short circuit
-	f.Add(0.1, 1e-6, 2.0, 6, 10.0, 1e5, 1.0, -0.3, 1e-3, -1e-3)      // negative bias
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 0.0, 3000.0, 1.0, 0.5, 1e-3, 1e-3)  // Rs = 0 direct path
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.6, 1.2, 1e-5, 5e-5)  // drifting light at the knee
-	f.Add(0.125, 1e-9, 1.3, 2, 1.0, 1e4, 1.0, 0.0, 1e-6, -1e-6)      // Iph a power of two
-	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v, dv, dirr float64) {
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5, 0.0, 0.0, false)
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45, 1e-4, 0.0, false) // just above Voc
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 15.0, 0.0, 0.0, false)  // bracket extension
+	f.Add(1e-4, 1e-12, 1.0, 1, 0.1, 100.0, 1e-3, 0.0, 0.0, 1e-5, false)     // short circuit
+	f.Add(0.1, 1e-6, 2.0, 6, 10.0, 1e5, 1.0, -0.3, 1e-3, -1e-3, false)      // negative bias
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 0.0, 3000.0, 1.0, 0.5, 1e-3, 1e-3, false)  // Rs = 0 direct path
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.6, 1.2, 1e-5, 5e-5, false)  // drifting light at the knee
+	f.Add(0.125, 1e-9, 1.3, 2, 1.0, 1e4, 1.0, 0.0, 1e-6, -1e-6, false)      // Iph a power of two
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.06, 0.0, 1e-3, 1e-5, true)  // brownout 2-cycle
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 0.0, 8e-3, 0.0, true)    // half-sun 2-cycle
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, -1e-3, -1e-4, true) // alternating at the knee
+	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v, dv, dirr float64, alternate bool) {
 		// Clamp to the physically sane envelope; the fuzzer's job is to
 		// explore solver regimes, not to feed NaN cell calibrations (those
 		// are covered by TestCurrentFastDegenerateFallsBack).
@@ -550,7 +575,11 @@ func FuzzCurrentSolverParity(f *testing.F) {
 			if got := c.CurrentWarm(v, irr, &warm); got != want {
 				t.Fatalf("step %d: CurrentWarm(%x, %x) = %x, reference %x", step, v, irr, got, want)
 			}
-			v += dv
+			if alternate {
+				v, dv = v+dv, -dv
+			} else {
+				v += dv
+			}
 			irr += dirr
 		}
 	})

@@ -63,16 +63,20 @@ func WriteTrace(w io.Writer, tr *weather.Trace) error {
 }
 
 // ReadTrace decodes a recorded trace, validating the envelope before any
-// sample reaches the simulator: the format tag and version must match, the
-// step must be positive and finite (a zero or NaN step would turn
-// weather.Trace.At into a constant — or, before the At guard, NaN
-// positions), and every sample must be a finite, non-negative light level.
+// sample reaches the simulator: the file must hold exactly one JSON
+// document, the format tag and version must match, the step must be
+// positive and finite (a zero or NaN step would turn weather.Trace.At into
+// a constant — or, before the At guard, NaN positions), and every sample
+// must be a finite, non-negative light level.
 func ReadTrace(r io.Reader) (*weather.Trace, error) {
 	var tf traceFile
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tf); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTraceFile, err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the trace document", ErrBadTraceFile)
 	}
 	if tf.Format != TraceFormat {
 		return nil, fmt.Errorf("%w: format %q (want %q)", ErrBadTraceFile, tf.Format, TraceFormat)

@@ -75,6 +75,9 @@ func TestReadTraceRejects(t *testing.T) {
 		"no samples":      fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[]}`, TraceFormat),
 		"negative sample": fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[1,-2]}`, TraceFormat),
 		"unknown field":   fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[1],"extra":1}`, TraceFormat),
+		"trailing data":   fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[1]}garbage`, TraceFormat),
+		"two envelopes":   strings.Repeat(fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[1]}`, TraceFormat), 2),
+		"second format":   fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[1]}{"format":"x"}`, TraceFormat),
 	} {
 		if _, err := ReadTrace(strings.NewReader(text)); !errors.Is(err, ErrBadTraceFile) {
 			t.Errorf("%s: got %v, want ErrBadTraceFile", name, err)
@@ -83,4 +86,46 @@ func TestReadTraceRejects(t *testing.T) {
 	if _, err := ReadTraceFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
+}
+
+// FuzzReadTrace fuzzes the trace decoder: a rejection is always fine (and
+// must not panic), and every accepted trace must round-trip through
+// WriteTrace with the identical step and sample bits.
+func FuzzReadTrace(f *testing.F) {
+	valid := fmt.Sprintf(`{"format":%q,"version":1,"step_s":0.1,"samples":[0,0.5,1]}`, TraceFormat)
+	f.Add(valid)
+	f.Add(valid + "\n")
+	f.Add(valid + "garbage")
+	f.Add(valid + valid)
+	f.Add(valid + `{"format":"x"}`)
+	f.Add(fmt.Sprintf(`{"format":%q,"version":1,"step_s":5e-324,"samples":[1e-320,1e308,0.30000000000000004]}`, TraceFormat))
+	f.Add(fmt.Sprintf(`{"format":%q,"version":1,"step_s":1e-4,"samples":[-0]}`, TraceFormat))
+	f.Add(``)
+	f.Add(`null`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":1,"samples":null}`)
+	f.Fuzz(func(t *testing.T, data string) {
+		tr, err := ReadTrace(strings.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTraceFile) {
+				t.Fatalf("rejection %v does not wrap ErrBadTraceFile", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr); err != nil {
+			t.Fatalf("accepted trace does not encode: %v\ninput: %q", err, data)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("encoded trace rejected: %v\nencoded: %q", err, buf.String())
+		}
+		if math.Float64bits(back.Step) != math.Float64bits(tr.Step) || len(back.Samples) != len(tr.Samples) {
+			t.Fatalf("round trip changed step %v -> %v or %d -> %d samples", tr.Step, back.Step, len(tr.Samples), len(back.Samples))
+		}
+		for i, v := range tr.Samples {
+			if math.Float64bits(back.Samples[i]) != math.Float64bits(v) {
+				t.Fatalf("round trip changed sample %d: %v -> %v", i, v, back.Samples[i])
+			}
+		}
+	})
 }
