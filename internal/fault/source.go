@@ -2,7 +2,7 @@ package fault
 
 // Seeded streams. Every random stream of the simulation stack comes from a
 // Source: the generator math/rand.NewSource returns, reproduced bit for
-// bit, but seeded by jump-ahead instead of a 1,841-step loop.
+// bit, but seeded in O(1) and filled lazily.
 //
 // math/rand's Seed(s) reduces s mod M = 2^31−1 (a seed ≡ 0 becomes
 // 89482311), steps the Park–Miller generator x ← 48271·x mod M twenty
@@ -18,9 +18,20 @@ package fault
 // math/rand's Schrage step keeps it. So the words come out equal, with no
 // division and no dependency chain between them.
 //
-// Population builds seed two or three streams per node. PooledRand hands
-// them a recycled generator, and (*rand.Rand).Seed resets its whole state
-// from one domain to the next, so a build allocates no register per node.
+// Any word can therefore be computed alone, and the first draws need only
+// a few. Draw d adds the words at feed = 334−d and tap = 607−d and stores
+// the sum at feed, so draws 1 to 273 read only words that no draw has
+// written yet: draw d is w[334−d] + w[607−d]. Seed keeps only x[0], and
+// those draws compute their two words on demand. The 274th draw, whose
+// tap reads the word draw 1 wrote, materializes the register once, folds
+// in the 273 sums already served, and continues on math/rand's own draw
+// path. A re-seed returns the source to lazy draws and keeps the
+// register's allocation for its next materialization.
+//
+// Population nodes seed a fresh source per stream and mostly stop short of
+// the 274th draw: a fleet node's sky draws at most about 270 values and
+// its trims four. So a node holds 40 bytes per stream, not a 4.9 KB
+// register, and seeding costs no more than reducing the seed.
 
 import (
 	"math/rand"
@@ -67,11 +78,14 @@ func powers() *[seedSkip + 3*rngLen]uint32 {
 
 // Source is a rand.Source64 whose streams equal math/rand's: for every
 // seed, rand.New(NewSource(seed)) draws what rand.New(rand.NewSource(seed))
-// draws, through every method. It is not safe for concurrent use.
+// draws, through every method. The zero value is unseeded: call Seed
+// before the first draw. It is not safe for concurrent use.
 type Source struct {
-	tap  int           // index into vec
-	feed int           // index into vec
-	vec  [rngLen]int64 // current feedback register
+	tap  int            // index into vec
+	feed int            // index into vec
+	vec  *[rngLen]int64 // feedback register, allocated at the first materialization
+	x    uint64         // x[0], the reduced seed
+	lazy bool           // vec is not this seed's yet: draws compute their words
 }
 
 var _ rand.Source64 = (*Source)(nil)
@@ -84,7 +98,8 @@ func NewSource(seed int64) *Source {
 }
 
 // Seed resets the generator to the state math/rand's source takes for
-// seed, filling the register by jump-ahead (see the section comment).
+// seed. It keeps only the reduced seed; draws compute the register's
+// words from it (see the section comment).
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
@@ -96,16 +111,34 @@ func (s *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = seedZero
 	}
-	x, pow := uint64(seed), powers()
-	for i := range s.vec {
-		k := seedSkip + 3*i
-		u := mulMod(x, uint64(pow[k]))<<40 ^ mulMod(x, uint64(pow[k+1]))<<20 ^ mulMod(x, uint64(pow[k+2]))
-		s.vec[i] = int64(u) ^ rngCooked[i]
-	}
+	s.x = uint64(seed)
+	s.lazy = true
 }
 
-// The draw path below is math/rand's (src/math/rand/rng.go), copied
-// verbatim under the Go license noted in rngcooked.go.
+// word returns word i of the register as seeded; pow is powers().
+func (s *Source) word(pow *[seedSkip + 3*rngLen]uint32, i int) int64 {
+	k := seedSkip + 3*i
+	u := mulMod(s.x, uint64(pow[k]))<<40 ^ mulMod(s.x, uint64(pow[k+1]))<<20 ^ mulMod(s.x, uint64(pow[k+2]))
+	return int64(u) ^ rngCooked[i]
+}
+
+// materialize fills the register for the 274th draw: every word as
+// seeded, plus the sums the first rngTap draws stored at feed 333 down to
+// 61. Their taps, 606 down to 334, were still unwritten.
+func (s *Source) materialize() {
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	pow := powers()
+	for i := range s.vec {
+		s.vec[i] = s.word(pow, i)
+	}
+	for f := rngLen - 2*rngTap; f < rngLen-rngTap; f++ {
+		s.vec[f] += s.vec[f+rngTap]
+	}
+	s.tap = s.feed + rngTap
+	s.lazy = false
+}
 
 // Int63 returns a non-negative pseudo-random 63-bit integer as an int64.
 func (s *Source) Int63() int64 {
@@ -113,7 +146,20 @@ func (s *Source) Int63() int64 {
 }
 
 // Uint64 returns a non-negative pseudo-random 64-bit integer as a uint64.
+// The first rngTap draws after a seed sum two words computed on demand;
+// from the register on, the draw path is math/rand's
+// (src/math/rand/rng.go), copied verbatim under the Go license noted in
+// rngcooked.go.
 func (s *Source) Uint64() uint64 {
+	if s.lazy {
+		if s.feed > rngLen-2*rngTap {
+			s.feed--
+			pow := powers()
+			return uint64(s.word(pow, s.feed) + s.word(pow, s.feed+rngTap))
+		}
+		s.materialize()
+	}
+
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -128,18 +174,3 @@ func (s *Source) Uint64() uint64 {
 	s.vec[s.feed] = x
 	return uint64(x)
 }
-
-// rands recycles the generators of population builds.
-var rands = sync.Pool{New: func() any { return rand.New(new(Source)) }}
-
-// PooledRand returns a recycled generator seeded with seed. Re-seed it
-// per domain with (*rand.Rand).Seed, and hand it back with ReleaseRand
-// once no draw is left.
-func PooledRand(seed int64) *rand.Rand {
-	r := rands.Get().(*rand.Rand)
-	r.Seed(seed)
-	return r
-}
-
-// ReleaseRand returns a generator from PooledRand to the pool.
-func ReleaseRand(r *rand.Rand) { rands.Put(r) }

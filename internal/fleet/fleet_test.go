@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -158,6 +159,34 @@ func TestFleetCancellation(t *testing.T) {
 	_, err := Run(Config{Nodes: 4, Seed: 1, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestFleetBuildBytesPerNode pins what building a node allocates. A
+// cancelled run returns once the population is built, and 2,000 lit nodes
+// may allocate at most 2,048 B each. A node's sky streams from a lazily
+// seeded source in about 250 B, so a per-node sample slice (257 samples,
+// 2,336 B with its header) cannot come back unnoticed. CI runs it without
+// the race detector, which perturbs the count.
+func TestFleetBuildBytesPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items, so the count varies")
+	}
+	const nodes, bound = 2000, 2048
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(Config{Nodes: nodes, Seed: 1, Workers: 2, Ctx: ctx})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	allocs := float64(after.Mallocs-before.Mallocs) / nodes
+	t.Logf("build: %.0f B and %.1f allocations per node", per, allocs)
+	if per > bound {
+		t.Errorf("building a node allocates %.0f B, bound %d B", per, bound)
 	}
 }
 

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -40,48 +42,44 @@ func nodeStream(id int) string { return fmt.Sprintf("node/%07d", id) }
 // randomness is drawn from streams seeded via
 // fault.StreamSeed(seed, "node/<id>", domain) — one domain per concern —
 // so every node's environment and trims are independent of every other
-// node's and of the build order. One pooled generator serves the domains
-// in turn: re-seeding resets its whole state.
+// node's and of the build order. Each domain seeds a fresh fault.Source,
+// which costs no more than reducing the seed and holds no register for
+// the few draws a build makes.
 func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
-	// Weather: the node's private sky. Dwell times and the OU relaxation
-	// scale with the horizon so short fleet runs still see cloud bursts.
-	rng := fault.PooledRand(fault.StreamSeed(cfg.Seed, nodeStream(id), "weather"))
-	defer fault.ReleaseRand(rng)
-	gen := weather.NewGenerator(rng,
-		weather.WithDwellTimes(cfg.Horizon/6, cfg.Horizon/10),
-		weather.WithRelaxationTime(cfg.Horizon/25),
-	)
-	sky, err := gen.Trace(cfg.Horizon, cfg.Horizon/256, nil)
-	if err != nil {
-		return circuit.Config{}, fmt.Errorf("weather: %w", err)
-	}
+	label := nodeStream(id)
 
 	// Trims: initial charge, job size, peripheral draw and site exposure.
-	rng.Seed(fault.StreamSeed(cfg.Seed, nodeStream(id), "trim"))
+	rng := rand.New(fault.NewSource(fault.StreamSeed(cfg.Seed, label, "trim")))
 	v0 := nodeV0Lo + (nodeV0Hi-nodeV0Lo)*rng.Float64()
 	cycles := nodeCyclesLo + (nodeCyclesHi-nodeCyclesLo)*rng.Float64()
 	aux := nodeAuxLo + (nodeAuxHi-nodeAuxLo)*rng.Float64()
 
 	// Site exposure: a fixed per-node light scale modelling shading and
 	// panel orientation, the per-node harvest diversity population studies
-	// care about. Scaling the trace keeps Trace.At's interpolation.
+	// care about.
 	site := nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()
-	for i := range sky.Samples {
-		sky.Samples[i] *= site
-	}
 
 	// Lights-out tail: with Dark set, samples in the trailing Dark
 	// fraction of the horizon are exactly zero — the cloud model alone
 	// never reaches zero (its attenuation floor is positive), so this is
 	// what puts nodes into the provably-dark fixed point the stepper's
 	// fast-forward needs.
+	cut := math.Inf(1)
 	if cfg.Dark > 0 {
-		cut := (1 - cfg.Dark) * cfg.Horizon
-		for i := range sky.Samples {
-			if float64(i)*sky.Step >= cut {
-				sky.Samples[i] = 0
-			}
-		}
+		cut = (1 - cfg.Dark) * cfg.Horizon
+	}
+
+	// Weather: the node's private sky, 257 samples scaled by the site and
+	// cut dark, streamed as the stepper reads them instead of rendered up
+	// front. Dwell times and the OU relaxation scale with the horizon so
+	// short fleet runs still see cloud bursts.
+	sky, err := weather.NewSky(fault.StreamSeed(cfg.Seed, label, "weather"),
+		cfg.Horizon, cfg.Horizon/256, site, cut,
+		weather.WithDwellTimes(cfg.Horizon/6, cfg.Horizon/10),
+		weather.WithRelaxationTime(cfg.Horizon/25),
+	)
+	if err != nil {
+		return circuit.Config{}, fmt.Errorf("weather: %w", err)
 	}
 
 	storage, err := cap.New(nodeCapacitance, v0, nodeCapMax)
@@ -93,9 +91,9 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
 		Proc: cpu.NewProcessor(),
 		Reg:  reg.NewSC(),
 		Cap:  storage,
-		// The trace doubles as the event source (Irradiance is derived
-		// as sky.At), so dead nodes fast-forward through exactly-zero
-		// spans instead of stepping them.
+		// The sky doubles as the event source (Irradiance is derived as
+		// sky.At), so dead nodes fast-forward through its dark tail
+		// instead of stepping it.
 		IrradianceSource: sky,
 		NoFastForward:    cfg.NoFastForward,
 		Controller: &sched.DeadlineController{

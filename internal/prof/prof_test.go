@@ -2,7 +2,9 @@ package prof
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -253,6 +255,103 @@ func TestTinyBinsDropped(t *testing.T) {
 	if len(d.Samples) != 0 {
 		t.Fatalf("samples = %d, want 0 for sub-quantum ledger", len(d.Samples))
 	}
+}
+
+// profileFrom reads ledgers out of data, four bytes per step: the scope
+// (three experiments, one of them empty, with or without one of 32
+// nodes), the bin, and the step's time and energy in whole quanta of 1 µs
+// and 1 pJ.
+func profileFrom(data []byte) *Profile {
+	p := New()
+	for ; len(data) >= 4; data = data[4:] {
+		var s Scope
+		if e := data[0] % 3; e > 0 {
+			s.Experiment = fmt.Sprintf("exp%d", e)
+		}
+		if data[0]&4 != 0 {
+			s.Node = fmt.Sprintf("node/%07d", data[0]>>3)
+		}
+		p.Ledger(s).AddStep(Bin(int(data[1])%NumBins), float64(data[2])*1e-6, float64(data[3])*1e-12)
+	}
+	return p
+}
+
+// payload returns the protobuf WritePprof gzips for p.
+func payload(t testing.TB, p *Profile) []byte {
+	var buf bytes.Buffer
+	if err := WritePprof(&buf, p); err != nil {
+		t.Fatalf("WritePprof: %v", err)
+	}
+	zr, err := gzip.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// FuzzReadPprof: ReadPprof decodes or rejects any payload without
+// panicking, and what WritePprof writes decodes to the totals of the
+// ledgers it was written from. The harness gzips the fuzzed payload, so
+// mutations reach the protobuf decoder instead of failing gzip's
+// checksum; the corpus starts from WritePprof's own payloads.
+func FuzzReadPprof(f *testing.F) {
+	for _, data := range [][]byte{
+		nil,
+		[]byte("fleet node/0000042 pv harvest"),
+		bytes.Repeat([]byte{7, 200, 3, 255, 12, 1, 0, 9}, 16),
+	} {
+		f.Add(payload(f, profileFrom(data)))
+	}
+	f.Add([]byte{0x0a, 0xff, 0x01})                   // a sample type longer than the payload
+	f.Add([]byte{0x12, 0x04, 0x0a, 0x02, 0x80, 0x80}) // a sample whose packed varint runs out
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var gz bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&gz, gzip.NoCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := ReadPprof(&gz); err == nil {
+			d.Total(0)
+			d.Total(1)
+		}
+
+		p := profileFrom(data)
+		d, err := ReadPprof(bytes.NewReader(encode(t, p)))
+		if err != nil {
+			t.Fatalf("ReadPprof of WritePprof output: %v", err)
+		}
+		var ns, fj int64
+		var seconds float64
+		samples := 0
+		for _, e := range p.Entries() {
+			seconds += e.Ledger.TotalSeconds()
+			for b := 0; b < NumBins; b++ {
+				bns := int64(math.Round(e.Ledger.Seconds[b] / secondsPerUnit))
+				bfj := int64(math.Round(e.Ledger.Joules[b] / joulesPerUnit))
+				if bns != 0 || bfj != 0 {
+					samples++
+				}
+				ns, fj = ns+bns, fj+bfj
+			}
+		}
+		if len(d.Samples) != samples || d.Total(0) != ns || d.Total(1) != fj {
+			t.Fatalf("decoded %d samples totalling %d ns and %d fJ, ledgers hold %d, %d ns and %d fJ",
+				len(d.Samples), d.Total(0), d.Total(1), samples, ns, fj)
+		}
+		if want := int64(math.Round(seconds / secondsPerUnit)); d.DurationNanos != want {
+			t.Fatalf("duration %d ns, ledgers hold %d ns", d.DurationNanos, want)
+		}
+	})
 }
 
 func TestLedgerBasics(t *testing.T) {

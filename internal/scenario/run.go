@@ -9,6 +9,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -90,8 +91,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	horizon, step := spec.Geometry.HorizonS, spec.Geometry.StepS
 	build := func(id int) (circuit.Config, error) {
-		rng := fault.PooledRand(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim"))
-		defer fault.ReleaseRand(rng)
+		rng := rand.New(fault.NewSource(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim")))
 		v0, site := nodeV0Lo+(nodeV0Hi-nodeV0Lo)*rng.Float64(), 1.0
 		if n > 1 {
 			site = nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()

@@ -116,7 +116,8 @@ func NewTrace(duration, step float64) *Trace {
 //
 // A non-positive (or NaN) Step — reachable through the zero value or a
 // hand-built trace — would make pos below NaN/Inf and index chaos; such a
-// degenerate trace is treated as constant at its first sample instead.
+// degenerate trace is treated as constant at its first sample instead. A
+// NaN time gets the same answer (see span).
 func (tr *Trace) At(t float64) float64 {
 	n := len(tr.Samples)
 	if n == 0 {
@@ -125,17 +126,30 @@ func (tr *Trace) At(t float64) float64 {
 	if !(tr.Step > 0) { // false for zero, negative and NaN steps
 		return tr.Samples[0]
 	}
-	pos := t / tr.Step
-	switch {
-	case pos <= 0:
-		return tr.Samples[0]
-	case pos >= float64(n-1):
-		return tr.Samples[n-1]
+	i, frac, clamp := span(t, tr.Step, n)
+	if clamp {
+		return tr.Samples[i]
 	}
-	i := int(pos)
-	frac := pos - float64(i)
-	return tr.Samples[i]*(1-frac) + tr.Samples[i+1]*frac
+	return lerp(tr.Samples[i], tr.Samples[i+1], frac)
 }
+
+// span locates time t among n samples spaced step apart (step > 0): At
+// interpolates samples i and i+1 at frac, or, when clamp is set, returns
+// sample i — the first for t ≤ 0 or NaN, the last from sample n−1 on.
+func span(t, step float64, n int) (i int, frac float64, clamp bool) {
+	pos := t / step
+	switch {
+	case !(pos > 0): // false for NaN too, which int(pos) would not survive
+		return 0, 0, true
+	case pos >= float64(n-1):
+		return n - 1, 0, true
+	}
+	i = int(pos)
+	return i, pos - float64(i), false
+}
+
+// lerp is At's interpolation between adjacent samples a and b.
+func lerp(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
 
 // NextChange reports how far ahead At is provably constant, satisfying
 // the circuit.EventSource contract: At returns the same float64 bit
@@ -274,39 +288,67 @@ func (g *Generator) Trace(duration, step float64, envelope *Trace) (*Trace, erro
 	if duration <= 0 || step <= 0 {
 		return nil, fmt.Errorf("%w: duration=%g step=%g", ErrBadTrace, duration, step)
 	}
-	n := sampleCount(duration, step)
-	tr := &Trace{Step: step, Samples: make([]float64, n)}
-
-	cloudy := g.rng.Float64() < g.meanCloudyDwell/(g.meanClearDwell+g.meanCloudyDwell)
-	dwell := g.nextDwell(cloudy)
-	atten := g.cloudAttenMean // OU state, meaningful while cloudy
-
-	for i := 0; i < n; i++ {
-		t := float64(i) * step
+	tr := NewTrace(duration, step)
+	smp := g.newSampler(step)
+	for i := range tr.Samples {
 		env := 1.0
 		if envelope != nil {
-			env = envelope.At(t)
+			env = envelope.At(float64(i) * step)
 		}
-		// Advance the Markov chain.
-		dwell -= step
-		if dwell <= 0 {
-			cloudy = !cloudy
-			dwell = g.nextDwell(cloudy)
-			if cloudy {
-				atten = g.clampAtten(g.cloudAttenMean + g.cloudAttenSigma*g.rng.NormFloat64())
-			}
-		}
-		level := env
-		if cloudy {
-			// Exact OU update over one step.
-			decay := math.Exp(-step / g.ouTau)
-			noise := g.cloudAttenSigma * math.Sqrt(1-decay*decay) * g.rng.NormFloat64()
-			atten = g.clampAtten(g.cloudAttenMean + (atten-g.cloudAttenMean)*decay + noise)
-			level = env * atten
-		}
-		tr.Samples[i] = level
+		tr.Samples[i] = smp.next(env)
 	}
 	return tr, nil
+}
+
+// sampler is the cloud process between two samples: the Markov state with
+// its remaining dwell, the OU attenuation, and the OU constants of one
+// step. Generator.Trace and Sky both advance it, one sample per call to
+// next, so the recurrence exists once.
+type sampler struct {
+	g          *Generator
+	step       float64 // sample spacing (s)
+	decay      float64 // OU decay over one step, Exp(−step/τ)
+	noiseScale float64 // OU noise over one step, σ·Sqrt(1−decay²)
+	dwell      float64 // time left in the current Markov state (s)
+	atten      float64 // OU state, meaningful while cloudy
+	cloudy     bool
+}
+
+// newSampler draws the initial Markov state and its dwell from g.
+func (g *Generator) newSampler(step float64) sampler {
+	cloudy := g.rng.Float64() < g.meanCloudyDwell/(g.meanClearDwell+g.meanCloudyDwell)
+	decay := math.Exp(-step / g.ouTau)
+	return sampler{
+		g:          g,
+		step:       step,
+		decay:      decay,
+		noiseScale: g.cloudAttenSigma * math.Sqrt(1-decay*decay),
+		dwell:      g.nextDwell(cloudy),
+		atten:      g.cloudAttenMean,
+		cloudy:     cloudy,
+	}
+}
+
+// next advances the process one step and returns the sample under the
+// envelope level env.
+func (s *sampler) next(env float64) float64 {
+	g := s.g
+	// Advance the Markov chain.
+	s.dwell -= s.step
+	if s.dwell <= 0 {
+		s.cloudy = !s.cloudy
+		s.dwell = g.nextDwell(s.cloudy)
+		if s.cloudy {
+			s.atten = g.clampAtten(g.cloudAttenMean + g.cloudAttenSigma*g.rng.NormFloat64())
+		}
+	}
+	if !s.cloudy {
+		return env
+	}
+	// Exact OU update over one step.
+	noise := s.noiseScale * g.rng.NormFloat64()
+	s.atten = g.clampAtten(g.cloudAttenMean + (s.atten-g.cloudAttenMean)*s.decay + noise)
+	return env * s.atten
 }
 
 // nextDwell draws an exponential dwell time for the given state.
@@ -318,10 +360,13 @@ func (g *Generator) nextDwell(cloudy bool) float64 {
 	return g.rng.ExpFloat64() * mean
 }
 
+// attenFloor is the least fraction of light a cloud keeps.
+const attenFloor = 0.02
+
 // clampAtten keeps the attenuation physical.
 func (g *Generator) clampAtten(a float64) float64 {
-	if a < 0.02 {
-		return 0.02
+	if a < attenFloor {
+		return attenFloor
 	}
 	if a > 1 {
 		return 1

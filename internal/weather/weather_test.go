@@ -113,6 +113,13 @@ func TestAtInterpolatesAndClamps(t *testing.T) {
 	if tr.At(-5) != 0 || tr.At(100) != 0.5 {
 		t.Error("clamping wrong")
 	}
+	// A NaN time answers the first sample, as a NaN step does, instead of
+	// indexing Samples[int(NaN)].
+	tr.Samples[0] = 0.25
+	if got := tr.At(math.NaN()); got != 0.25 {
+		t.Errorf("At(NaN) = %g, want the first sample 0.25", got)
+	}
+	tr.Samples[0] = 0
 	if got := tr.At(0.5); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("interp = %g, want 0.5", got)
 	}
@@ -239,7 +246,7 @@ func TestQuickSampleCountCoversDuration(t *testing.T) {
 func TestAtDegenerateStep(t *testing.T) {
 	for _, step := range []float64{0, -1, math.NaN()} {
 		tr := &Trace{Step: step, Samples: []float64{0.25, 0.5}}
-		for _, at := range []float64{-1, 0, 0.5, 1e9} {
+		for _, at := range []float64{-1, 0, 0.5, 1e9, math.NaN()} {
 			if got := tr.At(at); got != 0.25 {
 				t.Errorf("step=%g At(%g) = %g, want first sample 0.25", step, at, got)
 			}
