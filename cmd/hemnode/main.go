@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -77,10 +78,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *duration <= 0 || *capacity <= 0 {
-		return fmt.Errorf("duration and cap must be positive")
+	// Written so NaN fails every check.
+	if !(*duration > 0) || math.IsInf(*duration, 1) || !(*capacity > 0) || math.IsInf(*capacity, 1) {
+		return fmt.Errorf("duration and cap must be positive and finite (got %g s, %g F)", *duration, *capacity)
 	}
-	if *cloudiness < 0 || *cloudiness > 0.9 {
+	if !(0 <= *cloudiness && *cloudiness <= 0.9) {
 		return fmt.Errorf("cloudiness %g out of [0, 0.9]", *cloudiness)
 	}
 	if *campaigns < 1 {

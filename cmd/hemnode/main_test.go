@@ -43,6 +43,20 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-duration", "0.2", "-policy", "nonsense"}, &b); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	// Non-finite values: a NaN or infinite duration used to panic in the
+	// weather trace, a NaN capacitance to print NaN cycles, and a NaN
+	// cloudiness to run under a cloudless sky. The short duration keeps an
+	// accepted run quick.
+	for _, bad := range [][]string{
+		{"-duration", "NaN"}, {"-duration", "Inf"}, {"-duration", "-Inf"},
+		{"-duration", "0.01", "-cap", "NaN"}, {"-duration", "0.01", "-cap", "Inf"},
+		{"-duration", "0.01", "-cap", "-Inf"}, {"-duration", "0.01", "-cap", "0"},
+		{"-duration", "0.01", "-cloudiness", "NaN"},
+	} {
+		if err := run(bad, &b); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+	}
 }
 
 func TestRunDeterministicBySeed(t *testing.T) {

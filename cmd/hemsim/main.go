@@ -185,7 +185,7 @@ func run(args []string, stdout io.Writer) error {
 		traced := *traceFile != "" && e.Has(expt.SurfaceTrace) && !chaos
 		profiled := *profileFile != "" && e.Has(expt.SurfaceProfile)
 		csv := *csvDir != "" && e.Has(expt.SurfaceSeries)
-		work = append(work, runner.Job{ID: id, Run: func(w io.Writer) error {
+		work = append(work, runner.Job{ID: id, Priority: expt.Priority(id), Run: func(w io.Writer) error {
 			var obs expt.Observe
 			rec := trace.NewRecorder()
 			if traced {

@@ -9,15 +9,17 @@ package cap
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Errors returned by this package.
 var (
-	// ErrInvalidCapacitance indicates a non-positive capacitance.
-	ErrInvalidCapacitance = errors.New("cap: capacitance must be positive")
+	// ErrInvalidCapacitance indicates a capacitance that is not positive
+	// and finite.
+	ErrInvalidCapacitance = errors.New("cap: capacitance must be positive and finite")
 
 	// ErrVoltageOutOfRange indicates an initial voltage outside the
-	// capacitor's rated range.
+	// capacitor's rated range, or a rated maximum that is not finite.
 	ErrVoltageOutOfRange = errors.New("cap: voltage out of rated range")
 )
 
@@ -43,10 +45,11 @@ func WithLeakage(ohms float64) Option {
 // New returns a capacitor of the given capacitance (F) pre-charged to the
 // given voltage (V), with the given rated maximum voltage.
 func New(capacitance, initialVoltage, maxVoltage float64, opts ...Option) (*Capacitor, error) {
-	if capacitance <= 0 {
+	// Written so NaN fails every check.
+	if !(capacitance > 0) || math.IsInf(capacitance, 1) {
 		return nil, fmt.Errorf("%w: got %g F", ErrInvalidCapacitance, capacitance)
 	}
-	if initialVoltage < 0 || initialVoltage > maxVoltage {
+	if !(0 <= initialVoltage && initialVoltage <= maxVoltage) || math.IsInf(maxVoltage, 1) {
 		return nil, fmt.Errorf("%w: got %g V with max %g V", ErrVoltageOutOfRange, initialVoltage, maxVoltage)
 	}
 	c := &Capacitor{

@@ -29,6 +29,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1e-6, -0.1, 2); !errors.Is(err, ErrVoltageOutOfRange) {
 		t.Errorf("negative voltage: got %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []float64{nan, inf, -inf} {
+		if _, err := New(c, 1, 2); !errors.Is(err, ErrInvalidCapacitance) {
+			t.Errorf("C=%g: got %v, want ErrInvalidCapacitance", c, err)
+		}
+	}
+	for _, v := range [][2]float64{{nan, 2}, {1, nan}, {nan, nan}, {inf, 2}, {-inf, 2}, {1, inf}, {inf, inf}, {1, -inf}} {
+		if _, err := New(1e-6, v[0], v[1]); !errors.Is(err, ErrVoltageOutOfRange) {
+			t.Errorf("v0=%g max=%g: got %v, want ErrVoltageOutOfRange", v[0], v[1], err)
+		}
+	}
 }
 
 func TestAccessors(t *testing.T) {

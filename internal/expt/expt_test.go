@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -334,6 +335,28 @@ func TestRegistryRunsEverything(t *testing.T) {
 		}
 		if !strings.Contains(string(report), "==") {
 			t.Errorf("%s: report missing header", name)
+		}
+	}
+}
+
+// TestPriorityRanksLongPoles: every declared long pole is a registry ID
+// and outranks the one after it, and every other ID ranks 0.
+func TestPriorityRanksLongPoles(t *testing.T) {
+	table := Registry()
+	for i, id := range longPoles {
+		if _, ok := table[id]; !ok {
+			t.Errorf("long pole %q is not in the registry", id)
+		}
+		if i > 0 && Priority(id) >= Priority(longPoles[i-1]) {
+			t.Errorf("%s ranks %d, not below %s's %d", id, Priority(id), longPoles[i-1], Priority(longPoles[i-1]))
+		}
+		if Priority(id) <= 0 {
+			t.Errorf("%s ranks %d, want > 0", id, Priority(id))
+		}
+	}
+	for _, id := range append(Names(), "nope", "") {
+		if !slices.Contains(longPoles, id) && Priority(id) != 0 {
+			t.Errorf("%q ranks %d, want 0", id, Priority(id))
 		}
 	}
 }

@@ -213,6 +213,29 @@ func ExtIntermittent() (*ExtIntermittentResult, error) { return extIntermittent(
 // windows resolve over the same horizon.
 const extIntermittentMaxTime = 800e-3
 
+// blinkPeriod is ext-intermittent's light period (s): lit for the first
+// half of each period, dark for the second.
+const blinkPeriod = 6e-3
+
+// blinkPhase returns math.Mod(t, blinkPeriod) bit for bit, at a tenth of
+// its cost. For 0 < t < 2^52 periods the floored quotient q is the true
+// quotient n or n+1, because n and n+1 are floats and rounding is
+// monotone. t − q·blinkPeriod is then a multiple of ulp(blinkPeriod)
+// smaller than blinkPeriod in magnitude, so the FMA computes it exactly,
+// and adding blinkPeriod back when q overshot is exact as well. Every
+// other time (±0, negative, huge, NaN, ±Inf) takes math.Mod itself.
+func blinkPhase(t float64) float64 {
+	if 0 < t && t < blinkPeriod*(1<<52) {
+		q := math.Floor(t / blinkPeriod)
+		r := math.FMA(-q, blinkPeriod, t)
+		if r < 0 {
+			r += blinkPeriod
+		}
+		return r
+	}
+	return math.Mod(t, blinkPeriod)
+}
+
 // extIntermittent is the ExtIntermittent driver. Each checkpoint policy
 // records onto its own track and ledger. Under obs.Plan, brownout windows
 // darken the blinking profile and the plan's NVM section injects torn
@@ -220,7 +243,7 @@ const extIntermittentMaxTime = 800e-3
 // own deterministic stream.
 func extIntermittent(obs Observe) (*ExtIntermittentResult, error) {
 	blink := func(t float64) float64 {
-		if math.Mod(t, 6e-3) < 3e-3 {
+		if blinkPhase(t) < blinkPeriod/2 {
 			return 1.0
 		}
 		return 0

@@ -26,10 +26,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
+	"strconv"
 )
 
 // Errors returned by this package.
@@ -247,13 +247,32 @@ func LoadPlan(path string) (Plan, error) {
 }
 
 // StreamSeed derives the rng seed for one (plan seed, stream, domain)
-// triple by FNV-mixing the strings into the seed. Separate domains keep
-// the brownout draws from perturbing the NVM draws (and vice versa), so
-// adding faults in one domain never shifts another's sequence.
+// triple: the 64-bit FNV-1a hash of the seed's decimal digits, the stream
+// and the domain, NUL-separated (the bytes of
+// fmt.Sprintf("%d\x00%s\x00%s", seed, stream, domain), hashed without
+// fmt or a heap allocation). Separate domains keep the brownout draws from
+// perturbing the NVM draws (and vice versa), so adding faults in one
+// domain never shifts another's sequence.
 func StreamSeed(seed int64, stream, domain string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%s\x00%s", seed, stream, domain)
-	return int64(h.Sum64())
+	var digits [20]byte // len("-9223372036854775808")
+	h := fnv1a(fnvOffset64, strconv.AppendInt(digits[:0], seed, 10))
+	h = fnv1a(fnv1a(h, "\x00"), stream)
+	h = fnv1a(fnv1a(h, "\x00"), domain)
+	return int64(h)
+}
+
+// The 64-bit FNV-1a parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds the bytes of s into the FNV-1a state h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 // newRand returns the seeded stream for one injection domain.

@@ -2,7 +2,10 @@ package fault_test
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,6 +128,52 @@ func TestStreamSeedDomains(t *testing.T) {
 		if a == b {
 			t.Errorf("changing %s did not change the stream seed", name)
 		}
+	}
+}
+
+// streamSeedFmt is StreamSeed as first written: fmt formatting the key
+// into a hash/fnv hasher.
+func streamSeedFmt(seed int64, stream, domain string) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x00%s\x00%s", seed, stream, domain)
+	return int64(h.Sum64())
+}
+
+// TestStreamSeedMatchesFmt: StreamSeed hashes the same bytes as the fmt
+// version, so every seed derived from it is unchanged, and it allocates
+// nothing.
+func TestStreamSeedMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	label := func() string {
+		b := make([]byte, rng.Intn(12))
+		rng.Read(b)
+		return string(b)
+	}
+	seeds := []int64{0, 1, -1, 42, -42, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for i := 0; i < 2000; i++ {
+		seeds = append(seeds, int64(rng.Uint64()), rng.Int63n(1000)-500)
+	}
+	for i, seed := range seeds {
+		stream, domain := label(), label()
+		if i%7 == 0 {
+			stream = ""
+		}
+		if i%5 == 0 {
+			domain = ""
+		}
+		if got, want := fault.StreamSeed(seed, stream, domain), streamSeedFmt(seed, stream, domain); got != want {
+			t.Fatalf("StreamSeed(%d, %q, %q) = %d, want %d", seed, stream, domain, got, want)
+		}
+	}
+	for _, c := range []struct{ stream, domain string }{
+		{"node/0000042", "weather"}, {"scn/0003", "arrivals"}, {"", ""}, {"serve", "http"},
+	} {
+		if got, want := fault.StreamSeed(math.MinInt64, c.stream, c.domain), streamSeedFmt(math.MinInt64, c.stream, c.domain); got != want {
+			t.Errorf("StreamSeed(MinInt64, %q, %q) = %d, want %d", c.stream, c.domain, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { fault.StreamSeed(math.MinInt64, "node/0000042", "weather") }); n != 0 {
+		t.Errorf("StreamSeed allocates %.0f times, want 0", n)
 	}
 }
 

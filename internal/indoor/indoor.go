@@ -126,8 +126,8 @@ func (e *Environment) validate() error {
 // lights-out dwells instead of stepping them (see internal/circuit's
 // event-horizon stepping).
 func (e *Environment) Trace(rng *rand.Rand, duration, step float64) (*weather.Trace, error) {
-	if duration <= 0 || step <= 0 {
-		return nil, fmt.Errorf("%w: duration=%g step=%g", weather.ErrBadTrace, duration, step)
+	if err := weather.CheckGeometry(duration, step); err != nil {
+		return nil, err
 	}
 	if err := e.validate(); err != nil {
 		return nil, err

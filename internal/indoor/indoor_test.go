@@ -2,6 +2,7 @@ package indoor
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -99,6 +100,11 @@ func TestTraceErrors(t *testing.T) {
 	}
 	if _, err := New().Trace(rand.New(rand.NewSource(1)), 10, 0); !errors.Is(err, weather.ErrBadTrace) {
 		t.Errorf("zero step: %v", err)
+	}
+	for _, geo := range [][2]float64{{math.NaN(), 0.1}, {math.Inf(1), 0.1}, {10, math.NaN()}, {10, math.Inf(1)}} {
+		if _, err := New().Trace(rand.New(rand.NewSource(1)), geo[0], geo[1]); !errors.Is(err, weather.ErrBadTrace) {
+			t.Errorf("duration %g, step %g: %v, want ErrBadTrace", geo[0], geo[1], err)
+		}
 	}
 	for name, e := range map[string]*Environment{
 		"empty ladder":    New(withStages(nil)),

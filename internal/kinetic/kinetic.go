@@ -103,9 +103,10 @@ func New(opts ...Option) *Harvester {
 // the trace as its circuit.Config.IrradianceSource fast-forwards through
 // it instead of stepping (see internal/circuit's event-horizon stepping).
 func (h *Harvester) Trace(rng *rand.Rand, duration, step float64) (*weather.Trace, error) {
+	if err := weather.CheckGeometry(duration, step); err != nil {
+		return nil, err
+	}
 	switch {
-	case duration <= 0 || step <= 0:
-		return nil, fmt.Errorf("%w: duration=%g step=%g", weather.ErrBadTrace, duration, step)
 	case h.rate <= 0 || h.impulse <= 0 || h.decay <= 0:
 		return nil, fmt.Errorf("kinetic: rate, impulse and decay must be positive (rate=%g impulse=%g decay=%g)",
 			h.rate, h.impulse, h.decay)

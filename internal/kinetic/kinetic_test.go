@@ -88,6 +88,11 @@ func TestTraceErrors(t *testing.T) {
 	if _, err := New().Trace(rand.New(rand.NewSource(1)), 10, 0); !errors.Is(err, weather.ErrBadTrace) {
 		t.Errorf("zero step: %v", err)
 	}
+	for _, geo := range [][2]float64{{math.NaN(), 0.01}, {math.Inf(1), 0.01}, {10, math.NaN()}, {10, math.Inf(1)}} {
+		if _, err := New().Trace(rand.New(rand.NewSource(1)), geo[0], geo[1]); !errors.Is(err, weather.ErrBadTrace) {
+			t.Errorf("duration %g, step %g: %v, want ErrBadTrace", geo[0], geo[1], err)
+		}
+	}
 	for _, h := range []*Harvester{
 		New(WithRate(0)),
 		New(WithImpulse(-1)),

@@ -3,7 +3,14 @@
 // buffers are flushed strictly in submission order as soon as a job and all
 // of its predecessors have finished, so a parallel run produces exactly the
 // bytes of a serial one. It is the concurrency substrate of the hemsim and
-// hemnode commands (see DESIGN.md "Parallel experiment engine").
+// hemnode commands and of hemserved's batch endpoint (see DESIGN.md
+// "Parallel experiment engine").
+//
+// Dispatch order is separate from flush order: a pool of two or more
+// workers starts jobs by descending Job.Priority, ties in submission
+// order, so the long poles a caller declares start first instead of
+// leaving one worker to finish them alone. One worker runs the jobs in
+// submission order, like a serial loop.
 //
 // Jobs must not share mutable state: the expt drivers satisfy this because
 // every calibrated model (pv.Cell, cpu.Processor, reg.*) is immutable after
@@ -13,7 +20,9 @@ package runner
 
 import (
 	"bytes"
+	"cmp"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +40,11 @@ var jobsTotal = metrics.Default().Counter("runner_jobs_total",
 type Job struct {
 	ID  string
 	Run func(w io.Writer) error
+	// Priority orders dispatch on a pool of two or more workers: jobs with
+	// a higher Priority start first, and jobs of equal Priority start in
+	// submission order. It never changes the order of the results or of
+	// their flushes, and one worker ignores it.
+	Priority int
 }
 
 // Result is the outcome of one job.
@@ -62,8 +76,12 @@ func Run(jobs []Job, workers int) []Result {
 
 // Stream executes the jobs on up to `workers` goroutines and calls flush
 // for each result in job order, as soon as the job and all its
-// predecessors have completed. With workers == 1 the jobs therefore run
-// and flush exactly like a serial loop.
+// predecessors have completed. Two or more workers start the jobs in
+// Priority order, so a high-priority job late in the list is buffered
+// until its predecessors flush. With workers == 1 the jobs run in
+// submission order and flush exactly like a serial loop: reordering one
+// worker's queue cannot shorten its run, and would hold back every flush
+// behind the long jobs.
 //
 // If flush returns an error, no further jobs are started, the pool drains,
 // and that error is returned. Job errors do not stop the pool; they are
@@ -158,10 +176,27 @@ func ForEachSpan(n, workers int, fn func(lo, hi int)) {
 	})
 }
 
-// pool fans the jobs out over the workers, filling results[i] and closing
-// done[i] as each job completes. When results should be consumed as they
-// arrive (Stream), the returned channels signal per-job completion; Run
-// simply waits for all of them. A nil stop never skips.
+// dispatchOrder returns the job indices in the order workers claim them:
+// by descending Priority with ties in submission order, or submission
+// order when one worker runs them all.
+func dispatchOrder(jobs []Job, workers int) []int {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	if workers > 1 {
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(jobs[b].Priority, jobs[a].Priority)
+		})
+	}
+	return order
+}
+
+// pool fans the jobs out over the workers in dispatch order, filling
+// results[i] and closing done[i] as each job completes. When results
+// should be consumed as they arrive (Stream), the returned channels signal
+// per-job completion; Run simply waits for all of them. A nil stop never
+// skips.
 func pool(jobs []Job, workers int, results []Result, stop *atomic.Bool) []chan struct{} {
 	if workers < 1 {
 		workers = 1
@@ -174,7 +209,7 @@ func pool(jobs []Job, workers int, results []Result, stop *atomic.Bool) []chan s
 		done[i] = make(chan struct{})
 	}
 	idx := make(chan int, len(jobs))
-	for i := range jobs {
+	for _, i := range dispatchOrder(jobs, workers) {
 		idx <- i
 	}
 	close(idx)

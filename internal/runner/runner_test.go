@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,36 +103,129 @@ func TestRunReportsJobErrors(t *testing.T) {
 	}
 }
 
+// TestStreamFlushErrorStopsScheduling: once a flush fails, only the jobs
+// already in flight finish. Jobs past the first stopAfter+1 wait on a gate,
+// so each worker holds at most one of them when the pool stops, and no
+// other job may start. The stop flag Stream sets after the failing flush
+// returns is internal, so the gate opens on a timer; it only has to outlast
+// the two statements between that return and the flag. The last job has a
+// high priority, so two or more workers start it first; it does not wait
+// and adds one to the bound.
 func TestStreamFlushErrorStopsScheduling(t *testing.T) {
-	stopAfter := 3
-	var started atomic.Int32
-	var jobs []Job
-	for i := 0; i < 64; i++ {
-		jobs = append(jobs, Job{ID: fmt.Sprintf("j%d", i), Run: func(w io.Writer) error {
-			started.Add(1)
-			time.Sleep(2 * time.Millisecond) // keep the queue busy past the flush failure
-			return nil
-		}})
-	}
-	flushes := 0
-	wantErr := errors.New("disk full")
-	err := Stream(jobs, 2, func(r Result) error {
-		flushes++
-		if flushes > stopAfter {
-			return wantErr
+	const n, stopAfter = 64, 3
+	for _, workers := range []int{1, 2, 8} {
+		var started atomic.Int32
+		gate := make(chan struct{})
+		jobs := make([]Job, n)
+		for i := range jobs {
+			jobs[i] = Job{ID: fmt.Sprintf("j%d", i), Run: func(io.Writer) error {
+				started.Add(1)
+				if i > stopAfter && i < n-1 {
+					<-gate
+				}
+				return nil
+			}}
 		}
-		return nil
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("got %v, want flush error", err)
+		jobs[n-1].Priority = 1
+		flushes := 0
+		wantErr := errors.New("disk full")
+		err := Stream(jobs, workers, func(r Result) error {
+			flushes++
+			if flushes > stopAfter {
+				time.AfterFunc(50*time.Millisecond, func() { close(gate) })
+				return wantErr
+			}
+			return nil
+		})
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("workers=%d: got %v, want flush error", workers, err)
+		}
+		if flushes != stopAfter+1 {
+			t.Errorf("workers=%d: flush called %d times, want %d", workers, flushes, stopAfter+1)
+		}
+		if got, bound := int(started.Load()), stopAfter+2+workers; got > bound {
+			t.Errorf("workers=%d: %d jobs started, at most %d may have (flushed, prioritized, in flight)", workers, got, bound)
+		}
 	}
-	if flushes != stopAfter+1 {
-		t.Errorf("flush called %d times, want %d", flushes, stopAfter+1)
+}
+
+// TestStreamDispatchesByPriority: on two or more workers the job with the
+// highest priority starts first even when it is submitted last, while the
+// flushed bytes keep submission order. Every light job waits until the
+// heavy one has started, with a timeout, so plain submission order fails
+// instead of hanging. With one worker the jobs start in submission order,
+// priority or not, as a serial loop would run them.
+func TestStreamDispatchesByPriority(t *testing.T) {
+	const n = 12
+	var want bytes.Buffer
+	serial := make([]int, n)
+	for i := range serial {
+		serial[i] = i
+		fmt.Fprintf(&want, "report j%02d\n", i)
 	}
-	// With 2 workers a handful of jobs may already be in flight when the
-	// flush fails, but the bulk of the queue must have been skipped.
-	if n := started.Load(); n == 64 {
-		t.Errorf("all %d jobs ran despite the flush error", n)
+	for _, workers := range []int{1, 2, 3, 8} {
+		heavyStarted := make(chan struct{})
+		var mu sync.Mutex
+		var starts []int
+		jobs := make([]Job, n)
+		for i := range jobs {
+			jobs[i] = Job{ID: fmt.Sprintf("j%02d", i), Run: func(w io.Writer) error {
+				mu.Lock()
+				starts = append(starts, i)
+				mu.Unlock()
+				switch {
+				case i == n-1:
+					close(heavyStarted)
+				case workers > 1:
+					select {
+					case <-heavyStarted:
+					case <-time.After(10 * time.Second):
+						return errors.New("started before the heavy job")
+					}
+				}
+				fmt.Fprintf(w, "report j%02d\n", i)
+				return nil
+			}}
+		}
+		jobs[n-1].Priority = 1
+		var got bytes.Buffer
+		err := Stream(jobs, workers, func(r Result) error {
+			if r.Err != nil {
+				return fmt.Errorf("%s: %w", r.ID, r.Err)
+			}
+			_, err := got.Write(r.Output)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("workers=%d: flushed\n%s\nwant\n%s", workers, got.String(), want.String())
+		}
+		if workers == 1 && !slices.Equal(starts, serial) {
+			t.Errorf("one worker started the jobs in order %v, want %v", starts, serial)
+		}
+	}
+}
+
+// TestDispatchOrder pins the claim order: descending priority, ties in
+// submission order, and plain submission order for one worker.
+func TestDispatchOrder(t *testing.T) {
+	jobs := make([]Job, 7)
+	for i, p := range []int{0, 2, 1, 2, 0, 1, -1} {
+		jobs[i].Priority = p
+	}
+	for _, tc := range []struct {
+		workers int
+		want    []int
+	}{
+		{1, []int{0, 1, 2, 3, 4, 5, 6}},
+		{2, []int{1, 3, 2, 5, 0, 4, 6}},
+		{8, []int{1, 3, 2, 5, 0, 4, 6}},
+	} {
+		if got := dispatchOrder(jobs, tc.workers); !slices.Equal(got, tc.want) {
+			t.Errorf("workers=%d: order %v, want %v", tc.workers, got, tc.want)
+		}
 	}
 }
 

@@ -265,8 +265,8 @@ type batchResult struct {
 }
 
 // handleExperimentsBatch renders several experiments concurrently on the
-// runner pool, each render passing the simulation gate and the report
-// cache, and returns them in request order.
+// runner pool, long poles first (expt.Priority), each render passing the
+// simulation gate and the report cache, and returns them in request order.
 func (s *Server) handleExperimentsBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decodeJSON(w, r, &req) {
@@ -282,7 +282,7 @@ func (s *Server) handleExperimentsBatch(w http.ResponseWriter, r *http.Request) 
 	}
 	jobs := make([]runner.Job, len(ids))
 	for i, id := range ids {
-		jobs[i] = runner.Job{ID: id, Run: func(jw io.Writer) error {
+		jobs[i] = runner.Job{ID: id, Priority: expt.Priority(id), Run: func(jw io.Writer) error {
 			body, err := s.renderExperimentRetry(r, id, "")
 			if err != nil {
 				return err

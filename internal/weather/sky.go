@@ -38,8 +38,8 @@ type Sky struct {
 // never goes dark. scale must be positive: then no sample before the cut
 // is zero, which is what lets NextChange answer from the cut alone.
 func NewSky(seed int64, duration, step, scale, cut float64, opts ...Option) (*Sky, error) {
-	if duration <= 0 || step <= 0 {
-		return nil, fmt.Errorf("%w: duration=%g step=%g", ErrBadTrace, duration, step)
+	if err := CheckGeometry(duration, step); err != nil {
+		return nil, err
 	}
 	if !(scale*attenFloor > 0) {
 		return nil, fmt.Errorf("weather: sky scale %g is not positive", scale)

@@ -28,7 +28,7 @@ import (
 // Errors returned by this package.
 var (
 	// ErrBadTrace indicates invalid duration or step for a trace.
-	ErrBadTrace = errors.New("weather: duration and step must be positive")
+	ErrBadTrace = errors.New("weather: duration and step must be positive and finite")
 )
 
 // Generator produces irradiance traces. Construct with NewGenerator.
@@ -262,11 +262,22 @@ func sampleCount(duration, step float64) int {
 	return int(x) + 1
 }
 
+// CheckGeometry returns an error wrapping ErrBadTrace unless duration and
+// step are positive and finite. A bare `<= 0` check lets NaN and ±Inf
+// through to sampleCount, which turns them into a negative or meaningless
+// sample count.
+func CheckGeometry(duration, step float64) error {
+	if !(duration > 0 && step > 0) || math.IsInf(duration, 0) || math.IsInf(step, 0) {
+		return fmt.Errorf("%w: duration=%g step=%g", ErrBadTrace, duration, step)
+	}
+	return nil
+}
+
 // ClearSky returns the deterministic daylight envelope trace: zero before
 // sunrise and after sunset, a half-sine peaking at `peak` in between.
 func ClearSky(duration, step, sunrise, sunset, peak float64) (*Trace, error) {
-	if duration <= 0 || step <= 0 {
-		return nil, fmt.Errorf("%w: duration=%g step=%g", ErrBadTrace, duration, step)
+	if err := CheckGeometry(duration, step); err != nil {
+		return nil, err
 	}
 	n := sampleCount(duration, step)
 	tr := &Trace{Step: step, Samples: make([]float64, n)}
@@ -285,8 +296,8 @@ func ClearSky(duration, step, sunrise, sunset, peak float64) (*Trace, error) {
 // sample step under the given clear-sky envelope. If envelope is nil a
 // constant envelope of 1.0 (bench light) is used.
 func (g *Generator) Trace(duration, step float64, envelope *Trace) (*Trace, error) {
-	if duration <= 0 || step <= 0 {
-		return nil, fmt.Errorf("%w: duration=%g step=%g", ErrBadTrace, duration, step)
+	if err := CheckGeometry(duration, step); err != nil {
+		return nil, err
 	}
 	tr := NewTrace(duration, step)
 	smp := g.newSampler(step)

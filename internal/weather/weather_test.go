@@ -254,13 +254,30 @@ func TestAtDegenerateStep(t *testing.T) {
 	}
 }
 
+// badGeometries are (duration, step) pairs no trace can be sampled on:
+// non-positive or non-finite, NaN and ±Inf included.
+var badGeometries = [][2]float64{
+	{0, 0.1}, {10, 0}, {-1, 0.1}, {10, -0.1},
+	{math.NaN(), 0.1}, {10, math.NaN()}, {math.NaN(), math.NaN()},
+	{math.Inf(1), 0.1}, {math.Inf(-1), 0.1}, {10, math.Inf(1)}, {math.Inf(1), math.Inf(1)},
+}
+
+// TestTraceErrors: every constructor answers ErrBadTrace for a bad
+// geometry instead of panicking on a negative sample count or returning a
+// trace of garbage length.
 func TestTraceErrors(t *testing.T) {
 	g := NewGenerator(rand.New(rand.NewSource(1)))
-	if _, err := g.Trace(0, 0.1, nil); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("zero duration: %v", err)
-	}
-	if _, err := g.Trace(10, 0, nil); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("zero step: %v", err)
+	for _, geo := range badGeometries {
+		d, step := geo[0], geo[1]
+		if _, err := g.Trace(d, step, nil); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("Trace(%g, %g): %v, want ErrBadTrace", d, step, err)
+		}
+		if _, err := ClearSky(d, step, 2, 8, 1); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("ClearSky(%g, %g): %v, want ErrBadTrace", d, step, err)
+		}
+		if _, err := NewSky(1, d, step, 1, math.Inf(1)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("NewSky(%g, %g): %v, want ErrBadTrace", d, step, err)
+		}
 	}
 }
 
