@@ -23,9 +23,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
@@ -239,44 +237,18 @@ func campaign(cfg campaignConfig, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "energy harvested: %.1f mJ; storage left at %.2f V\n",
 		out.EnergyHarvested*1e3, storage.Voltage())
 	if rec != nil {
-		if err := writeEvents(cfg.tracePath, rec.Events()); err != nil {
+		if err := trace.WriteFile(cfg.tracePath, trace.FormatFor(cfg.tracePath), rec.Events()); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "trace events written to %s (%d events)\n", cfg.tracePath, rec.Len())
 	}
 	if profile != nil {
-		f, err := os.Create(cfg.profPath)
-		if err != nil {
-			return fmt.Errorf("create profile file: %w", err)
-		}
-		defer f.Close()
-		if err := prof.WritePprof(f, profile); err != nil {
-			return fmt.Errorf("write profile: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := prof.WriteFile(cfg.profPath, profile); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "energy profile written to %s\n", cfg.profPath)
 	}
 	return nil
-}
-
-// writeEvents exports the campaign's simulation events; the extension
-// selects the format (.json is a Chrome trace, anything else JSONL).
-func writeEvents(path string, events []trace.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create trace file: %w", err)
-	}
-	defer f.Close()
-	format := trace.FormatJSONL
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		format = trace.FormatChrome
-	}
-	if err := trace.Write(f, format, events); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return f.Close()
 }
 
 // writeTraceCSV exports the irradiance trace.

@@ -45,10 +45,12 @@ func TestRunValidation(t *testing.T) {
 	}
 	// Non-finite values: a NaN or infinite duration used to panic in the
 	// weather trace, a NaN capacitance to print NaN cycles, and a NaN
-	// cloudiness to run under a cloudless sky. The short duration keeps an
-	// accepted run quick.
+	// cloudiness to run under a cloudless sky. So did a duration whose
+	// 5 ms trace needs weather.MaxSamples samples or more. The short
+	// duration keeps an accepted run quick.
 	for _, bad := range [][]string{
 		{"-duration", "NaN"}, {"-duration", "Inf"}, {"-duration", "-Inf"},
+		{"-duration", "1e300"}, {"-duration", "1e13"},
 		{"-duration", "0.01", "-cap", "NaN"}, {"-duration", "0.01", "-cap", "Inf"},
 		{"-duration", "0.01", "-cap", "-Inf"}, {"-duration", "0.01", "-cap", "0"},
 		{"-duration", "0.01", "-cloudiness", "NaN"},

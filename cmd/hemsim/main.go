@@ -256,7 +256,7 @@ func run(args []string, stdout io.Writer) error {
 				merged.Merge(pp)
 			}
 		}
-		if err := writeProfile(*profileFile, merged); err != nil {
+		if err := prof.WriteFile(*profileFile, merged); err != nil {
 			return err
 		}
 	}
@@ -310,7 +310,7 @@ func runScenario(specPath string, workers int, traceFile, profileFile, csvDir, r
 		}
 	}
 	if profileFile != "" {
-		if err := writeProfile(profileFile, cfg.Profile); err != nil {
+		if err := prof.WriteFile(profileFile, cfg.Profile); err != nil {
 			return err
 		}
 	}
@@ -375,7 +375,7 @@ func runFleet(specText string, seed int64, seedSet bool, workers int, traceFile,
 		}
 	}
 	if profileFile != "" {
-		if err := writeProfile(profileFile, cfg.Profile); err != nil {
+		if err := prof.WriteFile(profileFile, cfg.Profile); err != nil {
 			return err
 		}
 	}
@@ -408,37 +408,7 @@ func writeTrace(path string, batches [][]trace.Event, timings []runner.Result, w
 		}
 		events = trace.Merge(events, rec.Events())
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create trace file: %w", err)
-	}
-	defer f.Close()
-	if err := trace.Write(f, traceFormat(path), events); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return f.Close()
-}
-
-// writeProfile writes the merged energy profile as gzipped pprof bytes.
-func writeProfile(path string, p *prof.Profile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create profile file: %w", err)
-	}
-	defer f.Close()
-	if err := prof.WritePprof(f, p); err != nil {
-		return fmt.Errorf("write profile: %w", err)
-	}
-	return f.Close()
-}
-
-// traceFormat selects the export format from the file extension: .json is
-// a Chrome trace (chrome://tracing, Perfetto), anything else JSONL.
-func traceFormat(path string) string {
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		return trace.FormatChrome
-	}
-	return trace.FormatJSONL
+	return trace.WriteFile(path, trace.FormatFor(path), events)
 }
 
 // writeTimingFooter reports per-experiment wall-clock plus the aggregate

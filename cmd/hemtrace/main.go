@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/expt"
@@ -83,14 +82,12 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("record wants exactly one experiment ID (hemtrace list shows the traced ones)")
 	}
-	f := trace.FormatJSONL
+	f := trace.FormatFor(*out)
 	if *format != "" {
 		var err error
 		if f, err = namedFormat(*format); err != nil {
 			return err
 		}
-	} else if isJSONExt(*out) {
-		f = trace.FormatChrome
 	}
 	events, err := expt.TraceEvents(fs.Arg(0))
 	if err != nil {
@@ -136,16 +133,14 @@ func cmdConvert(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var f string
+	f := trace.FormatChrome // convert's default output is the viewer format
 	switch {
 	case *format != "":
 		if f, err = namedFormat(*format); err != nil {
 			return err
 		}
-	case *out == "" || isJSONExt(*out):
-		f = trace.FormatChrome // convert's default output is the viewer format
-	default:
-		f = trace.FormatJSONL
+	case *out != "":
+		f = trace.FormatFor(*out)
 	}
 	return writeOut(*out, f, events, stdout)
 }
@@ -203,23 +198,10 @@ func namedFormat(name string) (string, error) {
 	}
 }
 
-// isJSONExt reports whether the path's extension marks a Chrome trace.
-func isJSONExt(path string) bool {
-	return strings.EqualFold(filepath.Ext(path), ".json")
-}
-
 // writeOut renders the events to -o, or stdout when empty.
 func writeOut(out, format string, events []trace.Event, stdout io.Writer) error {
 	if out == "" {
 		return trace.Write(stdout, format, events)
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.Write(f, format, events); err != nil {
-		return err
-	}
-	return f.Close()
+	return trace.WriteFile(out, format, events)
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/pv"
 	"repro/internal/reg"
+	"repro/internal/search"
 )
 
 // Analysis search parameters. Efficiency landscapes of multi-ratio
@@ -220,15 +221,8 @@ func (s *System) BypassCrossover(r reg.Regulator, loIrr, hiIrr float64) float64 
 		// The regulator wins even at the bottom.
 		return loIrr
 	}
-	lo, hi := loIrr, hiIrr
-	for iter := 0; iter < maxRefineIterations && hi-lo > 1e-5; iter++ {
-		mid := 0.5 * (lo + hi)
-		if s.DecideBypass(r, mid).Bypass {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, hi := search.Bisect(loIrr, hiIrr, 1e-5, maxRefineIterations,
+		func(irr float64) bool { return s.DecideBypass(r, irr).Bypass })
 	return 0.5 * (lo + hi)
 }
 
@@ -314,25 +308,8 @@ func maximizeScan(lo, hi float64, f func(float64) float64) (x, fx float64) {
 			bestX, bestF = v, fv
 		}
 	}
-	a := math.Max(lo, bestX-step)
-	b := math.Min(hi, bestX+step)
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for iter := 0; iter < maxRefineIterations && b-a > voltageSolveTolerance; iter++ {
-		if f1 < f2 {
-			a = x1
-			x1, f1 = x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		} else {
-			b = x2
-			x2, f2 = x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		}
-	}
+	a, b := search.GoldenMax(math.Max(lo, bestX-step), math.Min(hi, bestX+step),
+		voltageSolveTolerance, maxRefineIterations, f)
 	x = 0.5 * (a + b)
 	fx = f(x)
 	if fx < bestF {

@@ -21,6 +21,8 @@ package cpu
 import (
 	"errors"
 	"math"
+
+	"repro/internal/search"
 )
 
 // Solver parameters shared by the iterative routines in this package.
@@ -272,34 +274,14 @@ func (p *Processor) LeakageEnergyPerCycle(v float64) float64 {
 // ConventionalMEP returns the supply voltage (V) minimising EnergyPerCycle
 // over the functional voltage range, together with the minimum energy per
 // cycle (J). This is the classical minimum energy point that ignores the
-// voltage regulator, as in the paper's ref. [24].
+// voltage regulator, as in the paper's ref. [24]. It is found by
+// golden-section search: energy per cycle is unimodal in the supply
+// (leakage-dominated on the left, dynamic on the right).
 func (p *Processor) ConventionalMEP() (voltage, energy float64) {
-	return minimizeEnergy(p.minVoltage, p.maxVoltage, p.EnergyPerCycle)
-}
-
-// minimizeEnergy finds the minimiser of f over [lo, hi] by golden-section
-// search. f must be unimodal over the interval, which holds for energy-per-
-// cycle style curves (leakage-dominated on the left, dynamic on the right).
-func minimizeEnergy(lo, hi float64, f func(float64) float64) (x, fx float64) {
-	const invPhi = 0.6180339887498949
-	x1 := hi - invPhi*(hi-lo)
-	x2 := lo + invPhi*(hi-lo)
-	f1, f2 := f(x1), f(x2)
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		if f1 > f2 {
-			lo = x1
-			x1, f1 = x2, f2
-			x2 = lo + invPhi*(hi-lo)
-			f2 = f(x2)
-		} else {
-			hi = x2
-			x2, f2 = x1, f1
-			x1 = hi - invPhi*(hi-lo)
-			f1 = f(x1)
-		}
-	}
-	x = 0.5 * (lo + hi)
-	return x, f(x)
+	lo, hi := search.GoldenMax(p.minVoltage, p.maxVoltage, voltageSolveTolerance, maxSolverIterations,
+		func(v float64) float64 { return -p.EnergyPerCycle(v) })
+	voltage = 0.5 * (lo + hi)
+	return voltage, p.EnergyPerCycle(voltage)
 }
 
 // VoltageForFrequency returns the lowest supply voltage (V) at which the
@@ -344,22 +326,20 @@ func (p *Processor) VoltageForFrequencyWarm(f float64, state *FreqSolverState) (
 		return state.v, nil
 	}
 	fA, fB := math.Inf(-1), math.Inf(1)
-	lo, hi := p.thresholdVoltage, p.maxVoltage
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		fm := p.MaxFrequency(mid)
-		if fm < f {
-			lo = mid
-			if fm > fA {
-				fA = fm
+	lo, hi := search.Bisect(p.thresholdVoltage, p.maxVoltage, voltageSolveTolerance, maxSolverIterations,
+		func(mid float64) bool {
+			fm := p.MaxFrequency(mid)
+			if fm < f {
+				if fm > fA {
+					fA = fm
+				}
+				return true
 			}
-		} else {
-			hi = mid
 			if fm < fB {
 				fB = fm
 			}
-		}
-	}
+			return false
+		})
 	v := 0.5 * (lo + hi)
 	if v < p.minVoltage {
 		v = p.minVoltage

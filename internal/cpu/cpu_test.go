@@ -383,6 +383,24 @@ func TestVoltageForFrequencyWarmIntervalMemo(t *testing.T) {
 	}
 }
 
+// TestVoltageForFrequencyWarmAllocs pins a memo miss at zero allocations:
+// the bisection's predicate captures the memo bounds fA and fB, and it
+// must stay on the stack for a DVFS controller that re-solves every step.
+func TestVoltageForFrequencyWarmAllocs(t *testing.T) {
+	p := NewProcessor()
+	var state FreqSolverState
+	f := 40e6
+	allocs := testing.AllocsPerRun(100, func() {
+		f = 120e6 - f // alternate between 40 and 80 MHz, so every call misses
+		if _, err := p.VoltageForFrequencyWarm(f, &state); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("VoltageForFrequencyWarm miss allocates %v times, want 0", allocs)
+	}
+}
+
 // TestSupplyMemoParity checks the supply memo against the Processor methods
 // bit for bit: random supplies and clocks, edge inputs, repeated and
 // alternating supplies, processors swapped on one memo, leakage-only runs

@@ -108,14 +108,11 @@ type Hibernator interface {
 
 // VoltageTriggeredPolicy checkpoints when the storage node falls below a
 // threshold — the Hibernus++-style just-in-time discipline: checkpoint only
-// when death is imminent, then hibernate until the supply recovers above
-// the wake threshold.
+// when death is imminent, then hibernate until the supply recovers to 50 mV
+// above the threshold.
 type VoltageTriggeredPolicy struct {
 	// Threshold is the node voltage (V) below which a checkpoint fires.
 	Threshold float64
-	// Wake is the node voltage (V) above which hibernation ends. Zero
-	// selects Threshold + 0.05 V.
-	Wake float64
 	// MinUncommitted suppresses checkpoints when there is almost nothing
 	// to save (avoids re-checkpointing in a brown zone).
 	MinUncommitted float64
@@ -133,11 +130,7 @@ func (p VoltageTriggeredPolicy) ShouldCheckpoint(uncommitted, nodeVoltage float6
 
 // ShouldSleep implements Hibernator.
 func (p VoltageTriggeredPolicy) ShouldSleep(nodeVoltage float64) bool {
-	wake := p.Wake
-	if wake == 0 {
-		wake = p.Threshold + 0.05
-	}
-	return nodeVoltage < wake
+	return nodeVoltage < p.Threshold+0.05
 }
 
 // Name implements Policy.
@@ -241,13 +234,10 @@ type Executor struct {
 	Task Task
 	// Policy decides when to checkpoint. Required.
 	Policy Policy
-	// Supply and Frequency command the regulated DVFS point. A zero
-	// Frequency selects the maximum at Supply.
-	Supply    float64
-	Frequency float64
-	// Bypass switches to direct connection when the regulator cannot
-	// sustain the supply.
-	Bypass bool
+	// Supply is the regulated supply (V) the task runs at, clocked at the
+	// maximum frequency there; a regulator in dropout delivers the top of
+	// its range, and the simulator caps the clock at that supply's maximum.
+	Supply float64
 
 	// Faults, when non-nil, injects NVM failures (torn commit marks,
 	// restore-time bit-rot). Nil disables injection.
@@ -310,29 +300,12 @@ func (e *Executor) command(s *circuit.State) {
 		s.SetFrequency(0) // clock-gate and wait for the supply to recover
 		return
 	}
-	if s.Bypassed() {
-		s.SetFrequency(e.targetFrequency(s))
-		return
-	}
 	supply := e.Supply
-	_, hi := s.Regulator().OutputRange(s.CapVoltage())
-	if supply > hi {
-		if e.Bypass && s.CapVoltage() > hi {
-			s.SetBypass(true)
-			s.SetFrequency(e.targetFrequency(s))
-			return
-		}
+	if _, hi := s.Regulator().OutputRange(s.CapVoltage()); supply > hi {
 		supply = hi
 	}
 	s.SetSupply(supply)
-	s.SetFrequency(e.targetFrequency(s))
-}
-
-func (e *Executor) targetFrequency(s *circuit.State) float64 {
-	if e.Frequency > 0 {
-		return e.Frequency
-	}
-	return e.supplyMemo.MaxFrequency(s.Processor(), e.Supply)
+	s.SetFrequency(e.supplyMemo.MaxFrequency(s.Processor(), e.Supply))
 }
 
 // OnStep implements circuit.Controller: attribute the cycles executed since

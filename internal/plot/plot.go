@@ -29,21 +29,17 @@ type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int // plot area columns; 0 selects 72
-	Height int // plot area rows; 0 selects 20
 }
+
+// The plot area of every chart, in columns and rows.
+const (
+	width  = 72
+	height = 20
+)
 
 // Render draws the series into w as an ASCII chart. Non-finite points are
 // skipped; it returns ErrNoData when nothing remains.
 func (c Chart) Render(w io.Writer, series ...Series) error {
-	width, height := c.Width, c.Height
-	if width <= 0 {
-		width = 72
-	}
-	if height <= 0 {
-		height = 20
-	}
-
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	finite := 0

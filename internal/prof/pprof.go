@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 )
 
 // protobuf wire types used by profile.proto.
@@ -136,6 +137,20 @@ func (t *stringTable) index(s string) int64 {
 	t.byVal[s] = i
 	t.vals = append(t.vals, s)
 	return i
+}
+
+// WriteFile creates (or truncates) the file at path and writes the
+// profile to it as WritePprof encodes it.
+func WriteFile(path string, p *Profile) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create profile file: %w", err)
+	}
+	defer f.Close()
+	if err := WritePprof(f, p); err != nil {
+		return fmt.Errorf("write profile: %w", err)
+	}
+	return f.Close()
 }
 
 // WritePprof encodes the profile as a gzipped pprof protobuf. Equal

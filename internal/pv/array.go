@@ -69,6 +69,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/search"
 )
 
 const (
@@ -230,7 +232,9 @@ func (s *stringSolver) segmentRoot(i int, current float64) (vstar, band float64)
 // A probe farther than band from vstar is decided by its position; any
 // other calls cell.Current. With an infinite band this is the original
 // solver verbatim, the replay's fallback and oracle. It also returns the
-// number of Current evaluations, which only the package's tests read.
+// number of Current evaluations, which only the package's tests read. It
+// is not search.Bisect: in ext-shading's hot loop the band test decides
+// most probes without a call.
 func (s *stringSolver) bisectSegment(i int, current, vstar, band float64) (v float64, evals int) {
 	cell, irr := s.arr.segments[i], s.irrs[i]
 	lo, hi := 0.0, s.vocs[i]
@@ -275,15 +279,8 @@ func (s *stringSolver) current(v float64) float64 {
 	if s.stringVoltage(0) <= v {
 		return 0 // at or beyond open circuit
 	}
-	lo, hi := 0.0, maxIsc
-	for iter := 0; iter < maxSolverIterations && hi-lo > 1e-8; iter++ {
-		mid := 0.5 * (lo + hi)
-		if s.stringVoltage(mid) > v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, hi := search.Bisect(0, maxIsc, 1e-8, maxSolverIterations,
+		func(i float64) bool { return s.stringVoltage(i) > v })
 	return 0.5 * (lo + hi)
 }
 
@@ -348,22 +345,8 @@ func (s *stringSolver) globalMPP() (voltage, power float64) {
 	}
 	// Refine around the best scan point.
 	step := voc / scanPoints
-	lo, hi := math.Max(0, bestV-step), math.Min(voc, bestV+step)
-	const invPhi = 0.6180339887498949
-	x1 := hi - invPhi*(hi-lo)
-	x2 := lo + invPhi*(hi-lo)
-	f1, f2 := s.power(x1), s.power(x2)
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		if f1 < f2 {
-			lo, x1, f1 = x1, x2, f2
-			x2 = lo + invPhi*(hi-lo)
-			f2 = s.power(x2)
-		} else {
-			hi, x2, f2 = x2, x1, f1
-			x1 = hi - invPhi*(hi-lo)
-			f1 = s.power(x1)
-		}
-	}
+	lo, hi := search.GoldenMax(math.Max(0, bestV-step), math.Min(voc, bestV+step),
+		voltageSolveTolerance, maxSolverIterations, s.power)
 	v := 0.5 * (lo + hi)
 	if p := s.power(v); p > bestP {
 		return v, p

@@ -442,7 +442,8 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 // currentBisect is the original solver, kept verbatim as the fallback and
 // the correctness oracle: bisection on I over [-iph, iph] (extended
 // geometrically below -iph when the operating point lies far beyond Voc),
-// exploiting that f is strictly decreasing in I.
+// exploiting that f is strictly decreasing in I. It is not search.Bisect:
+// it is the reference replayBisect mirrors operation for operation.
 func (c *Cell) currentBisect(v, iph float64) float64 {
 	lo, hi := -iph, iph // allow negative current beyond Voc
 	if c.loadResidual(v, iph, lo) < 0 {
@@ -469,7 +470,8 @@ func (c *Cell) currentBisect(v, iph float64) float64 {
 // the root — except inside the guard band, where the true residual is
 // evaluated just as the bisection would. It also reports whether the replay
 // reached the root's binade and whether a certified block prefix served it
-// there, which only the package's tests read.
+// there, which only the package's tests read. Its loops decide most probes
+// without a residual, which search.Bisect's predicate cannot express.
 func (c *Cell) replayBisect(v, iph, root float64) (i float64, binade, blocked bool) {
 	margin := replayMarginAbs + replayMarginRel*(math.Abs(root)+iph)
 	bandLo, bandHi := root-margin, root+margin

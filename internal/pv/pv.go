@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/search"
 )
 
 // Physical constants for the diode equation.
@@ -185,15 +187,9 @@ func (c *Cell) OpenCircuitVoltage(irradiance float64) float64 {
 	if irradiance <= 0 {
 		return 0
 	}
-	lo, hi := 0.0, 2.0*c.junctionScale()*math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		if c.Current(mid, irradiance) > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	top := 2.0 * c.junctionScale() * math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
+	lo, hi := search.Bisect(0, top, voltageSolveTolerance, maxSolverIterations,
+		func(v float64) bool { return c.Current(v, irradiance) > 0 })
 	return 0.5 * (lo + hi)
 }
 
@@ -205,26 +201,8 @@ func (c *Cell) MPP(irradiance float64) (voltage, power float64) {
 	if irradiance <= 0 {
 		return 0, 0
 	}
-	voc := c.OpenCircuitVoltage(irradiance)
-	const invPhi = 0.6180339887498949 // 1/golden ratio
-	lo, hi := 0.0, voc
-	x1 := hi - invPhi*(hi-lo)
-	x2 := lo + invPhi*(hi-lo)
-	f1 := c.Power(x1, irradiance)
-	f2 := c.Power(x2, irradiance)
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		if f1 < f2 {
-			lo = x1
-			x1, f1 = x2, f2
-			x2 = lo + invPhi*(hi-lo)
-			f2 = c.Power(x2, irradiance)
-		} else {
-			hi = x2
-			x2, f2 = x1, f1
-			x1 = hi - invPhi*(hi-lo)
-			f1 = c.Power(x1, irradiance)
-		}
-	}
+	lo, hi := search.GoldenMax(0, c.OpenCircuitVoltage(irradiance), voltageSolveTolerance, maxSolverIterations,
+		func(v float64) float64 { return c.Power(v, irradiance) })
 	v := 0.5 * (lo + hi)
 	return v, c.Power(v, irradiance)
 }
@@ -240,23 +218,16 @@ func (c *Cell) OperatingPoint(irradiance float64, load func(v float64) float64) 
 	}
 	voc := c.OpenCircuitVoltage(irradiance)
 	g := func(v float64) float64 { return c.Current(v, irradiance) - load(v) }
-	lo, hi := 0.0, voc
-	if g(lo) < 0 {
+	if g(0) < 0 {
 		return 0, fmt.Errorf("%w: load draws %.3g A at 0 V but cell supplies at most %.3g A",
 			ErrNoOperatingPoint, load(0), c.ShortCircuitCurrent(irradiance))
 	}
-	if g(hi) > 0 {
+	if g(voc) > 0 {
 		// Load draws nothing even at Voc: the node floats at Voc.
 		return voc, nil
 	}
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		if g(mid) > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, hi := search.Bisect(0, voc, voltageSolveTolerance, maxSolverIterations,
+		func(v float64) bool { return g(v) > 0 })
 	return 0.5 * (lo + hi), nil
 }
 

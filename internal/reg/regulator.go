@@ -12,6 +12,8 @@ package reg
 import (
 	"errors"
 	"math"
+
+	"repro/internal/search"
 )
 
 // Solver parameters for the iterative routines in this package.
@@ -60,8 +62,6 @@ func OutputPower(r Regulator, vin, vout, pin float64) (float64, error) {
 	if lo, hi := r.OutputRange(vin); vout < lo || vout > hi {
 		return 0, ErrUnreachableOutput
 	}
-	// Upper bound: efficiency never exceeds 1, so pout <= pin.
-	lo, hi := 0.0, pin
 	drawn := func(pout float64) float64 {
 		eta := r.Efficiency(vin, vout, pout)
 		if eta <= 0 {
@@ -69,17 +69,12 @@ func OutputPower(r Regulator, vin, vout, pin float64) (float64, error) {
 		}
 		return pout / eta
 	}
-	if drawn(hi) <= pin {
-		return hi, nil
+	// Upper bound: efficiency never exceeds 1, so pout <= pin.
+	if drawn(pin) <= pin {
+		return pin, nil
 	}
-	for iter := 0; iter < maxSolverIterations && hi-lo > powerSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		if drawn(mid) <= pin {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, hi := search.Bisect(0, pin, powerSolveTolerance, maxSolverIterations,
+		func(pout float64) bool { return drawn(pout) <= pin })
 	pout := 0.5 * (lo + hi)
 	if pout <= powerSolveTolerance {
 		return 0, ErrNoUsefulOutput

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/prof"
 	"repro/internal/trace"
+	"repro/internal/weather"
 )
 
 // demoSpec composes a kinetic harvester with Poisson radio arrivals over a
@@ -164,6 +165,35 @@ func TestParseScenarioRejects(t *testing.T) {
 			t.Errorf("ParseScenario(%s) accepted", bad)
 		} else if !errors.Is(err, ErrBadSpec) {
 			t.Errorf("ParseScenario(%s) returned %v, want ErrBadSpec", bad, err)
+		}
+	}
+}
+
+// TestSourceTraceRejectsHugeGeometry: a valid spec whose horizon/step
+// quotient is at or above weather.MaxSamples gets ErrBadTrace from every
+// source kind. The bench source sized its trace without the check and
+// panicked in make (1e300 s is beyond int range, 1e13/0.005 beyond make's
+// byte limit).
+func TestSourceTraceRejectsHugeGeometry(t *testing.T) {
+	for _, source := range []string{
+		`{"kind":"bench","level":1}`,
+		`{"kind":"clearsky"}`,
+		`{"kind":"cloudy"}`,
+		`{"kind":"kinetic"}`,
+		`{"kind":"indoor"}`,
+	} {
+		for _, geometry := range []string{`{"horizon_s":1e300}`, `{"horizon_s":1e13,"step_s":0.005}`} {
+			text := `{"source":` + source + `,"geometry":` + geometry + `}`
+			spec, err := ParseScenario([]byte(text))
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if _, err := spec.SourceTrace(); !errors.Is(err, weather.ErrBadTrace) {
+				t.Errorf("%s: SourceTrace returned %v, want ErrBadTrace", text, err)
+			}
+			if _, err := Run(Config{Spec: spec, Workers: 1}); !errors.Is(err, weather.ErrBadTrace) {
+				t.Errorf("%s: Run returned %v, want ErrBadTrace", text, err)
+			}
 		}
 	}
 }

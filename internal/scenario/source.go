@@ -28,6 +28,9 @@ func (s Spec) SourceTrace() (*weather.Trace, error) {
 	rng := rand.New(fault.NewSource(fault.StreamSeed(s.Seed, "scenario", "source")))
 	switch src.Kind {
 	case SourceBench:
+		if err := weather.CheckGeometry(horizon, step); err != nil {
+			return nil, err
+		}
 		tr := weather.NewTrace(horizon, step)
 		for i := range tr.Samples {
 			tr.Samples[i] = src.Level

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/pv"
+	"repro/internal/search"
 )
 
 // Solver parameters.
@@ -154,15 +155,8 @@ func FastestCompletion(proc *cpu.Processor, supply EnergySupply, cycles, loT, hi
 	if feasible(loT) {
 		return loT, nil
 	}
-	lo, hi := loT, hiT
-	for iter := 0; iter < maxSolverIterations && hi-lo > timeSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
+	_, hi := search.Bisect(loT, hiT, timeSolveTolerance, maxSolverIterations,
+		func(t float64) bool { return !feasible(t) })
 	return hi, nil
 }
 

@@ -16,6 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 )
 
 // Format names accepted by the CLIs and the /trace endpoint.
@@ -185,6 +188,29 @@ func argsToChrome(args Args, numericOnly bool) map[string]any {
 		return nil
 	}
 	return out
+}
+
+// FormatFor returns the format a file name selects: a .json extension, in
+// any case, is a Chrome trace and anything else JSONL.
+func FormatFor(path string) string {
+	if strings.EqualFold(filepath.Ext(path), ".json") {
+		return FormatChrome
+	}
+	return FormatJSONL
+}
+
+// WriteFile creates (or truncates) the file at path and writes the events
+// to it in the named format.
+func WriteFile(path, format string, events []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create trace file: %w", err)
+	}
+	defer f.Close()
+	if err := Write(f, format, events); err != nil {
+		return fmt.Errorf("write trace: %w", err)
+	}
+	return f.Close()
 }
 
 // Write serialises events in the named format (FormatJSONL/FormatChrome).

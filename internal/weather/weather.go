@@ -28,7 +28,7 @@ import (
 // Errors returned by this package.
 var (
 	// ErrBadTrace indicates invalid duration or step for a trace.
-	ErrBadTrace = errors.New("weather: duration and step must be positive and finite")
+	ErrBadTrace = errors.New("weather: bad trace geometry")
 )
 
 // Generator produces irradiance traces. Construct with NewGenerator.
@@ -105,7 +105,7 @@ type Trace struct {
 // NewTrace returns an all-dark trace covering duration (s) at the given
 // sample step (s), sized with the same integer-snap arithmetic the
 // generators in this package use (see sampleCount). Callers fill Samples
-// in place; both arguments must be positive.
+// in place; the geometry must pass CheckGeometry.
 func NewTrace(duration, step float64) *Trace {
 	return &Trace{Step: step, Samples: make([]float64, sampleCount(duration, step))}
 }
@@ -262,13 +262,23 @@ func sampleCount(duration, step float64) int {
 	return int(x) + 1
 }
 
+// MaxSamples bounds a trace's length in steps (see CheckGeometry), so a
+// trace holds at most MaxSamples+1 samples, 2 GiB: room above the largest
+// trace a bounded caller builds, hemserved's 2×10^7-step scenario cap.
+const MaxSamples = 1 << 28
+
 // CheckGeometry returns an error wrapping ErrBadTrace unless duration and
-// step are positive and finite. A bare `<= 0` check lets NaN and ±Inf
-// through to sampleCount, which turns them into a negative or meaningless
-// sample count.
+// step are positive and finite and the float quotient duration/step is
+// below MaxSamples. A bare `<= 0` check lets NaN and ±Inf through to
+// sampleCount, which turns them, and a quotient beyond int range, into a
+// negative or meaningless sample count.
 func CheckGeometry(duration, step float64) error {
 	if !(duration > 0 && step > 0) || math.IsInf(duration, 0) || math.IsInf(step, 0) {
-		return fmt.Errorf("%w: duration=%g step=%g", ErrBadTrace, duration, step)
+		return fmt.Errorf("%w: duration=%g step=%g (both must be positive and finite)", ErrBadTrace, duration, step)
+	}
+	if n := duration / step; !(n < MaxSamples) {
+		return fmt.Errorf("%w: duration=%g step=%g is %g steps (MaxSamples is %d)",
+			ErrBadTrace, duration, step, n, MaxSamples)
 	}
 	return nil
 }

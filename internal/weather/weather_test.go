@@ -255,11 +255,34 @@ func TestAtDegenerateStep(t *testing.T) {
 }
 
 // badGeometries are (duration, step) pairs no trace can be sampled on:
-// non-positive or non-finite, NaN and ±Inf included.
+// non-positive or non-finite, NaN and ±Inf included, and quotients at or
+// above MaxSamples. The last ones sized make's slice beyond its length
+// limit (1e300/0.005 beyond int range, 1e13/0.005 beyond 2^48 bytes) and
+// panicked.
 var badGeometries = [][2]float64{
 	{0, 0.1}, {10, 0}, {-1, 0.1}, {10, -0.1},
 	{math.NaN(), 0.1}, {10, math.NaN()}, {math.NaN(), math.NaN()},
 	{math.Inf(1), 0.1}, {math.Inf(-1), 0.1}, {10, math.Inf(1)}, {math.Inf(1), math.Inf(1)},
+	{1e300, 0.005}, {1e13, 0.005}, {1, 1e-300}, {MaxSamples, 1},
+}
+
+// TestCheckGeometryBound: the bound is on the float quotient, so the
+// largest accepted geometry asks for fewer than MaxSamples steps; with the
+// endpoint sample (and sampleCount's snap to the nearest integer) that is
+// at most MaxSamples+1 samples.
+func TestCheckGeometryBound(t *testing.T) {
+	if err := CheckGeometry(MaxSamples-1, 1); err != nil {
+		t.Errorf("quotient MaxSamples-1 rejected: %v", err)
+	}
+	if err := CheckGeometry(math.Nextafter(MaxSamples, 0), 1); err != nil {
+		t.Errorf("quotient just below MaxSamples rejected: %v", err)
+	}
+	if err := CheckGeometry(MaxSamples*0.005, 0.005); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("quotient MaxSamples accepted: %v", err)
+	}
+	if n := sampleCount(math.Nextafter(MaxSamples, 0), 1); n != MaxSamples+1 {
+		t.Errorf("largest accepted geometry samples %d, want %d", n, MaxSamples+1)
+	}
 }
 
 // TestTraceErrors: every constructor answers ErrBadTrace for a bad
