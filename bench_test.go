@@ -27,6 +27,16 @@ import (
 	"repro/internal/sched"
 )
 
+// runEntry runs the registry's experiment id with no observer attached and
+// returns its result as the driver's concrete type.
+func runEntry[T expt.Reporter](b *testing.B, id string) T {
+	r, _, err := expt.Registry()[id].Run(expt.Observe{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r.(T)
+}
+
 // BenchmarkFig2SolarIV regenerates the solar I-V family (Fig. 2).
 func BenchmarkFig2SolarIV(b *testing.B) {
 	var mppFullSun float64
@@ -122,10 +132,7 @@ func BenchmarkFig7bHolisticMEP(b *testing.B) {
 func BenchmarkFig8MPPTracking(b *testing.B) {
 	var errFrac float64
 	for i := 0; i < b.N; i++ {
-		r, err := expt.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runEntry[*expt.Fig8Result](b, "fig8")
 		errFrac = r.EstimateError
 	}
 	b.ReportMetric(errFrac*100, "estimate-error-%")
@@ -150,10 +157,7 @@ func BenchmarkFig9aCompletionTime(b *testing.B) {
 func BenchmarkFig9bSprintBypass(b *testing.B) {
 	var solar, capGain float64
 	for i := 0; i < b.N; i++ {
-		r, err := expt.Fig9b()
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runEntry[*expt.Fig9bResult](b, "fig9b")
 		solar = r.SolarGain
 		capGain = r.CapGain
 	}
@@ -176,10 +180,7 @@ func BenchmarkFig11aSystemCharacteristics(b *testing.B) {
 func BenchmarkFig11bSystemDemo(b *testing.B) {
 	var extMS, solar float64
 	for i := 0; i < b.N; i++ {
-		r, err := expt.Fig11b()
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runEntry[*expt.Fig11bResult](b, "fig11b")
 		extMS = r.ExtensionMS
 		solar = r.SolarGainPct
 	}
@@ -542,10 +543,7 @@ func BenchmarkExtWeather(b *testing.B) {
 func BenchmarkExtIntermittent(b *testing.B) {
 	var jitOverhead float64
 	for i := 0; i < b.N; i++ {
-		r, err := expt.ExtIntermittent()
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runEntry[*expt.ExtIntermittentResult](b, "ext-intermittent")
 		for k, p := range r.Policies {
 			if p == "voltage-triggered" {
 				jitOverhead = r.Overheads[k]

@@ -230,7 +230,7 @@ func TestFullStackWeatherFederationMPPT(t *testing.T) {
 		return 0.5, proc.FrequencyForPower(0.5, 0.6*p), false
 	})
 	tracker := &mppt.Tracker{Table: table}
-	e0 := fed.Energy()
+	e0 := lead.Energy() + bulk.Energy()
 
 	sim, err := circuit.New(circuit.Config{
 		Cell:        cell,
@@ -256,7 +256,7 @@ func TestFullStackWeatherFederationMPPT(t *testing.T) {
 	if out.EnergyHarvested <= 0 || out.EnergyDelivered <= 0 {
 		t.Error("no energy flowed through the full stack")
 	}
-	delta := fed.Energy() - e0
+	delta := lead.Energy() + bulk.Energy() - e0
 	balance := out.EnergyHarvested - out.EnergyDelivered - out.EnergyLost - delta
 	scale := math.Max(out.EnergyHarvested, 1e-9)
 	if math.Abs(balance)/scale > 0.05 {

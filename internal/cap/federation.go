@@ -54,15 +54,6 @@ func (f *Federation) Capacitance() float64 {
 	return f.members[f.active].Capacitance()
 }
 
-// Energy implements circuit.Storage: total banked energy.
-func (f *Federation) Energy() float64 {
-	var sum float64
-	for _, m := range f.members {
-		sum += m.Energy()
-	}
-	return sum
-}
-
 // ApplyCurrent implements circuit.Storage: integrate on the active member,
 // then run the selector policy.
 func (f *Federation) ApplyCurrent(current, dt float64) float64 {

@@ -111,16 +111,6 @@ func TestFederationFallsBackToBankedEnergy(t *testing.T) {
 	}
 }
 
-func TestFederationEnergyAggregates(t *testing.T) {
-	f := mustFed(t, []float64{10e-6, 100e-6})
-	f.members[0].voltage = 1.0
-	f.members[1].voltage = 0.5
-	want := 0.5*10e-6*1 + 0.5*100e-6*0.25
-	if math.Abs(f.Energy()-want) > 1e-12 {
-		t.Errorf("energy = %g, want %g", f.Energy(), want)
-	}
-}
-
 func TestFederationSingleMemberDegeneratesToCapacitor(t *testing.T) {
 	f := mustFed(t, []float64{47e-6})
 	f.ApplyCurrent(1e-3, 1e-3) // dV = 1e-6/47e-6 ~ 21.3 mV

@@ -50,8 +50,6 @@ type Storage interface {
 	ApplyCurrent(current, dt float64) float64
 	// Capacitance returns the effective capacitance at the node (F).
 	Capacitance() float64
-	// Energy returns the stored energy (J).
-	Energy() float64
 }
 
 var _ Storage = (*cap.Capacitor)(nil)
@@ -267,9 +265,6 @@ func (s *State) Time() float64 { return s.time }
 
 // CapVoltage returns the solar/storage node voltage (V).
 func (s *State) CapVoltage() float64 { return s.cfg.Cap.Voltage() }
-
-// Supply returns the effective processor supply voltage (V).
-func (s *State) Supply() float64 { return s.effSupply }
 
 // Frequency returns the effective clock frequency (Hz).
 func (s *State) Frequency() float64 { return s.effFreq }

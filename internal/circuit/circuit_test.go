@@ -64,7 +64,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEnergyConservation(t *testing.T) {
 	cfg := testConfig(t, &FixedPoint{Supply: 0.55})
-	e0 := cfg.Cap.Energy()
+	storage := cfg.Cap.(*cap.Capacitor)
+	e0 := storage.Energy()
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestEnergyConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Harvested = delivered + converter losses + storage delta (+ integration error).
-	deltaCap := cfg.Cap.Energy() - e0
+	deltaCap := storage.Energy() - e0
 	balance := out.EnergyHarvested - out.EnergyDelivered - out.EnergyLost - deltaCap
 	scale := math.Max(out.EnergyHarvested, 1e-9)
 	if math.Abs(balance)/scale > 0.02 {
@@ -228,7 +229,7 @@ func (c *rampProbe) OnStep(s *State) {
 	if s.Halted() {
 		return // StopOnBrownout ends the run here
 	}
-	p, v := s.Processor(), s.Supply()
+	p, v := s.Processor(), s.effSupply
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	fm := p.MaxFrequency(v)
 	want := math.Min(c.f, fm)
@@ -565,7 +566,7 @@ func (p *probeController) OnStep(s *State) {
 	switch {
 	case s.CapVoltage() <= 0:
 		p.fail = "CapVoltage"
-	case s.Supply() <= 0 || s.Supply() > 0.56:
+	case s.effSupply <= 0 || s.effSupply > 0.56:
 		p.fail = "Supply"
 	case s.Frequency() <= 0 || s.Frequency() > 100e6+1:
 		p.fail = "Frequency"

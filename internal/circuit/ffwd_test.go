@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cap"
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/reg"
@@ -260,8 +259,8 @@ func TestFastForwardStepToResume(t *testing.T) {
 
 // TestFastForwardPropertyParity is the randomized differential test:
 // arbitrary piecewise-constant irradiance plans (with exact-zero spans),
-// optionally wrapped in brownout fault windows, with and without an aux
-// load and waveform tracing. Fast-forward must be invisible everywhere.
+// with and without an aux load and waveform tracing. Fast-forward must be
+// invisible everywhere.
 func TestFastForwardPropertyParity(t *testing.T) {
 	const horizon = 0.12
 	property := func(seed int64) bool {
@@ -282,29 +281,7 @@ func TestFastForwardPropertyParity(t *testing.T) {
 				levels[i] = rng.Float64() * 1.2
 			}
 		}
-		var src EventSource = PiecewiseConstSource{Times: times, Levels: levels}
-
-		// Optionally carve brownout windows on top (depth 0 = darkness).
-		if rng.Intn(2) == 0 {
-			plan := fault.Plan{Seed: seed}
-			for w, k := 0, rng.Intn(3); w < k; w++ {
-				depth := 0.0
-				if rng.Intn(3) == 0 {
-					depth = rng.Float64() * 0.5
-				}
-				plan.Brownouts = append(plan.Brownouts, fault.Pulse{
-					AtS:       rng.Float64() * horizon,
-					DurationS: 1e-3 + rng.Float64()*horizon/4,
-					Depth:     depth,
-				})
-			}
-			b, err := fault.New(plan, "ffwd-prop").Brownouts(horizon)
-			if err != nil {
-				t.Errorf("seed %d: brownouts: %v", seed, err)
-				return false
-			}
-			src = b.WrapSource(src)
-		}
+		src := PiecewiseConstSource{Times: times, Levels: levels}
 
 		aux := 0.0
 		if rng.Intn(2) == 0 {

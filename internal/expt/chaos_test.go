@@ -26,18 +26,29 @@ func chaosTestPlan() fault.Plan {
 	}
 }
 
+// chaosEvents runs the experiment under the fault plan with a recorder
+// attached and returns its events: the benign event stream plus a fault.*
+// event for every injection.
+func chaosEvents(id string, plan fault.Plan) ([]trace.Event, error) {
+	rec := trace.NewRecorder()
+	if _, _, err := observe(id, SurfaceChaos, Observe{Tracer: rec, Plan: &plan}); err != nil {
+		return nil, err
+	}
+	return rec.Events(), nil
+}
+
 func TestChaosIDs(t *testing.T) {
 	want := []string{"ext-intermittent", "fig11b", "fig9b"}
-	if got := ChaosIDs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("ChaosIDs = %v, want %v", got, want)
+	if got := idsWith(SurfaceChaos, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("chaos IDs = %v, want %v", got, want)
 	}
 }
 
 func TestChaosEventsErrors(t *testing.T) {
-	if _, err := ChaosEvents("nope", fault.Plan{}); !errors.Is(err, ErrUnknown) {
+	if _, err := chaosEvents("nope", fault.Plan{}); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown ID error = %v", err)
 	}
-	if _, err := ChaosEvents("fig2", fault.Plan{}); !errors.Is(err, ErrNoChaos) {
+	if _, err := chaosEvents("fig2", fault.Plan{}); !errors.Is(err, ErrNoChaos) {
 		t.Errorf("chaos-less ID error = %v", err)
 	}
 }
@@ -50,9 +61,9 @@ func TestChaosUnboundedPlanFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ChaosIDs() {
+	for _, id := range idsWith(SurfaceChaos, true) {
 		start := time.Now()
-		if _, err := ChaosEvents(id, plan); !errors.Is(err, fault.ErrBadPlan) {
+		if _, err := chaosEvents(id, plan); !errors.Is(err, fault.ErrBadPlan) {
 			t.Errorf("%s: err = %v, want ErrBadPlan", id, err)
 		}
 		if d := time.Since(start); d > time.Second {
@@ -62,11 +73,11 @@ func TestChaosUnboundedPlanFailsFast(t *testing.T) {
 }
 
 func TestChaosEventsDeterministic(t *testing.T) {
-	a, err := ChaosEvents("ext-intermittent", chaosTestPlan())
+	a, err := chaosEvents("ext-intermittent", chaosTestPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaosEvents("ext-intermittent", chaosTestPlan())
+	b, err := chaosEvents("ext-intermittent", chaosTestPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +104,7 @@ func TestChaosEventsDeterministic(t *testing.T) {
 // drift silently. Refresh with
 // go test ./internal/expt -run TestGoldenChaosTrace -update.
 func TestGoldenChaosTrace(t *testing.T) {
-	events, err := ChaosEvents("ext-intermittent", chaosTestPlan())
+	events, err := chaosEvents("ext-intermittent", chaosTestPlan())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,18 +241,8 @@ func idsWith(s Surface, has bool) []string {
 	return ids
 }
 
-// NoSeriesIDs returns the documented allowlist of experiments that have no
-// plottable series.
-func NoSeriesIDs() []string { return idsWith(SurfaceSeries, false) }
-
 // TracedIDs returns the experiments whose runs emit trace events.
 func TracedIDs() []string { return idsWith(SurfaceTrace, true) }
-
-// ChaosIDs returns the experiments that run under a fault plan.
-func ChaosIDs() []string { return idsWith(SurfaceChaos, true) }
-
-// ProfiledIDs returns the experiments whose runs fill energy ledgers.
-func ProfiledIDs() []string { return idsWith(SurfaceProfile, true) }
 
 // renderChart writes an ASCII chart, tolerating empty data.
 func renderChart(w io.Writer, c plot.Chart, series ...plot.Series) error {

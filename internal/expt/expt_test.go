@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/cap"
 )
 
 func TestFig2SolarIVShapes(t *testing.T) {
@@ -175,7 +177,7 @@ func TestFig7bMEPShift(t *testing.T) {
 }
 
 func TestFig8TimeBasedTracking(t *testing.T) {
-	r, err := Fig8()
+	r, err := fig8(Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestFig9aCompletionIntersection(t *testing.T) {
 }
 
 func TestFig9bPolicyOrdering(t *testing.T) {
-	r, err := Fig9b()
+	r, err := fig9b(Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestFig11aCharacteristics(t *testing.T) {
 }
 
 func TestFig11bDemonstration(t *testing.T) {
-	r, err := Fig11b()
+	r, err := fig11b(Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,16 +365,16 @@ func TestPriorityRanksLongPoles(t *testing.T) {
 
 // TestSeriesForCoversRegistry iterates every registry ID and asserts it
 // either yields series or appears on the explicit no-series allowlist.
-// The allowlist itself is derived from the registry (NoSeriesIDs), so this
-// test pins its expected contents: growing it requires touching this list
-// consciously rather than by forgetting an export.
+// The allowlist itself is derived from the registry's declared surfaces,
+// so this test pins its expected contents: growing it requires touching
+// this list consciously rather than by forgetting an export.
 func TestSeriesForCoversRegistry(t *testing.T) {
 	wantNoSeries := []string{
 		"ext-corners", "ext-domains", "ext-dutycycle", "ext-federation",
 		"ext-fleet", "ext-intermittent", "ext-shading", "ext-temperature",
 		"ext-weather", "headline",
 	}
-	got := NoSeriesIDs()
+	got := idsWith(SurfaceSeries, false)
 	if len(got) != len(wantNoSeries) {
 		t.Fatalf("no-series allowlist = %v, want %v", got, wantNoSeries)
 	}
@@ -525,7 +527,7 @@ func TestExtWeatherHolisticWins(t *testing.T) {
 }
 
 func TestExtIntermittentPolicyContrast(t *testing.T) {
-	r, err := ExtIntermittent()
+	r, err := extIntermittent(Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,6 +566,29 @@ func TestExtFederationColdStart(t *testing.T) {
 	}
 	if err := r.Report(io.Discard); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExtFederationIsItsLead pins what ext-federation measures: the run
+// stops at the first result before the selector switches, so the
+// federation boots and finishes bit for bit when a lone 10 uF lead does.
+func TestExtFederationIsItsLead(t *testing.T) {
+	r, err := ExtFederation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, err := cap.New(10e-6, 0, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, done, err := extFederationRun(lead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(r.FederationBoot) != math.Float64bits(boot) ||
+		math.Float64bits(r.FederationFirstResult) != math.Float64bits(done) {
+		t.Errorf("federation boots at %v and finishes at %v, a lone lead at %v and %v",
+			r.FederationBoot, r.FederationFirstResult, boot, done)
 	}
 }
 

@@ -205,10 +205,6 @@ type ExtIntermittentResult struct {
 	Failures  []int
 }
 
-// ExtIntermittent runs a 6 M-cycle task on 3 ms-light/3 ms-dark power with
-// three checkpoint disciplines.
-func ExtIntermittent() (*ExtIntermittentResult, error) { return extIntermittent(Observe{}) }
-
 // extIntermittentMaxTime bounds each policy's run (s); chaos brownout
 // windows resolve over the same horizon.
 const extIntermittentMaxTime = 800e-3
@@ -236,11 +232,11 @@ func blinkPhase(t float64) float64 {
 	return math.Mod(t, blinkPeriod)
 }
 
-// extIntermittent is the ExtIntermittent driver. Each checkpoint policy
-// records onto its own track and ledger. Under obs.Plan, brownout windows
-// darken the blinking profile and the plan's NVM section injects torn
-// commit marks and restore bit-rot into the executor, every policy on its
-// own deterministic stream.
+// extIntermittent runs a 6 M-cycle task on 3 ms-light/3 ms-dark power with
+// three checkpoint disciplines. Each checkpoint policy records onto its own
+// track and ledger. Under obs.Plan, brownout windows darken the blinking
+// profile and the plan's NVM section injects torn commit marks and restore
+// bit-rot into the executor, every policy on its own deterministic stream.
 func extIntermittent(obs Observe) (*ExtIntermittentResult, error) {
 	blink := func(t float64) float64 {
 		if blinkPhase(t) < blinkPeriod/2 {
@@ -336,47 +332,52 @@ type ExtFederationResult struct {
 // extFederationJob is one 64x64 recognition frame.
 const extFederationJob = 1.2e6
 
-// ExtFederation runs the cold-start comparison under weak (20%) light.
-func ExtFederation() (*ExtFederationResult, error) {
-	run := func(storage circuit.Storage) (boot, done float64, err error) {
-		sim, err := circuit.New(circuit.Config{
-			Cell:       pv.NewCell(),
-			Proc:       cpu.NewProcessor(),
-			Reg:        reg.NewSC(),
-			Cap:        storage,
-			Irradiance: circuit.ConstantIrradiance(0.15),
-			Controller: &sched.DeadlineController{Cycles: extFederationJob, Deadline: 60e-3, AllowBypass: true},
-			Step:       4e-6,
-			MaxTime:    800e-3,
-			JobCycles:  extFederationJob,
-			TraceEvery: 25,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		out, err := sim.Run()
-		if err != nil {
-			return 0, 0, err
-		}
-		boot = math.Inf(1)
-		for _, smp := range out.Trace.Samples {
-			if smp.Frequency > 0 {
-				boot = smp.Time
-				break
-			}
-		}
-		done = math.Inf(1)
-		if out.Completed {
-			done = out.CompletionTime
-		}
-		return boot, done, nil
+// extFederationRun cold-starts one frame on storage and returns the times
+// of its first executed cycle and of its first result (+Inf if never).
+func extFederationRun(storage circuit.Storage) (boot, done float64, err error) {
+	sim, err := circuit.New(circuit.Config{
+		Cell:       pv.NewCell(),
+		Proc:       cpu.NewProcessor(),
+		Reg:        reg.NewSC(),
+		Cap:        storage,
+		Irradiance: circuit.ConstantIrradiance(0.15),
+		Controller: &sched.DeadlineController{Cycles: extFederationJob, Deadline: 60e-3, AllowBypass: true},
+		Step:       4e-6,
+		MaxTime:    800e-3,
+		JobCycles:  extFederationJob,
+		TraceEvery: 25,
+	})
+	if err != nil {
+		return 0, 0, err
 	}
+	out, err := sim.Run()
+	if err != nil {
+		return 0, 0, err
+	}
+	boot = math.Inf(1)
+	for _, smp := range out.Trace.Samples {
+		if smp.Frequency > 0 {
+			boot = smp.Time
+			break
+		}
+	}
+	done = math.Inf(1)
+	if out.Completed {
+		done = out.CompletionTime
+	}
+	return boot, done, nil
+}
 
+// ExtFederation runs the cold-start comparison under weak (15%) light. The
+// run stops at the first result, before the selector ever switches, so
+// the federation's times are its 10 uF lead's: the 290 uF member never
+// connects.
+func ExtFederation() (*ExtFederationResult, error) {
 	mono, err := cap.New(300e-6, 0, 2.0)
 	if err != nil {
 		return nil, err
 	}
-	bootMono, tMono, err := run(mono)
+	bootMono, tMono, err := extFederationRun(mono)
 	if err != nil {
 		return nil, fmt.Errorf("monolith: %w", err)
 	}
@@ -393,7 +394,7 @@ func ExtFederation() (*ExtFederationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bootFed, tFed, err := run(fed)
+	bootFed, tFed, err := extFederationRun(fed)
 	if err != nil {
 		return nil, fmt.Errorf("federation: %w", err)
 	}

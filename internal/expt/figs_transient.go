@@ -41,12 +41,10 @@ type Fig8Result struct {
 	Series        []plot.Series
 }
 
-// Fig8 steps the light from full sun to overcast and lets the tracker
-// re-estimate the input power from the V1->V2 crossing time.
-func Fig8() (*Fig8Result, error) { return fig8(Observe{}) }
-
-// fig8 is the Fig8 driver: obs.Tracer attaches to the manager and the
-// tracked run, obs.Profile to the run's ledger.
+// fig8 steps the light from full sun to overcast and lets the tracker
+// re-estimate the input power from the V1->V2 crossing time. obs.Tracer
+// attaches to the manager and the tracked run, obs.Profile to the run's
+// ledger.
 func fig8(obs Observe) (*Fig8Result, error) {
 	c := DefaultComponents()
 	sys := core.NewSystem(c.Cell, c.Proc)
@@ -284,11 +282,8 @@ type Fig9bResult struct {
 	OpExtensionF float64        // as a fraction of the baseline operating time
 }
 
-// Fig9b runs the four policy variants under the dimming scenario.
-func Fig9b() (*Fig9bResult, error) { return fig9b(Observe{}) }
-
-// fig9b is the Fig9b driver; each variant observes onto its own track
-// (see runVariant).
+// fig9b runs the four policy variants under the dimming scenario; each
+// variant observes onto its own track (see runVariant).
 func fig9b(obs Observe) (*Fig9bResult, error) {
 	baseline, err := runVariant(obs, "fig9b", "constant", 0, false)
 	if err != nil {
@@ -365,11 +360,8 @@ type Fig11bResult struct {
 	SolarGainPct float64
 }
 
-// Fig11b runs baseline and proposed policies with waveform tracing.
-func Fig11b() (*Fig11bResult, error) { return fig11b(Observe{}) }
-
-// fig11b is the Fig11b driver; each policy observes onto its own track
-// (see runVariant).
+// fig11b runs baseline and proposed policies with waveform tracing; each
+// policy observes onto its own track (see runVariant).
 func fig11b(obs Observe) (*Fig11bResult, error) {
 	baseline, err := runVariant(obs, "fig11b", "w/o sprinting", 0, false)
 	if err != nil {

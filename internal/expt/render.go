@@ -1,10 +1,10 @@
 package expt
 
-// The export surfaces of the registry: reports, CSV series, trace events,
-// chaos events and energy profiles. Each is one observed run of the
-// experiment's driver, so every surface is a deterministic function of
-// the experiment ID (and, for chaos, the fault plan): equal inputs render
-// equal bytes, regardless of which worker — or how many — runs them.
+// The export surfaces of the registry: reports, CSV series, trace events
+// and energy profiles. Each is one observed run of the experiment's
+// driver, so every surface is a deterministic function of the experiment
+// ID: equal inputs render equal bytes, regardless of which worker — or how
+// many — runs them.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/fault"
 	"repro/internal/plot"
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -24,7 +23,7 @@ var (
 	ErrUnknown = errors.New("expt: unknown experiment")
 
 	// ErrNoSeries indicates an experiment that produces summary numbers
-	// only. See NoSeriesIDs.
+	// only: its entry does not declare SurfaceSeries.
 	ErrNoSeries = errors.New("expt: experiment has no plottable series")
 
 	// ErrNoTrace indicates an experiment that emits no trace events: it
@@ -33,11 +32,11 @@ var (
 	ErrNoTrace = errors.New("expt: experiment emits no trace events")
 
 	// ErrNoChaos indicates an experiment without a chaos surface: it has
-	// no transient simulation for the fault layer to attack. See ChaosIDs.
+	// no transient simulation for the fault layer to attack.
 	ErrNoChaos = errors.New("expt: experiment has no chaos runner")
 
 	// ErrNoProfile indicates an experiment with no energy profile: the
-	// analytic figures have no step loop to account. See ProfiledIDs.
+	// analytic figures have no step loop to account.
 	ErrNoProfile = errors.New("expt: experiment emits no energy profile")
 )
 
@@ -127,19 +126,6 @@ func RenderTrace(id, format string) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ChaosEvents runs the experiment under the fault plan with a recorder
-// attached and returns its events: the benign event stream plus a fault.*
-// event for every injection. Experiments without a chaos surface return
-// ErrNoChaos; a plan whose brownouts resolve past the fault layer's bound
-// returns fault.ErrBadPlan.
-func ChaosEvents(id string, plan fault.Plan) ([]trace.Event, error) {
-	rec := trace.NewRecorder()
-	if _, _, err := observe(id, SurfaceChaos, Observe{Tracer: rec, Plan: &plan}); err != nil {
-		return nil, err
-	}
-	return rec.Events(), nil
 }
 
 // EnergyProfile runs the experiment with profiling on and returns the

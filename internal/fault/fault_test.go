@@ -299,10 +299,6 @@ func TestNVMInjectorFailEveryN(t *testing.T) {
 	if !reflect.DeepEqual(torn, []int{2, 5, 8}) {
 		t.Fatalf("FailEveryN=3 tore commits %v, want [2 5 8]", torn)
 	}
-	tw, cr := n.Injected()
-	if tw != 3 || cr != 0 {
-		t.Errorf("Injected() = %d, %d", tw, cr)
-	}
 }
 
 func TestNVMInjectorNil(t *testing.T) {

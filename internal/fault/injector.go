@@ -7,7 +7,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -28,12 +27,6 @@ type Injector struct {
 func New(plan Plan, stream string) *Injector {
 	return &Injector{plan: plan, stream: stream}
 }
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
-// Stream returns the injector's stream name.
-func (in *Injector) Stream() string { return in.stream }
 
 // Window is one resolved brownout interval: light is multiplied by Depth
 // for Start <= t < End.
@@ -143,9 +136,6 @@ type Brownouts struct {
 	windows []Window
 }
 
-// Windows returns the resolved windows in time order.
-func (b *Brownouts) Windows() []Window { return b.windows }
-
 // Wrap composes the brownout windows onto an irradiance function: inside a
 // window the base light is multiplied by the window's depth. The wrapped
 // function is pure, so it is safe anywhere circuit.Config.Irradiance is.
@@ -163,65 +153,6 @@ func (b *Brownouts) Wrap(base func(t float64) float64) func(t float64) float64 {
 		}
 		return irr
 	}
-}
-
-// NextEdge returns the first window boundary (start or end) strictly
-// after t, or +Inf when no boundary remains. Between two consecutive
-// boundaries the window membership — and hence Wrap's multiplier — is
-// constant.
-func (b *Brownouts) NextEdge(t float64) float64 {
-	ws := b.windows
-	// First window still relevant: windows are sorted and disjoint, so
-	// everything ending at or before t is behind us.
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].End > t })
-	if i == len(ws) {
-		return math.Inf(1)
-	}
-	if ws[i].Start > t {
-		return ws[i].Start
-	}
-	return ws[i].End
-}
-
-// IrradianceSource pairs an irradiance signal with its event horizon;
-// it matches circuit.EventSource structurally (declared here so this
-// package does not import the circuit it perturbs).
-type IrradianceSource interface {
-	At(t float64) float64
-	NextChange(t float64) float64
-}
-
-// wrappedSource is WrapSource's result: Wrap's exact closure for the
-// signal, with the event horizon clipped at the next window edge.
-type wrappedSource struct {
-	b    *Brownouts
-	at   func(t float64) float64
-	base IrradianceSource
-}
-
-// At evaluates the brownout-attenuated signal.
-func (w *wrappedSource) At(t float64) float64 { return w.at(t) }
-
-// NextChange promises constancy only while both the base signal and the
-// window membership are constant. The product base*Depth is the same
-// float64 at every instant of such a span, because both factors are.
-func (w *wrappedSource) NextChange(t float64) float64 {
-	next := w.base.NextChange(t)
-	if edge := w.b.NextEdge(t); edge < next {
-		next = edge
-	}
-	return next
-}
-
-// WrapSource is Wrap for event sources: the returned source evaluates
-// exactly like Wrap(base.At) — bit for bit, it IS that closure — and
-// additionally bounds NextChange by the next window edge so the circuit
-// stepper can fast-forward through provably-dark fault windows.
-func (b *Brownouts) WrapSource(base IrradianceSource) IrradianceSource {
-	if len(b.windows) == 0 {
-		return base
-	}
-	return &wrappedSource{b: b, at: b.Wrap(base.At), base: base}
 }
 
 // Emit records the resolved schedule as fault.brownout spans (plus one
@@ -249,9 +180,6 @@ func (b *Brownouts) Emit(tr trace.Tracer, track string, seed int64) {
 type NVMInjector struct {
 	plan NVMPlan
 	rng  *rand.Rand
-
-	tornWrites      int
-	corruptRestores int
 }
 
 // TornWrite implements the executor's fault hook: it reports whether
@@ -266,9 +194,6 @@ func (n *NVMInjector) TornWrite(commit int) bool {
 	if n.plan.FailEveryN > 0 && (commit+1)%n.plan.FailEveryN == 0 {
 		torn = true
 	}
-	if torn {
-		n.tornWrites++
-	}
 	return torn
 }
 
@@ -277,19 +202,7 @@ func (n *NVMInjector) CorruptRestore(restore int) bool {
 	if n == nil {
 		return false
 	}
-	corrupt := n.rng.Float64() < n.plan.RestoreBitrotProb
-	if corrupt {
-		n.corruptRestores++
-	}
-	return corrupt
-}
-
-// Injected reports how many faults fired, for reports and tests.
-func (n *NVMInjector) Injected() (tornWrites, corruptRestores int) {
-	if n == nil {
-		return 0, 0
-	}
-	return n.tornWrites, n.corruptRestores
+	return n.rng.Float64() < n.plan.RestoreBitrotProb
 }
 
 // ServeInjector applies ServePlans in the HTTP serving layer. Unlike the

@@ -271,6 +271,7 @@ func TestParseSpec(t *testing.T) {
 		// keys (also reachable via the hemserved /api/v1/fleet/{spec} path).
 		"horizon=NaN", "epoch=nan", "step=NaN",
 		"horizon=Inf", "epoch=+Inf", "step=Infinity", "horizon=-Inf",
+		"n=3,step=1,horizon=0.05", // a step longer than the horizon
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

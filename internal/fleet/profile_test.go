@@ -74,7 +74,10 @@ func TestFleetProfileReconciles(t *testing.T) {
 	if cfg.Profile.Len() == 0 {
 		t.Fatal("profile is empty")
 	}
-	total := cfg.Profile.Total()
+	var total prof.Ledger
+	for _, e := range cfg.Profile.Entries() {
+		total.Merge(&e.Ledger)
+	}
 	if got := total.Joules[prof.BinPVHarvest]; got != rep.EnergyHarvested {
 		t.Errorf("profile harvest %g != report %g", got, rep.EnergyHarvested)
 	}

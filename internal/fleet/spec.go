@@ -110,6 +110,9 @@ func (s Spec) validate() error {
 		return fmt.Errorf("fleet: horizon, epoch and step must be positive and finite (horizon=%g epoch=%g step=%g)",
 			s.Horizon, s.Epoch, s.Step)
 	}
+	if s.Step > s.Horizon {
+		return fmt.Errorf("fleet: step %g exceeds horizon %g", s.Step, s.Horizon)
+	}
 	if !(s.Dark >= 0 && s.Dark <= 1) { // rejects NaN too
 		return fmt.Errorf("fleet: dark must be in [0, 1], got %g", s.Dark)
 	}

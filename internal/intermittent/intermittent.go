@@ -18,19 +18,10 @@
 package intermittent
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/prof"
 	"repro/internal/trace"
-)
-
-// Errors returned by this package.
-var (
-	// ErrBadTask indicates a task with no work or negative state size.
-	ErrBadTask = errors.New("intermittent: invalid task")
 )
 
 // The checkpoint store is FRAM-class non-volatile memory: cheap reads,
@@ -59,14 +50,6 @@ type Task struct {
 	TotalCycles float64
 	// StateBytes is the size of the live state a checkpoint must persist.
 	StateBytes int
-}
-
-// Validate reports whether the task is well-formed.
-func (t Task) Validate() error {
-	if t.TotalCycles <= 0 || t.StateBytes < 0 {
-		return fmt.Errorf("%w: cycles=%g state=%d B", ErrBadTask, t.TotalCycles, t.StateBytes)
-	}
-	return nil
 }
 
 // Policy decides when to take a checkpoint.

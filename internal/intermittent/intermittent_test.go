@@ -67,18 +67,6 @@ func TestNVMCosts(t *testing.T) {
 	}
 }
 
-func TestTaskValidate(t *testing.T) {
-	if err := (Task{TotalCycles: 1e6, StateBytes: 64}).Validate(); err != nil {
-		t.Errorf("valid task rejected: %v", err)
-	}
-	if err := (Task{TotalCycles: 0}).Validate(); err == nil {
-		t.Error("zero-work task accepted")
-	}
-	if err := (Task{TotalCycles: 1, StateBytes: -1}).Validate(); err == nil {
-		t.Error("negative state accepted")
-	}
-}
-
 func TestPolicies(t *testing.T) {
 	p := PeriodicPolicy{Interval: 1000}
 	if p.ShouldCheckpoint(999, 1.0) || !p.ShouldCheckpoint(1000, 1.0) {

@@ -260,17 +260,6 @@ type Decoded struct {
 	DurationNanos int64
 }
 
-// Total sums the decoded samples' i-th value.
-func (d *Decoded) Total(i int) int64 {
-	var t int64
-	for _, s := range d.Samples {
-		if i < len(s.Values) {
-			t += s.Values[i]
-		}
-	}
-	return t
-}
-
 var errMalformed = errors.New("prof: malformed pprof profile")
 
 // pfield is one parsed protobuf field.

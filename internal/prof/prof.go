@@ -245,15 +245,6 @@ func (l *Ledger) TotalSeconds() float64 {
 	return t
 }
 
-// TotalJoules sums every bin's energy.
-func (l *Ledger) TotalJoules() float64 {
-	var t float64
-	for i := 0; i < NumBins; i++ {
-		t += l.Joules[i]
-	}
-	return t
-}
-
 // Scope identifies one ledger within a profile: the experiment (or run)
 // dimension and the node (or variant) dimension. Either may be empty; both
 // become pprof sample labels and stack frames above the component/state
@@ -328,13 +319,4 @@ func (p *Profile) Entries() []Entry {
 	out := append([]Entry(nil), p.entries...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Scope.less(out[j].Scope) })
 	return out
-}
-
-// Total returns one ledger folding every scope together.
-func (p *Profile) Total() Ledger {
-	var t Ledger
-	for i := range p.entries {
-		t.Merge(&p.entries[i].Ledger)
-	}
-	return t
 }

@@ -11,6 +11,35 @@ import (
 	"testing/quick"
 )
 
+// TotalJoules sums every bin's energy.
+func (l *Ledger) TotalJoules() float64 {
+	var t float64
+	for i := 0; i < NumBins; i++ {
+		t += l.Joules[i]
+	}
+	return t
+}
+
+// Total returns one ledger folding every scope together.
+func (p *Profile) Total() Ledger {
+	var t Ledger
+	for i := range p.entries {
+		t.Merge(&p.entries[i].Ledger)
+	}
+	return t
+}
+
+// Total sums the decoded samples' i-th value.
+func (d *Decoded) Total(i int) int64 {
+	var t int64
+	for _, s := range d.Samples {
+		if i < len(s.Values) {
+			t += s.Values[i]
+		}
+	}
+	return t
+}
+
 // randLedger fills a ledger from the source; values stay in a range where
 // float addition is exact enough for bitwise comparisons of sums of two.
 func randLedger(r *rand.Rand) Ledger {

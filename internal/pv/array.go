@@ -85,6 +85,9 @@ const (
 	// exact vd* at which the iteration stops (V): an eighth of the band's
 	// least voltage term.
 	segmentNewtonTol = segmentVoltageErr / 8
+
+	// bypassDrop is the forward drop of each bypass diode (V).
+	bypassDrop = 0.35
 )
 
 // Array errors.
@@ -94,10 +97,6 @@ var (
 
 	// ErrNilSegment indicates a nil cell among an array's segments.
 	ErrNilSegment = errors.New("pv: array segment is nil")
-
-	// ErrInvalidBypassDrop indicates a bypass diode drop that is negative
-	// or not finite.
-	ErrInvalidBypassDrop = errors.New("pv: bypass drop must be finite and non-negative")
 )
 
 // Array is a series string of cell segments, each with its own irradiance
@@ -108,23 +107,12 @@ var (
 // curve breaks, and MPP tracking must search globally. Construct with
 // NewArray.
 type Array struct {
-	segments   []*Cell
-	bypassDrop float64 // forward drop of each bypass diode (V)
-}
-
-// ArrayOption configures an Array.
-type ArrayOption func(*Array)
-
-// WithBypassDrop sets the bypass diodes' forward drop (V). NewArray
-// rejects a negative or non-finite drop.
-func WithBypassDrop(v float64) ArrayOption {
-	return func(a *Array) { a.bypassDrop = v }
+	segments []*Cell
 }
 
 // NewArray builds a series string over the given segments. It returns
-// ErrNoSegments for an empty string, ErrNilSegment for a nil cell and
-// ErrInvalidBypassDrop for a negative or non-finite bypass drop.
-func NewArray(segments []*Cell, opts ...ArrayOption) (*Array, error) {
+// ErrNoSegments for an empty string and ErrNilSegment for a nil cell.
+func NewArray(segments []*Cell) (*Array, error) {
 	if len(segments) == 0 {
 		return nil, ErrNoSegments
 	}
@@ -133,21 +121,8 @@ func NewArray(segments []*Cell, opts ...ArrayOption) (*Array, error) {
 			return nil, fmt.Errorf("%w: segment %d", ErrNilSegment, i)
 		}
 	}
-	a := &Array{
-		segments:   segments,
-		bypassDrop: 0.35,
-	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	if !(a.bypassDrop >= 0 && isFinite(a.bypassDrop)) {
-		return nil, fmt.Errorf("%w: %v V", ErrInvalidBypassDrop, a.bypassDrop)
-	}
-	return a, nil
+	return &Array{segments: segments}, nil
 }
-
-// Segments returns the number of series segments.
-func (a *Array) Segments() int { return len(a.segments) }
 
 // stringSolver caches per-segment open-circuit voltages and short-circuit
 // currents for one irradiance vector, so the nested bisections of the
@@ -186,7 +161,7 @@ func (a *Array) newSolver(irradiances []float64) *stringSolver {
 func (s *stringSolver) segmentVoltage(i int, current float64) float64 {
 	if s.irrs[i] <= 0 || current >= s.iscs[i] {
 		// Dark or over-driven: the bypass diode conducts.
-		return -s.arr.bypassDrop
+		return -bypassDrop
 	}
 	vstar, band := 0.0, math.Inf(1)
 	if !s.verbatim {
@@ -284,21 +259,6 @@ func (s *stringSolver) current(v float64) float64 {
 	return 0.5 * (lo + hi)
 }
 
-// StringVoltage returns the terminal voltage (V) of the whole string when
-// it carries `current` amps. irradiances must have one entry per segment;
-// missing or non-positive entries are treated as dark (bypassed).
-func (a *Array) StringVoltage(current float64, irradiances []float64) float64 {
-	return a.newSolver(irradiances).stringVoltage(current)
-}
-
-// Current returns the string current (A) at terminal voltage v under the
-// per-segment irradiances, found by bisection on the monotone (decreasing)
-// StringVoltage(current) relation. Voltages above the string's open
-// circuit return 0.
-func (a *Array) Current(v float64, irradiances []float64) float64 {
-	return a.newSolver(irradiances).current(v)
-}
-
 // power evaluates delivered power on a prepared solver.
 func (s *stringSolver) power(v float64) float64 {
 	if v <= 0 {
@@ -314,11 +274,6 @@ func (s *stringSolver) power(v float64) float64 {
 // Power returns the delivered power (W) at terminal voltage v.
 func (a *Array) Power(v float64, irradiances []float64) float64 {
 	return a.newSolver(irradiances).power(v)
-}
-
-// OpenCircuitVoltage returns the string's Voc (V).
-func (a *Array) OpenCircuitVoltage(irradiances []float64) float64 {
-	return a.StringVoltage(0, irradiances)
 }
 
 // GlobalMPP finds the global maximum power point of the possibly

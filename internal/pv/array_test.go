@@ -26,33 +26,17 @@ func newTestArray(t *testing.T, n int) *Array {
 }
 
 func TestArrayValidation(t *testing.T) {
-	lit := []*Cell{NewCell()}
 	for _, tc := range []struct {
 		name     string
 		segments []*Cell
-		opts     []ArrayOption
 		want     error
 	}{
-		{"no segments", nil, nil, ErrNoSegments},
-		{"nil segment", []*Cell{NewCell(), nil}, nil, ErrNilSegment},
-		{"NaN bypass drop", lit, []ArrayOption{WithBypassDrop(math.NaN())}, ErrInvalidBypassDrop},
-		{"negative bypass drop", lit, []ArrayOption{WithBypassDrop(-0.35)}, ErrInvalidBypassDrop},
-		{"infinite bypass drop", lit, []ArrayOption{WithBypassDrop(math.Inf(1))}, ErrInvalidBypassDrop},
+		{"no segments", nil, ErrNoSegments},
+		{"nil segment", []*Cell{NewCell(), nil}, ErrNilSegment},
 	} {
-		if a, err := NewArray(tc.segments, tc.opts...); !errors.Is(err, tc.want) || a != nil {
+		if a, err := NewArray(tc.segments); !errors.Is(err, tc.want) || a != nil {
 			t.Errorf("%s: NewArray = %v, %v; want nil, %v", tc.name, a, err, tc.want)
 		}
-	}
-	a, err := NewArray([]*Cell{NewCell(), NewCell()}, WithBypassDrop(0))
-	if err != nil {
-		t.Fatalf("zero bypass drop: %v", err)
-	}
-	// A dark segment with an ideal bypass diode costs the string nothing.
-	if got, want := a.OpenCircuitVoltage([]float64{1, 0}), NewCell().OpenCircuitVoltage(1); math.Abs(got-want) > 1e-6 {
-		t.Errorf("Voc with an ideal bypass = %.6f, want the lit cell's %.6f", got, want)
-	}
-	if a := newTestArray(t, 3); a.Segments() != 3 {
-		t.Errorf("segments = %d", a.Segments())
 	}
 }
 
@@ -63,11 +47,12 @@ func TestUniformArrayMatchesSeriesOfCells(t *testing.T) {
 	cell := NewCell()
 	irr := []float64{1.0, 1.0}
 
-	voc := a.OpenCircuitVoltage(irr)
+	s := a.newSolver(irr)
+	voc := s.stringVoltage(0)
 	if want := 2 * cell.OpenCircuitVoltage(1.0); math.Abs(voc-want) > 5e-3 {
 		t.Errorf("string Voc = %.4f, want %.4f", voc, want)
 	}
-	isc := a.Current(0, irr)
+	isc := s.current(0)
 	if want := cell.ShortCircuitCurrent(1.0); math.Abs(isc-want) > 1e-4 {
 		t.Errorf("string Isc = %.4g, want %.4g", isc, want)
 	}
@@ -80,10 +65,10 @@ func TestUniformArrayMatchesSeriesOfCells(t *testing.T) {
 
 func TestArrayVoltageDecreasesWithCurrent(t *testing.T) {
 	a := newTestArray(t, 2)
-	irr := []float64{1.0, 0.4}
+	s := a.newSolver([]float64{1.0, 0.4})
 	prev := math.Inf(1)
 	for i := 0.0; i <= 16e-3; i += 0.5e-3 {
-		v := a.StringVoltage(i, irr)
+		v := s.stringVoltage(i)
 		if v > prev+1e-9 {
 			t.Fatalf("string voltage not non-increasing at I=%.4g", i)
 		}
@@ -119,7 +104,7 @@ func TestGlobalMPPBeatsEveryLocalPeak(t *testing.T) {
 		}
 	}
 	// And a dense grid cannot beat it either.
-	voc := a.OpenCircuitVoltage(irr)
+	voc := a.newSolver(irr).stringVoltage(0)
 	for k := 1; k < 500; k++ {
 		v := voc * float64(k) / 500
 		if p := a.Power(v, irr); p > pGlobal*(1+5e-3) {
@@ -148,7 +133,7 @@ func TestBypassDiodeLimitsShadedLoss(t *testing.T) {
 func TestArrayPowerNonNegative(t *testing.T) {
 	a := newTestArray(t, 2)
 	irr := []float64{0.8, 0.3}
-	voc := a.OpenCircuitVoltage(irr)
+	voc := a.newSolver(irr).stringVoltage(0)
 	for k := 0; k <= 100; k++ {
 		v := voc * 1.2 * float64(k) / 100
 		if p := a.Power(v, irr); p < 0 {
@@ -163,7 +148,7 @@ func TestArrayPowerNonNegative(t *testing.T) {
 func TestMissingIrradianceEntriesAreDark(t *testing.T) {
 	a := newTestArray(t, 3)
 	// Only one irradiance supplied: the other two segments bypass.
-	voc := a.OpenCircuitVoltage([]float64{1.0})
+	voc := a.newSolver([]float64{1.0}).stringVoltage(0)
 	cell := NewCell()
 	want := cell.OpenCircuitVoltage(1.0) - 2*0.35
 	if math.Abs(voc-want) > 5e-3 {
@@ -310,12 +295,12 @@ func TestSegmentReplayPathMix(t *testing.T) {
 	}
 }
 
-// FuzzArrayParity checks StringVoltage, Current and Power on strings of
-// one to four default cells against the verbatim nested bisection, bitwise,
-// under fuzzed irradiances (zero, negative and NaN read as dark; infinite
-// and overflowing ones terminate on the Voc bisection's iteration cap),
-// terminal voltages (at or below zero, beyond the string's Voc) and string
-// currents.
+// FuzzArrayParity checks the string solver's voltage and current, and
+// Power, on strings of one to four default cells against the verbatim
+// nested bisection, bitwise, under fuzzed irradiances (zero, negative and
+// NaN read as dark; infinite and overflowing ones terminate on the Voc
+// bisection's iteration cap), terminal voltages (at or below zero, beyond
+// the string's Voc) and string currents.
 func FuzzArrayParity(f *testing.F) {
 	for _, p := range shadingPatterns {
 		for _, v := range []float64{-0.5, 0, 0.7, 1.9, 2.9, 4.2, 6} {
@@ -341,12 +326,12 @@ func FuzzArrayParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := verbatimSolver(a, irr)
-		if got, want := a.StringVoltage(current, irr), ref.stringVoltage(current); !sameBits(got, want) {
-			t.Fatalf("StringVoltage(%x, %v) = %x, verbatim %x", current, irr, got, want)
+		s, ref := a.newSolver(irr), verbatimSolver(a, irr)
+		if got, want := s.stringVoltage(current), ref.stringVoltage(current); !sameBits(got, want) {
+			t.Fatalf("stringVoltage(%x, %v) = %x, verbatim %x", current, irr, got, want)
 		}
-		if got, want := a.Current(v, irr), ref.current(v); !sameBits(got, want) {
-			t.Fatalf("Current(%x, %v) = %x, verbatim %x", v, irr, got, want)
+		if got, want := s.current(v), ref.current(v); !sameBits(got, want) {
+			t.Fatalf("current(%x, %v) = %x, verbatim %x", v, irr, got, want)
 		}
 		if got, want := a.Power(v, irr), ref.power(v); !sameBits(got, want) {
 			t.Fatalf("Power(%x, %v) = %x, verbatim %x", v, irr, got, want)

@@ -160,6 +160,9 @@ func TestParseScenarioRejects(t *testing.T) {
 		`{"geometry":{"nodes":1000000000}}`,
 		`{"geometry":{"horizon_s":-2}}`,
 		`{"geometry":{"horizon_s":0.001,"step_s":1}}`, // step > horizon
+		// Expected impulses, and arrivals per node, at or past weather.MaxSamples.
+		`{"source":{"kind":"kinetic","rate_hz":1e12},"geometry":{"horizon_s":0.5,"step_s":1e-4}}`,
+		`{"workload":{"arrivals":{"process":"poisson","rate_hz":1e6}},"geometry":{"horizon_s":300,"step_s":0.1}}`,
 	} {
 		if _, err := ParseScenario([]byte(bad)); err == nil {
 			t.Errorf("ParseScenario(%s) accepted", bad)
@@ -173,17 +176,19 @@ func TestParseScenarioRejects(t *testing.T) {
 // quotient is at or above weather.MaxSamples gets ErrBadTrace from every
 // source kind. The bench source sized its trace without the check and
 // panicked in make (1e300 s is beyond int range, 1e13/0.005 beyond make's
-// byte limit).
+// byte limit). Arrivals are off and the kinetic rate is tiny, so the
+// spec's event bound, which such horizons trip at the default rates, lets
+// the specs through to the trace.
 func TestSourceTraceRejectsHugeGeometry(t *testing.T) {
 	for _, source := range []string{
 		`{"kind":"bench","level":1}`,
 		`{"kind":"clearsky"}`,
 		`{"kind":"cloudy"}`,
-		`{"kind":"kinetic"}`,
+		`{"kind":"kinetic","rate_hz":1e-300}`,
 		`{"kind":"indoor"}`,
 	} {
 		for _, geometry := range []string{`{"horizon_s":1e300}`, `{"horizon_s":1e13,"step_s":0.005}`} {
-			text := `{"source":` + source + `,"geometry":` + geometry + `}`
+			text := `{"source":` + source + `,"workload":{"arrivals":{"process":"none"}},"geometry":` + geometry + `}`
 			spec, err := ParseScenario([]byte(text))
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/weather"
 )
 
 // Errors returned by this package.
@@ -328,7 +330,23 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: geometry horizon %g and step %g must be positive, finite, step <= horizon",
 			ErrBadSpec, g.HorizonS, g.StepS)
 	}
+	// A run generates impulses and arrivals one by one, so their expected
+	// counts are bounded as a trace's samples are.
+	if impulses, arrivals := s.ExpectedEvents(); !(impulses < weather.MaxSamples) || !(arrivals < weather.MaxSamples) {
+		return fmt.Errorf("%w: rates expect %.3g source impulses and %.3g arrivals per node over the horizon; each must stay below %d",
+			ErrBadSpec, impulses, arrivals, weather.MaxSamples)
+	}
 	return nil
+}
+
+// ExpectedEvents returns the expected number of kinetic impulses the
+// source delivers over the horizon (rendered once per run) and of radio
+// arrivals each node stores.
+func (s Spec) ExpectedEvents() (impulses, arrivalsPerNode float64) {
+	if s.Source.Kind == SourceKinetic {
+		impulses = s.Source.RateHz * s.Geometry.HorizonS
+	}
+	return impulses, s.Workload.Arrivals.RateHz * s.Geometry.HorizonS
 }
 
 // validate checks the source block for its kind, including that fields of

@@ -59,6 +59,7 @@ func TestFleetEndpointRejects(t *testing.T) {
 		// Epoch-count cap: almost no integration work (1 step) but ~5e10
 		// scheduler rounds, each appending a snapshot, without the bound.
 		"n=1,horizon=0.05,epoch=1e-12,step=0.05",
+		"n=3,step=1,horizon=0.05", // a step longer than the horizon
 	} {
 		if code, _ := get(t, ts.URL+"/api/v1/fleet/"+bad); code != http.StatusBadRequest {
 			t.Errorf("spec %q: status %d, want 400", bad, code)

@@ -19,7 +19,8 @@ import (
 
 // Scenario sizing bounds. Scenario populations are richer per node than
 // fleet nodes (radio schedules, site trims), so the node cap is tighter;
-// the total-steps cap is shared with the fleet endpoints.
+// the total-steps cap is shared with the fleet endpoints, and also caps
+// the source impulses and arrivals a run generates one by one.
 const maxScenarioNodes = 256
 
 // handleScenariosInfo describes the scenario schema: every source kind and
@@ -36,8 +37,9 @@ func (s *Server) handleScenariosInfo(w http.ResponseWriter, r *http.Request) {
 			scenario.ArrivalsGamma, scenario.ArrivalsWeibull,
 		},
 		"bounds": map[string]any{
-			"max_nodes":       maxScenarioNodes,
-			"max_total_steps": float64(maxFleetSteps),
+			"max_nodes":        maxScenarioNodes,
+			"max_total_steps":  float64(maxFleetSteps),
+			"max_total_events": float64(maxFleetSteps),
 		},
 	})
 }
@@ -69,6 +71,11 @@ func (s *Server) handleScenariosRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if work := float64(g.Nodes) * (g.HorizonS / g.StepS); work > maxFleetSteps {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("scenario orders %.3g integration steps (max %.3g); shrink nodes or horizon, or coarsen step", work, float64(maxFleetSteps)))
+		return
+	}
+	impulses, arrivals := spec.ExpectedEvents()
+	if events := impulses + float64(g.Nodes)*arrivals; events > maxFleetSteps {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("scenario expects %.3g source impulses and arrivals (max %.3g); shrink nodes or horizon, or lower the rates", events, float64(maxFleetSteps)))
 		return
 	}
 	if err := renderFault(r.Context()); err != nil {

@@ -25,7 +25,8 @@ func TestScenariosInfo(t *testing.T) {
 		SourceKinds      []string `json:"source_kinds"`
 		ArrivalProcesses []string `json:"arrival_processes"`
 		Bounds           struct {
-			MaxNodes int `json:"max_nodes"`
+			MaxNodes       int     `json:"max_nodes"`
+			MaxTotalEvents float64 `json:"max_total_events"`
 		} `json:"bounds"`
 	}
 	if err := json.Unmarshal(body, &info); err != nil {
@@ -36,6 +37,9 @@ func TestScenariosInfo(t *testing.T) {
 	}
 	if info.Bounds.MaxNodes != maxScenarioNodes {
 		t.Errorf("max_nodes = %d, want %d", info.Bounds.MaxNodes, maxScenarioNodes)
+	}
+	if info.Bounds.MaxTotalEvents != maxFleetSteps {
+		t.Errorf("max_total_events = %g, want %g", info.Bounds.MaxTotalEvents, float64(maxFleetSteps))
 	}
 	for _, k := range info.SourceKinds {
 		if k == "trace" {
@@ -90,6 +94,10 @@ func TestScenariosRunRejects(t *testing.T) {
 		"bad kind":      {`{"source":{"kind":"fusion"}}`, http.StatusBadRequest},
 		"node cap":      {`{"geometry":{"nodes":9999}}`, http.StatusBadRequest},
 		"step budget":   {`{"geometry":{"nodes":256,"horizon_s":1000}}`, http.StatusBadRequest},
+		// Within the step budget, but 5e11 impulses, and 5.1e9 arrival
+		// times across the nodes: the spec's and the handler's event bounds.
+		"impulse count": {`{"source":{"kind":"kinetic","rate_hz":1e12},"geometry":{"horizon_s":0.5,"step_s":1e-4}}`, http.StatusBadRequest},
+		"event budget":  {`{"workload":{"arrivals":{"process":"poisson","rate_hz":1e6}},"geometry":{"nodes":256,"horizon_s":20,"step_s":1e-3}}`, http.StatusBadRequest},
 		"trace kind":    {`{"source":{"kind":"trace","path":"/etc/passwd"}}`, http.StatusUnprocessableEntity},
 	} {
 		if code, body := post(t, url, tc.body); code != tc.want {

@@ -74,12 +74,9 @@ func TestExperimentsList(t *testing.T) {
 	if len(resp.Experiments) != len(expt.Names()) {
 		t.Fatalf("listed %d experiments, registry has %d", len(resp.Experiments), len(expt.Names()))
 	}
-	noSeries := make(map[string]bool)
-	for _, id := range expt.NoSeriesIDs() {
-		noSeries[id] = true
-	}
+	registry := expt.Registry()
 	for _, e := range resp.Experiments {
-		if e.HasSeries == noSeries[e.ID] {
+		if e.HasSeries != registry[e.ID].Has(expt.SurfaceSeries) {
 			t.Errorf("%s: has_series=%v disagrees with registry", e.ID, e.HasSeries)
 		}
 	}
