@@ -122,7 +122,7 @@ type Outcome struct {
 type Config struct {
 	Cell *pv.Cell       // harvester (required)
 	Proc *cpu.Processor // load (required)
-	Reg  reg.Regulator  // regulator for non-bypass mode (required)
+	Reg  reg.Regulator  // regulator for non-bypass mode (required; pure methods)
 	Cap  Storage        // storage node (required)
 
 	// Irradiance returns the light level (fraction of full sun) at time t.
@@ -214,13 +214,23 @@ type State struct {
 	vddTarget  float64 // commanded supply voltage (V)
 	bypass     bool
 
-	// Derived per step:
+	// opValid reports that the operating point below was resolved at
+	// opVcap under the present commands; a command that changes a bit
+	// clears it. resolveOperatingPoint is a pure function of vcap, the
+	// commands and bypass (Proc, Reg and ClockLevels are fixed after New),
+	// so a settled node, whose vcap repeats its bits, resolves with one
+	// compare.
+	opValid bool
+
+	// Derived per step; all but solarPow by resolveOperatingPoint, at the
+	// node voltage opVcap:
 	effSupply float64 // effective supply voltage after dropout limiting (V)
 	effFreq   float64 // effective clock frequency (Hz)
 	halted    bool
 	solarPow  float64
 	loadPow   float64
 	inputPow  float64
+	opVcap    float64
 
 	cyclesDone float64
 	compAbove  []bool
@@ -336,6 +346,9 @@ func (s *State) SetFrequency(f float64) {
 	if f < 0 {
 		f = 0
 	}
+	if math.Float64bits(f) != math.Float64bits(s.freqTarget) {
+		s.opValid = false
+	}
 	s.freqTarget = f
 }
 
@@ -345,11 +358,19 @@ func (s *State) SetSupply(v float64) {
 	if v < 0 {
 		v = 0
 	}
+	if math.Float64bits(v) != math.Float64bits(s.vddTarget) {
+		s.opValid = false
+	}
 	s.vddTarget = v
 }
 
 // SetBypass switches between regulated and direct-connection operation.
-func (s *State) SetBypass(on bool) { s.bypass = on }
+func (s *State) SetBypass(on bool) {
+	if on != s.bypass {
+		s.opValid = false
+	}
+	s.bypass = on
+}
 
 // SetProfilePhase declares the workload phase subsequent steps' time and
 // load energy are attributed to when profiling is on (cpu/active,
@@ -380,12 +401,13 @@ type Simulator struct {
 	// the config qualifies; quiescent is the controller's optional
 	// capability; stepsSkipped counts steps proven inert and jumped over;
 	// ffUntil/ffDark cache the irradiance source's constancy horizon so a
-	// long dead span asks the source once, not once per attempt.
+	// long dead span asks the source once, not once per attempt. The
+	// bools share one word with the stepper's (TestSimulatorSize).
 	ffwd         bool
+	ffDark       bool
 	quiescent    Quiescent
 	stepsSkipped int
 	ffUntil      float64
-	ffDark       bool
 }
 
 // New validates the configuration and returns a ready simulator.
@@ -461,8 +483,13 @@ func (s *Simulator) Run() (*Outcome, error) {
 }
 
 // resolveOperatingPoint computes the effective supply, frequency and power
-// flows for the current commanded point and node voltage.
+// flows for the current commanded point and node voltage. A vcap with the
+// bits of the last resolve, under unchanged commands, finds them in place.
 func (st *State) resolveOperatingPoint(vcap float64) {
+	if st.opValid && math.Float64bits(vcap) == math.Float64bits(st.opVcap) {
+		return
+	}
+	st.opValid, st.opVcap = true, vcap
 	cfg := &st.cfg
 	proc := cfg.Proc
 

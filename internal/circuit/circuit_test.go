@@ -297,6 +297,111 @@ func TestBypassedRampOperatingPoint(t *testing.T) {
 	}
 }
 
+// frozenStorage holds its node at one voltage: ApplyCurrent moves
+// nothing, as a capacitor whose update has reached a float fixed point.
+type frozenStorage struct{ v float64 }
+
+func (f *frozenStorage) Voltage() float64                  { return f.v }
+func (f *frozenStorage) ApplyCurrent(_, _ float64) float64 { return f.v }
+func (f *frozenStorage) Capacitance() float64              { return 1 }
+
+// commandProbe changes one command per step on a frozen node, the case the
+// operating-point memo must not answer from its last resolve, and checks
+// every step's operating point against the Processor and Regulator methods
+// called directly. Its command lists repeat a value now and then, which the
+// memo must keep answering.
+type commandProbe struct {
+	t     *testing.T
+	what  string // "clock", "supply" or "bypass"
+	steps int
+}
+
+var (
+	probeClocks   = []float64{20e6, 40e6, 40e6, 5e6, 300e6, 0, 20e6}
+	probeSupplies = []float64{0.45, 0.55, 0.55, 0.7, 0.3, 0, 1.1, 0.45}
+	probeBypass   = []bool{true, false, false, true, true, false}
+)
+
+func (c *commandProbe) Init(s *State) {
+	s.SetSupply(0.5)
+	s.SetFrequency(30e6)
+	c.command(s)
+}
+
+func (c *commandProbe) command(s *State) {
+	switch c.what {
+	case "clock":
+		s.SetFrequency(probeClocks[c.steps%len(probeClocks)])
+	case "supply":
+		s.SetSupply(probeSupplies[c.steps%len(probeSupplies)])
+	case "bypass":
+		s.SetBypass(probeBypass[c.steps%len(probeBypass)])
+	}
+}
+
+func (c *commandProbe) OnStep(s *State) {
+	supply, freq, input, halted := directOperatingPoint(s, s.CapVoltage())
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(s.effSupply, supply) || !same(s.Frequency(), freq) || !same(s.InputPower(), input) || s.Halted() != halted {
+		c.t.Fatalf("%s, step %d: supply %v, clock %v, input %v W, halted %v; the methods give %v, %v, %v W, %v",
+			c.what, c.steps, s.effSupply, s.Frequency(), s.InputPower(), s.Halted(), supply, freq, input, halted)
+	}
+	c.steps++
+	c.command(s)
+}
+
+func (c *commandProbe) OnThreshold(*State, ThresholdEvent) {}
+
+// directOperatingPoint is resolveOperatingPoint on a continuous clock,
+// written with the Processor's and the Regulator's own methods.
+func directOperatingPoint(s *State, vcap float64) (supply, freq, input float64, halted bool) {
+	p, r := s.Processor(), s.Regulator()
+	if s.Bypassed() {
+		supply = math.Min(vcap, p.MaxVoltage())
+		if supply < p.MinVoltage() {
+			return supply, 0, p.LeakagePower(supply), true
+		}
+		freq = math.Min(s.freqTarget, p.MaxFrequency(supply))
+		return supply, freq, p.Power(supply, freq), false
+	}
+	lo, hi := r.OutputRange(vcap)
+	supply = math.Min(s.vddTarget, hi)
+	if supply < lo || supply <= 0 {
+		return 0, 0, 0, true
+	}
+	load := p.LeakagePower(supply)
+	if halted = supply < p.MinVoltage(); !halted {
+		freq = math.Min(s.freqTarget, p.MaxFrequency(supply))
+		load = p.Power(supply, freq)
+	}
+	if eta := r.Efficiency(vcap, supply, load); eta > 0 {
+		return supply, freq, load / eta, halted
+	}
+	return supply, freq, load, halted
+}
+
+// TestOperatingPointFollowsCommands runs commandProbe on a node frozen at
+// 0.8 V, changing only the clock, only the supply or only the bypass per
+// step, so vcap repeats its bits on every step and only the commands move
+// the operating point.
+func TestOperatingPointFollowsCommands(t *testing.T) {
+	for _, what := range []string{"clock", "supply", "bypass"} {
+		probe := &commandProbe{t: t, what: what}
+		cfg := testConfig(t, probe)
+		cfg.Cap, cfg.MaxTime = &frozenStorage{v: 0.8}, 200*cfg.Step
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if probe.steps != 200 {
+			t.Errorf("%s: %d steps checked, want 200", what, probe.steps)
+		}
+	}
+}
+
 // thresholdRecorder records comparator events.
 type thresholdRecorder struct {
 	FixedPoint

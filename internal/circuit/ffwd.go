@@ -102,15 +102,18 @@ func (s *Simulator) tryFastForward(target int) {
 	// Re-derive the operating point at the CURRENT voltage: the cached
 	// zeros above were computed at the step's starting voltage, which
 	// the step itself may have changed. A passing probe reproduces the
-	// exact zeros already in place; a failing one is rolled back so the
-	// state stays bitwise what the last verbatim step left.
+	// exact zeros already in place; a failing one is rolled back, with the
+	// operating-point memo, so the state stays bitwise what the last
+	// verbatim step left.
 	savedSupply, savedHalted := st.effSupply, st.halted
 	savedFreq, savedLoad, savedInput := st.effFreq, st.loadPow, st.inputPow
+	savedValid, savedVcap := st.opValid, st.opVcap
 	st.resolveOperatingPoint(vcap)
 	if !st.halted || st.loadPow != 0 || st.inputPow != 0 || st.effFreq != 0 ||
 		st.effSupply != 0 {
 		st.effSupply, st.halted = savedSupply, savedHalted
 		st.effFreq, st.loadPow, st.inputPow = savedFreq, savedLoad, savedInput
+		st.opValid, st.opVcap = savedValid, savedVcap
 		return
 	}
 

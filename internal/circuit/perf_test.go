@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cap"
 	"repro/internal/cpu"
@@ -26,6 +27,15 @@ func TestClockLevelValidation(t *testing.T) {
 		if _, err := New(cfg); !errors.Is(err, ErrInvalidClockLevel) {
 			t.Errorf("%s: got %v, want ErrInvalidClockLevel", tc.name, err)
 		}
+	}
+}
+
+// TestSimulatorSize pins a Simulator's bytes: NewBatch's slab lays one out
+// per fleet or scenario node, so every byte counts once per node, not in a
+// size class.
+func TestSimulatorSize(t *testing.T) {
+	if n := unsafe.Sizeof(Simulator{}); n > 760 {
+		t.Errorf("Simulator is %d B, want at most 760", n)
 	}
 }
 

@@ -188,7 +188,7 @@ func registryList() []Experiment {
 
 // longPoles lists, longest first, the experiments whose run time sets the
 // makespan of a multi-worker `hemsim all`. On one worker they take about
-// 43%, 26%, 11% and 9% of the run, and no other experiment more than 3%.
+// 32%, 29%, 9% and 9% of the run, and no other experiment more than 4%.
 // In name order ext-weather starts tenth, so without a priority the run
 // ends on one worker finishing it.
 var longPoles = []string{"ext-weather", "ext-intermittent", "ext-shading", "ext-scenario"}

@@ -5,8 +5,8 @@ package metrics
 // like metrics" — so the CI profile-smoke job and the serve tests can
 // assert a live scrape is well-formed:
 //
-//   - every sample belongs to a family announced by a # TYPE line, and a
-//     family's lines are contiguous (no interleaving);
+//   - every family has a # TYPE line, every sample belongs to a family it
+//     announced, and a family's lines are contiguous (no interleaving);
 //   - HELP/TYPE appear at most once per family, TYPE before any sample;
 //   - metric and label names match the spec's character sets, label
 //     values use only the \\, \", \n escapes, values parse as floats;
@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,8 +140,8 @@ func ParseExposition(r io.Reader) (*Scrape, error) {
 		if f.Type == "" {
 			return nil, parseError(n, "sample %q before its # TYPE line", s.Name)
 		}
-		if f.Type == "counter" && (s.Value < 0 || s.Value != s.Value) {
-			return nil, parseError(n, "counter %q has non-monotone value %g", s.Name, s.Value)
+		if f.Type == "counter" && !(s.Value >= 0 && s.Value <= math.MaxFloat64) {
+			return nil, parseError(n, "counter %q has value %g, not finite and non-negative", s.Name, s.Value)
 		}
 		key := seriesKey(s)
 		if seen[key] {
@@ -154,6 +155,9 @@ func ParseExposition(r io.Reader) (*Scrape, error) {
 	}
 
 	for _, f := range sc.Families {
+		if f.Type == "" {
+			return nil, fmt.Errorf("metrics: family %q has no # TYPE line", f.Name)
+		}
 		if f.Type == "histogram" {
 			if err := checkHistogram(f); err != nil {
 				return nil, err
@@ -223,11 +227,10 @@ func parseSample(n int, line string) (Sample, error) {
 		s.Labels = labels
 		rest = rest[end:]
 	}
-	rest = strings.TrimLeft(rest, " \t")
-	if rest == "" {
+	parts := strings.Fields(rest)
+	if len(parts) == 0 {
 		return s, parseError(n, "missing value in %q", line)
 	}
-	parts := strings.Fields(rest)
 	if len(parts) > 2 {
 		return s, parseError(n, "trailing garbage in %q", line)
 	}
@@ -378,7 +381,7 @@ func checkHistogram(f *Family) error {
 			if le == "" {
 				return fmt.Errorf("metrics: %s_bucket without le label", f.Name)
 			}
-			if g.haveLast && s.Value < g.lastCum {
+			if g.haveLast && !(s.Value >= g.lastCum) {
 				return fmt.Errorf("metrics: %s buckets not cumulative at le=%q", f.Name, le)
 			}
 			g.lastCum, g.haveLast = s.Value, true

@@ -70,9 +70,9 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r.Gauge("x_total", "X again.")
 }
 
-// The writer's own output must satisfy the strict parser — the contract
-// the CI scrape check relies on.
-func TestWriteTextRoundTrip(t *testing.T) {
+// populatedScrape is a registry with a family of every kind the writer
+// emits, escapes in help and label values, scraped by WriteText.
+func populatedScrape() string {
 	r := NewRegistry()
 	r.Counter("plain_total", "Plain counter.").Add(7)
 	r.Gauge("temp", "With\nnewline and back\\slash.").Add(1.25)
@@ -86,7 +86,13 @@ func TestWriteTextRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	r.WriteText(&buf)
-	text := buf.String()
+	return buf.String()
+}
+
+// The writer's own output must satisfy the strict parser — the contract
+// the CI scrape check relies on.
+func TestWriteTextRoundTrip(t *testing.T) {
+	text := populatedScrape()
 
 	sc, err := ParseExposition(strings.NewReader(text))
 	if err != nil {
@@ -113,26 +119,33 @@ func TestWriteTextRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedExpositions are scrapes the parser must reject, by the rule
+// each breaks.
+var malformedExpositions = map[string]string{
+	"sample without TYPE": "foo 1\n",
+	"sample before TYPE":  "# HELP foo h\nfoo 1\n# TYPE foo counter\n",
+	"second TYPE":         "# TYPE foo counter\nfoo 1\n# TYPE foo gauge\n",
+	"reopened family":     "# TYPE a counter\na 1\n# TYPE b counter\nb 1\na 2\n",
+	"negative counter":    "# TYPE foo counter\nfoo -1\n",
+	"bad escape":          "# TYPE foo counter\nfoo{l=\"\\x\"} 1\n",
+	"unterminated label":  "# TYPE foo counter\nfoo{l=\"v 1\n",
+	"duplicate series":    "# TYPE foo counter\nfoo{a=\"1\"} 1\nfoo{a=\"1\"} 2\n",
+	"duplicate label":     "# TYPE foo counter\nfoo{a=\"1\",a=\"2\"} 1\n",
+	"bad value":           "# TYPE foo counter\nfoo xyz\n",
+	"bucket without le":   "# TYPE h histogram\nh_bucket 1\nh_sum 1\nh_count 1\n",
+	"missing inf bucket":  "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+	"non-cumulative":      "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"count != inf":        "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
+	"invalid metric name": "# TYPE 9foo counter\n9foo 1\n",
+	"bad TYPE value":      "# TYPE foo cntr\nfoo 1\n",
+	"HELP without TYPE":   "# HELP foo h\n",
+	"infinite counter":    "# TYPE foo counter\nfoo +Inf\n",
+	"NaN bucket":          "# TYPE h histogram\nh_bucket{le=\"1\"} NaN\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"blank value":         "# TYPE foo gauge\nfoo \v\n", // whitespace but no value
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"sample without TYPE": "foo 1\n",
-		"sample before TYPE":  "# HELP foo h\nfoo 1\n# TYPE foo counter\n",
-		"second TYPE":         "# TYPE foo counter\nfoo 1\n# TYPE foo gauge\n",
-		"reopened family":     "# TYPE a counter\na 1\n# TYPE b counter\nb 1\na 2\n",
-		"negative counter":    "# TYPE foo counter\nfoo -1\n",
-		"bad escape":          "# TYPE foo counter\nfoo{l=\"\\x\"} 1\n",
-		"unterminated label":  "# TYPE foo counter\nfoo{l=\"v 1\n",
-		"duplicate series":    "# TYPE foo counter\nfoo{a=\"1\"} 1\nfoo{a=\"1\"} 2\n",
-		"duplicate label":     "# TYPE foo counter\nfoo{a=\"1\",a=\"2\"} 1\n",
-		"bad value":           "# TYPE foo counter\nfoo xyz\n",
-		"bucket without le":   "# TYPE h histogram\nh_bucket 1\nh_sum 1\nh_count 1\n",
-		"missing inf bucket":  "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"non-cumulative":      "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
-		"count != inf":        "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
-		"invalid metric name": "# TYPE 9foo counter\n9foo 1\n",
-		"bad TYPE value":      "# TYPE foo cntr\nfoo 1\n",
-	}
-	for name, text := range cases {
+	for name, text := range malformedExpositions {
 		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted\n%s", name, text)
 		}

@@ -64,6 +64,15 @@ package pv
 //     newtonMaxIterations. The package's tests compare the replay against
 //     it, alone and, through a solver with stringSolver.verbatim set,
 //     under the string's outer solves.
+//
+// Twins. Strings repeat segments: ExtShading's uniform pattern has three
+// lit segments with the same bits, its one-shaded pattern two. A segment's
+// voltage at a current is a pure function of its cell's fields and its
+// irradiance, so newSolver marks a segment whose cell and irradiance have
+// an earlier segment's bits in every field as that segment's twin, and
+// stringVoltage copies the twin's voltage at each current probe, still
+// summing the segments in order. The verbatim solver solves every segment,
+// so the oracle checks the reuse too.
 
 import (
 	"errors"
@@ -133,17 +142,29 @@ type stringSolver struct {
 	vocs []float64
 	iscs []float64
 
-	// verbatim skips the replay, so every segment solve is the original
-	// bisection. Only the package's tests set it, as their oracle.
+	// twins[i] is the first earlier segment whose cell and irradiance have
+	// segment i's bits in every field, or -1. A segment's voltage is a pure
+	// function of those bits and the current, so stringVoltage solves a
+	// twin's voltage once per probe; volts holds the probe's segment
+	// voltages for the reuse.
+	twins []int
+	volts []float64
+
+	// verbatim skips the replay and the twins, so every segment solve is
+	// the original bisection. Only the package's tests set it, as their
+	// oracle.
 	verbatim bool
 }
 
 func (a *Array) newSolver(irradiances []float64) *stringSolver {
+	n := len(a.segments)
 	s := &stringSolver{
-		arr:  a,
-		irrs: make([]float64, len(a.segments)),
-		vocs: make([]float64, len(a.segments)),
-		iscs: make([]float64, len(a.segments)),
+		arr:   a,
+		irrs:  make([]float64, n),
+		vocs:  make([]float64, n),
+		iscs:  make([]float64, n),
+		twins: make([]int, n),
+		volts: make([]float64, n),
 	}
 	for i, cell := range a.segments {
 		if i < len(irradiances) && irradiances[i] > 0 {
@@ -151,8 +172,24 @@ func (a *Array) newSolver(irradiances []float64) *stringSolver {
 			s.vocs[i] = cell.OpenCircuitVoltage(s.irrs[i])
 			s.iscs[i] = cell.ShortCircuitCurrent(s.irrs[i])
 		}
+		s.twins[i] = -1
+		for j := range i {
+			if math.Float64bits(s.irrs[j]) == math.Float64bits(s.irrs[i]) && sameCell(a.segments[j], cell) {
+				s.twins[i] = j
+				break
+			}
+		}
 	}
 	return s
+}
+
+// sameCell reports whether two cells have the same bits in every field.
+func sameCell(a, b *Cell) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a == b || same(a.photoCurrentFullSun, b.photoCurrentFullSun) &&
+		same(a.saturationCurrent, b.saturationCurrent) && same(a.idealityFactor, b.idealityFactor) &&
+		a.seriesCells == b.seriesCells && same(a.seriesResistance, b.seriesResistance) &&
+		same(a.shuntResistance, b.shuntResistance)
 }
 
 // segmentVoltage returns the voltage across segment i when the string
@@ -231,11 +268,17 @@ func (s *stringSolver) bisectSegment(i int, current, vstar, band float64) (v flo
 	return 0.5 * (lo + hi), evals
 }
 
-// stringVoltage sums the segment voltages at the given string current.
+// stringVoltage sums the segment voltages at the given string current, in
+// segment order, solving each twin once.
 func (s *stringSolver) stringVoltage(current float64) float64 {
 	var sum float64
-	for i := range s.arr.segments {
-		sum += s.segmentVoltage(i, current)
+	for i, t := range s.twins {
+		if t >= 0 && !s.verbatim {
+			s.volts[i] = s.volts[t]
+		} else {
+			s.volts[i] = s.segmentVoltage(i, current)
+		}
+		sum += s.volts[i]
 	}
 	return sum
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // shadingPatterns are ExtShading's (internal/expt) per-segment irradiances
@@ -295,25 +296,105 @@ func TestSegmentReplayPathMix(t *testing.T) {
 	}
 }
 
+// TestArrayTwins checks the twin rule on strings whose segments differ in
+// one cell field, by a quarter or one junction, or only in irradiance: a
+// segment is the twin of an earlier one only when both match bit for bit,
+// and every solve equals the verbatim solver's, which solves each segment.
+func TestArrayTwins(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		other *Cell
+		irr   []float64
+		twins []int
+	}{
+		{"photocurrent", NewCell(WithPhotoCurrent(20e-3)), []float64{1, 1, 1}, []int{-1, -1, 0}},
+		{"saturation current", NewCell(WithSaturationCurrent(1.25 * NewCell().saturationCurrent)), []float64{1, 1, 1}, []int{-1, -1, 0}},
+		{"ideality factor", NewCell(WithIdealityFactor(1.875)), []float64{1, 1, 1}, []int{-1, -1, 0}},
+		{"series cells", NewCell(WithSeriesCells(4)), []float64{1, 1, 1}, []int{-1, -1, 0}},
+		{"series resistance", NewCell(WithSeriesResistance(2.5)), []float64{1, 1, 1}, []int{-1, -1, 0}},
+		{"shunt resistance", NewCell(WithShuntResistance(3750)), []float64{1, 1, 1}, []int{-1, -1, 0}},
+		{"irradiance", NewCell(), []float64{1, 0.5, 1}, []int{-1, -1, 0}},
+		{"identical", NewCell(), []float64{1, 1, 0.3}, []int{-1, 0, -1}},
+	} {
+		a, err := NewArray([]*Cell{NewCell(), tc.other, NewCell()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ref := a.newSolver(tc.irr), verbatimSolver(a, tc.irr)
+		if fmt.Sprint(s.twins) != fmt.Sprint(tc.twins) {
+			t.Errorf("%s: twins %v, want %v", tc.name, s.twins, tc.twins)
+		}
+		for k := 0; k <= 32; k++ {
+			current := 0.016 * float64(k) / 32
+			if got, want := s.stringVoltage(current), ref.stringVoltage(current); !sameBits(got, want) {
+				t.Fatalf("%s: stringVoltage(%g) = %x, verbatim %x", tc.name, current, got, want)
+			}
+		}
+		for _, v := range []float64{0.5, 1.5, 2.5, 3.5} {
+			if got, want := s.current(v), ref.current(v); !sameBits(got, want) {
+				t.Fatalf("%s: current(%g) = %x, verbatim %x", tc.name, v, got, want)
+			}
+		}
+	}
+}
+
+// cellBits is a cell's memory, every field's bits: the oracle for the twin
+// rule, which covers any field a Cell gains.
+func cellBits(c *Cell) [unsafe.Sizeof(Cell{})]byte {
+	return *(*[unsafe.Sizeof(Cell{})]byte)(unsafe.Pointer(c))
+}
+
+// nudgedCell returns a default cell with field k (1 photocurrent, 2
+// saturation current, 3 ideality factor, 4 series junctions, 5 series
+// resistance, 6 shunt resistance) one ulp, or one junction, above the
+// default; k = 0 leaves it default.
+func nudgedCell(k int) *Cell {
+	c := NewCell()
+	up := func(x *float64) { *x = math.Nextafter(*x, math.Inf(1)) }
+	switch k {
+	case 1:
+		up(&c.photoCurrentFullSun)
+	case 2:
+		up(&c.saturationCurrent)
+	case 3:
+		up(&c.idealityFactor)
+	case 4:
+		c.seriesCells++
+	case 5:
+		up(&c.seriesResistance)
+	case 6:
+		up(&c.shuntResistance)
+	}
+	return c
+}
+
 // FuzzArrayParity checks the string solver's voltage and current, and
 // Power, on strings of one to four default cells against the verbatim
 // nested bisection, bitwise, under fuzzed irradiances (zero, negative and
 // NaN read as dark; infinite and overflowing ones terminate on the Voc
 // bisection's iteration cap), terminal voltages (at or below zero, beyond
-// the string's Voc) and string currents.
+// the string's Voc) and string currents. odd puts a cell one ulp off the
+// default in field odd>>2%7 (see nudgedCell) at segment odd%4, and each
+// segment's twin must be the first earlier segment with its cell's and its
+// irradiance's bits.
 func FuzzArrayParity(f *testing.F) {
 	for _, p := range shadingPatterns {
 		for _, v := range []float64{-0.5, 0, 0.7, 1.9, 2.9, 4.2, 6} {
-			f.Add(uint8(2), p[0], p[1], p[2], 0.0, v, 0.004)
+			f.Add(uint8(2), p[0], p[1], p[2], 0.0, v, 0.004, uint8(0))
 		}
 	}
-	f.Add(uint8(3), 1.0, 0.0, -0.5, math.NaN(), 0.5, 0.016)
-	f.Add(uint8(0), 1e-3, 0.0, 0.0, 0.0, 0.3, 1e-6)
-	f.Add(uint8(1), 0.15, 1.0, 0.0, 0.0, 1.0, -0.01)
-	f.Add(uint8(0), math.Inf(1), 0.0, 0.0, 0.0, 0.5, 0.004)
-	f.Add(uint8(1), math.Inf(1), 0.5, 0.0, 0.0, 1.2, 0.004)
-	f.Add(uint8(2), 1.0, math.Inf(-1), math.MaxFloat64, 0.0, 0.9, 0.01)
-	f.Fuzz(func(t *testing.T, n uint8, i0, i1, i2, i3, v, current float64) {
+	f.Add(uint8(3), 1.0, 0.0, -0.5, math.NaN(), 0.5, 0.016, uint8(0))
+	f.Add(uint8(0), 1e-3, 0.0, 0.0, 0.0, 0.3, 1e-6, uint8(0))
+	f.Add(uint8(1), 0.15, 1.0, 0.0, 0.0, 1.0, -0.01, uint8(0))
+	f.Add(uint8(0), math.Inf(1), 0.0, 0.0, 0.0, 0.5, 0.004, uint8(0))
+	f.Add(uint8(1), math.Inf(1), 0.5, 0.0, 0.0, 1.2, 0.004, uint8(0))
+	f.Add(uint8(2), 1.0, math.Inf(-1), math.MaxFloat64, 0.0, 0.9, 0.01, uint8(0))
+	f.Add(uint8(3), 1.0, 1.0, 1.0, 1.0, 3.1, 0.008, uint8(0))
+	// Uniform light on a string with one segment one ulp off in a field.
+	for k := uint8(1); k <= 6; k++ {
+		f.Add(uint8(3), 1.0, 1.0, 1.0, 1.0, 3.1, 0.008, k<<2|k%4)
+	}
+	f.Fuzz(func(t *testing.T, n uint8, i0, i1, i2, i3, v, current float64, odd uint8) {
 		irr := []float64{i0, i1, i2, i3}[:1+n%4]
 		if !(math.Abs(v) <= 100) || !(math.Abs(current) <= 1) {
 			t.Skip()
@@ -322,11 +403,26 @@ func FuzzArrayParity(f *testing.F) {
 		for k := range cells {
 			cells[k] = NewCell()
 		}
+		if k := int(odd % 4); k < len(cells) {
+			cells[k] = nudgedCell(int(odd >> 2 % 7))
+		}
 		a, err := NewArray(cells)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, ref := a.newSolver(irr), verbatimSolver(a, irr)
+		for i := range cells {
+			want := -1
+			for j := range i {
+				if cellBits(cells[j]) == cellBits(cells[i]) && sameBits(s.irrs[j], s.irrs[i]) {
+					want = j
+					break
+				}
+			}
+			if s.twins[i] != want {
+				t.Fatalf("segment %d of %v (odd %d): twin %d, want %d", i, irr, odd, s.twins[i], want)
+			}
+		}
 		if got, want := s.stringVoltage(current), ref.stringVoltage(current); !sameBits(got, want) {
 			t.Fatalf("stringVoltage(%x, %v) = %x, verbatim %x", current, irr, got, want)
 		}

@@ -182,14 +182,25 @@ const (
 // the state's history — CurrentWarm is bit-identical to Current for every
 // input; the state only changes how fast the solve converges. A SolverState
 // must not be shared between concurrent solvers.
+//
+// A warm state also answers an exact repeat: a solve whose v and Iph have
+// the bits of the last accepted one, on a cell whose parameters match the
+// derived cache, returns lastI without solving (see repeats). The answer is
+// a pure function of those inputs, so the one-entry memo is exact; a
+// settled node, whose vcap update has reached a float fixed point under
+// constant light, pays a compare per step.
 type SolverState struct {
-	warm  bool
+	warm bool
+
+	// lastI is the last accepted solve's result: the replayed bisection's
+	// answer, which the memo returns and from which the tangent predicts.
 	lastI float64
 
 	// Tangent at the last accepted root: the solve's v and Iph, the
 	// conductance g = Id'(vd) + 1/Rsh at the accepted iterate and
 	// k = 1/(1 + Rs*g). The next warm guess is the Newton step of the
-	// residual linearised there (see newtonStart).
+	// residual linearised there (see newtonStart). lastV and lastIph are
+	// also the memo's key.
 	lastV, lastIph, tanG, tanK float64
 
 	// Derived-parameter cache: the inverses and curvature coefficient the
@@ -251,9 +262,15 @@ func (c *Cell) CurrentReference(v, irradiance float64) float64 {
 // bit-exact bisection replay, falling back to the reference bisection when
 // the fast path's assumptions fail.
 func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
+	if state.repeats(c, v, iph) {
+		return state.lastI
+	}
 	if isFinite(v) && iph > 0 && isFinite(iph) {
 		if root, _, _, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, state), state); ok {
 			i, _, _ := c.replayBisect(v, iph, root)
+			if state != nil {
+				state.lastI = i
+			}
 			return i
 		}
 	}
@@ -261,6 +278,21 @@ func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
 		state.warm = false
 	}
 	return c.currentBisect(v, iph)
+}
+
+// repeats reports whether solving (v, iph) on c repeats the last accepted
+// solve: the state is warm, v and iph have its bits, and c has the
+// parameters of the derived cache. A warm state's cache always holds the
+// accepting cell's (newtonRoot stores them before it accepts, and a
+// fallback leaves the state cold), and those four parameters with Iph are
+// everything the reference bisection reads, so lastI is then its answer.
+// The cell check matters because a state may be carried across cells.
+func (s *SolverState) repeats(c *Cell, v, iph float64) bool {
+	return s != nil && s.warm &&
+		math.Float64bits(v) == math.Float64bits(s.lastV) &&
+		math.Float64bits(iph) == math.Float64bits(s.lastIph) &&
+		s.pRs == c.seriesResistance && s.pRsh == c.shuntResistance &&
+		s.pI0 == c.saturationCurrent && s.pScale == c.junctionScale()
 }
 
 // newtonStart returns Newton's starting point. A warm state predicts the
@@ -276,7 +308,8 @@ func (c *Cell) newtonStart(v, iph float64, state *SolverState) float64 {
 }
 
 // accept records an accepted root and the tangent there, where the
-// residual's conductance is g, for the next warm start.
+// residual's conductance is g, for the next warm start. currentFast then
+// replaces lastI with the replayed answer, which the memo returns.
 func (s *SolverState) accept(v, iph, root, g, rs float64) {
 	s.warm = true
 	s.lastI, s.lastV, s.lastIph = root, v, iph

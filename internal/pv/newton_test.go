@@ -102,6 +102,57 @@ func TestCurrentWarmTransientProfile(t *testing.T) {
 	}
 }
 
+// TestCurrentWarmRepeatMemo checks the warm state's repeat memo: solving
+// one point again answers from the state with the bits of the first solve,
+// and a state shared by two cells that differ in one parameter, solving
+// the same (v, irradiance) in turn, answers each with its own cell's
+// reference. Photocurrent is not among the parameters, because it moves
+// Iph, which is part of the key.
+func TestCurrentWarmRepeatMemo(t *testing.T) {
+	base := NewCell()
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"series resistance", WithSeriesResistance(2.5)},
+		{"shunt resistance", WithShuntResistance(1000)},
+		{"saturation current", WithSaturationCurrent(2 * base.saturationCurrent)},
+		{"ideality factor", WithIdealityFactor(1.6)},
+		{"series cells", WithSeriesCells(4)},
+	} {
+		other := NewCell(tc.opt)
+		for _, irr := range []float64{IndoorDim, HalfSun, FullSun} {
+			for _, v := range []float64{0, 0.6, 1.0, 1.3} {
+				want := [2]float64{base.CurrentReference(v, irr), other.CurrentReference(v, irr)}
+				if want[0] == want[1] {
+					t.Fatalf("%s: the two cells agree at (%g, %g); the case shows nothing", tc.name, v, irr)
+				}
+				var shared SolverState
+				for n := 0; n < 6; n++ {
+					k := n % 2
+					c := [2]*Cell{base, other}[k]
+					if got := c.CurrentWarm(v, irr, &shared); got != want[k] {
+						t.Fatalf("%s, solve %d (cell %d) at (%g, %g) = %x, its reference %x",
+							tc.name, n, k, v, irr, got, want[k])
+					}
+				}
+			}
+		}
+	}
+	var warm SolverState
+	const v, irr = 0.9, HalfSun
+	first := base.CurrentWarm(v, irr, &warm)
+	if !warm.repeats(base, v, base.photoCurrent(irr)) {
+		t.Fatal("a warm state does not recognise the solve it just accepted")
+	}
+	if got := base.CurrentWarm(v, irr, &warm); got != first {
+		t.Fatalf("repeat = %x, first solve %x", got, first)
+	}
+	if warm.repeats(base, math.Nextafter(v, 1), base.photoCurrent(irr)) || warm.repeats(base, v, math.Nextafter(base.photoCurrent(irr), 1)) {
+		t.Error("the memo answers a key one ulp away")
+	}
+}
+
 // randomSolverCell draws a physically plausible calibration: the ranges
 // cover paper-scale modules through larger panels, with enough dynamic
 // range to hit the solver's edge regimes. Options in override apply after the draw.
@@ -406,6 +457,7 @@ func (m *pathMix) solve(t *testing.T, c *Cell, v, irr float64, warm *SolverState
 	if want := c.CurrentReference(v, irr); got != want {
 		t.Fatalf("replay at v=%g irr=%g = %v, reference %v", v, irr, got, want)
 	}
+	warm.lastI = got
 	if wasWarm {
 		m.warm++
 		if iters == 1 {
@@ -537,20 +589,30 @@ func TestOperatingPointBranchesUnchanged(t *testing.T) {
 // every step the fast path (stateless and warm) must return exactly what
 // the reference bisection returns. A zero step re-solves one point. An
 // alternating walk visits v, v+dv, v, … as a browned-out node does, which
-// serves Newton from both exp anchors.
+// serves Newton from both exp anchors. interleave solves each point
+// 1 + interleave%4 times in a row, which the repeat memo answers; with
+// interleave>>2%5 = k > 0, a sibling cell whose k-th parameter (Rs, Rsh,
+// I0, n) is scaled by 1.25 solves each point on the same state right
+// after the cell, so a memo that ignored that parameter would answer it
+// with the cell's current.
 func FuzzCurrentSolverParity(f *testing.F) {
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5, 0.0, 0.0, false)
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45, 1e-4, 0.0, false) // just above Voc
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 15.0, 0.0, 0.0, false)  // bracket extension
-	f.Add(1e-4, 1e-12, 1.0, 1, 0.1, 100.0, 1e-3, 0.0, 0.0, 1e-5, false)     // short circuit
-	f.Add(0.1, 1e-6, 2.0, 6, 10.0, 1e5, 1.0, -0.3, 1e-3, -1e-3, false)      // negative bias
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 0.0, 3000.0, 1.0, 0.5, 1e-3, 1e-3, false)  // Rs = 0 direct path
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.6, 1.2, 1e-5, 5e-5, false)  // drifting light at the knee
-	f.Add(0.125, 1e-9, 1.3, 2, 1.0, 1e4, 1.0, 0.0, 1e-6, -1e-6, false)      // Iph a power of two
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.06, 0.0, 1e-3, 1e-5, true)  // brownout 2-cycle
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 0.0, 8e-3, 0.0, true)    // half-sun 2-cycle
-	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, -1e-3, -1e-4, true) // alternating at the knee
-	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v, dv, dirr float64, alternate bool) {
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5, 0.0, 0.0, false, uint8(0))
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45, 1e-4, 0.0, false, uint8(0)) // just above Voc
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 15.0, 0.0, 0.0, false, uint8(0))  // bracket extension
+	f.Add(1e-4, 1e-12, 1.0, 1, 0.1, 100.0, 1e-3, 0.0, 0.0, 1e-5, false, uint8(0))     // short circuit
+	f.Add(0.1, 1e-6, 2.0, 6, 10.0, 1e5, 1.0, -0.3, 1e-3, -1e-3, false, uint8(0))      // negative bias
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 0.0, 3000.0, 1.0, 0.5, 1e-3, 1e-3, false, uint8(0))  // Rs = 0 direct path
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.6, 1.2, 1e-5, 5e-5, false, uint8(0))  // drifting light at the knee
+	f.Add(0.125, 1e-9, 1.3, 2, 1.0, 1e4, 1.0, 0.0, 1e-6, -1e-6, false, uint8(0))      // Iph a power of two
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.06, 0.0, 1e-3, 1e-5, true, uint8(0))  // brownout 2-cycle
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 0.0, 8e-3, 0.0, true, uint8(0))    // half-sun 2-cycle
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, -1e-3, -1e-4, true, uint8(0)) // alternating at the knee
+	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, 0.0, 0.0, false, uint8(3))    // a settled node's repeats
+	// A sibling differing in Rs, Rsh, I0 or n.
+	for k := uint8(1); k <= 4; k++ {
+		f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, 1e-4, 0.0, false, k<<2|1)
+	}
+	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v, dv, dirr float64, alternate bool, interleave uint8) {
 		// Clamp to the physically sane envelope; the fuzzer's job is to
 		// explore solver regimes, not to feed NaN cell calibrations (those
 		// are covered by TestCurrentFastDegenerateFallsBack).
@@ -561,19 +623,31 @@ func FuzzCurrentSolverParity(f *testing.F) {
 			!(math.Abs(dv) <= 1e-2) || !(math.Abs(dirr) <= 1e-2) {
 			t.Skip()
 		}
-		c := NewCell(
+		opts := []Option{
 			WithPhotoCurrent(iph), WithSaturationCurrent(i0),
 			WithIdealityFactor(n), WithSeriesCells(ns),
 			WithSeriesResistance(rs), WithShuntResistance(rsh),
-		)
+		}
+		c := NewCell(opts...)
+		cells := []*Cell{c}
+		if k := interleave >> 2 % 5; k > 0 {
+			sibling := [...]Option{
+				WithSeriesResistance(1.25 * rs), WithShuntResistance(1.25 * rsh),
+				WithSaturationCurrent(1.25 * i0), WithIdealityFactor(1.25 * n),
+			}[k-1]
+			cells = append(cells, NewCell(append(opts, sibling)...))
+		}
 		var warm SolverState
 		for step := 0; step < 64; step++ {
-			want := c.CurrentReference(v, irr)
-			if got := c.Current(v, irr); got != want {
+			if got, want := c.Current(v, irr), c.CurrentReference(v, irr); got != want {
 				t.Fatalf("step %d: Current(%x, %x) = %x, reference %x", step, v, irr, got, want)
 			}
-			if got := c.CurrentWarm(v, irr, &warm); got != want {
-				t.Fatalf("step %d: CurrentWarm(%x, %x) = %x, reference %x", step, v, irr, got, want)
+			for r := 0; r <= int(interleave%4); r++ {
+				for k, cell := range cells {
+					if got, want := cell.CurrentWarm(v, irr, &warm), cell.CurrentReference(v, irr); got != want {
+						t.Fatalf("step %d, solve %d, cell %d: CurrentWarm(%x, %x) = %x, reference %x", step, r, k, v, irr, got, want)
+					}
+				}
 			}
 			if alternate {
 				v, dv = v+dv, -dv

@@ -150,6 +150,16 @@ func TestParseScenarioRejects(t *testing.T) {
 		`{"source":{"kind":"clearsky","sunrise_frac":0.9,"sunset_frac":0.2}}`,
 		`{"source":{"kind":"kinetic","jitter":1.5}}`,
 		`{"source":{"kind":"indoor","start_stage":9}}`,
+		// A field another kind reads: the run would be cached under a
+		// second canonical form.
+		`{"source":{"kind":"bench","level":1,"rate_hz":5,"peak":3,"path":"/x"}}`,
+		`{"source":{"kind":"bench","peak":3}}`,
+		`{"source":{"kind":"clearsky","level":0.5}}`,
+		`{"source":{"kind":"cloudy","jitter":0.1}}`,
+		`{"source":{"kind":"kinetic","start_stage":1}}`,
+		`{"source":{"kind":"indoor","decay_s":0.1}}`,
+		`{"source":{"kind":"trace","path":"x.json","level":1}}`,
+		`{"source":{"kind":"indoor","start_stage":1,"sunset_frac":0.5}}`,
 		`{"workload":{"job_cycles":-5}}`,
 		`{"workload":{"deadline_frac":1.5}}`,
 		`{"workload":{"arrivals":{"process":"uniform"}}}`,

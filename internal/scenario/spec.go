@@ -350,16 +350,19 @@ func (s Spec) ExpectedEvents() (impulses, arrivalsPerNode float64) {
 }
 
 // validate checks the source block for its kind, including that fields of
-// other kinds stay zero (so the canonical form is unambiguous).
+// other kinds stay zero (so the canonical form is unambiguous): rest is the
+// block with the fields its kind reads cleared.
 func (src Source) validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: source %s: %s", ErrBadSpec, src.Kind, fmt.Sprintf(format, args...))
 	}
+	rest, reads := src, ""
 	switch src.Kind {
 	case SourceBench:
 		if !posFinite(src.Level) || src.Level > 10 {
 			return bad("level %g outside (0, 10]", src.Level)
 		}
+		rest.Level, reads = 0, "level"
 	case SourceClear:
 		if !posFinite(src.Peak) || src.Peak > 10 {
 			return bad("peak %g outside (0, 10]", src.Peak)
@@ -367,6 +370,7 @@ func (src Source) validate() error {
 		if !finiteFrac(src.SunriseFrac) || !(src.SunsetFrac > src.SunriseFrac) || src.SunsetFrac > 1 {
 			return bad("need 0 <= sunrise_frac < sunset_frac <= 1, got %g and %g", src.SunriseFrac, src.SunsetFrac)
 		}
+		rest.Peak, rest.SunriseFrac, rest.SunsetFrac, reads = 0, 0, 0, "peak, sunrise_frac and sunset_frac"
 	case SourceCloudy:
 		if !posFinite(src.Level) || src.Level > 10 {
 			return bad("level %g outside (0, 10]", src.Level)
@@ -377,6 +381,8 @@ func (src Source) validate() error {
 		if !posFinite(src.AttenMean) || src.AttenMean > 1 || !finiteFrac(src.AttenSigma) {
 			return bad("attenuation mean %g must be in (0, 1] and sigma %g in [0, 1)", src.AttenMean, src.AttenSigma)
 		}
+		rest.Level, rest.DwellClearS, rest.DwellCloudyS, rest.AttenMean, rest.AttenSigma = 0, 0, 0, 0, 0
+		reads = "level, dwell_clear_s, dwell_cloudy_s, atten_mean and atten_sigma"
 	case SourceKinetic:
 		if !posFinite(src.RateHz) || !posFinite(src.Impulse) || !posFinite(src.DecayS) {
 			return bad("rate_hz, impulse and decay_s must be positive and finite (%g, %g, %g)",
@@ -385,6 +391,7 @@ func (src Source) validate() error {
 		if !finiteFrac(src.Jitter) {
 			return bad("jitter %g outside [0, 1)", src.Jitter)
 		}
+		rest.RateHz, rest.Impulse, rest.DecayS, rest.Jitter, reads = 0, 0, 0, 0, "rate_hz, impulse, decay_s and jitter"
 	case SourceIndoor:
 		if !finiteFrac(src.Jitter) {
 			return bad("jitter %g outside [0, 1)", src.Jitter)
@@ -392,13 +399,18 @@ func (src Source) validate() error {
 		if src.StartStage < 0 || src.StartStage > 3 {
 			return bad("start_stage %d outside the 4-rung default ladder", src.StartStage)
 		}
+		rest.Jitter, rest.StartStage, reads = 0, 0, "jitter and start_stage"
 	case SourceTrace:
 		if src.Path == "" {
 			return bad("path is required")
 		}
+		rest.Path, reads = "", "path"
 	default:
 		return fmt.Errorf("%w: unknown source kind %q (want %s, %s, %s, %s, %s or %s)", ErrBadSpec,
 			src.Kind, SourceBench, SourceClear, SourceCloudy, SourceKinetic, SourceIndoor, SourceTrace)
+	}
+	if rest != (Source{Kind: src.Kind}) {
+		return bad("a field of another kind is set; this kind reads only %s", reads)
 	}
 	return nil
 }
