@@ -10,8 +10,10 @@ package metrics
 //   - HELP/TYPE appear at most once per family, TYPE before any sample;
 //   - metric and label names match the spec's character sets, label
 //     values use only the \\, \", \n escapes, values parse as floats;
-//   - histogram families carry a +Inf bucket per labelset, cumulative
-//     non-decreasing bucket counts, and _count equal to the +Inf bucket;
+//   - histogram families carry a +Inf bucket per labelset, bucket bounds
+//     (le) that parse as numbers other than NaN and strictly increase, so
+//     no bucket follows +Inf, cumulative non-decreasing bucket counts, and
+//     _count equal to the +Inf bucket;
 //   - counters are finite and non-negative, and no series repeats.
 //
 // The parser accepts any conforming producer, not only this package's
@@ -350,6 +352,7 @@ func checkHistogram(f *Family) error {
 		count    *float64
 		sum      bool
 		lastCum  float64
+		lastLe   float64
 		haveLast bool
 	}
 	groups := make(map[string]*agg)
@@ -381,10 +384,17 @@ func checkHistogram(f *Family) error {
 			if le == "" {
 				return fmt.Errorf("metrics: %s_bucket without le label", f.Name)
 			}
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil || math.IsNaN(bound) {
+				return fmt.Errorf("metrics: %s_bucket le=%q is not a number", f.Name, le)
+			}
+			if g.haveLast && !(bound > g.lastLe) {
+				return fmt.Errorf("metrics: %s bucket le=%q does not exceed the bucket before it", f.Name, le)
+			}
 			if g.haveLast && !(s.Value >= g.lastCum) {
 				return fmt.Errorf("metrics: %s buckets not cumulative at le=%q", f.Name, le)
 			}
-			g.lastCum, g.haveLast = s.Value, true
+			g.lastCum, g.lastLe, g.haveLast = s.Value, bound, true
 			if le == "+Inf" {
 				v := s.Value
 				g.inf = &v

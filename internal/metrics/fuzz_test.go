@@ -11,9 +11,10 @@ import (
 // FuzzParseExposition: parsing never panics, and an accepted scrape keeps
 // the promises of the parser's header. Every family has a valid TYPE, no
 // series repeats, counters are finite and non-negative, and each
-// histogram labelset has cumulative buckets, a +Inf bucket and a _count
-// equal to it. The invariants are checked on the parsed Scrape, with
-// their own grouping, not through the parser's.
+// histogram labelset has bucket bounds that are numbers and strictly
+// increase up to a last +Inf bucket, cumulative buckets, and a _count
+// equal to the +Inf bucket. The invariants are checked on the parsed
+// Scrape, with their own grouping, not through the parser's.
 func FuzzParseExposition(f *testing.F) {
 	f.Add(populatedScrape())
 	for _, text := range malformedExpositions {
@@ -62,13 +63,14 @@ func labelKey(labels []Label, skip string) string {
 }
 
 // checkHistogramInvariants fails t unless each of fam's labelsets (its
-// labels without le) has buckets that never decrease in scrape order, a
-// +Inf bucket, and a _count equal to that bucket.
+// labels without le) has, in scrape order, le bounds that parse as
+// numbers and strictly increase, bucket counts that never decrease, a
+// last bucket with le="+Inf", and a _count equal to that bucket.
 func checkHistogramInvariants(t *testing.T, fam *Family) {
 	t.Helper()
 	type labelset struct {
-		buckets    []float64
-		inf, count *float64
+		buckets, bounds []float64
+		inf, count      *float64
 	}
 	sets := make(map[string]*labelset)
 	for _, s := range fam.Samples {
@@ -81,8 +83,17 @@ func checkHistogramInvariants(t *testing.T, fam *Family) {
 		v := s.Value
 		switch s.Name {
 		case fam.Name + "_bucket":
+			le := s.Label("le")
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil || math.IsNaN(bound) {
+				t.Fatalf("histogram %s accepted with le=%q", fam.Name, le)
+			}
+			if g.inf != nil {
+				t.Fatalf("histogram %s accepted with le=%q after its +Inf bucket", fam.Name, le)
+			}
 			g.buckets = append(g.buckets, v)
-			if s.Label("le") == "+Inf" {
+			g.bounds = append(g.bounds, bound)
+			if le == "+Inf" {
 				g.inf = &v
 			}
 		case fam.Name + "_count":
@@ -93,6 +104,9 @@ func checkHistogramInvariants(t *testing.T, fam *Family) {
 		for k := 1; k < len(g.buckets); k++ {
 			if !(g.buckets[k] >= g.buckets[k-1]) {
 				t.Fatalf("histogram %s{%s} accepted with buckets %v", fam.Name, key, g.buckets)
+			}
+			if !(g.bounds[k] > g.bounds[k-1]) {
+				t.Fatalf("histogram %s{%s} accepted with bounds %v", fam.Name, key, g.bounds)
 			}
 		}
 		if g.inf == nil || g.count == nil || *g.count != *g.inf {

@@ -142,6 +142,10 @@ var malformedExpositions = map[string]string{
 	"infinite counter":    "# TYPE foo counter\nfoo +Inf\n",
 	"NaN bucket":          "# TYPE h histogram\nh_bucket{le=\"1\"} NaN\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
 	"blank value":         "# TYPE foo gauge\nfoo \v\n", // whitespace but no value
+	"non-numeric le":      "# TYPE h histogram\nh_bucket{le=\"abc\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"NaN le":              "# TYPE h histogram\nh_bucket{le=\"NaN\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"le out of order":     "# TYPE h histogram\nh_bucket{le=\"5\"} 1\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"bucket after inf":    "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
 }
 
 func TestParseRejectsMalformed(t *testing.T) {

@@ -23,13 +23,26 @@ package prof
 // taxonomy order, the string table in first-use order, and the gzip header
 // carries no timestamp — equal profiles encode to equal bytes, which is
 // what the fleet -j/batch parity tests compare.
+//
+// Cost: the export is one streaming pass. Each sample is written into one
+// reused buffer with its lengths computed up front (no nested message per
+// stack, value pair or label), frame and label IDs are resolved once per
+// bin and once per scope, and the buffer goes to the compressor every
+// flushAt bytes. Compression runs at gzip.BestSpeed: on a 4,000-node dark
+// fleet's 885 kB payload, level 6 takes 78 ms to write 319 kB where
+// BestSpeed takes 11 ms for 355 kB (2-vCPU x86-64, Go 1.24), and the
+// deflate level changes only the framing, never the payload that pprof
+// reads. referencePayload, a nested-message encoder in the tests, checks
+// the payload byte for byte.
 
 import (
+	"bufio"
 	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 )
 
@@ -39,7 +52,8 @@ const (
 	wireBytes  = 2
 )
 
-// pbuf is a minimal protobuf writer.
+// pbuf is a minimal protobuf writer. Every profile.proto field it writes
+// is numbered below 16, so each tag is one byte.
 type pbuf struct{ b []byte }
 
 func (p *pbuf) varint(x uint64) {
@@ -61,29 +75,32 @@ func (p *pbuf) intField(field int, v int64) {
 	p.varint(uint64(v))
 }
 
-func (p *pbuf) bytesField(field int, b []byte) {
+// header opens a length-delimited field whose n-byte payload the caller
+// writes next.
+func (p *pbuf) header(field, n int) {
 	p.tag(field, wireBytes)
-	p.varint(uint64(len(b)))
-	p.b = append(p.b, b...)
+	p.varint(uint64(n))
 }
 
 func (p *pbuf) stringField(field int, s string) {
-	p.tag(field, wireBytes)
-	p.varint(uint64(len(s)))
+	p.header(field, len(s))
 	p.b = append(p.b, s...)
 }
 
-// packedInts writes a packed repeated integer field.
-func (p *pbuf) packedInts(field int, vs []int64) {
-	if len(vs) == 0 {
-		return
+// varintLen is the length of x's varint.
+func varintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// intFieldLen is the length intField writes for v.
+func intFieldLen(v int64) int {
+	if v == 0 {
+		return 0
 	}
-	var inner pbuf
-	for _, v := range vs {
-		inner.varint(uint64(v))
-	}
-	p.bytesField(field, inner.b)
+	return 1 + varintLen(uint64(v))
 }
+
+// fieldLen is the length of a length-delimited field with an n-byte
+// payload.
+func fieldLen(n int) int { return 1 + varintLen(uint64(n)) + n }
 
 // profile.proto field numbers.
 const (
@@ -147,94 +164,188 @@ func WriteFile(path string, p *Profile) error {
 		return fmt.Errorf("create profile file: %w", err)
 	}
 	defer f.Close()
-	if err := WritePprof(f, p); err != nil {
+	// The compressor hands its sink a few hundred bytes at a time.
+	bw := bufio.NewWriter(f)
+	if err := WritePprof(bw, p); err != nil {
+		return fmt.Errorf("write profile: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("write profile: %w", err)
 	}
 	return f.Close()
 }
 
+// flushAt is the pending payload size at which the encoder hands its
+// buffer to the compressor.
+const flushAt = 32 << 10
+
+// encoder streams one profile's payload into a gzip writer.
+type encoder struct {
+	zw   *gzip.Writer
+	out  pbuf  // pending payload, at most about flushAt bytes
+	err  error // the compressor's first write error
+	strs *stringTable
+	// Functions and locations are 1:1: one per unique frame name, created
+	// on first use so IDs follow encoding order deterministically.
+	locByName map[string]int64
+	fnNames   []int64 // string index of the name of location and function i+1
+}
+
+// scopeIDs is one scope's part of its samples, resolved at the scope's
+// first non-empty bin: the frames above the bin's (node, then
+// experiment, each when non-empty) and the experiment and node labels as
+// (key, value) string indices.
+type scopeIDs struct {
+	frames    [2]int64
+	nframes   int
+	labels    [2][2]int64
+	nlabels   int
+	labelsLen int // encoded length of the label fields
+}
+
+func (e *encoder) locOf(name string) int64 {
+	if id, ok := e.locByName[name]; ok {
+		return id
+	}
+	id := int64(len(e.fnNames) + 1)
+	e.locByName[name] = id
+	e.fnNames = append(e.fnNames, e.strs.index(name))
+	return id
+}
+
+// scope resolves s in the order the samples name it: the node and
+// experiment frames, then the "experiment" and "node" labels.
+func (e *encoder) scope(s Scope) scopeIDs {
+	var sc scopeIDs
+	for _, name := range [2]string{s.Node, s.Experiment} {
+		if name != "" {
+			sc.frames[sc.nframes] = e.locOf(name)
+			sc.nframes++
+		}
+	}
+	for _, kv := range [2][2]string{{"experiment", s.Experiment}, {"node", s.Node}} {
+		if kv[1] == "" {
+			continue
+		}
+		k, v := e.strs.index(kv[0]), e.strs.index(kv[1])
+		sc.labels[sc.nlabels] = [2]int64{k, v}
+		sc.nlabels++
+		sc.labelsLen += fieldLen(intFieldLen(k) + intFieldLen(v))
+	}
+	return sc
+}
+
+// sample writes one sample: the stack leaf first (the bin's state and
+// component, then the scope's frames), the two values and the labels.
+func (e *encoder) sample(bin [2]int64, sc *scopeIDs, ns, fj int64) {
+	stackLen := varintLen(uint64(bin[0])) + varintLen(uint64(bin[1]))
+	for _, id := range sc.frames[:sc.nframes] {
+		stackLen += varintLen(uint64(id))
+	}
+	valLen := varintLen(uint64(ns)) + varintLen(uint64(fj))
+	o := &e.out
+	o.header(profSample, fieldLen(stackLen)+fieldLen(valLen)+sc.labelsLen)
+	o.header(sampleLocationID, stackLen)
+	o.varint(uint64(bin[0]))
+	o.varint(uint64(bin[1]))
+	for _, id := range sc.frames[:sc.nframes] {
+		o.varint(uint64(id))
+	}
+	o.header(sampleValue, valLen)
+	o.varint(uint64(ns))
+	o.varint(uint64(fj))
+	for _, kv := range sc.labels[:sc.nlabels] {
+		o.header(sampleLabel, intFieldLen(kv[0])+intFieldLen(kv[1]))
+		o.intField(labelKey, kv[0])
+		o.intField(labelStr, kv[1])
+	}
+}
+
+// spill hands the pending payload to the compressor once it holds at
+// least atLeast bytes.
+func (e *encoder) spill(atLeast int) {
+	if len(e.out.b) < atLeast {
+		return
+	}
+	if e.err == nil {
+		_, e.err = e.zw.Write(e.out.b)
+	}
+	e.out.b = e.out.b[:0]
+}
+
 // WritePprof encodes the profile as a gzipped pprof protobuf. Equal
 // profiles produce equal bytes.
 func WritePprof(w io.Writer, p *Profile) error {
-	strs := newStringTable()
-	var out pbuf
+	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed) // zero ModTime: the output carries no wall time
+	if err != nil {
+		return fmt.Errorf("prof: write pprof: %w", err)
+	}
+	entries := p.Entries()
+	e := &encoder{
+		zw:   zw,
+		out:  pbuf{b: make([]byte, 0, flushAt+flushAt/8)},
+		strs: newStringTable(),
+		// A fleet names one experiment and one node per scope.
+		locByName: make(map[string]int64, len(entries)+2*NumBins+1),
+	}
 
 	// Sample types: (sim_seconds, nanoseconds), (energy_joules, femtojoules).
-	for _, vt := range [][2]string{{"sim_seconds", "nanoseconds"}, {"energy_joules", "femtojoules"}} {
-		var m pbuf
-		m.intField(vtType, strs.index(vt[0]))
-		m.intField(vtUnit, strs.index(vt[1]))
-		out.bytesField(profSampleType, m.b)
+	for _, vt := range [2][2]string{{"sim_seconds", "nanoseconds"}, {"energy_joules", "femtojoules"}} {
+		t, u := e.strs.index(vt[0]), e.strs.index(vt[1])
+		e.out.header(profSampleType, intFieldLen(t)+intFieldLen(u))
+		e.out.intField(vtType, t)
+		e.out.intField(vtUnit, u)
 	}
 
-	// Functions and locations are 1:1: one per unique frame name, created
-	// on first use so IDs follow encoding order deterministically.
-	locByName := map[string]int64{}
-	var fns, locs pbuf
-	locOf := func(name string) int64 {
-		if id, ok := locByName[name]; ok {
-			return id
-		}
-		id := int64(len(locByName) + 1)
-		locByName[name] = id
-		var fn pbuf
-		fn.intField(fnID, id)
-		fn.intField(fnName, strs.index(name))
-		fns.bytesField(profFunction, fn.b)
-		var line pbuf
-		line.intField(lineFunctionID, id)
-		var loc pbuf
-		loc.intField(locID, id)
-		loc.bytesField(locLine, line.b)
-		locs.bytesField(profLocation, loc.b)
-		return id
-	}
-
+	var binLocs [NumBins][2]int64 // state and component location IDs; 0 until first use
 	var totalSeconds float64
-	var samples pbuf
-	for _, e := range p.Entries() {
-		totalSeconds += e.Ledger.TotalSeconds()
+	for i := range entries {
+		en := &entries[i]
+		totalSeconds += en.Ledger.TotalSeconds()
+		var sc scopeIDs
+		resolved := false
 		for b := 0; b < NumBins; b++ {
-			ns := int64(math.Round(e.Ledger.Seconds[b] / secondsPerUnit))
-			fj := int64(math.Round(e.Ledger.Joules[b] / joulesPerUnit))
+			ns := int64(math.Round(en.Ledger.Seconds[b] / secondsPerUnit))
+			fj := int64(math.Round(en.Ledger.Joules[b] / joulesPerUnit))
 			if ns == 0 && fj == 0 {
 				continue
 			}
-			// Stack, leaf first: state < component < node < experiment.
-			stack := []int64{locOf(Bin(b).State()), locOf(Bin(b).Component())}
-			if e.Scope.Node != "" {
-				stack = append(stack, locOf(e.Scope.Node))
+			if binLocs[b][0] == 0 {
+				binLocs[b][0] = e.locOf(Bin(b).State())
+				binLocs[b][1] = e.locOf(Bin(b).Component())
 			}
-			if e.Scope.Experiment != "" {
-				stack = append(stack, locOf(e.Scope.Experiment))
+			if !resolved {
+				sc, resolved = e.scope(en.Scope), true
 			}
-			var m pbuf
-			m.packedInts(sampleLocationID, stack)
-			m.packedInts(sampleValue, []int64{ns, fj})
-			for _, kv := range [][2]string{{"experiment", e.Scope.Experiment}, {"node", e.Scope.Node}} {
-				if kv[1] == "" {
-					continue
-				}
-				var lbl pbuf
-				lbl.intField(labelKey, strs.index(kv[0]))
-				lbl.intField(labelStr, strs.index(kv[1]))
-				m.bytesField(sampleLabel, lbl.b)
-			}
-			samples.bytesField(profSample, m.b)
+			e.sample(binLocs[b], &sc, ns, fj)
+			e.spill(flushAt)
 		}
 	}
 
-	out.b = append(out.b, samples.b...)
-	out.b = append(out.b, locs.b...)
-	out.b = append(out.b, fns.b...)
-	for _, s := range strs.vals {
-		out.stringField(profStringTable, s)
+	for i := range e.fnNames {
+		id := int64(i + 1)
+		line := intFieldLen(id)
+		e.out.header(profLocation, intFieldLen(id)+fieldLen(line))
+		e.out.intField(locID, id)
+		e.out.header(locLine, line)
+		e.out.intField(lineFunctionID, id)
+		e.spill(flushAt)
 	}
-	out.intField(profDuration, int64(math.Round(totalSeconds/secondsPerUnit)))
-
-	zw := gzip.NewWriter(w) // zero ModTime: the output carries no wall time
-	if _, err := zw.Write(out.b); err != nil {
-		return fmt.Errorf("prof: write pprof: %w", err)
+	for i, name := range e.fnNames {
+		id := int64(i + 1)
+		e.out.header(profFunction, intFieldLen(id)+intFieldLen(name))
+		e.out.intField(fnID, id)
+		e.out.intField(fnName, name)
+		e.spill(flushAt)
+	}
+	for _, s := range e.strs.vals {
+		e.out.stringField(profStringTable, s)
+		e.spill(flushAt)
+	}
+	e.out.intField(profDuration, int64(math.Round(totalSeconds/secondsPerUnit)))
+	e.spill(0)
+	if e.err != nil {
+		return fmt.Errorf("prof: write pprof: %w", e.err)
 	}
 	return zw.Close()
 }

@@ -3,10 +3,13 @@ package prof
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -63,13 +66,27 @@ func randProfile(r *rand.Rand, pool []Scope) *Profile {
 	return p
 }
 
-func encode(t *testing.T, p *Profile) []byte {
+func encode(t testing.TB, p *Profile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WritePprof(&buf, p); err != nil {
 		t.Fatalf("WritePprof: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// gunzip returns the payload of a gzip stream.
+func gunzip(t testing.TB, gz []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // disjointPools returns k scope pools with no scope in common, so profile
@@ -286,48 +303,140 @@ func TestTinyBinsDropped(t *testing.T) {
 	}
 }
 
-// profileFrom reads ledgers out of data, four bytes per step: the scope
-// (three experiments, one of them empty, with or without one of 32
-// nodes), the bin, and the step's time and energy in whole quanta of 1 µs
+// darkFleetProfile is shaped like a mostly dark fleet's profile: one
+// experiment and n numbered nodes, each with six non-empty bins.
+func darkFleetProfile(n int) *Profile {
+	p := New()
+	for i := 0; i < n; i++ {
+		l := p.Ledger(Scope{Experiment: "fleet", Node: fmt.Sprintf("node/%07d", i)})
+		f := float64(i%97 + 1)
+		l.AddStep(BinCPUActive, 1e-3*f, 4.7e-5*f)
+		l.AddStep(BinDead, 10-1e-3*f, 3.7e-6*f)
+		l.AddEnergy(BinPVHarvest, 1.1e-4*f)
+		l.AddEnergy(BinPVReverse, 2.4e-5*f)
+		l.AddEnergy(BinRegLoss, 1.1e-4*f)
+		l.AddEnergy(BinRadioTx, 2.7e-5*f)
+	}
+	return p
+}
+
+// WritePprof's allocations do not grow with its samples: the 24,000
+// samples of a 4,000-node dark fleet cost a few hundred allocations, where
+// building a message per sample costs hundreds of thousands
+// (referencePayload makes about 216,000).
+func TestWritePprofAllocs(t *testing.T) {
+	p := darkFleetProfile(4000)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := WritePprof(io.Discard, p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("WritePprof of 4,000 scopes made %.0f allocations, want at most 400", allocs)
+	}
+}
+
+// WriteFile's file holds exactly the bytes WritePprof writes, whether the
+// output is smaller or larger than the file's buffer.
+func TestWriteFileMatchesWritePprof(t *testing.T) {
+	for _, n := range []int{3, 4000} {
+		p := darkFleetProfile(n)
+		path := filepath.Join(t.TempDir(), "p.pb.gz")
+		if err := WriteFile(path, p); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encode(t, p); !bytes.Equal(got, want) {
+			t.Errorf("%d scopes: file holds %d bytes, WritePprof writes %d", n, len(got), len(want))
+		}
+	}
+}
+
+var errSink = errors.New("sink full")
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(b []byte) (int, error) {
+	if len(b) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errSink
+	}
+	w.n -= len(b)
+	return len(b), nil
+}
+
+// A sink's write error reaches WritePprof's caller, whether it fails at
+// the gzip header, inside the samples or at the end of the stream.
+func TestWritePprofWriteError(t *testing.T) {
+	p := darkFleetProfile(4000)
+	for _, n := range []int{0, 100_000, len(encode(t, p)) - 1} {
+		if err := WritePprof(&failAfter{n: n}, p); !errors.Is(err, errSink) {
+			t.Errorf("sink failing after %d bytes: WritePprof returned %v", n, err)
+		}
+	}
+}
+
+// fuzzNames are the scope names profileFrom draws first: the empty name,
+// plain names, and names shared with a frame ("pv", "active", "cpu") or a
+// label key ("node", "experiment"), which must reuse that location or
+// string.
+var fuzzNames = [...]string{"", "exp1", "exp2", "pv", "active", "cpu", "node", "experiment"}
+
+// profileFrom reads ledgers out of data, five bytes per step: the scope's
+// experiment (one of fuzzNames) and node (fuzzNames below 8, node/%07d
+// above), the bin, and the step's time and energy in whole quanta of 1 µs
 // and 1 pJ.
 func profileFrom(data []byte) *Profile {
 	p := New()
-	for ; len(data) >= 4; data = data[4:] {
-		var s Scope
-		if e := data[0] % 3; e > 0 {
-			s.Experiment = fmt.Sprintf("exp%d", e)
+	for ; len(data) >= 5; data = data[5:] {
+		s := Scope{Experiment: fuzzNames[data[0]%byte(len(fuzzNames))]}
+		if n := int(data[1]); n < len(fuzzNames) {
+			s.Node = fuzzNames[n]
+		} else {
+			s.Node = fmt.Sprintf("node/%07d", n)
 		}
-		if data[0]&4 != 0 {
-			s.Node = fmt.Sprintf("node/%07d", data[0]>>3)
-		}
-		p.Ledger(s).AddStep(Bin(int(data[1])%NumBins), float64(data[2])*1e-6, float64(data[3])*1e-12)
+		p.Ledger(s).AddStep(Bin(int(data[2])%NumBins), float64(data[3])*1e-6, float64(data[4])*1e-12)
 	}
 	return p
 }
 
 // payload returns the protobuf WritePprof gzips for p.
-func payload(t testing.TB, p *Profile) []byte {
-	var buf bytes.Buffer
-	if err := WritePprof(&buf, p); err != nil {
-		t.Fatalf("WritePprof: %v", err)
+func payload(t testing.TB, p *Profile) []byte { return gunzip(t, encode(t, p)) }
+
+// stepsOf returns profileFrom's input for one step per (experiment, node,
+// bin) triple over every bin, with time and energy drawn from the triple.
+func stepsOf(exps, nodes []byte) []byte {
+	var data []byte
+	for _, e := range exps {
+		for _, n := range nodes {
+			for b := 0; b < NumBins; b++ {
+				data = append(data, e, n, byte(b), n+byte(b), 3*n+e+byte(b))
+			}
+		}
 	}
-	zr, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	return data
 }
 
 // FuzzReadPprof: ReadPprof decodes or rejects any payload without
-// panicking, and what WritePprof writes decodes to the totals of the
-// ledgers it was written from. The harness gzips the fuzzed payload, so
-// mutations reach the protobuf decoder instead of failing gzip's
-// checksum; the corpus starts from WritePprof's own payloads.
+// panicking, and what WritePprof writes is the reference encoder's payload
+// (referencePayload) and decodes to the totals of the ledgers it was
+// written from. The harness gzips the fuzzed payload, so mutations reach
+// the protobuf decoder instead of failing gzip's checksum; the corpus
+// starts from WritePprof's own payloads.
 func FuzzReadPprof(f *testing.F) {
+	every := make([]byte, len(fuzzNames))
+	for i := range every {
+		every[i] = byte(i)
+	}
+	numbered := make([]byte, 0, 256-len(fuzzNames))
+	for n := len(fuzzNames); n < 256; n++ {
+		numbered = append(numbered, byte(n))
+	}
 	for _, data := range [][]byte{
 		nil,
 		[]byte("fleet node/0000042 pv harvest"),
@@ -337,6 +446,17 @@ func FuzzReadPprof(f *testing.F) {
 	}
 	f.Add([]byte{0x0a, 0xff, 0x01})                   // a sample type longer than the payload
 	f.Add([]byte{0x12, 0x04, 0x0a, 0x02, 0x80, 0x80}) // a sample whose packed varint runs out
+	for _, steps := range [][]byte{
+		// Every experiment with every named node: frames, label keys
+		// and empty names collide.
+		stepsOf(every, every),
+		// 248 numbered nodes in every bin: the payload crosses the
+		// encoder's flushAt hand-off.
+		stepsOf([]byte{1}, numbered),
+	} {
+		f.Add(steps)                          // the profile WritePprof encodes
+		f.Add(payload(f, profileFrom(steps))) // its payload, for ReadPprof
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var gz bytes.Buffer
 		zw, err := gzip.NewWriterLevel(&gz, gzip.NoCompression)
@@ -355,7 +475,11 @@ func FuzzReadPprof(f *testing.F) {
 		}
 
 		p := profileFrom(data)
-		d, err := ReadPprof(bytes.NewReader(encode(t, p)))
+		out := encode(t, p)
+		if got, want := gunzip(t, out), referencePayload(p); !bytes.Equal(got, want) {
+			t.Fatalf("payload of %d bytes differs from the reference encoder's %d bytes", len(got), len(want))
+		}
+		d, err := ReadPprof(bytes.NewReader(out))
 		if err != nil {
 			t.Fatalf("ReadPprof of WritePprof output: %v", err)
 		}
