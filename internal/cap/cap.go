@@ -70,8 +70,6 @@ func (c *Capacitor) Capacitance() float64 { return c.capacitance }
 func (c *Capacitor) Voltage() float64 { return c.voltage }
 
 // Leakage returns the self-discharge resistance (ohm); 0 means none.
-// The circuit stepper's fast-forward path uses it to prove a frozen
-// positive voltage cannot bleed between events.
 func (c *Capacitor) Leakage() float64 { return c.leakage }
 
 // Energy returns the stored energy 1/2*C*V^2 (J).

@@ -37,6 +37,10 @@ var (
 	// ErrInvalidClockLevel indicates a clock level that is negative, NaN or
 	// infinite.
 	ErrInvalidClockLevel = errors.New("circuit: clock levels must be finite and non-negative")
+
+	// ErrTwoLightInputs indicates a Config that sets both Irradiance and
+	// IrradianceSource.
+	ErrTwoLightInputs = errors.New("circuit: set one of Irradiance and IrradianceSource, not both")
 )
 
 // Storage is the energy store at the harvester node. *cap.Capacitor is the
@@ -126,18 +130,16 @@ type Config struct {
 	Cap  Storage        // storage node (required)
 
 	// Irradiance returns the light level (fraction of full sun) at time t.
-	// Required unless IrradianceSource is set.
+	// A Config sets exactly one of Irradiance and IrradianceSource.
 	Irradiance func(t float64) float64
 
-	// IrradianceSource, when non-nil, is the event-horizon view of the
-	// SAME signal as Irradiance: its NextChange tells the stepper how far
-	// ahead the light level is provably constant, enabling fast-forward
-	// over dead spans (see DESIGN.md "Event-horizon stepping"). When
-	// Irradiance is nil it is derived as IrradianceSource.At; when both
-	// are set they must describe the same signal. Fast-forward also
-	// requires the Controller to implement Quiescent and — because
-	// skipped steps evaluate neither function — Irradiance and AuxLoad to
-	// be pure functions of t.
+	// IrradianceSource is the light level as an event source: At returns
+	// it at time t, and NextChange tells the stepper how far ahead it is
+	// provably constant, enabling fast-forward over dead spans (see
+	// DESIGN.md "Event-horizon stepping"). A Config sets exactly one of
+	// Irradiance and IrradianceSource. Fast-forward also requires the
+	// Controller to implement Quiescent and — because skipped steps
+	// evaluate neither — At and AuxLoad to be pure functions of t.
 	IrradianceSource EventSource
 
 	// Controller drives DVFS and mode decisions. Required.
@@ -434,6 +436,8 @@ func initSimulator(sim *Simulator, cfg Config) error {
 		return fmt.Errorf("%w: Cap", ErrMissingComponent)
 	case cfg.Irradiance == nil && cfg.IrradianceSource == nil:
 		return fmt.Errorf("%w: Irradiance", ErrMissingComponent)
+	case cfg.Irradiance != nil && cfg.IrradianceSource != nil:
+		return ErrTwoLightInputs
 	case cfg.Controller == nil:
 		return fmt.Errorf("%w: Controller", ErrMissingComponent)
 	}
@@ -441,9 +445,6 @@ func initSimulator(sim *Simulator, cfg Config) error {
 		return fmt.Errorf("%w: step=%g maxTime=%g", ErrInvalidStep, cfg.Step, cfg.MaxTime)
 	}
 	sim.state.cfg = cfg
-	if sim.state.cfg.Irradiance == nil {
-		sim.state.cfg.Irradiance = cfg.IrradianceSource.At
-	}
 	if len(cfg.ClockLevels) > 0 {
 		// Validate, copy, sort ascending and deduplicate once, so the
 		// per-step quantisation is a binary search over a strictly

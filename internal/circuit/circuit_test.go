@@ -51,6 +51,15 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	cfg := base
+	cfg.IrradianceSource = Constant{Level: 1}
+	if _, err := New(cfg); !errors.Is(err, ErrTwoLightInputs) {
+		t.Errorf("both light inputs: got %v", err)
+	}
+	cfg.Irradiance = nil
+	if _, err := New(cfg); err != nil {
+		t.Errorf("IrradianceSource alone: got %v", err)
+	}
+	cfg = base
 	cfg.Step = 0
 	if _, err := New(cfg); !errors.Is(err, ErrInvalidStep) {
 		t.Errorf("zero step: got %v", err)

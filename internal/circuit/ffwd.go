@@ -21,10 +21,9 @@ package circuit
 //     here is invisible). Then iLoad = 0, every energy increment is
 //     +0.0, and cyclesDone is frozen — x += 0.0 leaves any
 //     non-negative-zero float64 bitwise unchanged.
-//  3. The voltage cannot bleed: either vcap is exactly 0 (the leakage
-//     term is then 0/R = 0 and the aux draw is clamped to 0, so
-//     ApplyCurrent(0, dt) holds the bits), or vcap > 0 with no AuxLoad
-//     and a leak-free capacitor (ApplyCurrent adds exactly +0.0).
+//  3. The voltage cannot bleed: vcap is exactly 0, so the leakage term
+//     is 0/R = 0, the aux draw is clamped to 0 and ApplyCurrent(0, dt)
+//     holds the bits.
 //  4. The mode is settled: the halt (and any bypass) transition event
 //     for the current state was already emitted by an executed step, so
 //     skipped steps would emit nothing.
@@ -58,15 +57,6 @@ import (
 	"repro/internal/trace"
 )
 
-// leakFree is the optional storage capability fast-forward needs to
-// prove a positive frozen voltage cannot bleed. *cap.Capacitor
-// implements it; storage models that don't are simply never
-// fast-forwarded at vcap > 0.
-type leakFree interface {
-	// Leakage returns the self-discharge resistance (ohm); <= 0 = none.
-	Leakage() float64
-}
-
 // tryFastForward jumps s.next over the provably-inert span ahead, if
 // any. It never moves past target and never moves backwards; when the
 // proof obligations fail it does nothing and the caller steps verbatim.
@@ -86,17 +76,8 @@ func (s *Simulator) tryFastForward(target int) {
 	}
 
 	vcap := cfg.Cap.Voltage()
-	reason := "dark-collapse"
 	if math.Float64bits(vcap) != 0 {
-		// Frozen positive voltage: inert only if nothing can bleed it.
-		if !(vcap > 0) || cfg.AuxLoad != nil {
-			return
-		}
-		lf, ok := cfg.Cap.(leakFree)
-		if !ok || lf.Leakage() > 0 {
-			return
-		}
-		reason = "dark-frozen"
+		return
 	}
 
 	// Re-derive the operating point at the CURRENT voltage: the cached
@@ -122,7 +103,7 @@ func (s *Simulator) tryFastForward(target int) {
 		// (Re)compute the source horizon; the darkness of the constant
 		// value is cached with it, valid until the horizon passes.
 		s.ffUntil = cfg.IrradianceSource.NextChange(now)
-		s.ffDark = cfg.Irradiance(now) <= 0
+		s.ffDark = cfg.IrradianceSource.At(now) <= 0
 	}
 	until := s.ffUntil
 	if !s.ffDark || !(until > now) {
@@ -163,7 +144,7 @@ func (s *Simulator) tryFastForward(target int) {
 	if st.Tracing() {
 		st.TraceInstant("circuit.ffwd", trace.Args{
 			"from_s": now, "to_s": float64(m-1) * cfg.Step,
-			"steps": skipped, "reason": reason,
+			"steps": skipped, "reason": "dark-collapse",
 		})
 	}
 	s.next = m

@@ -34,8 +34,8 @@ func TestClockLevelValidation(t *testing.T) {
 // per fleet or scenario node, so every byte counts once per node, not in a
 // size class.
 func TestSimulatorSize(t *testing.T) {
-	if n := unsafe.Sizeof(Simulator{}); n > 760 {
-		t.Errorf("Simulator is %d B, want at most 760", n)
+	if n := unsafe.Sizeof(Simulator{}); n > 696 {
+		t.Errorf("Simulator is %d B, want at most 696", n)
 	}
 }
 

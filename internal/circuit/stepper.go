@@ -228,7 +228,12 @@ func (s *Simulator) stepOnce() {
 	s.next++
 
 	st.time = float64(k) * cfg.Step
-	irr := cfg.Irradiance(st.time)
+	var irr float64
+	if src := cfg.IrradianceSource; src != nil {
+		irr = src.At(st.time)
+	} else {
+		irr = cfg.Irradiance(st.time)
+	}
 
 	vcap := cfg.Cap.Voltage()
 	st.resolveOperatingPoint(vcap)

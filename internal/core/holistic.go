@@ -259,22 +259,14 @@ func (s *System) HolisticMEP(r reg.Regulator, vin float64) (MEPResult, error) {
 	if lo > hi {
 		return res, fmt.Errorf("%w: regulator output range empty from %.3f V input", ErrNoFeasiblePoint, vin)
 	}
-	sourceEnergy := func(v float64) float64 {
-		e := s.Proc.EnergyPerCycle(v)
-		eta := r.Efficiency(vin, v, s.Proc.MaxPower(v))
-		if eta <= 0 {
-			return math.Inf(1)
-		}
-		return e / eta
-	}
-	negHolistic := func(v float64) float64 { return -sourceEnergy(v) }
+	negHolistic := func(v float64) float64 { return -s.SourceEnergyPerCycle(r, vin, v) }
 	v, negE := maximizeScan(lo, hi, negHolistic)
 	if math.IsInf(negE, -1) {
 		return res, fmt.Errorf("%w: regulator cannot deliver any point in [%.3f, %.3f] V", ErrNoFeasiblePoint, lo, hi)
 	}
 	res.HolisticVoltage = v
 	res.HolisticEnergy = -negE
-	res.ConventionalSourceEnergy = sourceEnergy(clamp(res.ConventionalVoltage, lo, hi))
+	res.ConventionalSourceEnergy = s.SourceEnergyPerCycle(r, vin, clamp(res.ConventionalVoltage, lo, hi))
 	res.Savings = safeDiv(res.ConventionalSourceEnergy, res.HolisticEnergy) - 1
 	res.VoltageShift = res.HolisticVoltage - res.ConventionalVoltage
 	return res, nil

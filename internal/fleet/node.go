@@ -103,9 +103,8 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
 		Proc: cpu.NewProcessor(),
 		Reg:  reg.NewSC(),
 		Cap:  storage,
-		// The sky doubles as the event source (Irradiance is derived as
-		// sky.At), so dead nodes fast-forward through its dark tail
-		// instead of stepping it.
+		// The sky is the light input and its event source, so dead nodes
+		// fast-forward through its dark tail instead of stepping it.
 		IrradianceSource: sky,
 		NoFastForward:    cfg.NoFastForward,
 		Controller: &sched.DeadlineController{

@@ -44,6 +44,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"sync"
 )
 
 // protobuf wire types used by profile.proto.
@@ -273,13 +274,22 @@ func (e *encoder) spill(atLeast int) {
 	e.out.b = e.out.b[:0]
 }
 
+// compressors pools BestSpeed gzip writers. A compressor embeds deflate's
+// hash tables whatever its level, about 1.2 MB, which would dwarf a small
+// profile's export; Reset gives a pooled one a fresh stream with a zero
+// header (no ModTime: the output carries no wall time), so the bytes are
+// a fresh writer's.
+var compressors = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a constant, valid level
+	return zw
+}}
+
 // WritePprof encodes the profile as a gzipped pprof protobuf. Equal
 // profiles produce equal bytes.
 func WritePprof(w io.Writer, p *Profile) error {
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed) // zero ModTime: the output carries no wall time
-	if err != nil {
-		return fmt.Errorf("prof: write pprof: %w", err)
-	}
+	zw := compressors.Get().(*gzip.Writer)
+	defer compressors.Put(zw)
+	zw.Reset(w)
 	entries := p.Entries()
 	e := &encoder{
 		zw:   zw,

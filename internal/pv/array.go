@@ -213,7 +213,7 @@ func (s *stringSolver) segmentVoltage(i int, current float64) float64 {
 // or an infinite band when the root's assumptions fail.
 func (s *stringSolver) segmentRoot(i int, current float64) (vstar, band float64) {
 	c := s.arr.segments[i]
-	rs, rsh, i0, js := c.seriesResistance, c.shuntResistance, c.saturationCurrent, c.junctionScale()
+	rs, rsh, i0, js := c.seriesResistance, c.shuntResistance, c.saturationCurrent, c.scale
 	iph := c.photoCurrent(s.irrs[i])
 	a := iph - current
 	if !(rs >= 0 && isFinite(rs) && rsh > 0 && isFinite(rsh) && i0 > 0 && isFinite(i0) &&

@@ -347,25 +347,26 @@ func cellBits(c *Cell) [unsafe.Sizeof(Cell{})]byte {
 // nudgedCell returns a default cell with field k (1 photocurrent, 2
 // saturation current, 3 ideality factor, 4 series junctions, 5 series
 // resistance, 6 shunt resistance) one ulp, or one junction, above the
-// default; k = 0 leaves it default.
+// default; k = 0 leaves it default. It builds the cell with NewCell, which
+// derives the solver's constants from the nudged field.
 func nudgedCell(k int) *Cell {
-	c := NewCell()
-	up := func(x *float64) { *x = math.Nextafter(*x, math.Inf(1)) }
+	d := NewCell()
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 	switch k {
 	case 1:
-		up(&c.photoCurrentFullSun)
+		return NewCell(WithPhotoCurrent(up(d.photoCurrentFullSun)))
 	case 2:
-		up(&c.saturationCurrent)
+		return NewCell(WithSaturationCurrent(up(d.saturationCurrent)))
 	case 3:
-		up(&c.idealityFactor)
+		return NewCell(WithIdealityFactor(up(d.idealityFactor)))
 	case 4:
-		c.seriesCells++
+		return NewCell(WithSeriesCells(d.seriesCells + 1))
 	case 5:
-		up(&c.seriesResistance)
+		return NewCell(WithSeriesResistance(up(d.seriesResistance)))
 	case 6:
-		up(&c.shuntResistance)
+		return NewCell(WithShuntResistance(up(d.shuntResistance)))
 	}
-	return c
+	return d
 }
 
 // FuzzArrayParity checks the string solver's voltage and current, and

@@ -183,14 +183,18 @@ const (
 // input; the state only changes how fast the solve converges. A SolverState
 // must not be shared between concurrent solvers.
 //
-// A warm state also answers an exact repeat: a solve whose v and Iph have
-// the bits of the last accepted one, on a cell whose parameters match the
-// derived cache, returns lastI without solving (see repeats). The answer is
-// a pure function of those inputs, so the one-entry memo is exact; a
-// settled node, whose vcap update has reached a float fixed point under
-// constant light, pays a compare per step.
+// The state keys on the cell it last accepted a solve on, as
+// cpu.SupplyMemo keys on its processor: a Cell is immutable, so its
+// pointer stands for its parameters. A solve on that cell warm-starts
+// from the tangent, and one whose v and Iph also have the bits of the
+// last accepted solve returns lastI without solving (see repeats). The
+// answer is a pure function of those inputs, so the one-entry memo is
+// exact; a settled node, whose vcap update has reached a float fixed
+// point under constant light, pays a compare per step. A solve on another
+// cell starts cold.
 type SolverState struct {
-	warm bool
+	// cell is the cell of the last accepted solve; nil while cold.
+	cell *Cell
 
 	// lastI is the last accepted solve's result: the replayed bisection's
 	// answer, which the memo returns and from which the tangent predicts.
@@ -203,16 +207,6 @@ type SolverState struct {
 	// also the memo's key.
 	lastV, lastIph, tanG, tanK float64
 
-	// Derived-parameter cache: the inverses and curvature coefficient the
-	// Newton loop needs, valid while the raw parameters they were derived
-	// from still match (the raws were validated when stored, so a match also
-	// re-establishes solvability without re-checking). Saves two divisions
-	// per warm solve.
-	derivedOK              bool
-	pRs, pRsh, pI0, pScale float64
-	invRsh, invScale       float64
-	curvCoef               float64
-
 	// Anchored exponentials: expVal[k] = exp(expArg[k]) computed by
 	// math.Exp, the newest in slot 0. An argument within expAnchorMaxDelta
 	// of an anchor is served by a Taylor update from it; a fresh exp
@@ -220,7 +214,7 @@ type SolverState struct {
 	// serve a node whose solves alternate between two operating points, as
 	// a browned-out node's storage flips between 0 V and a recharge of
 	// millivolts, from a Taylor update at both. The anchors are pure facts
-	// about exp — they stay valid across cells and parameter changes.
+	// about exp — they stay valid across cells.
 	expArg, expVal [2]float64
 }
 
@@ -275,45 +269,40 @@ func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
 		}
 	}
 	if state != nil {
-		state.warm = false
+		state.cell = nil
 	}
 	return c.currentBisect(v, iph)
 }
 
 // repeats reports whether solving (v, iph) on c repeats the last accepted
-// solve: the state is warm, v and iph have its bits, and c has the
-// parameters of the derived cache. A warm state's cache always holds the
-// accepting cell's (newtonRoot stores them before it accepts, and a
-// fallback leaves the state cold), and those four parameters with Iph are
-// everything the reference bisection reads, so lastI is then its answer.
-// The cell check matters because a state may be carried across cells.
+// solve: the state last accepted on c (a fallback leaves it cold) and v
+// and iph have that solve's bits. c's parameters with Iph are everything
+// the reference bisection reads, so lastI is then its answer.
 func (s *SolverState) repeats(c *Cell, v, iph float64) bool {
-	return s != nil && s.warm &&
+	return s != nil && s.cell == c &&
 		math.Float64bits(v) == math.Float64bits(s.lastV) &&
-		math.Float64bits(iph) == math.Float64bits(s.lastIph) &&
-		s.pRs == c.seriesResistance && s.pRsh == c.shuntResistance &&
-		s.pI0 == c.saturationCurrent && s.pScale == c.junctionScale()
+		math.Float64bits(iph) == math.Float64bits(s.lastIph)
 }
 
-// newtonStart returns Newton's starting point. A warm state predicts the
-// root from the tangent at the last accepted one: linearising
+// newtonStart returns Newton's starting point. A state warm on c predicts
+// the root from the tangent at the last accepted one: linearising
 // f = Iph - Id(vd) - vd/Rsh - I there gives dI = (dIph - g*dv)/(1 + Rs*g).
 // A cold start takes the Rs = 0 solution: one diode evaluation that lands
 // within a few Newton steps of the root.
 func (c *Cell) newtonStart(v, iph float64, state *SolverState) float64 {
-	if state != nil && state.warm {
+	if state != nil && state.cell == c {
 		return state.lastI + ((iph-state.lastIph)-state.tanG*(v-state.lastV))*state.tanK
 	}
 	return iph - c.diodeCurrent(v) - v/c.shuntResistance
 }
 
-// accept records an accepted root and the tangent there, where the
+// accept records a root accepted on c and the tangent there, where the
 // residual's conductance is g, for the next warm start. currentFast then
 // replaces lastI with the replayed answer, which the memo returns.
-func (s *SolverState) accept(v, iph, root, g, rs float64) {
-	s.warm = true
+func (s *SolverState) accept(c *Cell, v, iph, root, g float64) {
+	s.cell = c
 	s.lastI, s.lastV, s.lastIph = root, v, iph
-	s.tanG, s.tanK = g, 1/(1+rs*g)
+	s.tanG, s.tanK = g, 1/(1+c.seriesResistance*g)
 }
 
 // exp returns exp(x) and whether it is an anchor's Taylor update (see
@@ -344,12 +333,9 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 // converged to a finite root, after how many residual evaluations, and how
 // many of their exponentials were fresh math.Exp calls. On
 // an accept it records the root and its tangent in state for the next warm
-// start (newtonStart). It also owns the fast path's parameter
-// envelope: on a derived-cache miss it checks the monotonicity and
-// finiteness assumptions (these are what guarantee f' <= -1 and the
-// concavity that Newton's global convergence and the replay's sign
-// predictions rest on) and returns ok=false outside them, sending the
-// caller to the reference bisection.
+// start (newtonStart). A cell outside the fast path's parameter envelope
+// (NewCell's newton flag) returns ok=false at once, sending the caller to
+// the reference bisection.
 //
 // Each iteration evaluates the exponential once — through the state's
 // anchored exponentials when warm — and derives both the residual f and the
@@ -364,26 +350,10 @@ func (c *Cell) loadResidual(v, iph, i float64) float64 {
 // resulting |f| error and is charged against the acceptance budget, so an
 // accept always certifies the true residual.
 func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float64, iters, exps int, ok bool) {
-	rs, rsh, i0 := c.seriesResistance, c.shuntResistance, c.saturationCurrent
-	js := c.junctionScale()
-	var invRsh, invScale, curvCoef float64
-	if state != nil && state.derivedOK &&
-		state.pRs == rs && state.pRsh == rsh && state.pI0 == i0 && state.pScale == js {
-		invRsh, invScale, curvCoef = state.invRsh, state.invScale, state.curvCoef
-	} else {
-		if !(rs > 0 && isFinite(rs) && rsh > 0 && isFinite(rsh) &&
-			i0 >= 0 && isFinite(i0) && js > 0 && isFinite(js)) {
-			return 0, 0, 0, false
-		}
-		invRsh = 1 / rsh
-		invScale = 1 / js
-		curvCoef = i0 * (rs * invScale) * (rs * invScale) // the f'' coefficient I0*(Rs/s)^2
-		if state != nil {
-			state.pRs, state.pRsh, state.pI0, state.pScale = rs, rsh, i0, js
-			state.invRsh, state.invScale, state.curvCoef = invRsh, invScale, curvCoef
-			state.derivedOK = true
-		}
+	if !c.newton {
+		return 0, 0, 0, false
 	}
+	rs, i0, invRsh, invScale := c.seriesResistance, c.saturationCurrent, c.invRsh, c.invScale
 	// Loop invariants: the acceptance threshold is acceptBase+acceptRel*|i|
 	// and the slope's resistive part.
 	acceptBase := newtonAcceptFraction * (replayMarginAbs + replayMarginRel*iph)
@@ -419,7 +389,7 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 		}
 		if math.Abs(f)+fErr <= acceptBase+acceptRel*math.Abs(i) {
 			if state != nil {
-				state.accept(v, iph, i, didvd+invRsh, rs)
+				state.accept(c, v, iph, i, didvd+invRsh)
 			}
 			return i, iter + 1, exps, true
 		}
@@ -453,7 +423,7 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 		// iteration.
 		growth := -step * rs * invScale // dvd/s along the update
 		if vdNext := v + next*rs; growth < 0.5 && (i0 == 0 || (vd > 0) == (vdNext > 0)) {
-			m := curvCoef * e
+			m := c.curvCoef * e
 			if growth > 0 {
 				m /= 1 - growth
 			}
@@ -462,7 +432,7 @@ func (c *Cell) newtonRoot(v, iph, guess float64, state *SolverState) (root float
 				if state != nil {
 					// The tangent is the one at i: a warm guess only
 					// needs it close.
-					state.accept(v, iph, next, didvd+invRsh, rs)
+					state.accept(c, v, iph, next, didvd+invRsh)
 				}
 				return next, iter + 1, exps, true
 			}

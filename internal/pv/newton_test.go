@@ -91,11 +91,11 @@ func TestCurrentWarmTransientProfile(t *testing.T) {
 					t.Fatalf("step %d: CurrentWarm(%g, %g) = %v, reference %v", n, v, irr, got, want)
 				}
 			}
-			if !warm.warm {
+			if warm.cell != c {
 				t.Error("solver state never warmed up over a smooth transient")
 			}
 			warm.Reset()
-			if warm.warm {
+			if warm.cell != nil {
 				t.Error("Reset left the state warm")
 			}
 		})
@@ -104,27 +104,29 @@ func TestCurrentWarmTransientProfile(t *testing.T) {
 
 // TestCurrentWarmRepeatMemo checks the warm state's repeat memo: solving
 // one point again answers from the state with the bits of the first solve,
-// and a state shared by two cells that differ in one parameter, solving
-// the same (v, irradiance) in turn, answers each with its own cell's
-// reference. Photocurrent is not among the parameters, because it moves
-// Iph, which is part of the key.
+// and a state shared by two cells, solving the same (v, irradiance) in
+// turn, answers each with its own cell's reference. The second cell
+// differs in one parameter, or is a distinct cell with identical ones.
+// Photocurrent is not among the parameters, because it moves Iph, which is
+// part of the key.
 func TestCurrentWarmRepeatMemo(t *testing.T) {
 	base := NewCell()
 	for _, tc := range []struct {
 		name string
-		opt  Option
+		opts []Option
 	}{
-		{"series resistance", WithSeriesResistance(2.5)},
-		{"shunt resistance", WithShuntResistance(1000)},
-		{"saturation current", WithSaturationCurrent(2 * base.saturationCurrent)},
-		{"ideality factor", WithIdealityFactor(1.6)},
-		{"series cells", WithSeriesCells(4)},
+		{"series resistance", []Option{WithSeriesResistance(2.5)}},
+		{"shunt resistance", []Option{WithShuntResistance(1000)}},
+		{"saturation current", []Option{WithSaturationCurrent(2 * base.saturationCurrent)}},
+		{"ideality factor", []Option{WithIdealityFactor(1.6)}},
+		{"series cells", []Option{WithSeriesCells(4)}},
+		{"identical parameters", nil},
 	} {
-		other := NewCell(tc.opt)
+		other := NewCell(tc.opts...)
 		for _, irr := range []float64{IndoorDim, HalfSun, FullSun} {
 			for _, v := range []float64{0, 0.6, 1.0, 1.3} {
 				want := [2]float64{base.CurrentReference(v, irr), other.CurrentReference(v, irr)}
-				if want[0] == want[1] {
+				if tc.opts != nil && want[0] == want[1] {
 					t.Fatalf("%s: the two cells agree at (%g, %g); the case shows nothing", tc.name, v, irr)
 				}
 				var shared SolverState
@@ -446,7 +448,7 @@ type pathMix struct {
 func (m *pathMix) solve(t *testing.T, c *Cell, v, irr float64, warm *SolverState) {
 	t.Helper()
 	iph := c.photoCurrent(irr)
-	wasWarm := warm.warm
+	wasWarm := warm.cell == c
 	root, iters, exps, ok := c.newtonRoot(v, iph, c.newtonStart(v, iph, warm), warm)
 	if !ok {
 		t.Fatalf("Newton failed at v=%g irr=%g", v, irr)
@@ -591,10 +593,11 @@ func TestOperatingPointBranchesUnchanged(t *testing.T) {
 // alternating walk visits v, v+dv, v, … as a browned-out node does, which
 // serves Newton from both exp anchors. interleave solves each point
 // 1 + interleave%4 times in a row, which the repeat memo answers; with
-// interleave>>2%5 = k > 0, a sibling cell whose k-th parameter (Rs, Rsh,
-// I0, n) is scaled by 1.25 solves each point on the same state right
-// after the cell, so a memo that ignored that parameter would answer it
-// with the cell's current.
+// interleave>>2%6 = k > 0, a sibling cell solves each point on the same
+// state right after the cell: for k <= 4 one whose k-th parameter (Rs,
+// Rsh, I0, n) is scaled by 1.25, so a memo that ignored that parameter
+// would answer it with the cell's current, and for k = 5 a distinct cell
+// with the cell's parameters.
 func FuzzCurrentSolverParity(f *testing.F) {
 	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 1.0, 0.5, 0.0, 0.0, false, uint8(0))
 	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.25, 1.45, 1e-4, 0.0, false, uint8(0)) // just above Voc
@@ -608,8 +611,8 @@ func FuzzCurrentSolverParity(f *testing.F) {
 	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 0.0, 8e-3, 0.0, true, uint8(0))    // half-sun 2-cycle
 	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, -1e-3, -1e-4, true, uint8(0)) // alternating at the knee
 	f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, 0.0, 0.0, false, uint8(3))    // a settled node's repeats
-	// A sibling differing in Rs, Rsh, I0 or n.
-	for k := uint8(1); k <= 4; k++ {
+	// A sibling differing in Rs, Rsh, I0 or n, or in nothing.
+	for k := uint8(1); k <= 5; k++ {
 		f.Add(16e-3, 9.5e-8, 1.5, 3, 2.0, 3000.0, 0.5, 1.0, 1e-4, 0.0, false, k<<2|1)
 	}
 	f.Fuzz(func(t *testing.T, iph, i0, n float64, ns int, rs, rsh, irr, v, dv, dirr float64, alternate bool, interleave uint8) {
@@ -630,12 +633,15 @@ func FuzzCurrentSolverParity(f *testing.F) {
 		}
 		c := NewCell(opts...)
 		cells := []*Cell{c}
-		if k := interleave >> 2 % 5; k > 0 {
-			sibling := [...]Option{
-				WithSeriesResistance(1.25 * rs), WithShuntResistance(1.25 * rsh),
-				WithSaturationCurrent(1.25 * i0), WithIdealityFactor(1.25 * n),
-			}[k-1]
-			cells = append(cells, NewCell(append(opts, sibling)...))
+		if k := interleave >> 2 % 6; k > 0 {
+			sibling := opts
+			if k <= 4 {
+				sibling = append(opts, [...]Option{
+					WithSeriesResistance(1.25 * rs), WithShuntResistance(1.25 * rsh),
+					WithSaturationCurrent(1.25 * i0), WithIdealityFactor(1.25 * n),
+				}[k-1])
+			}
+			cells = append(cells, NewCell(sibling...))
 		}
 		var warm SolverState
 		for step := 0; step < 64; step++ {

@@ -55,7 +55,9 @@ var (
 //	I(V) = Iph - I0*(exp((V+I*Rs)/(Ns*n*VT)) - 1) - (V+I*Rs)/Rsh
 //
 // where Iph scales linearly with irradiance. The zero value is not useful;
-// construct cells with NewCell.
+// construct cells with NewCell. A Cell is immutable once NewCell returns
+// it, so it may be shared, and a per-caller memo may key on its pointer
+// (SolverState does).
 type Cell struct {
 	photoCurrentFullSun float64 // Iph at irradiance 1.0 (A)
 	saturationCurrent   float64 // diode reverse saturation current I0 (A)
@@ -63,6 +65,13 @@ type Cell struct {
 	seriesCells         int     // number of series junctions Ns
 	seriesResistance    float64 // Rs (ohm)
 	shuntResistance     float64 // Rsh (ohm)
+
+	// Derived by NewCell from the parameters above: the junction scale
+	// Ns*n*VT, the inverses and curvature coefficient I0*(Rs/s)^2 the
+	// Newton solve needs, and whether the parameters lie inside the Newton
+	// fast path's envelope (see newtonRoot).
+	scale, invRsh, invScale, curvCoef float64
+	newton                            bool
 }
 
 // Option configures a Cell.
@@ -113,17 +122,21 @@ func NewCell(opts ...Option) *Cell {
 	// Choose I0 so that Voc at full sun is ~1.4 V for the default geometry:
 	// Voc = Ns*n*VT*ln(Iph/I0 + 1)  =>  I0 = Iph/(exp(Voc/(Ns*n*VT)) - 1).
 	const targetVoc = 1.4
-	scale := float64(c.seriesCells) * c.idealityFactor * thermalVoltage
-	c.saturationCurrent = c.photoCurrentFullSun / (math.Exp(targetVoc/scale) - 1)
+	defaultScale := float64(c.seriesCells) * c.idealityFactor * thermalVoltage
+	c.saturationCurrent = c.photoCurrentFullSun / (math.Exp(targetVoc/defaultScale) - 1)
 	for _, opt := range opts {
 		opt(c)
 	}
+	rs, rsh, i0 := c.seriesResistance, c.shuntResistance, c.saturationCurrent
+	c.scale = float64(c.seriesCells) * c.idealityFactor * thermalVoltage
+	c.invRsh, c.invScale = 1/rsh, 1/c.scale
+	c.curvCoef = i0 * (rs * c.invScale) * (rs * c.invScale)
+	// The envelope: these are what guarantee f' <= -1 and the concavity
+	// that Newton's global convergence and the replay's sign predictions
+	// rest on. Outside it every solve takes the reference bisection.
+	c.newton = rs > 0 && isFinite(rs) && rsh > 0 && isFinite(rsh) &&
+		i0 >= 0 && isFinite(i0) && c.scale > 0 && isFinite(c.scale)
 	return c
-}
-
-// junctionScale returns Ns*n*VT, the denominator of the diode exponent.
-func (c *Cell) junctionScale() float64 {
-	return float64(c.seriesCells) * c.idealityFactor * thermalVoltage
 }
 
 // photoCurrent returns the light-generated current at the given irradiance
@@ -160,7 +173,7 @@ func (c *Cell) diodeCurrent(vd float64) float64 {
 	if vd <= 0 {
 		return 0
 	}
-	return c.saturationCurrent * (math.Exp(vd/c.junctionScale()) - 1)
+	return c.saturationCurrent * (math.Exp(vd/c.scale) - 1)
 }
 
 // Power returns the electrical power (W) delivered at terminal voltage v and
@@ -187,7 +200,7 @@ func (c *Cell) OpenCircuitVoltage(irradiance float64) float64 {
 	if irradiance <= 0 {
 		return 0
 	}
-	top := 2.0 * c.junctionScale() * math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
+	top := 2.0 * c.scale * math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
 	lo, hi := search.Bisect(0, top, voltageSolveTolerance, maxSolverIterations,
 		func(v float64) bool { return c.Current(v, irradiance) > 0 })
 	return 0.5 * (lo + hi)

@@ -24,6 +24,7 @@ type SC struct {
 	fixedLoss   float64   // Pfixed: load-independent switching power (W)
 	bottomPlate float64   // cBP: loss proportional to output power
 	minOutput   float64   // lowest regulable output voltage (V)
+	topRatio    float64   // the largest ratio (0 with none), derived by NewSC
 }
 
 var _ Regulator = (*SC)(nil)
@@ -51,6 +52,11 @@ func NewSC(opts ...SCOption) *SC {
 	for _, opt := range opts {
 		opt(s)
 	}
+	for _, k := range s.ratios {
+		if k > s.topRatio {
+			s.topRatio = k
+		}
+	}
 	return s
 }
 
@@ -61,13 +67,7 @@ func (s *SC) Name() string { return "SC" }
 // largest ratio's ideal output (minus nothing: the charge-sharing model lets
 // Vout approach k*Vin with efficiency approaching eta at eta_lin -> 1).
 func (s *SC) OutputRange(vin float64) (lo, hi float64) {
-	maxK := 0.0
-	for _, k := range s.ratios {
-		if k > maxK {
-			maxK = k
-		}
-	}
-	return s.minOutput, maxK * vin
+	return s.minOutput, s.topRatio * vin
 }
 
 // BestRatio returns the step-down fraction the converter selects for the

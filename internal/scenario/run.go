@@ -115,10 +115,9 @@ func Run(cfg Config) (*Report, error) {
 			Proc: cpu.NewProcessor(),
 			Reg:  reg.NewSC(),
 			Cap:  storage,
-			// The shared trace doubles as the event source (Irradiance is
-			// derived from it), so nodes fast-forward through exactly-zero
-			// spans — kinetic dead time, indoor lights-out — instead of
-			// stepping them.
+			// The shared trace is the light input and its event source, so
+			// nodes fast-forward through exactly-zero spans — kinetic dead
+			// time, indoor lights-out — instead of stepping them.
 			IrradianceSource: siteSource(src, site),
 			Controller: &sched.DeadlineController{
 				Cycles:      spec.Workload.JobCycles,
@@ -206,10 +205,10 @@ func Run(cfg Config) (*Report, error) {
 
 // siteSource scales the shared source by the node's site exposure without
 // mutating the shared trace, as a circuit.EventSource: At is bitwise the
-// scaling the engine always applied (site == 1 hands out the trace itself,
-// whose At the derived Irradiance then aliases), and NextChange delegates
-// to the trace — scaling by a positive site maps exact-zero samples to
-// exact zero, so the trace's constancy claims hold for the scaled signal.
+// scaling the engine always applied (site == 1 hands out the trace
+// itself), and NextChange delegates to the trace — scaling by a positive
+// site maps exact-zero samples to exact zero, so the trace's constancy
+// claims hold for the scaled signal.
 func siteSource(src *weather.Trace, site float64) circuit.EventSource {
 	if site == 1 {
 		return src

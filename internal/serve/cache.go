@@ -11,6 +11,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -70,7 +71,9 @@ func (c *lru) len() int {
 
 // flightGroup coalesces concurrent calls with the same key into one
 // execution of fn (singleflight). Followers receive the leader's exact
-// value and error.
+// value and error, unless the leader's request ended before fn failed:
+// fn runs under the leader's context, so that error is the leader's, and
+// a follower whose own context is still live takes the flight over.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flight
@@ -80,19 +83,25 @@ type flight struct {
 	wg  sync.WaitGroup
 	val []byte
 	err error
+	// orphaned reports that err came after the leader's context ended.
+	orphaned bool
 }
 
-// do runs fn once per key across concurrent callers. shared is true for
-// followers that waited on another caller's execution.
-func (g *flightGroup) do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+// do runs fn once per key across concurrent callers, each under its own
+// request context ctx. shared is true for a caller that took the result
+// of another caller's execution.
+func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flight)
 	}
-	if f, ok := g.calls[key]; ok {
+	for f, ok := g.calls[key]; ok; f, ok = g.calls[key] {
 		g.mu.Unlock()
 		f.wg.Wait()
-		return f.val, true, f.err
+		if !f.orphaned || ctx.Err() != nil {
+			return f.val, true, f.err
+		}
+		g.mu.Lock()
 	}
 	f := &flight{}
 	f.wg.Add(1)
@@ -100,6 +109,7 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (val []byte, sha
 	g.mu.Unlock()
 
 	f.val, f.err = fn()
+	f.orphaned = f.err != nil && ctx.Err() != nil
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
@@ -136,15 +146,16 @@ func newRenderCache(size int) *renderCache {
 }
 
 // get returns the cached response for key, rendering (at most once per
-// concurrent wave) and filling the cache on a miss. Errors are never
-// cached: a transient failure does not poison the key.
-func (c *renderCache) get(key string, render func() ([]byte, error)) ([]byte, error) {
+// concurrent wave) and filling the cache on a miss. ctx is the calling
+// request's context, the one render runs under. Errors are never cached:
+// a transient failure does not poison the key.
+func (c *renderCache) get(ctx context.Context, key string, render func() ([]byte, error)) ([]byte, error) {
 	if b, ok := c.lru.get(key); ok {
 		c.hits.Add(1)
 		return b, nil
 	}
 	c.misses.Add(1)
-	b, shared, err := c.group.do(key, func() ([]byte, error) {
+	b, shared, err := c.group.do(ctx, key, func() ([]byte, error) {
 		b, err := render()
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,57 @@ func TestFleetEndpointRejects(t *testing.T) {
 		if code, _ := get(t, ts.URL+"/api/v1/fleet/"+bad); code != http.StatusBadRequest {
 			t.Errorf("spec %q: status %d, want 400", bad, code)
 		}
+	}
+}
+
+// TestFollowerOutlivesLeader: a request coalesced onto another's render
+// does not inherit that request's cancellation. With the gate's one slot
+// held, a fleet leader cancelled while it waits for the slot answers 503,
+// and the live follower for the same spec takes the flight over and
+// answers the report once the slot frees.
+func TestFollowerOutlivesLeader(t *testing.T) {
+	s := New(Config{Workers: 1})
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	go s.gate.Do(context.Background(), func() error {
+		close(parked)
+		<-release
+		return nil
+	})
+	<-parked
+	url := "/api/v1/fleet/" + tinyFleetSpec(5)
+	serve := func(ctx context.Context, out chan<- *httptest.ResponseRecorder) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+		out <- rec
+	}
+	until := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leader, follower := make(chan *httptest.ResponseRecorder, 1), make(chan *httptest.ResponseRecorder, 1)
+	go serve(ctx, leader)
+	until("the leader to queue at the gate", func() bool { return s.gate.Waited() == 1 })
+	go serve(context.Background(), follower)
+	until("the follower's cache miss", func() bool { return s.reports.misses.Load() == 2 })
+	time.Sleep(20 * time.Millisecond) // the follower parks on the leader's flight
+	cancel()
+	if rec := <-leader; rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled leader: status %d, want 503; body %s", rec.Code, rec.Body)
+	}
+	close(release)
+	rec := <-follower
+	if rec.Code != http.StatusOK {
+		t.Fatalf("live follower: status %d, want 200; body %s", rec.Code, rec.Body)
+	}
+	_, ts := newTestServer(t, Config{})
+	if _, want := get(t, ts.URL+url); rec.Body.String() != string(want) {
+		t.Error("the follower's report differs from a fresh server's")
 	}
 }
 

@@ -59,7 +59,7 @@ func renderKey(id, format string) string {
 // deterministic function of its key, so a cached body is byte-identical
 // to a cold one; an injected gate hold stretches the slot occupancy.
 func (s *Server) cached(r *http.Request, key string, render func() ([]byte, error)) ([]byte, error) {
-	return s.reports.get(key, func() (body []byte, err error) {
+	return s.reports.get(r.Context(), key, func() (body []byte, err error) {
 		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
 			body, err = render()
 			return nil

@@ -424,7 +424,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	results := make([][]byte, 5)
 	run := func(i int) {
 		defer wg.Done()
-		v, _, err := g.do("key", func() ([]byte, error) {
+		v, _, err := g.do(t.Context(), "key", func() ([]byte, error) {
 			calls++
 			close(leaderIn)
 			<-release
@@ -467,11 +467,11 @@ func TestRenderCacheErrorNotCached(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	}
-	if _, err := c.get("k", render); !errors.Is(err, boom) {
+	if _, err := c.get(t.Context(), "k", render); !errors.Is(err, boom) {
 		t.Fatalf("err %v, want boom", err)
 	}
 	fail = false
-	b, err := c.get("k", render)
+	b, err := c.get(t.Context(), "k", render)
 	if err != nil || string(b) != "ok" {
 		t.Fatalf("recovery got (%q, %v)", b, err)
 	}
