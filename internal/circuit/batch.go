@@ -5,9 +5,11 @@ package circuit
 // Simulator values — struct-of-simulators rather than N separately
 // allocated pointer targets — so a sweep over thousands of configurations
 // streams through the cache in lane order instead of chasing per-node
-// pointers. Group wraps already-built simulators (for example a window of
-// a slab's lanes) so a scheduler can hand each worker a contiguous span of
-// nodes per epoch (internal/population).
+// pointers. It sets each lane up in place with Configure, as the
+// population runner does on its own slab (internal/population). Group
+// wraps already-built simulators (for example a window of a slab's lanes)
+// so a scheduler can hand each worker a contiguous span of nodes per
+// epoch.
 //
 // Determinism: a BatchStepper adds no physics of its own. Each lane is a
 // full Simulator advanced by exactly the scalar stepper's code, one lane
@@ -40,7 +42,6 @@ func (e *LaneError) Unwrap() error { return e.Err }
 // The zero value is an empty, finished batch.
 type BatchStepper struct {
 	lanes []*Simulator
-	slab  []Simulator // non-nil when NewBatch allocated the lanes
 }
 
 // NewBatch validates every config and returns a stepper whose lanes live
@@ -49,13 +50,13 @@ type BatchStepper struct {
 func NewBatch(cfgs []Config) (*BatchStepper, error) {
 	slab := make([]Simulator, len(cfgs))
 	lanes := make([]*Simulator, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := initSimulator(&slab[i], cfg); err != nil {
+	for i := range cfgs {
+		if err := slab[i].Configure(cfgs[i]); err != nil {
 			return nil, &LaneError{Lane: i, Err: err}
 		}
 		lanes[i] = &slab[i]
 	}
-	return &BatchStepper{lanes: lanes, slab: slab}, nil
+	return &BatchStepper{lanes: lanes}, nil
 }
 
 // Group wraps existing simulators as the lanes of a stepper without

@@ -415,16 +415,18 @@ type Simulator struct {
 // New validates the configuration and returns a ready simulator.
 func New(cfg Config) (*Simulator, error) {
 	sim := &Simulator{}
-	if err := initSimulator(sim, cfg); err != nil {
+	if err := sim.Configure(cfg); err != nil {
 		return nil, err
 	}
 	return sim, nil
 }
 
-// initSimulator is New's body, initialising a caller-provided Simulator in
-// place so NewBatch (batch.go) can lay its lanes out in one contiguous
-// slab instead of allocating each simulator separately.
-func initSimulator(sim *Simulator, cfg Config) error {
+// Configure validates cfg and sets up the zero Simulator s in place:
+// New's body without the allocation, so a caller can lay its lanes out in
+// one contiguous slab and set each up where it lives (NewBatch, and the
+// population runner's workers). s must be the zero value, such as an
+// element of a fresh slab.
+func (s *Simulator) Configure(cfg Config) error {
 	switch {
 	case cfg.Cell == nil:
 		return fmt.Errorf("%w: Cell", ErrMissingComponent)
@@ -444,7 +446,7 @@ func initSimulator(sim *Simulator, cfg Config) error {
 	if cfg.Step <= 0 || cfg.MaxTime <= 0 {
 		return fmt.Errorf("%w: step=%g maxTime=%g", ErrInvalidStep, cfg.Step, cfg.MaxTime)
 	}
-	sim.state.cfg = cfg
+	s.state.cfg = cfg
 	if len(cfg.ClockLevels) > 0 {
 		// Validate, copy, sort ascending and deduplicate once, so the
 		// per-step quantisation is a binary search over a strictly
@@ -462,10 +464,17 @@ func initSimulator(sim *Simulator, cfg Config) error {
 				uniq = append(uniq, l)
 			}
 		}
-		sim.state.cfg.ClockLevels = uniq
+		s.state.cfg.ClockLevels = uniq
 	}
-	sim.state.compAbove = make([]bool, len(cfg.Comparators))
+	s.state.compAbove = make([]bool, len(cfg.Comparators))
 	return nil
+}
+
+// Models returns the cell, processor and regulator the simulator runs: the
+// immutable models a population builds once and shares across its lanes.
+func (s *Simulator) Models() (*pv.Cell, *cpu.Processor, reg.Regulator) {
+	cfg := &s.state.cfg
+	return cfg.Cell, cfg.Proc, cfg.Reg
 }
 
 // Run integrates the network until the job completes, the horizon elapses,

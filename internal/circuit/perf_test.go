@@ -30,9 +30,9 @@ func TestClockLevelValidation(t *testing.T) {
 	}
 }
 
-// TestSimulatorSize pins a Simulator's bytes: NewBatch's slab lays one out
-// per fleet or scenario node, so every byte counts once per node, not in a
-// size class.
+// TestSimulatorSize pins a Simulator's bytes: a population's slab lays one
+// out per fleet or scenario node, so every byte counts once per node, not
+// in a size class.
 func TestSimulatorSize(t *testing.T) {
 	if n := unsafe.Sizeof(Simulator{}); n > 696 {
 		t.Errorf("Simulator is %d B, want at most 696", n)

@@ -5,7 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/prof"
+	"repro/internal/pv"
+	"repro/internal/reg"
 )
 
 // darkSpec has a 70% lights-out tail: most of the horizon is exactly-zero
@@ -172,7 +175,7 @@ func TestFleetDarkTailIsExactlyZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := spec.Config().withDefaults()
-	ccfg, err := buildNodeConfig(cfg, 0)
+	ccfg, err := buildNodeConfig(cfg, 0, pv.NewCell(), cpu.NewProcessor(), reg.NewSC())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/pv"
 	"repro/internal/trace"
 )
 
@@ -167,16 +168,17 @@ func TestFleetCancellation(t *testing.T) {
 
 // TestFleetBuildBytesPerNode pins what building a node allocates. A
 // cancelled run returns once the population is built, and 2,000 lit nodes
-// may allocate at most 1,750 B each; they measure 1,733 B in 12
-// allocations with or without the race detector, since the build no longer
-// goes through fmt and its sync.Pool. A node's sky streams from a lazily
-// seeded source in about 250 B, so a per-node sample slice (257 samples,
-// 2,336 B with its header) cannot come back unnoticed, and neither can
-// fmt-built stream labels and seeds (1,848 B), a per-lane alias of the
-// light source's At, or a Simulator that carries a copy of the cell's
-// parameters again (1,759 B).
+// may allocate at most 1,300 B in 8 allocations each; they measure 1,220 B
+// in 8.0 with or without the race detector, since the build no longer goes
+// through fmt and its sync.Pool. A node's sky streams from a lazily seeded
+// source in about 250 B, so a per-node sample slice (257 samples, 2,336 B
+// with its header) cannot come back unnoticed, and neither can fmt-built
+// stream labels and seeds (1,848 B), a per-lane alias of the light
+// source's At, a Simulator that carries a copy of the cell's parameters
+// again (1,759 B), per-node cell, processor and SC models, or an n-long
+// slice of configs beside the lane slab (1,733 B in 12.0 allocations).
 func TestFleetBuildBytesPerNode(t *testing.T) {
-	const nodes, bound = 2000, 1750
+	const nodes, bound, allocBound = 2000, 1300, 8
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var before, after runtime.MemStats
@@ -188,9 +190,34 @@ func TestFleetBuildBytesPerNode(t *testing.T) {
 	}
 	per := float64(after.TotalAlloc-before.TotalAlloc) / nodes
 	allocs := float64(after.Mallocs-before.Mallocs) / nodes
-	t.Logf("build: %.0f B and %.1f allocations per node", per, allocs)
-	if per > bound {
-		t.Errorf("building a node allocates %.0f B, bound %d B", per, bound)
+	t.Logf("build: %.0f B and %.2f allocations per node", per, allocs)
+	// The run's own few dozen allocations add about 0.02 per node.
+	if per > bound || int(allocs) > allocBound {
+		t.Errorf("building a node allocates %.0f B in %.2f allocations, bound %d B in %d",
+			per, allocs, bound, allocBound)
+	}
+}
+
+// TestFleetLanesShareModels: every node models the same chip, so every
+// lane of a run holds the run's one cell, processor and SC converter, and
+// a second run builds its own (no package-level models).
+func TestFleetLanesShareModels(t *testing.T) {
+	var first *pv.Cell
+	for k := 0; k < 2; k++ {
+		_, lanes, err := schedule(Config{Nodes: 16, Seed: 1, Workers: 2}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, proc, sc := lanes[0].Models()
+		for id, sim := range lanes {
+			if c, p, r := sim.Models(); c != cell || p != proc || r != sc {
+				t.Fatalf("run %d: node %d holds models %p %p %p, node 0 %p %p %p", k, id, c, p, r, cell, proc, sc)
+			}
+		}
+		if cell == first {
+			t.Fatal("two runs share a cell")
+		}
+		first = cell
 	}
 }
 

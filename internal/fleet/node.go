@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
 	"repro/internal/cap"
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/population"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/sched"
@@ -35,29 +35,17 @@ const (
 )
 
 // nodeStream is the fault.StreamSeed stream label for node id ≥ 0, the
-// bytes of fmt.Sprintf("node/%07d", id) built without fmt: one allocation,
-// the string itself. Zero-padding keeps labels of up to 10M nodes the same
-// width, so they sort by ID and grep cleanly in traces; a larger ID prints
-// wider, so labels never collide.
-func nodeStream(id int) string {
-	var buf [32]byte
-	b := append(buf[:0], "node/"...)
-	var num [20]byte
-	digits := strconv.AppendInt(num[:0], int64(id), 10)
-	for n := len(digits); n < 7; n++ {
-		b = append(b, '0')
-	}
-	return string(append(b, digits...))
-}
+// bytes of fmt.Sprintf("node/%07d", id).
+func nodeStream(id int) string { return population.Label("node/", 7, id) }
 
-// buildNodeConfig constructs the circuit configuration of node id. All
-// randomness is drawn from streams seeded via
-// fault.StreamSeed(seed, "node/<id>", domain) — one domain per concern —
-// so every node's environment and trims are independent of every other
-// node's and of the build order. Each domain seeds a fresh fault.Source,
-// which costs no more than reducing the seed and holds no register for
-// the few draws a build makes.
-func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
+// buildNodeConfig constructs the circuit configuration of node id on the
+// run's shared cell, processor and SC converter. All randomness is drawn
+// from streams seeded via fault.StreamSeed(seed, "node/<id>", domain) —
+// one domain per concern — so every node's environment and trims are
+// independent of every other node's and of the build order. Each domain
+// seeds a fresh fault.Source, which costs no more than reducing the seed
+// and holds no register for the few draws a build makes.
+func buildNodeConfig(cfg Config, id int, cell *pv.Cell, proc *cpu.Processor, sc *reg.SC) (circuit.Config, error) {
 	label := nodeStream(id)
 
 	// Trims: initial charge, job size, peripheral draw and site exposure.
@@ -99,9 +87,9 @@ func buildNodeConfig(cfg Config, id int) (circuit.Config, error) {
 		return circuit.Config{}, fmt.Errorf("storage: %w", err)
 	}
 	return circuit.Config{
-		Cell: pv.NewCell(),
-		Proc: cpu.NewProcessor(),
-		Reg:  reg.NewSC(),
+		Cell: cell,
+		Proc: proc,
+		Reg:  sc,
 		Cap:  storage,
 		// The sky is the light input and its event source, so dead nodes
 		// fast-forward through its dark tail instead of stepping it.

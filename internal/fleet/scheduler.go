@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"repro/internal/circuit"
+	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/population"
+	"repro/internal/pv"
+	"repro/internal/reg"
 	"repro/internal/trace"
 )
 
@@ -81,10 +84,16 @@ func schedule(cfg Config) (*Report, []*circuit.Simulator, error) {
 		}
 	}
 
+	// Every node models the same chip, so the run builds the immutable
+	// models once and every lane shares them; a node's diversity lives in
+	// its sky and trims (DESIGN §11).
+	cell, proc, sc := pv.NewCell(), cpu.NewProcessor(), reg.NewSC()
 	lanes, err := population.Run(population.Config{
-		Name:         "fleet",
-		Nodes:        cfg.Nodes,
-		Build:        func(id int) (circuit.Config, error) { return buildNodeConfig(cfg, id) },
+		Name:  "fleet",
+		Nodes: cfg.Nodes,
+		Build: func(id int) (circuit.Config, error) {
+			return buildNodeConfig(cfg, id, cell, proc, sc)
+		},
 		Targets:      targets,
 		Barrier:      barrier,
 		Workers:      cfg.Workers,

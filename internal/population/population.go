@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/prof"
@@ -29,8 +30,10 @@ type Config struct {
 	// Nodes is the population size; node IDs are 0..Nodes-1.
 	Nodes int
 	// Build returns node id's circuit configuration. It runs on the worker
-	// pool, so it may write only node id's slots of shared state. Its
-	// errors name the failed stage ("weather: …"); the runner adds the node.
+	// pool, so it may write only node id's slots of shared state, and the
+	// same worker then sets node id's lane up from the config in place.
+	// Its errors name the failed stage ("weather: …"); the runner adds the
+	// node, and names a config the lane rejects "circuit: …".
 	Build func(id int) (circuit.Config, error)
 	// Targets lists each epoch's step target (circuit.StepsFor of its
 	// edge). Epochs past the list advance every lane to its own horizon.
@@ -59,30 +62,31 @@ type Config struct {
 // has finished, and returns the lanes in node-ID order.
 func Run(cfg Config) ([]*circuit.Simulator, error) {
 	n := cfg.Nodes
-	cfgs := make([]circuit.Config, n)
+	// The worker that builds node id's config sets its lane up in place in
+	// the slab, so no node's config outlives its build.
+	slab := make([]circuit.Simulator, n)
 	errs := make([]error, n)
 	var leds []prof.Ledger
 	if cfg.Profile != nil {
 		leds = make([]prof.Ledger, n)
 	}
 	runner.ForEach(n, cfg.Workers, func(id int) {
-		cfgs[id], errs[id] = cfg.Build(id)
+		c, err := cfg.Build(id)
+		if err != nil {
+			errs[id] = err
+			return
+		}
 		if leds != nil {
-			cfgs[id].Ledger = &leds[id]
+			c.Ledger = &leds[id]
+		}
+		if err := slab[id].Configure(c); err != nil {
+			errs[id] = fmt.Errorf("circuit: %w", err)
 		}
 	})
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("%s: node %d %w", cfg.Name, id, err)
 		}
-	}
-	batch, err := circuit.NewBatch(cfgs)
-	if err != nil {
-		var le *circuit.LaneError
-		if errors.As(err, &le) {
-			return nil, fmt.Errorf("%s: node %d circuit: %w", cfg.Name, le.Lane, le.Err)
-		}
-		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
 
 	// lanes[:active] and ids[:active] are the still-running nodes in
@@ -91,7 +95,7 @@ func Run(cfg Config) ([]*circuit.Simulator, error) {
 	lanes := make([]*circuit.Simulator, n)
 	ids := make([]int, n)
 	for i := range all {
-		all[i], lanes[i], ids[i] = batch.Lane(i), batch.Lane(i), i
+		all[i], lanes[i], ids[i] = &slab[i], &slab[i], i
 	}
 	groupErrs := make([]error, n)
 	for epoch, active := 1, n; active > 0; epoch++ {
@@ -138,4 +142,20 @@ func Run(cfg Config) ([]*circuit.Simulator, error) {
 		}
 	}
 	return all, nil
+}
+
+// Label returns prefix followed by id zero-padded to width digits: for
+// id >= 0 the bytes of fmt.Sprintf("%s%0*d", prefix, width, id), built
+// without fmt in one allocation, the string itself. Padding keeps the
+// labels of up to 10^width nodes one width, so they sort by ID and grep
+// cleanly in traces; a larger ID prints wider, so labels never collide.
+func Label(prefix string, width, id int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(id), 10)
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
 }

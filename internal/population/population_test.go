@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -193,6 +194,28 @@ func TestCancelledRunBuildsFirst(t *testing.T) {
 		}
 		if got := built.Load(); got != nodes {
 			t.Errorf("workers=%d: %d of %d nodes built before the cancellation returned", workers, got, nodes)
+		}
+	}
+}
+
+// TestLabelMatchesFmt: a label has the bytes of fmt's zero-padded form at
+// the fleet's and the scenario's widths, so every node keeps its seeds.
+func TestLabelMatchesFmt(t *testing.T) {
+	ids := []int{math.MaxInt}
+	for id := 0; id < 20000; id++ {
+		ids = append(ids, id)
+	}
+	for p := 100; p <= math.MaxInt/10; p *= 10 {
+		ids = append(ids, p-1, p, p+1)
+	}
+	for _, f := range []struct {
+		prefix string
+		width  int
+	}{{"node/", 7}, {"scn/", 4}} {
+		for _, id := range ids {
+			if got, want := Label(f.prefix, f.width, id), fmt.Sprintf("%s%0*d", f.prefix, f.width, id); got != want {
+				t.Fatalf("Label(%q, %d, %d) = %q, want %q", f.prefix, f.width, id, got, want)
+			}
 		}
 	}
 }

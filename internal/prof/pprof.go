@@ -274,26 +274,34 @@ func (e *encoder) spill(atLeast int) {
 	e.out.b = e.out.b[:0]
 }
 
-// compressors pools BestSpeed gzip writers. A compressor embeds deflate's
-// hash tables whatever its level, about 1.2 MB, which would dwarf a small
-// profile's export; Reset gives a pooled one a fresh stream with a zero
-// header (no ModTime: the output carries no wall time), so the bytes are
-// a fresh writer's.
+// compressor is what one export reuses from the last: a BestSpeed gzip
+// writer and the pending payload buffer.
+type compressor struct {
+	zw  *gzip.Writer
+	buf []byte
+}
+
+// compressors pools compressors. A gzip writer embeds deflate's hash
+// tables whatever its level, about 1.2 MB, and the buffer takes 36 KB;
+// either would dwarf a small profile's export. Reset gives a pooled
+// writer a fresh stream with a zero header (no ModTime: the output
+// carries no wall time), so the bytes are a fresh writer's.
 var compressors = sync.Pool{New: func() any {
 	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a constant, valid level
-	return zw
+	return &compressor{zw: zw, buf: make([]byte, 0, flushAt+flushAt/8)}
 }}
 
 // WritePprof encodes the profile as a gzipped pprof protobuf. Equal
 // profiles produce equal bytes.
 func WritePprof(w io.Writer, p *Profile) error {
-	zw := compressors.Get().(*gzip.Writer)
-	defer compressors.Put(zw)
+	c := compressors.Get().(*compressor)
+	defer compressors.Put(c)
+	zw := c.zw
 	zw.Reset(w)
 	entries := p.Entries()
 	e := &encoder{
 		zw:   zw,
-		out:  pbuf{b: make([]byte, 0, flushAt+flushAt/8)},
+		out:  pbuf{b: c.buf[:0]},
 		strs: newStringTable(),
 		// A fleet names one experiment and one node per scope.
 		locByName: make(map[string]int64, len(entries)+2*NumBins+1),
@@ -354,6 +362,7 @@ func WritePprof(w io.Writer, p *Profile) error {
 	}
 	e.out.intField(profDuration, int64(math.Round(totalSeconds/secondsPerUnit)))
 	e.spill(0)
+	c.buf = e.out.b // a grown buffer serves the next export too
 	if e.err != nil {
 		return fmt.Errorf("prof: write pprof: %w", e.err)
 	}

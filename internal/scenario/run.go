@@ -58,20 +58,27 @@ type Config struct {
 	ProfileScope string
 }
 
-// nodeLabel is the per-node stream/track/profile label.
-func nodeLabel(id int) string { return fmt.Sprintf("scn/%04d", id) }
+// nodeLabel is the per-node stream/track/profile label, the bytes of
+// fmt.Sprintf("scn/%04d", id).
+func nodeLabel(id int) string { return population.Label("scn/", 4, id) }
 
 // Run executes the scenario and returns its report.
 func Run(cfg Config) (*Report, error) {
+	rep, _, err := run(cfg)
+	return rep, err
+}
+
+// run is Run, also returning the node lanes in node-ID order.
+func run(cfg Config) (*Report, []*circuit.Simulator, error) {
 	spec := cfg.Spec
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := spec.Geometry.Nodes
 
 	src, err := spec.SourceTrace()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	rep := &Report{Spec: spec, Nodes: make([]NodeResult, n)}
@@ -85,13 +92,18 @@ func Run(cfg Config) (*Report, error) {
 	// id): trims, arrivals and the shared source are all stream-seeded, and
 	// the build writes only node id's slots, so build order cannot matter.
 	tx := radio.New()
+	// Every node models the same chip, so the run builds the immutable
+	// models once and every lane shares them; a node's diversity lives in
+	// its site, charge and arrivals (DESIGN §11).
+	cell, proc, sc := pv.NewCell(), cpu.NewProcessor(), reg.NewSC()
 	var recs []*trace.Recorder
 	if cfg.Tracer != nil {
 		recs = make([]*trace.Recorder, n)
 	}
 	horizon, step := spec.Geometry.HorizonS, spec.Geometry.StepS
 	build := func(id int) (circuit.Config, error) {
-		rng := rand.New(fault.NewSource(fault.StreamSeed(spec.Seed, nodeLabel(id), "trim")))
+		label := nodeLabel(id)
+		rng := rand.New(fault.NewSource(fault.StreamSeed(spec.Seed, label, "trim")))
 		v0, site := nodeV0Lo+(nodeV0Hi-nodeV0Lo)*rng.Float64(), 1.0
 		if n > 1 {
 			site = nodeSiteLo + (nodeSiteHi-nodeSiteLo)*rng.Float64()
@@ -100,7 +112,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return circuit.Config{}, fmt.Errorf("storage: %w", err)
 		}
-		rng.Seed(fault.StreamSeed(spec.Seed, nodeLabel(id), "arrivals"))
+		rng.Seed(fault.StreamSeed(spec.Seed, label, "arrivals"))
 		times := arrivalTimes(rng, spec.Workload.Arrivals, horizon)
 		packets := make([]radio.Packet, len(times))
 		for k, t := range times {
@@ -111,9 +123,9 @@ func Run(cfg Config) (*Report, error) {
 			return circuit.Config{}, fmt.Errorf("radio: %w", err)
 		}
 		c := circuit.Config{
-			Cell: pv.NewCell(),
-			Proc: cpu.NewProcessor(),
-			Reg:  reg.NewSC(),
+			Cell: cell,
+			Proc: proc,
+			Reg:  sc,
 			Cap:  storage,
 			// The shared trace is the light input and its event source, so
 			// nodes fast-forward through exactly-zero spans — kinetic dead
@@ -133,7 +145,7 @@ func Run(cfg Config) (*Report, error) {
 		if recs != nil {
 			recs[id] = trace.NewRecorder()
 			c.Tracer = recs[id]
-			c.TraceTrack = nodeLabel(id)
+			c.TraceTrack = label
 		}
 		rep.Nodes[id] = NodeResult{
 			ID: id, V0: v0, Site: site,
@@ -155,7 +167,7 @@ func Run(cfg Config) (*Report, error) {
 		Label:        nodeLabel,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Aggregate in node-ID order.
@@ -200,7 +212,7 @@ func Run(cfg Config) (*Report, error) {
 			"harvest_j": rep.EnergyHarvested,
 		})
 	}
-	return rep, nil
+	return rep, lanes, nil
 }
 
 // siteSource scales the shared source by the node's site exposure without

@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/prof"
+	"repro/internal/pv"
 	"repro/internal/trace"
 	"repro/internal/weather"
 )
@@ -321,6 +323,76 @@ func TestRunCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(Config{Spec: spec, Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// daySpec is the 1,024-node clear-sky day with gamma radio arrivals that
+// e2ebench's scenario_day workload runs (seed 3): the night from 60% of
+// the horizon on is exactly dark.
+const daySpec = `{"seed":3,` +
+	`"source":{"kind":"clearsky","peak":1,"sunrise_frac":0,"sunset_frac":0.6},` +
+	`"workload":{"job_cycles":4e6,"deadline_frac":0.4,"aux_w":1e-4,` +
+	`"arrivals":{"process":"gamma","rate_hz":4,"shape":0.5}},` +
+	`"geometry":{"nodes":1024,"horizon_s":4,"step_s":1e-4}}`
+
+// TestScenarioBuildBytesPerNode pins what rendering the source and
+// building the population allocate per node: a cancelled run returns once
+// both are done. The day spec measures 3,229 B in 30.2 allocations per
+// node, and about 3,260 B under the race detector, since the build no
+// longer goes through fmt and its sync.Pool. Per-node cell, processor and
+// SC models, an n-long slice of configs beside the lane slab and
+// fmt-built labels read 3,760 B in 36.7.
+func TestScenarioBuildBytesPerNode(t *testing.T) {
+	const bound, allocBound = 3400, 30
+	spec, err := ParseScenario([]byte(daySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Run(Config{Spec: spec, Workers: 2, Ctx: ctx})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	nodes := float64(spec.Geometry.Nodes)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	allocs := float64(after.Mallocs-before.Mallocs) / nodes
+	t.Logf("build: %.0f B and %.2f allocations per node", per, allocs)
+	// The run's own allocations, the source's among them, add about 0.2
+	// per node.
+	if per > bound || int(allocs) > allocBound {
+		t.Errorf("building a node allocates %.0f B in %.2f allocations, bound %d B in %d",
+			per, allocs, bound, allocBound)
+	}
+}
+
+// TestScenarioLanesShareModels: every node models the same chip, so every
+// lane of a run holds the run's one cell, processor and SC converter, and
+// a second run builds its own (no package-level models).
+func TestScenarioLanesShareModels(t *testing.T) {
+	spec, err := ParseScenario([]byte(demoSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *pv.Cell
+	for k := 0; k < 2; k++ {
+		_, lanes, err := run(Config{Spec: spec, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, proc, sc := lanes[0].Models()
+		for id, sim := range lanes {
+			if c, p, r := sim.Models(); c != cell || p != proc || r != sc {
+				t.Fatalf("run %d: node %d holds models %p %p %p, node 0 %p %p %p", k, id, c, p, r, cell, proc, sc)
+			}
+		}
+		if cell == first {
+			t.Fatal("two runs share a cell")
+		}
+		first = cell
 	}
 }
 

@@ -73,16 +73,17 @@ func (c *lru) len() int {
 // execution of fn (singleflight). Followers receive the leader's exact
 // value and error, unless the leader's request ended before fn failed:
 // fn runs under the leader's context, so that error is the leader's, and
-// a follower whose own context is still live takes the flight over.
+// a follower whose own context is still live takes the flight over. A
+// follower whose own context ends first returns at once with its error.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flight
 }
 
 type flight struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	done chan struct{} // closed once val, err and orphaned are set
+	val  []byte
+	err  error
 	// orphaned reports that err came after the leader's context ended.
 	orphaned bool
 }
@@ -97,14 +98,17 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, err
 	}
 	for f, ok := g.calls[key]; ok; f, ok = g.calls[key] {
 		g.mu.Unlock()
-		f.wg.Wait()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 		if !f.orphaned || ctx.Err() != nil {
 			return f.val, true, f.err
 		}
 		g.mu.Lock()
 	}
-	f := &flight{}
-	f.wg.Add(1)
+	f := &flight{done: make(chan struct{})}
 	g.calls[key] = f
 	g.mu.Unlock()
 
@@ -113,7 +117,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, err
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
-	f.wg.Done()
+	close(f.done)
 	return f.val, false, f.err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -116,6 +117,57 @@ func TestFollowerOutlivesLeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if _, want := get(t, ts.URL+url); rec.Body.String() != string(want) {
 		t.Error("the follower's report differs from a fresh server's")
+	}
+}
+
+// TestCancelledFollowerReturns: a request coalesced onto another's render
+// returns its own context's error as soon as that context ends. With the
+// gate's one slot held, the leader queues for it; the follower parked on
+// the leader's flight is cancelled and must return while the slot is
+// still held, not when the leader's render ends.
+func TestCancelledFollowerReturns(t *testing.T) {
+	s := New(Config{Workers: 1})
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	go s.gate.Do(context.Background(), func() error {
+		close(parked)
+		<-release
+		return nil
+	})
+	<-parked
+	const key = "report:held"
+	render := func() ([]byte, error) { return []byte("rendered"), nil }
+	cached := func(ctx context.Context, out chan<- error) {
+		_, err := s.cached(httptest.NewRequest(http.MethodGet, "/", nil).WithContext(ctx), key, render)
+		out <- err
+	}
+	leader, follower := make(chan error, 1), make(chan error, 1)
+	go cached(context.Background(), leader)
+	for deadline := time.Now().Add(10 * time.Second); s.gate.Waited() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the leader to queue at the gate")
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go cached(ctx, follower)
+	for deadline := time.Now().Add(10 * time.Second); s.reports.misses.Load() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the follower's cache miss")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // the follower parks on the leader's flight
+	cancel()
+	select {
+	case err := <-follower:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled follower returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the cancelled follower is still parked on the leader's flight")
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Errorf("leader: %v", err)
 	}
 }
 

@@ -179,7 +179,8 @@ var unreachableKept = map[string]string{
 	"circuit.PiecewiseConstSource.At":         keepEventSource,
 	"circuit.PiecewiseConstSource.NextChange": keepEventSource,
 
-	"trace.ValidateAll": "test seam: checks a whole recorded trace against the schema ReadJSONL enforces line by line",
+	"trace.ValidateAll":           "test seam: checks a whole recorded trace against the schema ReadJSONL enforces line by line",
+	"circuit.(*Simulator).Models": "test seam: the fleet and scenario tests check that every lane of a run shares one cell, processor and regulator",
 }
 
 func TestEveryDeclarationReachable(t *testing.T) {
